@@ -26,7 +26,6 @@ from .data import (
     Dataset,
     SessionSplit,
     SitePartition,
-    load_cifar100,
     make_synthetic,
     partition_dirichlet,
     partition_iid,
@@ -60,9 +59,6 @@ from .orchestrator import (
     RunResult,
     evaluate,
     run,
-    run_baseline,
-    run_centralized,
-    run_dcid,
     summarize,
 )
 

@@ -153,14 +153,16 @@ def _params_transferred(result: RunResult) -> int:
     return sum(r.comm["params_up"] + r.comm["params_down"] for r in result.records)
 
 
-def _pool_size() -> int:
+def _pool_size(n_runs: int) -> int:
+    """Worker threads for `n_runs` grid runs: DCIL_THREADS (default 8), at most runs and CPUs."""
     env = os.environ.get("DCIL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"DCIL_THREADS must be an integer, got {env!r}")
-    return min(8, os.cpu_count() or 1)
+    try:
+        cap = int(env) if env else 8
+    except ValueError:
+        raise ConfigError(f"DCIL_THREADS must be an integer, got {env!r}") from None
+    if cap < 1:
+        raise ConfigError(f"DCIL_THREADS must be >= 1, got {cap}")
+    return min(cap, n_runs, os.cpu_count() or 1)
 
 
 @click.group()
@@ -243,11 +245,12 @@ def cmd_compare(config_path, out_dir):
                     entry["alpha"] = float(alpha)
                     entry["partition"] = "dirichlet"
                 entries.append((method, alpha, int(seed), build_run_config(entry)))
+        workers = _pool_size(len(entries))
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     try:
-        with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda e: run(e[3]), entries))
         grouped: dict[str, list[RunResult]] = {}
         for (method, alpha, _seed, _cfg), result in zip(entries, results):

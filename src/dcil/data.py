@@ -1,4 +1,4 @@
-"""Dataset synthesis/loading, session splitting, and site partitioning.
+"""Dataset synthesis, session splitting, and site partitioning.
 
 A dataset is a plain container of train/test arrays.  Sessions carve the
 label space into disjoint chunks (one base chunk plus T equal incremental
@@ -8,13 +8,11 @@ either class-balanced (IID) or Dirichlet-skewed.
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import ConfigError, InputError, ParameterError
+from .nncore import ConfigError, ParameterError
 
 SeedLike = int | list[int] | tuple[int, ...]
 
@@ -49,6 +47,11 @@ class SitePartition:
     shards: list[tuple[np.ndarray, np.ndarray]]
 
 
+def train_count(per_class: int) -> int:
+    """Training examples per class under the 80/20 train/test split."""
+    return int(round(0.8 * per_class))
+
+
 def make_synthetic(
     n_classes: int, per_class: int, dim: int, spread: float, seed: SeedLike
 ) -> Dataset:
@@ -65,7 +68,7 @@ def make_synthetic(
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(n_classes, dim))
     centers = 3.0 * raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    n_train = int(round(0.8 * per_class))
+    n_train = train_count(per_class)
     tr_x, tr_y, te_x, te_y = [], [], [], []
     for c in range(n_classes):
         pts = centers[c] + spread * rng.normal(size=(per_class, dim))
@@ -172,70 +175,3 @@ def partition_dirichlet(
         take = np.concatenate(buckets[m]) if buckets[m] else np.empty(0, dtype=np.int64)
         shards.append((x[take], y[take]))
     return SitePartition(shards)
-
-
-# ---------------------------------------------------------------------------
-# CIFAR-100 binary format
-# ---------------------------------------------------------------------------
-
-_CIFAR_RECORD = 2 + 3072  # coarse byte + fine byte + 32x32x3 pixels
-
-
-def read_cifar100_file(path: str, pool_grid: int | None = None):
-    """Parse one CIFAR-100 binary file into (x, fine_labels).
-
-    Each record is 1 coarse-label byte, 1 fine-label byte and 3072 pixel
-    bytes.  Pixels are scaled to [0, 1] and flattened; with `pool_grid` g the
-    32x32 plane of each channel is mean-pooled to g x g (dim 3*g*g).
-    """
-    try:
-        raw = np.fromfile(path, dtype=np.uint8)
-    except OSError as exc:
-        raise IOError(f"cannot read {path}: {exc}") from exc
-    if len(raw) == 0:
-        raise IOError(f"{path}: empty file at byte offset 0")
-    if len(raw) % _CIFAR_RECORD != 0:
-        raise IOError(
-            f"{path}: truncated record at byte offset {len(raw) - len(raw) % _CIFAR_RECORD}"
-        )
-    records = raw.reshape(-1, _CIFAR_RECORD)
-    fine = records[:, 1].astype(np.int64)
-    pixels = records[:, 2:].astype(np.float64) / 255.0
-    if pool_grid is not None:
-        g = pool_grid
-        if g < 1 or 32 % g != 0:
-            raise ParameterError(f"pool_grid must divide 32, got {g}")
-        s = 32 // g
-        pixels = pixels.reshape(-1, 3, g, s, g, s).mean(axis=(3, 5)).reshape(-1, 3 * g * g)
-    return pixels, fine
-
-
-def load_cifar100(path: str, pool_grid: int | None = None) -> Dataset:
-    """Load the standard CIFAR-100 binary train/test pair from a directory."""
-    train_path = os.path.join(path, "train.bin")
-    test_path = os.path.join(path, "test.bin")
-    tr_x, tr_y = read_cifar100_file(train_path, pool_grid)
-    te_x, te_y = read_cifar100_file(test_path, pool_grid)
-    return Dataset(tr_x, tr_y, te_x, te_y, 100, tr_x.shape[1])
-
-
-def examples_to_csv(x: np.ndarray, y: np.ndarray, path: str) -> None:
-    """Write examples as CSV with header x_0..x_{d-1},y."""
-    d = x.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x_{i}" for i in range(d)] + ["y"])
-        for row, label in zip(x, y):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
-
-
-def examples_from_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[-1] != "y":
-            raise InputError(f"{path}: unexpected CSV header")
-        rows = list(reader)
-    x = np.array([[float(v) for v in row[:-1]] for row in rows])
-    y = np.array([int(row[-1]) for row in rows], dtype=np.int64)
-    return x, y

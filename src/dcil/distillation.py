@@ -8,7 +8,6 @@ models (DCD) and for refining the FedAvg-aggregated general model (DAD).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .nncore import (
     backward,
     forward_batch,
     kl_div,
+    minibatches,
     sgd_step,
     softmax_t,
 )
@@ -51,14 +51,6 @@ class LogitsTable:
     """Per-sample pre-softmax outputs of one model over the shared pool."""
 
     rows: np.ndarray
-    source: str
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"z_{i}" for i in range(self.rows.shape[1])])
-            for row in self.rows:
-                writer.writerow([repr(float(v)) for v in row])
 
 
 @dataclass
@@ -119,11 +111,11 @@ def build_shared_dataset(
     return SharedDataset(np.concatenate(samples), np.concatenate(provenance))
 
 
-def compute_logits_table(params: ParamVector, shared: SharedDataset, source: str = "") -> LogitsTable:
+def compute_logits_table(params: ParamVector, shared: SharedDataset) -> LogitsTable:
     if len(shared) == 0:
-        return LogitsTable(np.empty((0, params.spec.n_classes)), source)
+        return LogitsTable(np.empty((0, params.spec.n_classes)))
     _, logits = forward_batch(params, shared.samples)
-    return LogitsTable(logits, source)
+    return LogitsTable(logits)
 
 
 def ensemble_logits(tables: list[LogitsTable], weights: EnsembleWeights) -> LogitsTable:
@@ -136,7 +128,7 @@ def ensemble_logits(tables: list[LogitsTable], weights: EnsembleWeights) -> Logi
     rows = np.zeros(shape)
     for w, t in zip(weights.omega, tables):
         rows += w * t.rows
-    return LogitsTable(rows, "ensemble")
+    return LogitsTable(rows)
 
 
 def distill_loss(
@@ -151,36 +143,36 @@ def distill_loss(
     return float(sum(kl_div(p[i], q[i]) for i in range(len(p))))
 
 
-def _distill_sgd(
+def _distill(
     params: ParamVector,
-    teacher_rows: np.ndarray,
-    samples: np.ndarray,
+    teacher: LogitsTable,
+    shared: SharedDataset,
     tau: float,
     lr: float,
     epochs: int,
-    rng: np.random.Generator,
+    seed,
 ) -> ParamVector:
-    """Seeded minibatch descent on the distillation loss.
+    """Seeded minibatch descent on the distillation loss over the shared pool.
 
     Steps use the mean per-sample gradient so the step size does not scale
     with the pool size; small pools then get the same per-sample pull as
-    large ones, which is what makes accuracy saturate in the pool size.
+    large ones, which is what makes accuracy saturate in the pool size.  An
+    empty pool or a zero learning rate returns the input parameters unchanged.
     """
+    if len(shared) == 0 or lr == 0:
+        return params.copy()
+    if teacher.rows.shape[0] != len(shared):
+        raise InputError("teacher row count must match the shared pool")
     if tau <= 0:
         raise ParameterError(f"temperature must be > 0, got {tau}")
-    teacher_probs = softmax_t(teacher_rows, tau)
-    n = len(samples)
+    teacher_probs = softmax_t(teacher.rows, tau)
+    n = len(shared)
     batch = n if n <= DISTILL_FULL_BATCH_LIMIT else DISTILL_BATCH
     out = params.copy()
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch):
-            sel = order[start : start + batch]
-            term = DistillTerm(
-                samples[sel], teacher_probs[sel], tau, reduction="mean"
-            )
-            _, grad = backward(out, CompositeLoss((term,)))
-            out = sgd_step(out, grad, lr)
+    for sel in minibatches(np.random.default_rng(seed), n, batch, epochs):
+        term = DistillTerm(shared.samples[sel], teacher_probs[sel], tau, reduction="mean")
+        _, grad = backward(out, CompositeLoss((term,)))
+        out = sgd_step(out, grad, lr)
     return out
 
 
@@ -193,17 +185,8 @@ def dcd_finetune(
     epochs: int = 5,
     seed=0,
 ) -> ParamVector:
-    """Fine-tune one local model against the ensemble teacher over the shared pool.
-
-    Only the distillation loss is minimized here; the shared pool carries no
-    labels.  An empty pool returns the input parameters unchanged.
-    """
-    if len(shared) == 0:
-        return site_params.copy()
-    if teacher.rows.shape[0] != len(shared):
-        raise InputError("teacher row count must match the shared pool")
-    rng = np.random.default_rng(seed)
-    return _distill_sgd(site_params, teacher.rows, shared.samples, tau1, lr, epochs, rng)
+    """DCD: fine-tune one local model against the ensemble teacher (no labels)."""
+    return _distill(site_params, teacher, shared, tau1, lr, epochs, seed)
 
 
 def dad_refine(
@@ -215,17 +198,8 @@ def dad_refine(
     epochs: int = 5,
     seed=0,
 ) -> ParamVector:
-    """Distill the post-DCD ensemble into the FedAvg-initialized general model.
-
-    Shared samples (with teacher rows) are reshuffled each epoch, seeded.
-    With an empty pool the result is exactly the FedAvg model.
-    """
-    if len(shared) == 0:
-        return init_general.copy()
-    if teacher.rows.shape[0] != len(shared):
-        raise InputError("teacher row count must match the shared pool")
-    rng = np.random.default_rng(seed)
-    return _distill_sgd(init_general, teacher.rows, shared.samples, tau2, lr, epochs, rng)
+    """DAD: distill the post-DCD ensemble into the FedAvg-initialized general model."""
+    return _distill(init_general, teacher, shared, tau2, lr, epochs, seed)
 
 
 def fedavg_aggregate(param_list: list[ParamVector], sample_counts) -> ParamVector:

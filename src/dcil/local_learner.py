@@ -26,6 +26,7 @@ from .nncore import (
     backward,
     forward_batch,
     kl_div,
+    minibatches,
     sgd_step,
     softmax_t,
 )
@@ -72,13 +73,12 @@ def update_anchor_set(prev: AnchorSet, new_anchors: AnchorSet) -> AnchorSet:
 
 @dataclass
 class SiteState:
-    """One local site: its private shard, anchors, and model copy."""
+    """One local site: its private shard, anchors and seed stream."""
 
     site_id: int
     shard_x: np.ndarray
     shard_y: np.ndarray
     anchors: AnchorSet = field(default_factory=AnchorSet)
-    params: ParamVector | None = None
     seed: tuple[int, ...] = (0,)
 
 
@@ -240,36 +240,33 @@ def local_update(
             old_general, ax, general.spec.n_classes, cfg.anchor_temperature
         )
 
-    for _ in range(cfg.local_epochs):
-        order = rng.permutation(n_new + n_anchor)
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            new_sel = batch[batch < n_new]
-            anc_sel = batch[batch >= n_new] - n_new
-            terms: list = []
-            if len(new_sel):
-                terms.append(CrossEntropyTerm(stream_x[new_sel], stream_y[new_sel]))
-            if len(anc_sel) and cfg.lam > 0:
-                if cfg.anchor_variant == "replay_ce":
-                    terms.append(
-                        CrossEntropyTerm(ax[anc_sel], ay[anc_sel], weight=cfg.lam)
+    for batch in minibatches(rng, n_new + n_anchor, cfg.batch_size, cfg.local_epochs):
+        new_sel = batch[batch < n_new]
+        anc_sel = batch[batch >= n_new] - n_new
+        terms: list = []
+        if len(new_sel):
+            terms.append(CrossEntropyTerm(stream_x[new_sel], stream_y[new_sel]))
+        if len(anc_sel) and cfg.lam > 0:
+            if cfg.anchor_variant == "replay_ce":
+                terms.append(
+                    CrossEntropyTerm(ax[anc_sel], ay[anc_sel], weight=cfg.lam)
+                )
+            else:
+                terms.append(
+                    DistillTerm(
+                        ax[anc_sel],
+                        teacher_probs[anc_sel],
+                        cfg.anchor_temperature,
+                        weight=cfg.lam,
                     )
-                else:
-                    terms.append(
-                        DistillTerm(
-                            ax[anc_sel],
-                            teacher_probs[anc_sel],
-                            cfg.anchor_temperature,
-                            weight=cfg.lam,
-                        )
-                    )
-            if cfg.variant == "fedmax" and cfg.beta > 0:
-                terms.append(UniformActivationTerm(stream_x[batch], cfg.beta))
-            if cfg.variant == "fedprox" and cfg.mu > 0:
-                terms.append(ProximalTerm(general, cfg.mu))
-            if not terms:
-                continue
-            _, grad = backward(params, CompositeLoss(tuple(terms)))
-            if cfg.lr > 0:
-                params = sgd_step(params, grad, cfg.lr)
+                )
+        if cfg.variant == "fedmax" and cfg.beta > 0:
+            terms.append(UniformActivationTerm(stream_x[batch], cfg.beta))
+        if cfg.variant == "fedprox" and cfg.mu > 0:
+            terms.append(ProximalTerm(general, cfg.mu))
+        if not terms:
+            continue
+        _, grad = backward(params, CompositeLoss(tuple(terms)))
+        if cfg.lr > 0:
+            params = sgd_step(params, grad, cfg.lr)
     return params

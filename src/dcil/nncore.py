@@ -360,6 +360,14 @@ def backward(params: ParamVector, loss: CompositeLoss) -> tuple[float, ParamVect
     return total, ParamVector(grad, params.spec)
 
 
+def minibatches(rng: np.random.Generator, n: int, batch_size: int, epochs: int):
+    """Seeded minibatch indices: one fresh permutation of range(n) per epoch, in slices."""
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            yield order[start : start + batch_size]
+
+
 def sgd_step(params: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
     if lr <= 0:
         raise ParameterError(f"learning rate must be > 0, got {lr}")

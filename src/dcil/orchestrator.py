@@ -3,9 +3,10 @@
 Runs the full protocol over T incremental sessions of R rounds each: local
 incremental training at every site, mutual distillation against the ensemble
 teacher, data-weighted parameter averaging, and a final distillation of the
-ensemble into the averaged general model.  The baseline path skips both
-distillation stages; a centralized reference learner retrains on all data
-seen so far.  Every run is a pure function of its config and seed.
+ensemble into the averaged general model.  The baselines run the same
+protocol over an empty shared pool, on which both distillation stages return
+their inputs; a centralized reference learner retrains on all data seen so
+far.  Every run is a pure function of its config and seed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 from . import data as data_mod
 from .distillation import (
     EnsembleWeights,
-    SharedDataset,
     build_shared_dataset,
     compute_logits_table,
     dad_refine,
@@ -44,6 +44,7 @@ from .nncore import (
     expand_head,
     forward_batch,
     init_params,
+    minibatches,
     sgd_step,
 )
 
@@ -123,6 +124,15 @@ class RunConfig:
             raise ConfigError("distillation epoch counts must be >= 0")
         if self.alpha <= 0:
             raise ConfigError("alpha must be > 0")
+        if self.method != "centralized":
+            if self.partition == "dirichlet" and self.n_sites < 2:
+                raise ConfigError("dirichlet partitioning needs n_sites >= 2")
+            n_train = data_mod.train_count(self.per_class)
+            if self.partition == "iid" and self.n_sites > n_train:
+                raise ConfigError(
+                    f"iid partitioning deals each class's {n_train} training "
+                    f"examples to {self.n_sites} sites; n_sites must be <= {n_train}"
+                )
         # LocalLossConfig validates itself on construction.
         NetSpec(self.input_dim, self.hidden_dims, self.n_base, self.activation)
 
@@ -227,15 +237,11 @@ def summarize(records: list[MetricsRecord]) -> dict:
 
 def _train_plain(params, x, y, epochs, lr, batch_size, rng):
     """Plain minibatch-SGD cross-entropy training."""
-    n = len(x)
     out = params.copy()
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            sel = order[start : start + batch_size]
-            _, grad = backward(out, CompositeLoss((CrossEntropyTerm(x[sel], y[sel]),)))
-            if lr > 0:
-                out = sgd_step(out, grad, lr)
+    for sel in minibatches(rng, len(x), batch_size, epochs):
+        _, grad = backward(out, CompositeLoss((CrossEntropyTerm(x[sel], y[sel]),)))
+        if lr > 0:
+            out = sgd_step(out, grad, lr)
     return out
 
 
@@ -316,22 +322,10 @@ def _herd_session_anchors(cfg, params, shard_x, shard_y, classes) -> AnchorSet:
 # ---------------------------------------------------------------------------
 
 
-def run_dcid(config: RunConfig) -> RunResult:
-    if config.method != "dcid":
-        raise ConfigError(f"run_dcid requires method 'dcid', got {config.method!r}")
-    return _run_decentralized(config, with_distillation=True)
-
-
-def run_baseline(config: RunConfig) -> RunResult:
-    if config.method not in ("dcil_fedavg", "dcil_fedmax", "dcil_fedprox"):
-        raise ConfigError(f"run_baseline cannot handle method {config.method!r}")
-    return _run_decentralized(config, with_distillation=False)
-
-
-def _run_decentralized(config: RunConfig, with_distillation: bool) -> RunResult:
-    config.validate()
-    cfg = config
+def _run_decentralized(cfg: RunConfig) -> RunResult:
+    """DCID, or a baseline: the same protocol over a shared pool of size 0."""
     local_cfg = replace(cfg.local, variant=cfg.variant())
+    shared_per_class = cfg.shared_per_class if cfg.method == "dcid" else 0
     bench = _Bench(cfg)
     trace: list[tuple[int, int, str]] = []
     records: list[MetricsRecord] = []
@@ -341,7 +335,7 @@ def _run_decentralized(config: RunConfig, with_distillation: bool) -> RunResult:
 
     sites = [
         SiteState(m, np.empty((0, cfg.input_dim)), np.empty(0, dtype=np.int64),
-                  AnchorSet(), None, (cfg.seed, _S_SITE, m))
+                  AnchorSet(), (cfg.seed, _S_SITE, m))
         for m in range(cfg.n_sites)
     ]
 
@@ -371,13 +365,10 @@ def _run_decentralized(config: RunConfig, with_distillation: bool) -> RunResult:
             sites[m].shard_y = sy
         counts = [len(s.shard_x) for s in sites]
 
-        if with_distillation:
-            shared = build_shared_dataset(
-                partition.shards, cfg.shared_per_class, new_classes,
-                [cfg.seed, _S_SHARED, t],
-            )
-        else:
-            shared = SharedDataset(np.empty((0, cfg.input_dim)), np.empty(0, dtype=np.int64))
+        shared = build_shared_dataset(
+            partition.shards, shared_per_class, new_classes,
+            [cfg.seed, _S_SHARED, t],
+        )
         ledger.shared_samples += len(shared)
 
         weights = EnsembleWeights.from_counts(counts)
@@ -397,13 +388,9 @@ def _run_decentralized(config: RunConfig, with_distillation: bool) -> RunResult:
                 )
             trace.append((t, r, "did"))
 
-            if with_distillation:
-                tables0 = [
-                    compute_logits_table(p, shared, f"site{m}:pre")
-                    for m, p in enumerate(theta0)
-                ]
-                ledger.logit_scalars += cfg.n_sites * len(shared) * n_head
-                trace.append((t, r, "local_outputs"))
+            tables0 = [compute_logits_table(p, shared) for p in theta0]
+            ledger.logit_scalars += cfg.n_sites * len(shared) * n_head
+            trace.append((t, r, "local_outputs"))
 
             round_anchors = [
                 _herd_session_anchors(cfg, theta0[m], s.shard_x, s.shard_y, new_classes)
@@ -411,40 +398,31 @@ def _run_decentralized(config: RunConfig, with_distillation: bool) -> RunResult:
             ]
             trace.append((t, r, "anchors"))
 
-            if with_distillation:
-                ensemble0 = ensemble_logits(tables0, weights)
-                trace.append((t, r, "ensemble"))
-                theta1 = [
-                    dcd_finetune(
-                        p, ensemble0, shared, cfg.tau1, cfg.dcd_lr,
-                        cfg.dcd_epochs, seed=[cfg.seed, _S_DCD, t, r, m],
-                    )
-                    for m, p in enumerate(theta0)
-                ]
-                trace.append((t, r, "dcd"))
-            else:
-                theta1 = theta0
+            ensemble0 = ensemble_logits(tables0, weights)
+            trace.append((t, r, "ensemble"))
+            theta1 = [
+                dcd_finetune(
+                    p, ensemble0, shared, cfg.tau1, cfg.dcd_lr,
+                    cfg.dcd_epochs, seed=[cfg.seed, _S_DCD, t, r, m],
+                )
+                for m, p in enumerate(theta0)
+            ]
+            trace.append((t, r, "dcd"))
 
             ledger.params_up += cfg.n_sites * p_count
             aggregated = fedavg_aggregate(theta1, counts)
             trace.append((t, r, "fedavg"))
 
-            if with_distillation:
-                tables1 = [
-                    compute_logits_table(p, shared, f"site{m}:post")
-                    for m, p in enumerate(theta1)
-                ]
-                ledger.logit_scalars += cfg.n_sites * len(shared) * n_head
-                trace.append((t, r, "local_outputs"))
-                ensemble1 = ensemble_logits(tables1, weights)
-                trace.append((t, r, "ensemble"))
-                general = dad_refine(
-                    aggregated, ensemble1, shared, cfg.tau2, cfg.dad_lr,
-                    cfg.dad_epochs, seed=[cfg.seed, _S_DAD, t, r],
-                )
-                trace.append((t, r, "dad"))
-            else:
-                general = aggregated
+            tables1 = [compute_logits_table(p, shared) for p in theta1]
+            ledger.logit_scalars += cfg.n_sites * len(shared) * n_head
+            trace.append((t, r, "local_outputs"))
+            ensemble1 = ensemble_logits(tables1, weights)
+            trace.append((t, r, "ensemble"))
+            general = dad_refine(
+                aggregated, ensemble1, shared, cfg.tau2, cfg.dad_lr,
+                cfg.dad_epochs, seed=[cfg.seed, _S_DAD, t, r],
+            )
+            trace.append((t, r, "dad"))
 
         for m, site in enumerate(sites):
             if len(round_anchors[m].per_class):
@@ -455,12 +433,8 @@ def _run_decentralized(config: RunConfig, with_distillation: bool) -> RunResult:
     return RunResult(records, trace, cfg)
 
 
-def run_centralized(config: RunConfig) -> RunResult:
+def _run_centralized(cfg: RunConfig) -> RunResult:
     """Upper-bound reference: full retraining on all data seen so far."""
-    config.validate()
-    cfg = config
-    if cfg.method != "centralized":
-        raise ConfigError(f"run_centralized requires method 'centralized', got {cfg.method!r}")
     bench = _Bench(cfg)
     records = [
         _record(0, _train_base(cfg, bench), bench, CommLedger())
@@ -481,8 +455,6 @@ def run_centralized(config: RunConfig) -> RunResult:
 
 def run(config: RunConfig) -> RunResult:
     config.validate()
-    if config.method == "dcid":
-        return run_dcid(config)
     if config.method == "centralized":
-        return run_centralized(config)
-    return run_baseline(config)
+        return _run_centralized(config)
+    return _run_decentralized(config)

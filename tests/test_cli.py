@@ -11,6 +11,7 @@ from dcil.cli import (
     COMPARE_CSV_HEADER,
     RUN_CSV_HEADER,
     SUMMARY_CSV_HEADER,
+    _pool_size,
     build_run_config,
     load_config,
     main,
@@ -106,6 +107,20 @@ def test_run_invalid_config_value_exits_2(runner, tmp_path):
     assert "config error" in result.output
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"sites": 1},  # the default dirichlet partition needs two sites
+        {"partition": "iid", "per_class": 60, "sites": 60},  # 48 training examples per class
+    ],
+)
+def test_run_unpartitionable_sites_exit_2(runner, tmp_path, overrides):
+    cfg = write_config(tmp_path, {**FAST, **overrides})
+    result = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "r")])
+    assert result.exit_code == 2
+    assert "config error" in result.output
+
+
 def test_run_unknown_override_key_exits_2(runner, tmp_path):
     cfg = write_config(tmp_path, FAST)
     result = runner.invoke(main, ["run", cfg, "--set", "warp=9"])
@@ -178,6 +193,35 @@ def test_compare_worker_pool_env_validated(runner, tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {**FAST, "methods": ["dcid", "dcil_fedavg"], "seeds": [0]})
     out = str(tmp_path / "cmp")
     assert runner.invoke(main, ["compare", cfg, "--out", out]).exit_code == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_compare_bad_worker_env_exits_2(runner, tmp_path, monkeypatch, value):
+    monkeypatch.setenv("DCIL_THREADS", value)
+    cfg = write_config(tmp_path, {**FAST, "methods": ["dcid", "dcil_fedavg"], "seeds": [0]})
+    result = runner.invoke(main, ["compare", cfg, "--out", str(tmp_path / "cmp")])
+    assert result.exit_code == 2
+    assert "DCIL_THREADS" in result.output
+
+
+@pytest.mark.parametrize(
+    "env, runs, cpus, expect",
+    [
+        (None, 20, 64, 8),  # default cap
+        (None, 20, 2, 2),  # at most the CPUs
+        (None, 20, None, 1),  # CPU count unknown
+        ("3", 20, 64, 3),
+        ("1000", 5, 64, 5),  # at most the grid runs
+        ("1000", 50, 4, 4),
+    ],
+)
+def test_compare_worker_count_arithmetic(monkeypatch, env, runs, cpus, expect):
+    if env is None:
+        monkeypatch.delenv("DCIL_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("DCIL_THREADS", env)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert _pool_size(runs) == expect
 
 
 def test_compare_mean_and_std_arithmetic(runner, tmp_path):

@@ -1,20 +1,16 @@
-"""Dataset synthesis, session splitting, partitioning and file formats."""
+"""Dataset synthesis, session splitting and partitioning."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcil.data import (
-    examples_from_csv,
-    examples_to_csv,
-    load_cifar100,
     make_synthetic,
     partition_dirichlet,
     partition_iid,
-    read_cifar100_file,
     split_sessions,
 )
-from dcil.nncore import ConfigError, InputError, ParameterError
+from dcil.nncore import ConfigError, ParameterError
 
 
 # ---------------------------------------------------------------------------
@@ -208,76 +204,3 @@ def mean_site_entropy(n_sites, alpha, seeds=20, n_per_class=60, n_classes=4):
 def test_partition_dirichlet_entropy_monotone_in_alpha():
     ents = [mean_site_entropy(5, a) for a in (0.01, 0.1, 1.0, 10.0, 1e6)]
     assert all(a < b for a, b in zip(ents, ents[1:]))
-
-
-# ---------------------------------------------------------------------------
-# Binary image file format
-# ---------------------------------------------------------------------------
-
-
-def write_records(path, labels, pixel_value=128):
-    rec = []
-    for fine in labels:
-        rec.append(bytes([0, fine]) + bytes([pixel_value] * 3072))
-    path.write_bytes(b"".join(rec))
-
-
-def test_read_binary_records(tmp_path):
-    p = tmp_path / "train.bin"
-    write_records(p, [3, 7, 99])
-    x, y = read_cifar100_file(str(p))
-    assert x.shape == (3, 3072)
-    assert y.tolist() == [3, 7, 99]
-    assert np.allclose(x, 128 / 255.0)
-
-
-def test_read_binary_pooling(tmp_path):
-    p = tmp_path / "train.bin"
-    write_records(p, [1], pixel_value=255)
-    x, _ = read_cifar100_file(str(p), pool_grid=4)
-    assert x.shape == (1, 48)
-    assert np.allclose(x, 1.0)
-    with pytest.raises(ParameterError):
-        read_cifar100_file(str(p), pool_grid=5)
-
-
-def test_read_binary_truncation_reports_offset(tmp_path):
-    p = tmp_path / "train.bin"
-    write_records(p, [1, 2])
-    p.write_bytes(p.read_bytes()[:-10])  # drop 10 bytes of record 2
-    with pytest.raises(IOError, match="byte offset 3074"):
-        read_cifar100_file(str(p))
-
-
-def test_load_directory_pair(tmp_path):
-    write_records(tmp_path / "train.bin", [0, 1, 2, 3])
-    write_records(tmp_path / "test.bin", [1, 2])
-    ds = load_cifar100(str(tmp_path), pool_grid=2)
-    assert ds.train_x.shape == (4, 12)
-    assert ds.test_y.tolist() == [1, 2]
-    assert ds.n_classes == 100
-
-
-# ---------------------------------------------------------------------------
-# CSV round trip
-# ---------------------------------------------------------------------------
-
-
-def test_examples_csv_roundtrip_exact(tmp_path):
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(9, 5))
-    y = rng.integers(0, 4, size=9)
-    path = str(tmp_path / "ex.csv")
-    examples_to_csv(x, y, path)
-    x2, y2 = examples_from_csv(path)
-    assert np.array_equal(x, x2)  # repr round trip is exact
-    assert np.array_equal(y, y2)
-    header = open(path).readline().strip().split(",")
-    assert header == [f"x_{i}" for i in range(5)] + ["y"]
-
-
-def test_examples_csv_rejects_bad_header(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(InputError):
-        examples_from_csv(str(p))

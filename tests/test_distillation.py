@@ -102,28 +102,27 @@ def test_shared_dataset_provenance_length_checked():
 def test_compute_logits_table_matches_forward():
     params = net()
     pool = shared_pool()
-    table = compute_logits_table(params, pool, "site0")
+    table = compute_logits_table(params, pool)
     _, logits = forward_batch(params, pool.samples)
     assert np.array_equal(table.rows, logits)
-    assert table.source == "site0"
 
 
 def test_ensemble_identity_on_single_model():
-    t = LogitsTable(np.arange(12.0).reshape(3, 4), "a")
+    t = LogitsTable(np.arange(12.0).reshape(3, 4))
     out = ensemble_logits([t], EnsembleWeights([1.0]))
     assert np.allclose(out.rows, t.rows, atol=1e-15)
 
 
 def test_ensemble_one_hot_weights_select_one_table():
-    a = LogitsTable(np.ones((2, 3)), "a")
-    b = LogitsTable(np.full((2, 3), 7.0), "b")
+    a = LogitsTable(np.ones((2, 3)))
+    b = LogitsTable(np.full((2, 3), 7.0))
     out = ensemble_logits([a, b], EnsembleWeights([0.0, 1.0]))
     assert np.allclose(out.rows, b.rows, atol=1e-15)
 
 
 def test_ensemble_weighted_mean_oracle():
     rng = np.random.default_rng(0)
-    tables = [LogitsTable(rng.normal(size=(4, 3)), str(i)) for i in range(3)]
+    tables = [LogitsTable(rng.normal(size=(4, 3))) for _ in range(3)]
     w = np.array([0.2, 0.3, 0.5])
     out = ensemble_logits(tables, EnsembleWeights(w))
     expect = sum(wi * t.rows for wi, t in zip(w, tables))
@@ -131,8 +130,8 @@ def test_ensemble_weighted_mean_oracle():
 
 
 def test_ensemble_rejects_mismatches():
-    a = LogitsTable(np.ones((2, 3)), "a")
-    b = LogitsTable(np.ones((3, 3)), "b")
+    a = LogitsTable(np.ones((2, 3)))
+    b = LogitsTable(np.ones((3, 3)))
     with pytest.raises(InputError):
         ensemble_logits([a, b], EnsembleWeights([0.5, 0.5]))
     with pytest.raises(InputError):
@@ -147,15 +146,6 @@ def test_ensemble_weights_validation():
     w = EnsembleWeights.from_counts([10, 30])
     assert np.allclose(w.omega, [0.25, 0.75], atol=1e-15)
     assert np.allclose(EnsembleWeights.from_counts([0, 0]).omega, [0.5, 0.5])
-
-
-def test_logits_table_csv(tmp_path):
-    t = LogitsTable(np.array([[1.5, -2.25]]), "x")
-    path = tmp_path / "t.csv"
-    t.to_csv(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "z_0,z_1"
-    assert lines[1] == "1.5,-2.25"
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +186,7 @@ def test_dcd_deterministic_per_seed():
 def test_dcd_empty_pool_returns_input_bitwise():
     student = net()
     empty = SharedDataset(np.empty((0, 3)), np.empty(0, dtype=np.int64))
-    teacher = LogitsTable(np.empty((0, 4)), "e")
+    teacher = LogitsTable(np.empty((0, 4)))
     out = dcd_finetune(student, teacher, empty, 5.0, lr=0.1, epochs=3, seed=0)
     assert np.array_equal(out.values, student.values)
     assert out.values is not student.values
@@ -205,9 +195,19 @@ def test_dcd_empty_pool_returns_input_bitwise():
 def test_dad_empty_pool_is_exactly_the_aggregate():
     aggregated = net(seed=5)
     empty = SharedDataset(np.empty((0, 3)), np.empty(0, dtype=np.int64))
-    teacher = LogitsTable(np.empty((0, 4)), "e")
+    teacher = LogitsTable(np.empty((0, 4)))
     out = dad_refine(aggregated, teacher, empty, 5.0, lr=0.1, epochs=3, seed=0)
     assert np.array_equal(out.values, aggregated.values)
+
+
+def test_zero_learning_rate_returns_input_bitwise():
+    params = net()
+    pool = shared_pool()
+    teacher = compute_logits_table(net(seed=1), pool)
+    for stage in (dcd_finetune, dad_refine):
+        out = stage(params, teacher, pool, 5.0, lr=0.0, epochs=3, seed=0)
+        assert np.array_equal(out.values, params.values)
+        assert out.values is not params.values
 
 
 def test_dad_moves_student_toward_teacher():
@@ -222,7 +222,7 @@ def test_dad_moves_student_toward_teacher():
 def test_distill_teacher_row_count_checked():
     student = net()
     pool = shared_pool(n=5)
-    teacher = LogitsTable(np.zeros((4, 4)), "bad")
+    teacher = LogitsTable(np.zeros((4, 4)))
     with pytest.raises(InputError):
         dcd_finetune(student, teacher, pool, 5.0)
     with pytest.raises(InputError):

@@ -1,0 +1,85 @@
+"""Golden records: the exact results of one small run per method.
+
+Every session's accuracy (as `repr`), per-class map and communication ledger
+is compared as text against the committed text below, so a change that
+shifts the numerics by one ulp fails here even when every acceptance margin
+still holds.  The text was produced with numpy 2.4.6 on scipy-openblas
+0.3.31 (x86-64, Haswell kernels); another BLAS build may round matrix
+products differently and then legitimately fail this test.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from dcil.local_learner import LocalLossConfig
+from dcil.orchestrator import RunConfig, run
+
+_BASE = RunConfig(
+    n_sites=3,
+    n_sessions=2,
+    rounds=2,
+    hidden_dims=(16,),
+    n_classes=8,
+    per_class=60,
+    input_dim=8,
+    spread=1.5,
+    n_base=4,
+    base_epochs=10,
+    local=LocalLossConfig(local_epochs=3, mu=2.0),
+    tau1=2.0,
+    tau2=2.0,
+    dcd_lr=1e-2,
+    dad_epochs=100,
+    alpha=0.5,
+)
+CONFIGS = {
+    "dcid": _BASE,
+    "dcil_fedavg": replace(_BASE, method="dcil_fedavg"),
+    "dcil_fedmax": replace(_BASE, method="dcil_fedmax"),
+    "dcil_fedprox": replace(_BASE, method="dcil_fedprox", partition="iid"),
+    "centralized": replace(_BASE, method="centralized"),
+}
+
+
+def records_text(result) -> str:
+    lines = []
+    for r in result.records:
+        per_class = ",".join(f"{c}:{v!r}" for c, v in sorted(r.per_class.items()))
+        comm = ",".join(f"{k}={r.comm[k]}" for k in sorted(r.comm))
+        lines.append(f"{r.session} {r.accuracy!r} [{per_class}] {comm}\n")
+    return "".join(lines)
+
+
+GOLDEN = {
+    "dcid": (
+        "0 0.6666666666666666 [0:0.4166666666666667,1:0.4166666666666667,2:0.8333333333333334,3:1.0] logit_scalars=0,params_down=0,params_up=0,shared_samples=0\n"
+        "1 0.6388888888888888 [0:0.5833333333333334,1:0.25,2:0.8333333333333334,3:1.0,4:0.5,5:0.6666666666666666] logit_scalars=2880,params_down=1476,params_up=1476,shared_samples=40\n"
+        "2 0.4583333333333333 [0:0.25,1:0.08333333333333333,2:0.75,3:1.0,4:0.4166666666666667,5:0.6666666666666666,6:0.25,7:0.25] logit_scalars=3840,params_down=1680,params_up=1680,shared_samples=40\n"
+    ),
+    "dcil_fedavg": (
+        "0 0.6666666666666666 [0:0.4166666666666667,1:0.4166666666666667,2:0.8333333333333334,3:1.0] logit_scalars=0,params_down=0,params_up=0,shared_samples=0\n"
+        "1 0.6388888888888888 [0:0.5833333333333334,1:0.25,2:0.8333333333333334,3:1.0,4:0.5,5:0.6666666666666666] logit_scalars=0,params_down=1476,params_up=1476,shared_samples=0\n"
+        "2 0.46875 [0:0.3333333333333333,1:0.08333333333333333,2:0.75,3:1.0,4:0.4166666666666667,5:0.6666666666666666,6:0.25,7:0.25] logit_scalars=0,params_down=1680,params_up=1680,shared_samples=0\n"
+    ),
+    "dcil_fedmax": (
+        "0 0.6666666666666666 [0:0.4166666666666667,1:0.4166666666666667,2:0.8333333333333334,3:1.0] logit_scalars=0,params_down=0,params_up=0,shared_samples=0\n"
+        "1 0.3194444444444444 [0:0.75,1:0.0,2:0.0,3:0.5833333333333334,4:0.4166666666666667,5:0.16666666666666666] logit_scalars=0,params_down=1476,params_up=1476,shared_samples=0\n"
+        "2 0.16666666666666666 [0:0.8333333333333334,1:0.0,2:0.0,3:0.5,4:0.0,5:0.0,6:0.0,7:0.0] logit_scalars=0,params_down=1680,params_up=1680,shared_samples=0\n"
+    ),
+    "dcil_fedprox": (
+        "0 0.6666666666666666 [0:0.4166666666666667,1:0.4166666666666667,2:0.8333333333333334,3:1.0] logit_scalars=0,params_down=0,params_up=0,shared_samples=0\n"
+        "1 0.5694444444444444 [0:0.6666666666666666,1:0.4166666666666667,2:0.8333333333333334,3:1.0,4:0.0,5:0.5] logit_scalars=0,params_down=1476,params_up=1476,shared_samples=0\n"
+        "2 0.4479166666666667 [0:0.4166666666666667,1:0.25,2:0.8333333333333334,3:1.0,4:0.0,5:0.5,6:0.3333333333333333,7:0.25] logit_scalars=0,params_down=1680,params_up=1680,shared_samples=0\n"
+    ),
+    "centralized": (
+        "0 0.6666666666666666 [0:0.4166666666666667,1:0.4166666666666667,2:0.8333333333333334,3:1.0] logit_scalars=0,params_down=0,params_up=0,shared_samples=0\n"
+        "1 0.5972222222222222 [0:0.25,1:0.4166666666666667,2:0.75,3:0.6666666666666666,4:0.6666666666666666,5:0.8333333333333334] logit_scalars=0,params_down=0,params_up=0,shared_samples=0\n"
+        "2 0.5 [0:0.3333333333333333,1:0.3333333333333333,2:0.5833333333333334,3:0.75,4:0.6666666666666666,5:0.8333333333333334,6:0.25,7:0.25] logit_scalars=0,params_down=0,params_up=0,shared_samples=0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(CONFIGS))
+def test_golden_records(method):
+    assert records_text(run(CONFIGS[method])) == "".join(GOLDEN[method])

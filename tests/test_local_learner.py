@@ -213,7 +213,7 @@ def site_with_data(seed=0, n=24, n_classes=4, input_dim=3):
         0: centers[0] + rng.normal(size=(3, input_dim)),
         1: centers[1] + rng.normal(size=(3, input_dim)),
     })
-    return SiteState(0, x, y, anchors, None, (seed, 7, 0))
+    return SiteState(0, x, y, anchors, (seed, 7, 0))
 
 
 def test_local_update_deterministic():

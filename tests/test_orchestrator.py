@@ -12,9 +12,6 @@ from dcil.orchestrator import (
     RunConfig,
     evaluate,
     run,
-    run_baseline,
-    run_centralized,
-    run_dcid,
     summarize,
 )
 
@@ -67,13 +64,16 @@ def test_config_validation_rejects_inconsistencies():
         replace(SMALL, rounds=0).validate()
 
 
-def test_run_entry_points_check_method():
-    with pytest.raises(ConfigError):
-        run_dcid(replace(SMALL, method="dcil_fedavg"))
-    with pytest.raises(ConfigError):
-        run_baseline(replace(SMALL, method="dcid"))
-    with pytest.raises(ConfigError):
-        run_centralized(SMALL)
+@pytest.mark.parametrize("method", ["dcid", "dcil_fedavg"])
+def test_config_validation_rejects_unpartitionable_sites(method):
+    # caught before any training, not by the partitioner mid-run
+    with pytest.raises(ConfigError, match="dirichlet"):
+        replace(SMALL, method=method, n_sites=1).validate()
+    # per_class=30 leaves 24 training examples per class
+    with pytest.raises(ConfigError, match="n_sites must be <= 24"):
+        replace(SMALL, method=method, partition="iid", n_sites=25).validate()
+    replace(SMALL, method=method, partition="iid", n_sites=24).validate()
+    replace(SMALL, method="centralized", n_sites=1).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +167,11 @@ def test_trace_step_order_within_each_round():
     assert res.trace == expect
 
 
-def test_baseline_trace_skips_distillation_steps():
-    res = run(replace(SMALL, method="dcil_fedavg"))
-    names = {s for _, _, s in res.trace}
-    assert names == {"distribute", "did", "anchors", "fedavg"}
+def test_baseline_trace_matches_dcid_stage_order():
+    # baselines run the dcid protocol over an empty shared pool
+    dcid = run(SMALL)
+    for method in ("dcil_fedavg", "dcil_fedmax", "dcil_fedprox"):
+        assert run(replace(SMALL, method=method)).trace == dcid.trace
 
 
 def test_centralized_has_empty_trace_and_no_communication():
@@ -205,6 +206,14 @@ def test_degenerate_fedprox_mu0_and_fedmax_beta0_are_fedavg():
                        local=replace(SMALL.local, beta=0.0)))
     assert all(records_equal(x, y) for x, y in zip(base.records, prox.records))
     assert all(records_equal(x, y) for x, y in zip(base.records, fmax.records))
+
+
+def test_zero_distillation_learning_rates_give_fedavg_accuracies():
+    dcid = run(replace(SMALL, dcd_lr=0.0, dad_lr=0.0))
+    base = run(replace(SMALL, method="dcil_fedavg"))
+    for x, y in zip(dcid.records, base.records):
+        assert x.accuracy == y.accuracy
+        assert x.per_class == y.per_class
 
 
 def test_single_site_single_round_no_pool_degeneracy_chain():
