@@ -5,7 +5,6 @@ from .nncore import (
     ConfigError,
     CrossEntropyTerm,
     DistillTerm,
-    ForwardResult,
     InputError,
     NetSpec,
     ParamVector,
@@ -13,12 +12,9 @@ from .nncore import (
     ProximalTerm,
     UniformActivationTerm,
     backward,
-    cross_entropy,
     expand_head,
-    forward,
     forward_batch,
     init_params,
-    kl_div,
     sgd_step,
     softmax_t,
 )
@@ -35,17 +31,12 @@ from .local_learner import (
     AnchorSet,
     LocalLossConfig,
     SiteState,
-    anchor_loss,
-    fedmax_regularizer,
-    fedprox_term,
     local_update,
     select_anchors_herding,
     update_anchor_set,
 )
 from .distillation import (
     EnsembleWeights,
-    LogitsTable,
-    SharedDataset,
     build_shared_dataset,
     dad_refine,
     dcd_finetune,

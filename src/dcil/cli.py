@@ -13,14 +13,13 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import click
 import numpy as np
 
 from .local_learner import LocalLossConfig
-from .nncore import ConfigError
+from .nncore import ConfigError, ParameterError
 from .orchestrator import METHODS, RunConfig, RunResult, run, summarize
 
 RUN_CSV_HEADER = [
@@ -97,6 +96,13 @@ def _parse_override(raw: str):
     return key, value
 
 
+def _parse_value(key: str, parse, value):
+    try:
+        return parse(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad value for {key!r}: {value!r}") from None
+
+
 def build_run_config(doc: dict) -> RunConfig:
     run_kwargs, local_kwargs = {}, {}
     for key, value in doc.items():
@@ -104,10 +110,10 @@ def build_run_config(doc: dict) -> RunConfig:
             continue
         if key in _RUN_KEYS:
             name, parse = _RUN_KEYS[key]
-            run_kwargs[name] = parse(value)
+            run_kwargs[name] = _parse_value(key, parse, value)
         else:
             name, parse = _LOCAL_KEYS[key]
-            local_kwargs[name] = parse(value)
+            local_kwargs[name] = _parse_value(key, parse, value)
     local = LocalLossConfig(**local_kwargs)
     cfg = RunConfig(local=local, **run_kwargs)
     cfg.validate()
@@ -153,18 +159,6 @@ def _params_transferred(result: RunResult) -> int:
     return sum(r.comm["params_up"] + r.comm["params_down"] for r in result.records)
 
 
-def _pool_size(n_runs: int) -> int:
-    """Worker threads for `n_runs` grid runs: DCIL_THREADS (default 8), at most runs and CPUs."""
-    env = os.environ.get("DCIL_THREADS")
-    try:
-        cap = int(env) if env else 8
-    except ValueError:
-        raise ConfigError(f"DCIL_THREADS must be an integer, got {env!r}") from None
-    if cap < 1:
-        raise ConfigError(f"DCIL_THREADS must be >= 1, got {cap}")
-    return min(cap, n_runs, os.cpu_count() or 1)
-
-
 @click.group()
 def main():
     """Decentralized class-incremental learning experiments."""
@@ -191,7 +185,7 @@ def cmd_run(config_path, seed, method, out_dir, overrides):
             doc["method"] = method
         out = out_dir or doc.get("out") or "results"
         cfg = build_run_config(doc)
-    except ConfigError as exc:
+    except (ConfigError, ParameterError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     try:
@@ -225,37 +219,30 @@ def cmd_compare(config_path, out_dir):
         doc = load_config(config_path)
         methods = doc.get("methods")
         seeds = doc.get("seeds")
-        if not methods or len(methods) < 2:
+        if not isinstance(methods, list) or len(methods) < 2:
             raise ConfigError("compare requires a 'methods' list with >= 2 entries")
-        if not seeds:
+        if not isinstance(seeds, list) or not seeds:
             raise ConfigError("compare requires a non-empty 'seeds' list")
-        alphas = doc.get("alphas")
+        alphas = _parse_value("alphas", list, doc.get("alphas") or [None])
         out = out_dir or doc.get("out") or "results"
         # Validate every grid entry up front.
         entries = []
-        for method, alpha in product(methods, alphas or [None]):
+        for method, alpha in product(methods, alphas):
             for seed in seeds:
-                entry = dict(doc)
-                entry.pop("methods", None)
-                entry.pop("seeds", None)
-                entry.pop("alphas", None)
-                entry["method"] = method
-                entry["seed"] = int(seed)
+                # build_run_config skips the sweep keys
+                entry = {**doc, "method": method, "seed": _parse_value("seeds", int, seed)}
                 if alpha is not None:
-                    entry["alpha"] = float(alpha)
+                    alpha = entry["alpha"] = _parse_value("alphas", float, alpha)
                     entry["partition"] = "dirichlet"
-                entries.append((method, alpha, int(seed), build_run_config(entry)))
-        workers = _pool_size(len(entries))
-    except ConfigError as exc:
+                entries.append((method, alpha, build_run_config(entry)))
+    except (ConfigError, ParameterError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda e: run(e[3]), entries))
         grouped: dict[str, list[RunResult]] = {}
-        for (method, alpha, _seed, _cfg), result in zip(entries, results):
+        for method, alpha, cfg in entries:  # in grid order, one run at a time
             label = method if alpha is None else f"{method}@alpha={alpha:g}"
-            grouped.setdefault(label, []).append(result)
+            grouped.setdefault(label, []).append(run(cfg))
 
         data_rows, summary_rows = [], []
         for label, group in grouped.items():

@@ -52,6 +52,18 @@ def train_count(per_class: int) -> int:
     return int(round(0.8 * per_class))
 
 
+def check_synthetic(
+    n_classes: int, per_class: int, dim: int, spread: float, error=ParameterError
+) -> None:
+    """Raise `error` unless every class gets a training and a test example."""
+    if n_classes < 2 or dim < 2 or not 0 < train_count(per_class) < per_class:
+        raise error(
+            f"degenerate dataset sizes: n_classes={n_classes}, per_class={per_class}, dim={dim}"
+        )
+    if spread < 0:
+        raise error(f"spread must be >= 0, got {spread}")
+
+
 def make_synthetic(
     n_classes: int, per_class: int, dim: int, spread: float, seed: SeedLike
 ) -> Dataset:
@@ -59,12 +71,7 @@ def make_synthetic(
 
     Deterministic per seed; 80/20 stratified train/test split.
     """
-    if n_classes < 2 or per_class < 2 or dim < 2:
-        raise ParameterError(
-            f"degenerate dataset sizes: n_classes={n_classes}, per_class={per_class}, dim={dim}"
-        )
-    if spread < 0:
-        raise ParameterError(f"spread must be >= 0, got {spread}")
+    check_synthetic(n_classes, per_class, dim, spread)
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(n_classes, dim))
     centers = 3.0 * raw / np.linalg.norm(raw, axis=1, keepdims=True)

@@ -32,28 +32,6 @@ DISTILL_BATCH = 128
 
 
 @dataclass
-class SharedDataset:
-    """Unlabeled sample pool; provenance is bookkeeping only, never a loss input."""
-
-    samples: np.ndarray
-    provenance: np.ndarray
-
-    def __post_init__(self):
-        if len(self.samples) != len(self.provenance):
-            raise InputError("provenance length must match sample count")
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-@dataclass
-class LogitsTable:
-    """Per-sample pre-softmax outputs of one model over the shared pool."""
-
-    rows: np.ndarray
-
-
-@dataclass
 class EnsembleWeights:
     omega: np.ndarray
 
@@ -79,74 +57,66 @@ def build_shared_dataset(
     per_class_count: int,
     classes,
     seed,
-) -> SharedDataset:
+) -> np.ndarray:
     """Draw `per_class_count` unlabeled samples per new class across sites.
 
     Samples are drawn seeded from the pooled holdings of each class, so the
     draw is proportional to holdings; labels are discarded here and never
-    stored.  Classes with fewer samples contribute all they have.
+    stored.  Classes with fewer samples contribute all they have.  Returns
+    the `(n, dim)` sample array.
     """
     if per_class_count < 0:
         raise ParameterError(f"per_class_count must be >= 0, got {per_class_count}")
     rng = np.random.default_rng(seed)
     dim = shards[0][0].shape[1] if shards and shards[0][0].ndim == 2 else 0
-    samples, provenance = [], []
+    samples = []
     for c in sorted(int(v) for v in classes):
-        pool_x, pool_site = [], []
-        for m, (sx, sy) in enumerate(shards):
-            mask = sy == c
-            if mask.any():
-                pool_x.append(sx[mask])
-                pool_site.append(np.full(int(mask.sum()), m, dtype=np.int64))
+        pool_x = [sx[sy == c] for sx, sy in shards if np.any(sy == c)]
         if not pool_x or per_class_count == 0:
             continue
         pool_x = np.concatenate(pool_x)
-        pool_site = np.concatenate(pool_site)
         n_take = min(per_class_count, len(pool_x))
         take = np.sort(rng.choice(len(pool_x), size=n_take, replace=False))
         samples.append(pool_x[take])
-        provenance.append(pool_site[take])
-    if not samples:
-        return SharedDataset(np.empty((0, dim)), np.empty(0, dtype=np.int64))
-    return SharedDataset(np.concatenate(samples), np.concatenate(provenance))
+    return np.concatenate(samples) if samples else np.empty((0, dim))
 
 
-def compute_logits_table(params: ParamVector, shared: SharedDataset) -> LogitsTable:
+def compute_logits_table(params: ParamVector, shared: np.ndarray) -> np.ndarray:
+    """Pre-softmax outputs of one model over the shared pool, one row per sample."""
     if len(shared) == 0:
-        return LogitsTable(np.empty((0, params.spec.n_classes)))
-    _, logits = forward_batch(params, shared.samples)
-    return LogitsTable(logits)
+        return np.empty((0, params.spec.n_classes))
+    return forward_batch(params, shared)[1]
 
 
-def ensemble_logits(tables: list[LogitsTable], weights: EnsembleWeights) -> LogitsTable:
+def ensemble_logits(tables: list[np.ndarray], weights: EnsembleWeights) -> np.ndarray:
     """Rowwise weighted sum of the local logits tables."""
     if len(tables) != len(weights.omega):
         raise InputError(f"{len(tables)} tables but {len(weights.omega)} weights")
-    shape = tables[0].rows.shape
-    if any(t.rows.shape != shape for t in tables):
+    shape = tables[0].shape
+    if any(t.shape != shape for t in tables):
         raise InputError("logits tables have mismatched shapes")
     rows = np.zeros(shape)
     for w, t in zip(weights.omega, tables):
-        rows += w * t.rows
-    return LogitsTable(rows)
+        rows += w * t
+    return rows
 
 
 def distill_loss(
-    params: ParamVector, teacher: LogitsTable, shared: SharedDataset, tau: float
+    params: ParamVector, teacher: np.ndarray, shared: np.ndarray, tau: float
 ) -> float:
     """Sum over the shared pool of KL(softened teacher || softened student)."""
     if len(shared) == 0:
         return 0.0
-    p = softmax_t(teacher.rows, tau)
-    _, logits = forward_batch(params, shared.samples)
+    p = softmax_t(teacher, tau)
+    _, logits = forward_batch(params, shared)
     q = softmax_t(logits, tau)
     return float(sum(kl_div(p[i], q[i]) for i in range(len(p))))
 
 
 def _distill(
     params: ParamVector,
-    teacher: LogitsTable,
-    shared: SharedDataset,
+    teacher: np.ndarray,
+    shared: np.ndarray,
     tau: float,
     lr: float,
     epochs: int,
@@ -161,16 +131,16 @@ def _distill(
     """
     if len(shared) == 0 or lr == 0:
         return params.copy()
-    if teacher.rows.shape[0] != len(shared):
+    if len(teacher) != len(shared):
         raise InputError("teacher row count must match the shared pool")
     if tau <= 0:
         raise ParameterError(f"temperature must be > 0, got {tau}")
-    teacher_probs = softmax_t(teacher.rows, tau)
+    teacher_probs = softmax_t(teacher, tau)
     n = len(shared)
     batch = n if n <= DISTILL_FULL_BATCH_LIMIT else DISTILL_BATCH
     out = params.copy()
     for sel in minibatches(np.random.default_rng(seed), n, batch, epochs):
-        term = DistillTerm(shared.samples[sel], teacher_probs[sel], tau, reduction="mean")
+        term = DistillTerm(shared[sel], teacher_probs[sel], tau, reduction="mean")
         _, grad = backward(out, CompositeLoss((term,)))
         out = sgd_step(out, grad, lr)
     return out
@@ -178,8 +148,8 @@ def _distill(
 
 def dcd_finetune(
     site_params: ParamVector,
-    teacher: LogitsTable,
-    shared: SharedDataset,
+    teacher: np.ndarray,
+    shared: np.ndarray,
     tau1: float = 5.0,
     lr: float = 1e-4,
     epochs: int = 5,
@@ -191,8 +161,8 @@ def dcd_finetune(
 
 def dad_refine(
     init_general: ParamVector,
-    teacher: LogitsTable,
-    shared: SharedDataset,
+    teacher: np.ndarray,
+    shared: np.ndarray,
     tau2: float = 5.0,
     lr: float = 1e-4,
     epochs: int = 5,

@@ -219,7 +219,8 @@ def local_update(
     Anchors are appended to every epoch's data stream so each step sees the
     composite loss.  The distributed `general` model and `old_general`
     (previous session's model, possibly with a narrower head) are left
-    untouched.  Returns the updated local parameters.
+    untouched.  Returns the updated local parameters; an empty shard or a
+    zero learning rate returns a copy of `general`.
     """
     if len(site.shard_x) == 0:
         return general.copy()
@@ -239,6 +240,8 @@ def local_update(
         teacher_probs = _kd_teacher_probs(
             old_general, ax, general.spec.n_classes, cfg.anchor_temperature
         )
+    if cfg.lr == 0:
+        return params
 
     for batch in minibatches(rng, n_new + n_anchor, cfg.batch_size, cfg.local_epochs):
         new_sel = batch[batch < n_new]
@@ -267,6 +270,5 @@ def local_update(
         if not terms:
             continue
         _, grad = backward(params, CompositeLoss(tuple(terms)))
-        if cfg.lr > 0:
-            params = sgd_step(params, grad, cfg.lr)
+        params = sgd_step(params, grad, cfg.lr)
     return params

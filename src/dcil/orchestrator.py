@@ -124,6 +124,13 @@ class RunConfig:
             raise ConfigError("distillation epoch counts must be >= 0")
         if self.alpha <= 0:
             raise ConfigError("alpha must be > 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.base_lr < 0 or self.base_epochs < 0:
+            raise ConfigError("base_lr and base_epochs must be >= 0")
+        data_mod.check_synthetic(
+            self.n_classes, self.per_class, self.input_dim, self.spread, ConfigError
+        )
         if self.method != "centralized":
             if self.partition == "dirichlet" and self.n_sites < 2:
                 raise ConfigError("dirichlet partitioning needs n_sites >= 2")
@@ -236,12 +243,13 @@ def summarize(records: list[MetricsRecord]) -> dict:
 
 
 def _train_plain(params, x, y, epochs, lr, batch_size, rng):
-    """Plain minibatch-SGD cross-entropy training."""
+    """Plain minibatch-SGD cross-entropy training; a zero lr returns a copy."""
     out = params.copy()
+    if lr == 0:
+        return out
     for sel in minibatches(rng, len(x), batch_size, epochs):
         _, grad = backward(out, CompositeLoss((CrossEntropyTerm(x[sel], y[sel]),)))
-        if lr > 0:
-            out = sgd_step(out, grad, lr)
+        out = sgd_step(out, grad, lr)
     return out
 
 

@@ -11,7 +11,6 @@ from dcil.cli import (
     COMPARE_CSV_HEADER,
     RUN_CSV_HEADER,
     SUMMARY_CSV_HEADER,
-    _pool_size,
     build_run_config,
     load_config,
     main,
@@ -108,6 +107,34 @@ def test_run_invalid_config_value_exits_2(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "override, message",
+    [
+        ("rounds=abc", "'rounds'"),  # parser errors name the key
+        ("hidden_dims=5", "'hidden_dims'"),
+        ("local_lr=abc", "'local_lr'"),
+        ("seed=-1", "seed"),  # numpy's seeding would reject it mid-run
+        ("base_lr=-0.1", "base_lr"),  # would skip base training silently
+        ("base_epochs=-1", "base_epochs"),
+        ("per_class=1", "per_class=1"),  # a class with no training or no test example
+        ("per_class=2", "per_class=2"),
+        ("dim=1", "dim=1"),
+        ("spread=-1", "spread"),
+        ("hidden_dims=[0]", "hidden dims"),
+        ("activation=foo", "activation"),
+    ],
+)
+def test_run_bad_config_value_exits_2_before_training(
+    runner, tmp_path, monkeypatch, override, message
+):
+    monkeypatch.setattr("dcil.cli.run", lambda cfg: pytest.fail("training started"))
+    cfg = write_config(tmp_path, FAST)
+    result = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "r"), "--set", override])
+    assert result.exit_code == 2, result.output
+    assert "config error" in result.output
+    assert message in result.output
+
+
+@pytest.mark.parametrize(
     "overrides",
     [
         {"sites": 1},  # the default dirichlet partition needs two sites
@@ -188,40 +215,21 @@ def test_compare_requires_two_methods_and_seeds(runner, tmp_path):
     assert runner.invoke(main, ["compare", cfg]).exit_code == 2
 
 
-def test_compare_worker_pool_env_validated(runner, tmp_path, monkeypatch):
-    monkeypatch.setenv("DCIL_THREADS", "2")
-    cfg = write_config(tmp_path, {**FAST, "methods": ["dcid", "dcil_fedavg"], "seeds": [0]})
-    out = str(tmp_path / "cmp")
-    assert runner.invoke(main, ["compare", cfg, "--out", out]).exit_code == 0
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2"])
-def test_compare_bad_worker_env_exits_2(runner, tmp_path, monkeypatch, value):
-    monkeypatch.setenv("DCIL_THREADS", value)
-    cfg = write_config(tmp_path, {**FAST, "methods": ["dcid", "dcil_fedavg"], "seeds": [0]})
-    result = runner.invoke(main, ["compare", cfg, "--out", str(tmp_path / "cmp")])
-    assert result.exit_code == 2
-    assert "DCIL_THREADS" in result.output
-
-
 @pytest.mark.parametrize(
-    "env, runs, cpus, expect",
+    "grid",
     [
-        (None, 20, 64, 8),  # default cap
-        (None, 20, 2, 2),  # at most the CPUs
-        (None, 20, None, 1),  # CPU count unknown
-        ("3", 20, 64, 3),
-        ("1000", 5, 64, 5),  # at most the grid runs
-        ("1000", 50, 4, 4),
+        {"seeds": ["x"]},
+        {"seeds": 3},
+        {"seeds": [0], "alphas": ["x"]},
+        {"seeds": [0], "per_class": 1},
     ],
 )
-def test_compare_worker_count_arithmetic(monkeypatch, env, runs, cpus, expect):
-    if env is None:
-        monkeypatch.delenv("DCIL_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("DCIL_THREADS", env)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert _pool_size(runs) == expect
+def test_compare_invalid_grid_value_exits_2(runner, tmp_path, monkeypatch, grid):
+    monkeypatch.setattr("dcil.cli.run", lambda cfg: pytest.fail("training started"))
+    cfg = write_config(tmp_path, {**FAST, "methods": ["dcid", "dcil_fedavg"], **grid})
+    result = runner.invoke(main, ["compare", cfg, "--out", str(tmp_path / "cmp")])
+    assert result.exit_code == 2, result.output
+    assert "config error" in result.output
 
 
 def test_compare_mean_and_std_arithmetic(runner, tmp_path):

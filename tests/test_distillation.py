@@ -5,8 +5,6 @@ import pytest
 
 from dcil.distillation import (
     EnsembleWeights,
-    LogitsTable,
-    SharedDataset,
     build_shared_dataset,
     compute_logits_table,
     dad_refine,
@@ -32,7 +30,7 @@ def net(seed=0, input_dim=3, hidden=(5,), n_classes=4):
 
 def shared_pool(n=12, dim=3, seed=0):
     rng = np.random.default_rng(seed)
-    return SharedDataset(rng.normal(size=(n, dim)), np.zeros(n, dtype=np.int64))
+    return rng.normal(size=(n, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -58,15 +56,15 @@ def test_shared_dataset_draw_counts_and_determinism():
     b = build_shared_dataset(shards, 4, [5, 6], seed=1)
     c = build_shared_dataset(shards, 4, [5, 6], seed=2)
     assert len(a) == 8  # 4 per class
-    assert np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, c.samples)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_shared_dataset_carries_no_labels():
     shards = shards_for([1], per_class=5)
     pool = build_shared_dataset(shards, 3, [1], seed=0)
-    assert not hasattr(pool, "labels")
-    assert set(vars(pool)) == {"samples", "provenance"}
+    assert isinstance(pool, np.ndarray)
+    assert pool.shape == (3, 3) and pool.dtype == np.float64
 
 
 def test_shared_dataset_short_class_contributes_all():
@@ -82,16 +80,12 @@ def test_shared_dataset_empty_cases():
 
 
 def test_shared_dataset_provenance_tracks_site_of_origin():
+    # every pool row is a row of some site's shard
     shards = shards_for([3], per_class=4, n_sites=2)
     pool = build_shared_dataset(shards, 8, [3], seed=0)
-    for x, site in zip(pool.samples, pool.provenance):
-        sx, _ = shards[site]
-        assert any(np.array_equal(x, row) for row in sx)
-
-
-def test_shared_dataset_provenance_length_checked():
-    with pytest.raises(InputError):
-        SharedDataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64))
+    assert len(pool) == 8
+    for x in pool:
+        assert any(np.array_equal(x, row) for sx, _ in shards for row in sx)
 
 
 # ---------------------------------------------------------------------------
@@ -103,35 +97,35 @@ def test_compute_logits_table_matches_forward():
     params = net()
     pool = shared_pool()
     table = compute_logits_table(params, pool)
-    _, logits = forward_batch(params, pool.samples)
-    assert np.array_equal(table.rows, logits)
+    _, logits = forward_batch(params, pool)
+    assert np.array_equal(table, logits)
 
 
 def test_ensemble_identity_on_single_model():
-    t = LogitsTable(np.arange(12.0).reshape(3, 4))
+    t = np.arange(12.0).reshape(3, 4)
     out = ensemble_logits([t], EnsembleWeights([1.0]))
-    assert np.allclose(out.rows, t.rows, atol=1e-15)
+    assert np.allclose(out, t, atol=1e-15)
 
 
 def test_ensemble_one_hot_weights_select_one_table():
-    a = LogitsTable(np.ones((2, 3)))
-    b = LogitsTable(np.full((2, 3), 7.0))
+    a = np.ones((2, 3))
+    b = np.full((2, 3), 7.0)
     out = ensemble_logits([a, b], EnsembleWeights([0.0, 1.0]))
-    assert np.allclose(out.rows, b.rows, atol=1e-15)
+    assert np.allclose(out, b, atol=1e-15)
 
 
 def test_ensemble_weighted_mean_oracle():
     rng = np.random.default_rng(0)
-    tables = [LogitsTable(rng.normal(size=(4, 3))) for _ in range(3)]
+    tables = [rng.normal(size=(4, 3)) for _ in range(3)]
     w = np.array([0.2, 0.3, 0.5])
     out = ensemble_logits(tables, EnsembleWeights(w))
-    expect = sum(wi * t.rows for wi, t in zip(w, tables))
-    assert np.allclose(out.rows, expect, atol=1e-14)
+    expect = sum(wi * t for wi, t in zip(w, tables))
+    assert np.allclose(out, expect, atol=1e-14)
 
 
 def test_ensemble_rejects_mismatches():
-    a = LogitsTable(np.ones((2, 3)))
-    b = LogitsTable(np.ones((3, 3)))
+    a = np.ones((2, 3))
+    b = np.ones((3, 3))
     with pytest.raises(InputError):
         ensemble_logits([a, b], EnsembleWeights([0.5, 0.5]))
     with pytest.raises(InputError):
@@ -185,8 +179,8 @@ def test_dcd_deterministic_per_seed():
 
 def test_dcd_empty_pool_returns_input_bitwise():
     student = net()
-    empty = SharedDataset(np.empty((0, 3)), np.empty(0, dtype=np.int64))
-    teacher = LogitsTable(np.empty((0, 4)))
+    empty = np.empty((0, 3))
+    teacher = np.empty((0, 4))
     out = dcd_finetune(student, teacher, empty, 5.0, lr=0.1, epochs=3, seed=0)
     assert np.array_equal(out.values, student.values)
     assert out.values is not student.values
@@ -194,8 +188,8 @@ def test_dcd_empty_pool_returns_input_bitwise():
 
 def test_dad_empty_pool_is_exactly_the_aggregate():
     aggregated = net(seed=5)
-    empty = SharedDataset(np.empty((0, 3)), np.empty(0, dtype=np.int64))
-    teacher = LogitsTable(np.empty((0, 4)))
+    empty = np.empty((0, 3))
+    teacher = np.empty((0, 4))
     out = dad_refine(aggregated, teacher, empty, 5.0, lr=0.1, epochs=3, seed=0)
     assert np.array_equal(out.values, aggregated.values)
 
@@ -222,7 +216,7 @@ def test_dad_moves_student_toward_teacher():
 def test_distill_teacher_row_count_checked():
     student = net()
     pool = shared_pool(n=5)
-    teacher = LogitsTable(np.zeros((4, 4)))
+    teacher = np.zeros((4, 4))
     with pytest.raises(InputError):
         dcd_finetune(student, teacher, pool, 5.0)
     with pytest.raises(InputError):

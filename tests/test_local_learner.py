@@ -241,13 +241,18 @@ def test_local_update_improves_fit_on_shard():
     assert shard_loss(out) < shard_loss(general)
 
 
-def test_local_update_lr_zero_returns_start_bitwise():
+def test_local_update_lr_zero_returns_start_bitwise(monkeypatch):
+    calls = []
+    monkeypatch.setattr("dcil.local_learner.backward", lambda *a: calls.append(a))
     site = site_with_data()
     general = net()
     cfg = LocalLossConfig(lr=0.0, local_epochs=2)
     out = local_update(site, general, cfg, old_general=general)
     assert np.array_equal(out.values, general.values)
     assert out.values is not general.values
+    assert calls == []  # no gradient is computed only to be thrown away
+    with pytest.raises(InputError):  # logit_kd anchors still need the old model
+        local_update(site, general, cfg)
 
 
 def test_local_update_empty_shard_returns_copy():

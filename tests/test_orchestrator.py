@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from dcil.local_learner import LocalLossConfig
-from dcil.nncore import ConfigError, InputError, NetSpec, zeros_params
+from dcil.nncore import ConfigError, InputError, NetSpec, init_params, zeros_params
 from dcil.orchestrator import (
     MetricsRecord,
     RunConfig,
+    _train_plain,
     evaluate,
     run,
     summarize,
@@ -62,6 +63,9 @@ def test_config_validation_rejects_inconsistencies():
         replace(SMALL, dad_lr=-1.0).validate()
     with pytest.raises(ConfigError):
         replace(SMALL, rounds=0).validate()
+    for bad in ({"base_lr": -0.1}, {"base_epochs": -1}, {"per_class": 2}, {"spread": -1.0}):
+        with pytest.raises(ConfigError):
+            replace(SMALL, **bad).validate()
 
 
 @pytest.mark.parametrize("method", ["dcid", "dcil_fedavg"])
@@ -74,6 +78,18 @@ def test_config_validation_rejects_unpartitionable_sites(method):
         replace(SMALL, method=method, partition="iid", n_sites=25).validate()
     replace(SMALL, method=method, partition="iid", n_sites=24).validate()
     replace(SMALL, method="centralized", n_sites=1).validate()
+
+
+def test_zero_learning_rate_plain_training_returns_input(monkeypatch):
+    calls = []
+    monkeypatch.setattr("dcil.orchestrator.backward", lambda *a: calls.append(a))
+    params = init_params(NetSpec(4, (8,), 3), np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    x, y = rng.normal(size=(20, 4)), rng.integers(0, 3, size=20)
+    out = _train_plain(params, x, y, epochs=3, lr=0.0, batch_size=8, rng=rng)
+    assert np.array_equal(out.values, params.values)
+    assert out.values is not params.values
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
