@@ -28,30 +28,38 @@ RUN_CSV_HEADER = [
 COMPARE_CSV_HEADER = ["method", "session", "mean_acc", "std_acc"]
 SUMMARY_CSV_HEADER = ["method", "avg_acc_mean", "final_acc_mean"]
 
+
+def _int(value) -> int:
+    """An integer, or an integral float; a bool or a fraction is rejected, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 # Flat config keys -> (target dataclass field, parser).
 _RUN_KEYS = {
     "method": ("method", str),
-    "seed": ("seed", int),
-    "sites": ("n_sites", int),
-    "sessions": ("n_sessions", int),
-    "rounds": ("rounds", int),
-    "hidden_dims": ("hidden_dims", lambda v: tuple(int(x) for x in v)),
+    "seed": ("seed", _int),
+    "sites": ("n_sites", _int),
+    "sessions": ("n_sessions", _int),
+    "rounds": ("rounds", _int),
+    "hidden_dims": ("hidden_dims", lambda v: tuple(_int(x) for x in v)),
     "activation": ("activation", str),
-    "classes": ("n_classes", int),
-    "per_class": ("per_class", int),
-    "dim": ("input_dim", int),
+    "classes": ("n_classes", _int),
+    "per_class": ("per_class", _int),
+    "dim": ("input_dim", _int),
     "spread": ("spread", float),
-    "base_classes": ("n_base", int),
-    "base_epochs": ("base_epochs", int),
+    "base_classes": ("n_base", _int),
+    "base_epochs": ("base_epochs", _int),
     "base_lr": ("base_lr", float),
     "tau1": ("tau1", float),
     "tau2": ("tau2", float),
-    "shared_per_class": ("shared_per_class", int),
+    "shared_per_class": ("shared_per_class", _int),
     "dcd_lr": ("dcd_lr", float),
-    "dcd_epochs": ("dcd_epochs", int),
+    "dcd_epochs": ("dcd_epochs", _int),
     "dad_lr": ("dad_lr", float),
-    "dad_epochs": ("dad_epochs", int),
-    "anchors_per_class": ("anchors_per_class", int),
+    "dad_epochs": ("dad_epochs", _int),
+    "anchors_per_class": ("anchors_per_class", _int),
     "partition": ("partition", str),
     "alpha": ("alpha", float),
 }
@@ -61,8 +69,8 @@ _LOCAL_KEYS = {
     "mu": ("mu", float),
     "beta": ("beta", float),
     "local_lr": ("lr", float),
-    "local_epochs": ("local_epochs", int),
-    "batch_size": ("batch_size", int),
+    "local_epochs": ("local_epochs", _int),
+    "batch_size": ("batch_size", _int),
     "anchor_temperature": ("anchor_temperature", float),
 }
 _SWEEP_KEYS = {"methods", "seeds", "alphas", "out"}
@@ -230,7 +238,7 @@ def cmd_compare(config_path, out_dir):
         for method, alpha in product(methods, alphas):
             for seed in seeds:
                 # build_run_config skips the sweep keys
-                entry = {**doc, "method": method, "seed": _parse_value("seeds", int, seed)}
+                entry = {**doc, "method": method, "seed": _parse_value("seeds", _int, seed)}
                 if alpha is not None:
                     alpha = entry["alpha"] = _parse_value("alphas", float, alpha)
                     entry["partition"] = "dirichlet"

@@ -21,7 +21,6 @@ from .nncore import (
     ParameterError,
     backward,
     forward_batch,
-    kl_div,
     minibatches,
     sgd_step,
     softmax_t,
@@ -99,18 +98,6 @@ def ensemble_logits(tables: list[np.ndarray], weights: EnsembleWeights) -> np.nd
     for w, t in zip(weights.omega, tables):
         rows += w * t
     return rows
-
-
-def distill_loss(
-    params: ParamVector, teacher: np.ndarray, shared: np.ndarray, tau: float
-) -> float:
-    """Sum over the shared pool of KL(softened teacher || softened student)."""
-    if len(shared) == 0:
-        return 0.0
-    p = softmax_t(teacher, tau)
-    _, logits = forward_batch(params, shared)
-    q = softmax_t(logits, tau)
-    return float(sum(kl_div(p[i], q[i]) for i in range(len(p))))
 
 
 def _distill(

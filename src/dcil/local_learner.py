@@ -8,7 +8,6 @@ model's softened old-class outputs (the classic temperature-2 convention).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,13 +24,10 @@ from .nncore import (
     UniformActivationTerm,
     backward,
     forward_batch,
-    kl_div,
     minibatches,
     sgd_step,
     softmax_t,
 )
-
-log = logging.getLogger(__name__)
 
 VARIANTS = ("dcid", "fedavg", "fedmax", "fedprox")
 ANCHOR_VARIANTS = ("replay_ce", "logit_kd")
@@ -125,48 +121,19 @@ def select_anchors_herding(params: ParamVector, class_examples: np.ndarray, k_ma
     running = np.zeros_like(mu)
     available = np.ones(n, dtype=bool)
     for k in range(1, min(k_max, n) + 1):
-        # per-candidate scalar norms: a vectorized row-norm can round the
-        # last ulp differently and flip near-ties between candidates
-        dist = np.array(
-            [
-                np.linalg.norm(mu - (feats[j] + running) / k) if available[j] else np.inf
-                for j in range(n)
-            ]
-        )
-        i = int(np.argmin(dist))
+        diff = mu - (feats + running) / k
+        dist = np.linalg.norm(diff, axis=1)
+        dist[~available] = np.inf
+        # The row-norm reduces in another order than the scalar norm of one
+        # row and can differ from it by a few ulps, enough to flip a near-tie.
+        # The scalar norm decides among the candidates within 1e-9 of the
+        # minimum; argmin takes the lowest index on a tie.
+        near = np.flatnonzero(dist <= dist.min() * (1.0 + 1e-9))
+        i = int(near[np.argmin([np.linalg.norm(diff[j]) for j in near])])
         chosen.append(i)
         available[i] = False
         running = running + feats[i]
     return chosen
-
-
-def anchor_loss(
-    params: ParamVector,
-    old_params: ParamVector | None,
-    anchors: AnchorSet,
-    anchor_variant: str,
-    temperature: float = 2.0,
-) -> float:
-    """Anchor regularization value; 0 (with a warning) on an empty anchor set."""
-    if len(anchors) == 0:
-        log.warning("anchor_loss called with an empty anchor set; returning 0")
-        return 0.0
-    ax, ay = anchors.stacked()
-    _, logits = forward_batch(params, ax)
-    if anchor_variant == "replay_ce":
-        from .nncore import _log_softmax
-
-        logp = _log_softmax(logits)
-        return float(-logp[np.arange(len(ay)), ay].mean())
-    if anchor_variant == "logit_kd":
-        if old_params is None:
-            raise InputError("logit_kd anchor loss needs the previous general model")
-        teacher = _kd_teacher_probs(old_params, ax, params.spec.n_classes, temperature)
-        student = softmax_t(logits, temperature)
-        return float(
-            np.mean([kl_div(teacher[i], student[i]) for i in range(len(ax))])
-        )
-    raise ConfigError(f"unknown anchor variant {anchor_variant!r}")
 
 
 def _kd_teacher_probs(
@@ -187,22 +154,6 @@ def _kd_teacher_probs(
     if n_old == n_classes:
         return probs
     return np.concatenate([probs, np.zeros((len(x), n_classes - n_old))], axis=1)
-
-
-def fedmax_regularizer(features_batch: np.ndarray) -> float:
-    """Mean KL between softmaxed activations and the uniform distribution."""
-    f = np.asarray(features_batch, dtype=np.float64)
-    p = softmax_t(f, 1.0)
-    u = np.full(f.shape[1], 1.0 / f.shape[1])
-    return float(np.mean([kl_div(p[i], u) for i in range(len(p))]))
-
-
-def fedprox_term(params: ParamVector, global_params: ParamVector, mu: float) -> float:
-    """(mu/2) * squared L2 distance to the distributed global model."""
-    if params.spec != global_params.spec:
-        raise InputError("fedprox_term: parameter specs differ")
-    diff = params.values - global_params.values
-    return 0.5 * mu * float(diff @ diff)
 
 
 def local_update(

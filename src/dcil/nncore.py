@@ -11,7 +11,8 @@ backward pass per term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,7 @@ class NetSpec:
         if self.activation not in ACTIVATIONS:
             raise ParameterError(f"unknown activation {self.activation!r}")
 
-    @property
+    @cached_property
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_dims, self.n_classes)
 
@@ -61,7 +62,7 @@ class NetSpec:
         """Width of the input to the final fully-connected layer."""
         return self.hidden_dims[-1] if self.hidden_dims else self.input_dim
 
-    @property
+    @cached_property
     def param_count(self) -> int:
         dims = self.layer_dims
         return sum((dims[i] + 1) * dims[i + 1] for i in range(len(dims) - 1))
@@ -70,12 +71,25 @@ class NetSpec:
         return NetSpec(self.input_dim, self.hidden_dims, n_classes, self.activation)
 
 
+def _layer_views(flat: np.ndarray, dims) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per-layer (W, b) views into a flat buffer; W has shape (fan_in, fan_out)."""
+    out, offset = [], 0
+    for fi, fo in zip(dims[:-1], dims[1:]):
+        w = flat[offset : offset + fi * fo].reshape(fi, fo)
+        offset += fi * fo
+        out.append((w, flat[offset : offset + fo]))
+        offset += fo
+    return tuple(out)
+
+
 @dataclass
 class ParamVector:
     """Flat parameters of one network; the unit of exchange and aggregation."""
 
     values: np.ndarray
     spec: NetSpec
+    # (values array the views were built on, the views)
+    _views: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -83,39 +97,29 @@ class ParamVector:
             raise InputError(
                 f"expected {self.spec.param_count} parameters, got shape {self.values.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise InputError("parameter vector contains non-finite entries")
+
+    def __getstate__(self):
+        # pickle and deepcopy would turn the cached views into copies detached
+        # from `values`; leave them out so the copy builds its own
+        return {"values": self.values, "spec": self.spec}
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.spec)
 
-    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Unpack into per-layer (W, b) views; W has shape (fan_in, fan_out)."""
-        dims = self.spec.layer_dims
-        out, offset = [], 0
-        for i in range(len(dims) - 1):
-            fi, fo = dims[i], dims[i + 1]
-            w = self.values[offset : offset + fi * fo].reshape(fi, fo)
-            offset += fi * fo
-            b = self.values[offset : offset + fo]
-            offset += fo
-            out.append((w, b))
-        return out
-
-
-@dataclass(frozen=True)
-class ForwardResult:
-    features: np.ndarray
-    logits: np.ndarray
+    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per-layer (W, b) views of `values`, built once per `values` array."""
+        owner, views = self._views
+        if owner is not self.values:
+            views = _layer_views(self.values, self.spec.layer_dims)
+            self._views = (self.values, views)
+        return views
 
 
 def pack_layers(layers, spec: NetSpec) -> ParamVector:
     flat = np.concatenate([np.concatenate([w.ravel(), b.ravel()]) for w, b in layers])
     return ParamVector(flat, spec)
-
-
-def zeros_params(spec: NetSpec) -> ParamVector:
-    return ParamVector(np.zeros(spec.param_count), spec)
 
 
 def init_params(spec: NetSpec, rng: np.random.Generator) -> ParamVector:
@@ -136,19 +140,17 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
 
 def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
+        return z > 0.0  # multiplying by a bool mask gives the same bits as by 1.0/0.0
     t = np.tanh(z)
     return 1.0 - t * t
 
 
-def _forward_cache(params: ParamVector, x: np.ndarray):
-    """Run a batch through the net, keeping pre-activations for backprop.
+def _forward_cache(layers, kind: str, x: np.ndarray):
+    """Run a batch through the net given its layer views, keeping pre-activations.
 
     Returns (hs, zs, logits): hs[i] is the input of layer i, zs[i] its
     pre-activation (hidden layers only).
     """
-    layers = params.layers()
-    kind = params.spec.activation
     hs, zs = [x], []
     h = x
     for w, b in layers[:-1]:
@@ -168,17 +170,8 @@ def forward_batch(params: ParamVector, x: np.ndarray) -> tuple[np.ndarray, np.nd
         raise InputError(
             f"expected batch of {params.spec.input_dim}-dim inputs, got shape {x.shape}"
         )
-    hs, _, logits = _forward_cache(params, x)
+    hs, _, logits = _forward_cache(params.layers(), params.spec.activation, x)
     return hs[-1], logits
-
-
-def forward(params: ParamVector, x: np.ndarray) -> ForwardResult:
-    """Evaluate the net on a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or len(x) != params.spec.input_dim:
-        raise InputError(f"expected {params.spec.input_dim}-dim input, got shape {x.shape}")
-    feats, logits = forward_batch(params, x[None, :])
-    return ForwardResult(feats[0], logits[0])
 
 
 def softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
@@ -186,7 +179,7 @@ def softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
     if tau <= 0:
         raise ParameterError(f"temperature must be > 0, got {tau}")
     z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise InputError("non-finite logits")
     z = z / tau
     z = z - z.max(axis=-1, keepdims=True)
@@ -194,28 +187,9 @@ def softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def kl_div(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) for two distributions; q is clamped at EPS_LOG before log."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise InputError(f"shape mismatch {p.shape} vs {q.shape}")
-    qc = np.maximum(q, EPS_LOG)
-    terms = np.where(p > 0, p * (np.log(np.maximum(p, EPS_LOG)) - np.log(qc)), 0.0)
-    return float(terms.sum())
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    """Negative log softmax probability of `label`."""
-    z = np.asarray(logits, dtype=np.float64)
-    if not 0 <= label < len(z):
-        raise InputError(f"label {label} out of range for {len(z)} classes")
-    return float(-_log_softmax(z)[label])
 
 
 # ---------------------------------------------------------------------------
@@ -275,33 +249,36 @@ class CompositeLoss:
     terms: tuple[LossTerm, ...] = ()
 
 
-def _backprop(params: ParamVector, hs, zs, d_logits, d_features):
-    """Gradient of a scalar loss given dL/dlogits and dL/dfeatures."""
-    layers = params.layers()
-    kind = params.spec.activation
-    w_out, _ = layers[-1]
-    grads = [None] * len(layers)
-    grads[-1] = (hs[-1].T @ d_logits, d_logits.sum(axis=0))
-    delta = d_logits @ w_out.T
+def _backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features):
+    """Gradient of a scalar loss given dL/dlogits and dL/dfeatures, as one flat array."""
+    flat = np.empty(spec.param_count)
+    grads = _layer_views(flat, spec.layer_dims)
+    gw, gb = grads[-1]
+    np.matmul(hs[-1].T, d_logits, out=gw)
+    d_logits.sum(axis=0, out=gb)
+    delta = d_logits @ layers[-1][0].T
     if d_features is not None:
         delta = delta + d_features
     for i in range(len(layers) - 2, -1, -1):
-        delta = delta * _act_grad(zs[i], kind)
-        grads[i] = (hs[i].T @ delta, delta.sum(axis=0))
+        delta = delta * _act_grad(zs[i], spec.activation)
+        gw, gb = grads[i]
+        np.matmul(hs[i].T, delta, out=gw)
+        delta.sum(axis=0, out=gb)
         delta = delta @ layers[i][0].T
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])
     return flat
 
 
 def backward(params: ParamVector, loss: CompositeLoss) -> tuple[float, ParamVector]:
     """Total loss value and its exact gradient w.r.t. every parameter."""
+    spec = params.spec
+    layers = params.layers()
     total = 0.0
-    grad = np.zeros(params.spec.param_count)
-    n_classes = params.spec.n_classes
+    grad = np.zeros(spec.param_count)
+    n_classes = spec.n_classes
 
     for term in loss.terms:
         if isinstance(term, ProximalTerm):
-            if term.ref.spec != params.spec:
+            if term.ref.spec != spec:
                 raise InputError("proximal reference has a different spec")
             diff = params.values - term.ref.values
             total += 0.5 * term.mu * float(diff @ diff)
@@ -311,7 +288,7 @@ def backward(params: ParamVector, loss: CompositeLoss) -> tuple[float, ParamVect
         x = np.asarray(term.x, dtype=np.float64)
         if x.size == 0:
             raise InputError("empty batch in loss term")
-        hs, zs, logits = _forward_cache(params, x)
+        hs, zs, logits = _forward_cache(layers, spec.activation, x)
         n = x.shape[0]
 
         if isinstance(term, CrossEntropyTerm):
@@ -323,7 +300,7 @@ def backward(params: ParamVector, loss: CompositeLoss) -> tuple[float, ParamVect
             d_logits = np.exp(logp)
             d_logits[np.arange(n), y] -= 1.0
             d_logits *= term.weight / n
-            grad += _backprop(params, hs, zs, d_logits, None)
+            grad += _backprop(spec, layers, hs, zs, d_logits, None)
 
         elif isinstance(term, DistillTerm):
             a, b = term.class_range if term.class_range is not None else (0, n_classes)
@@ -339,9 +316,12 @@ def backward(params: ParamVector, loss: CompositeLoss) -> tuple[float, ParamVect
             scale = 1.0 / n if term.reduction == "mean" else 1.0
             total += term.weight * scale * val
             d_sub = (q - p) * (term.weight * scale / term.temperature)
-            d_logits = np.zeros_like(logits)
-            d_logits[:, a:b] = d_sub
-            grad += _backprop(params, hs, zs, d_logits, None)
+            if term.class_range is None:
+                d_logits = d_sub
+            else:
+                d_logits = np.zeros_like(logits)
+                d_logits[:, a:b] = d_sub
+            grad += _backprop(spec, layers, hs, zs, d_logits, None)
 
         elif isinstance(term, UniformActivationTerm):
             feats = hs[-1]
@@ -352,12 +332,12 @@ def backward(params: ParamVector, loss: CompositeLoss) -> tuple[float, ParamVect
             inner = (p * logp).sum(axis=1, keepdims=True)
             d_feats = p * (logp - inner) * (term.weight / n)
             d_logits = np.zeros_like(logits)
-            grad += _backprop(params, hs, zs, d_logits, d_feats)
+            grad += _backprop(spec, layers, hs, zs, d_logits, d_feats)
 
         else:
             raise InputError(f"unknown loss term {type(term).__name__}")
 
-    return total, ParamVector(grad, params.spec)
+    return total, ParamVector(grad, spec)
 
 
 def minibatches(rng: np.random.Generator, n: int, batch_size: int, epochs: int):
@@ -369,11 +349,15 @@ def minibatches(rng: np.random.Generator, n: int, batch_size: int, epochs: int):
 
 
 def sgd_step(params: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
+    """Update `params` in place by `-lr * grad` and return it; callers train on a copy."""
     if lr <= 0:
         raise ParameterError(f"learning rate must be > 0, got {lr}")
     if grad.spec != params.spec:
         raise InputError("gradient spec does not match parameters")
-    return ParamVector(params.values - lr * grad.values, params.spec)
+    params.values -= lr * grad.values
+    if not np.isfinite(params.values).all():
+        raise InputError("SGD step produced non-finite parameters")
+    return params
 
 
 def expand_head(params: ParamVector, n_new: int) -> ParamVector:

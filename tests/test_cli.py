@@ -121,6 +121,10 @@ def test_run_invalid_config_value_exits_2(runner, tmp_path):
         ("spread=-1", "spread"),
         ("hidden_dims=[0]", "hidden dims"),
         ("activation=foo", "activation"),
+        ("seed=1.7", "'seed'"),  # integer keys reject fractions, not truncate them
+        ("rounds=2.9", "'rounds'"),
+        ("hidden_dims=[32.5]", "'hidden_dims'"),
+        ("local_epochs=true", "'local_epochs'"),
     ],
 )
 def test_run_bad_config_value_exits_2_before_training(
@@ -222,6 +226,7 @@ def test_compare_requires_two_methods_and_seeds(runner, tmp_path):
         {"seeds": 3},
         {"seeds": [0], "alphas": ["x"]},
         {"seeds": [0], "per_class": 1},
+        {"seeds": [0.5]},
     ],
 )
 def test_compare_invalid_grid_value_exits_2(runner, tmp_path, monkeypatch, grid):

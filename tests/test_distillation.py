@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import distill_loss
 
 from dcil.distillation import (
     EnsembleWeights,
@@ -9,7 +10,6 @@ from dcil.distillation import (
     compute_logits_table,
     dad_refine,
     dcd_finetune,
-    distill_loss,
     ensemble_logits,
     fedavg_aggregate,
 )

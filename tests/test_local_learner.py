@@ -4,14 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from oracles import anchor_loss, fedmax_regularizer, fedprox_term
 
 from dcil.local_learner import (
     AnchorSet,
     LocalLossConfig,
     SiteState,
-    anchor_loss,
-    fedmax_regularizer,
-    fedprox_term,
     local_update,
     select_anchors_herding,
     update_anchor_set,
@@ -88,6 +86,24 @@ def test_herding_tie_break_lowest_index():
     row = np.ones((1, 3))
     examples = np.concatenate([row, row, row])
     assert select_anchors_herding(params, examples, 2) == [0, 1]
+
+
+def test_herding_exact_ties_match_oracle():
+    # duplicated rows tie exactly, and dead ReLU units give all-zero features
+    # (all of them when the hidden layer is dead), so the distances tie at 0
+    spec = NetSpec(3, (5,), 4)
+    rng = np.random.default_rng(11)
+    base = rng.normal(size=(4, 3))
+    examples = np.concatenate([base, base[::-1], base[:2]])
+    for dead_units in (2, 5):
+        params = init_params(spec, np.random.default_rng(dead_units))
+        w, b = params.layers()[0]
+        w[:, :dead_units] = 0.0
+        b[:dead_units] = -1.0
+        feats, _ = forward_batch(params, examples)
+        assert np.all(feats[:, :dead_units] == 0.0)
+        for k in (1, 3, len(examples)):
+            assert select_anchors_herding(params, examples, k) == herding_oracle(feats, k)
 
 
 def test_herding_rejects_bad_inputs():

@@ -1,10 +1,13 @@
 """Network engine tests: forward oracles, closed-form losses, gradient checks."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import cross_entropy, forward, kl_div, zeros_params
 
 from dcil.nncore import (
     CompositeLoss,
@@ -17,16 +20,12 @@ from dcil.nncore import (
     ProximalTerm,
     UniformActivationTerm,
     backward,
-    cross_entropy,
     expand_head,
-    forward,
     forward_batch,
     init_params,
-    kl_div,
     pack_layers,
     sgd_step,
     softmax_t,
-    zeros_params,
 )
 
 
@@ -250,6 +249,19 @@ def test_grad_composite_sum_of_terms():
     assert abs(total - parts) < 1e-10
 
 
+def test_distill_full_head_without_class_range_gives_same_bits():
+    params = small_net(n_classes=4)
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(6, 3))
+    teacher = softmax_t(rng.normal(size=(6, 4)), 5.0)
+    whole = backward(params, CompositeLoss((DistillTerm(x, teacher, 5.0, weight=2.0),)))
+    ranged = backward(
+        params, CompositeLoss((DistillTerm(x, teacher, 5.0, weight=2.0, class_range=(0, 4)),))
+    )
+    assert whole[0] == ranged[0]
+    assert whole[1].values.tobytes() == ranged[1].values.tobytes()
+
+
 def test_backward_rejects_empty_batch():
     params = small_net()
     with pytest.raises(InputError):
@@ -272,6 +284,26 @@ def test_sgd_step_moves_downhill():
     assert after < before
 
 
+def test_sgd_step_updates_in_place():
+    params = small_net()
+    rng = np.random.default_rng(10)
+    grad = ParamVector(rng.normal(size=params.spec.param_count), params.spec)
+    values = params.values
+    before = values.copy()
+    out = sgd_step(params, grad, 0.3)
+    assert out is params
+    assert out.values is values
+    assert out.values.tobytes() == (before - 0.3 * grad.values).tobytes()
+
+
+def test_sgd_step_rejects_overflow_to_inf():
+    params = small_net()
+    params.values[:] = 1e308
+    grad = ParamVector(np.full(params.spec.param_count, -1e308), params.spec)
+    with np.errstate(over="ignore"), pytest.raises(InputError):
+        sgd_step(params, grad, 1.0)
+
+
 def test_sgd_rejects_nonpositive_lr():
     params = small_net()
     with pytest.raises(ParameterError):
@@ -292,6 +324,29 @@ def test_expand_head_preserves_old_logits_bitwise():
 def test_expand_head_rejects_zero():
     with pytest.raises(ParameterError):
         expand_head(small_net(), 0)
+
+
+def test_layer_views_follow_reassigned_values():
+    params = small_net()
+    old_w, _ = params.layers()[0]
+    params.values = params.values + 1.0
+    new_w, _ = params.layers()[0]
+    assert np.shares_memory(new_w, params.values)
+    assert not np.shares_memory(new_w, old_w)
+    assert np.array_equal(new_w, old_w + 1.0)
+    assert params.layers() is params.layers()  # built once per values array
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))], ids=["deepcopy", "pickle"]
+)
+def test_cloned_params_view_their_own_values(clone):
+    params = small_net()
+    params.layers()
+    twin = clone(params)
+    w, _ = twin.layers()[0]
+    assert np.shares_memory(w, twin.values)
+    assert not np.shares_memory(w, params.values)
 
 
 def test_param_vector_validates_length_and_finiteness():

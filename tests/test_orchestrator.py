@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import zeros_params
 
 from dcil.local_learner import LocalLossConfig
-from dcil.nncore import ConfigError, InputError, NetSpec, init_params, zeros_params
+from dcil.nncore import ConfigError, InputError, NetSpec, init_params
 from dcil.orchestrator import (
     MetricsRecord,
     RunConfig,
