@@ -231,16 +231,24 @@ def cmd_compare(config_path, out_dir):
             raise ConfigError("compare requires a 'methods' list with >= 2 entries")
         if not isinstance(seeds, list) or not seeds:
             raise ConfigError("compare requires a non-empty 'seeds' list")
-        alphas = _parse_value("alphas", list, doc.get("alphas") or [None])
+        seeds = [_parse_value("seeds", _int, seed) for seed in seeds]
+        alphas = [
+            None if alpha is None else _parse_value("alphas", float, alpha)
+            for alpha in _parse_value("alphas", list, doc.get("alphas") or [None])
+        ]
+        for key, values in (("methods", methods), ("seeds", seeds), ("alphas", alphas)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigError(f"compare {key!r} lists {value!r} more than once")
         out = out_dir or doc.get("out") or "results"
         # Validate every grid entry up front.
         entries = []
         for method, alpha in product(methods, alphas):
             for seed in seeds:
                 # build_run_config skips the sweep keys
-                entry = {**doc, "method": method, "seed": _parse_value("seeds", _int, seed)}
+                entry = {**doc, "method": method, "seed": seed}
                 if alpha is not None:
-                    alpha = entry["alpha"] = _parse_value("alphas", float, alpha)
+                    entry["alpha"] = alpha
                     entry["partition"] = "dirichlet"
                 entries.append((method, alpha, build_run_config(entry)))
     except (ConfigError, ParameterError) as exc:

@@ -128,7 +128,7 @@ def _distill(
     out = params.copy()
     for sel in minibatches(np.random.default_rng(seed), n, batch, epochs):
         term = DistillTerm(shared[sel], teacher_probs[sel], tau, reduction="mean")
-        _, grad = backward(out, CompositeLoss((term,)))
+        grad = backward(out, CompositeLoss((term,)))
         out = sgd_step(out, grad, lr)
     return out
 

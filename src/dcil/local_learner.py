@@ -220,6 +220,6 @@ def local_update(
             terms.append(ProximalTerm(general, cfg.mu))
         if not terms:
             continue
-        _, grad = backward(params, CompositeLoss(tuple(terms)))
+        grad = backward(params, CompositeLoss(tuple(terms)))
         params = sgd_step(params, grad, cfg.lr)
     return params

@@ -5,7 +5,9 @@ averaged, diffed and shipped around as plain arrays.  The engine supports a
 small family of composable loss terms (classification, softened-distribution
 distillation, a proximal pull toward a reference model, and an
 activation-uniformity regularizer) whose gradients are all computed in one
-backward pass per term.
+backward pass per term.  `backward` returns the gradient only; the trainers
+never read a loss value, and the tests evaluate one with
+`tests/oracles.py::loss_value`.
 """
 
 from __future__ import annotations
@@ -250,12 +252,17 @@ class CompositeLoss:
 
 
 def _backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features):
-    """Gradient of a scalar loss given dL/dlogits and dL/dfeatures, as one flat array."""
+    """Gradient of a scalar loss given dL/dlogits and dL/dfeatures, as one flat array.
+
+    Stops at the first layer's weights: no caller needs the input gradient.
+    """
     flat = np.empty(spec.param_count)
     grads = _layer_views(flat, spec.layer_dims)
     gw, gb = grads[-1]
     np.matmul(hs[-1].T, d_logits, out=gw)
     d_logits.sum(axis=0, out=gb)
+    if len(layers) == 1:
+        return flat
     delta = d_logits @ layers[-1][0].T
     if d_features is not None:
         delta = delta + d_features
@@ -264,80 +271,79 @@ def _backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features):
         gw, gb = grads[i]
         np.matmul(hs[i].T, delta, out=gw)
         delta.sum(axis=0, out=gb)
-        delta = delta @ layers[i][0].T
+        if i:
+            delta = delta @ layers[i][0].T
     return flat
 
 
-def backward(params: ParamVector, loss: CompositeLoss) -> tuple[float, ParamVector]:
-    """Total loss value and its exact gradient w.r.t. every parameter."""
+def _term_grad(params: ParamVector, layers, term: LossTerm) -> np.ndarray:
+    """Gradient of one loss term, in a fresh flat array."""
     spec = params.spec
-    layers = params.layers()
-    total = 0.0
-    grad = np.zeros(spec.param_count)
+    if isinstance(term, ProximalTerm):
+        if term.ref.spec != spec:
+            raise InputError("proximal reference has a different spec")
+        return term.mu * (params.values - term.ref.values)
+
+    x = np.asarray(term.x, dtype=np.float64)
+    if x.size == 0:
+        raise InputError("empty batch in loss term")
+    hs, zs, logits = _forward_cache(layers, spec.activation, x)
+    n = x.shape[0]
     n_classes = spec.n_classes
 
-    for term in loss.terms:
-        if isinstance(term, ProximalTerm):
-            if term.ref.spec != spec:
-                raise InputError("proximal reference has a different spec")
-            diff = params.values - term.ref.values
-            total += 0.5 * term.mu * float(diff @ diff)
-            grad += term.mu * diff
-            continue
+    if isinstance(term, CrossEntropyTerm):
+        y = np.asarray(term.y, dtype=np.int64)
+        if np.any(y < 0) or np.any(y >= n_classes):
+            raise InputError("label out of range")
+        d_logits = np.exp(_log_softmax(logits))
+        d_logits[np.arange(n), y] -= 1.0
+        d_logits *= term.weight / n
+        return _backprop(spec, layers, hs, zs, d_logits, None)
 
-        x = np.asarray(term.x, dtype=np.float64)
-        if x.size == 0:
-            raise InputError("empty batch in loss term")
-        hs, zs, logits = _forward_cache(layers, spec.activation, x)
-        n = x.shape[0]
-
-        if isinstance(term, CrossEntropyTerm):
-            y = np.asarray(term.y, dtype=np.int64)
-            if np.any(y < 0) or np.any(y >= n_classes):
-                raise InputError("label out of range")
-            logp = _log_softmax(logits)
-            total += term.weight * float(-logp[np.arange(n), y].mean())
-            d_logits = np.exp(logp)
-            d_logits[np.arange(n), y] -= 1.0
-            d_logits *= term.weight / n
-            grad += _backprop(spec, layers, hs, zs, d_logits, None)
-
-        elif isinstance(term, DistillTerm):
-            a, b = term.class_range if term.class_range is not None else (0, n_classes)
-            sub = logits[:, a:b]
-            p = np.asarray(term.teacher_probs, dtype=np.float64)
-            if p.shape != sub.shape:
-                raise InputError("teacher table shape mismatch")
-            q = softmax_t(sub, term.temperature)
-            qc = np.maximum(q, EPS_LOG)
-            val = float(
-                np.where(p > 0, p * (np.log(np.maximum(p, EPS_LOG)) - np.log(qc)), 0.0).sum()
-            )
-            scale = 1.0 / n if term.reduction == "mean" else 1.0
-            total += term.weight * scale * val
-            d_sub = (q - p) * (term.weight * scale / term.temperature)
-            if term.class_range is None:
-                d_logits = d_sub
-            else:
-                d_logits = np.zeros_like(logits)
-                d_logits[:, a:b] = d_sub
-            grad += _backprop(spec, layers, hs, zs, d_logits, None)
-
-        elif isinstance(term, UniformActivationTerm):
-            feats = hs[-1]
-            p = softmax_t(feats, 1.0)
-            logp = np.log(np.maximum(p, EPS_LOG))
-            k = feats.shape[1]
-            total += term.weight * float((p * logp).sum(axis=1).mean() + math.log(k))
-            inner = (p * logp).sum(axis=1, keepdims=True)
-            d_feats = p * (logp - inner) * (term.weight / n)
-            d_logits = np.zeros_like(logits)
-            grad += _backprop(spec, layers, hs, zs, d_logits, d_feats)
-
+    if isinstance(term, DistillTerm):
+        a, b = term.class_range if term.class_range is not None else (0, n_classes)
+        sub = logits[:, a:b]
+        p = np.asarray(term.teacher_probs, dtype=np.float64)
+        if p.shape != sub.shape:
+            raise InputError("teacher table shape mismatch")
+        q = softmax_t(sub, term.temperature)
+        scale = 1.0 / n if term.reduction == "mean" else 1.0
+        d_sub = (q - p) * (term.weight * scale / term.temperature)
+        if term.class_range is None:
+            d_logits = d_sub
         else:
-            raise InputError(f"unknown loss term {type(term).__name__}")
+            d_logits = np.zeros_like(logits)
+            d_logits[:, a:b] = d_sub
+        return _backprop(spec, layers, hs, zs, d_logits, None)
 
-    return total, ParamVector(grad, spec)
+    if isinstance(term, UniformActivationTerm):
+        feats = hs[-1]
+        p = softmax_t(feats, 1.0)
+        logp = np.log(np.maximum(p, EPS_LOG))
+        inner = (p * logp).sum(axis=1, keepdims=True)
+        d_feats = p * (logp - inner) * (term.weight / n)
+        d_logits = np.zeros_like(logits)
+        return _backprop(spec, layers, hs, zs, d_logits, d_feats)
+
+    raise InputError(f"unknown loss term {type(term).__name__}")
+
+
+def backward(params: ParamVector, loss: CompositeLoss) -> ParamVector:
+    """Exact gradient of the total loss w.r.t. every parameter (not the loss value).
+
+    The term gradients are added in term order into the first term's array.
+    """
+    layers = params.layers()
+    grad = None
+    for term in loss.terms:
+        g = _term_grad(params, layers, term)
+        if grad is None:
+            grad = g
+        else:
+            grad += g
+    if grad is None:
+        grad = np.zeros(params.spec.param_count)
+    return ParamVector(grad, params.spec)
 
 
 def minibatches(rng: np.random.Generator, n: int, batch_size: int, epochs: int):

@@ -248,7 +248,7 @@ def _train_plain(params, x, y, epochs, lr, batch_size, rng):
     if lr == 0:
         return out
     for sel in minibatches(rng, len(x), batch_size, epochs):
-        _, grad = backward(out, CompositeLoss((CrossEntropyTerm(x[sel], y[sel]),)))
+        grad = backward(out, CompositeLoss((CrossEntropyTerm(x[sel], y[sel]),)))
         out = sgd_step(out, grad, lr)
     return out
 

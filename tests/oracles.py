@@ -8,6 +8,7 @@ computations.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,10 +16,15 @@ import numpy as np
 from dcil.local_learner import AnchorSet, _kd_teacher_probs
 from dcil.nncore import (
     EPS_LOG,
+    CompositeLoss,
     ConfigError,
+    CrossEntropyTerm,
+    DistillTerm,
     InputError,
     NetSpec,
     ParamVector,
+    ProximalTerm,
+    UniformActivationTerm,
     _log_softmax,
     forward_batch,
     softmax_t,
@@ -118,3 +124,38 @@ def distill_loss(
     _, logits = forward_batch(params, shared)
     q = softmax_t(logits, tau)
     return float(sum(kl_div(p[i], q[i]) for i in range(len(p))))
+
+
+def loss_value(params: ParamVector, loss: CompositeLoss) -> float:
+    """Total value of the loss whose gradient `nncore.backward` returns, summed in term order."""
+    spec = params.spec
+    total = 0.0
+    for term in loss.terms:
+        if isinstance(term, ProximalTerm):
+            diff = params.values - term.ref.values
+            total += 0.5 * term.mu * float(diff @ diff)
+            continue
+        feats, logits = forward_batch(params, term.x)
+        n = logits.shape[0]
+        if isinstance(term, CrossEntropyTerm):
+            y = np.asarray(term.y, dtype=np.int64)
+            logp = _log_softmax(logits)
+            total += term.weight * float(-logp[np.arange(n), y].mean())
+        elif isinstance(term, DistillTerm):
+            a, b = term.class_range if term.class_range is not None else (0, spec.n_classes)
+            p = np.asarray(term.teacher_probs, dtype=np.float64)
+            q = softmax_t(logits[:, a:b], term.temperature)
+            qc = np.maximum(q, EPS_LOG)
+            val = float(
+                np.where(p > 0, p * (np.log(np.maximum(p, EPS_LOG)) - np.log(qc)), 0.0).sum()
+            )
+            scale = 1.0 / n if term.reduction == "mean" else 1.0
+            total += term.weight * scale * val
+        elif isinstance(term, UniformActivationTerm):
+            p = softmax_t(feats, 1.0)
+            logp = np.log(np.maximum(p, EPS_LOG))
+            k = feats.shape[1]
+            total += term.weight * float((p * logp).sum(axis=1).mean() + math.log(k))
+        else:
+            raise InputError(f"unknown loss term {type(term).__name__}")
+    return total

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import loss_value
 
 from dcil.data import partition_dirichlet
 from dcil.distillation import fedavg_aggregate
@@ -119,7 +120,7 @@ def test_criterion_1_gradient_suite():
             CompositeLoss((CrossEntropyTerm(x, y), ProximalTerm(ref, 0.2))),
         ]
         for loss in losses:
-            _, grad = backward(params, loss)
+            grad = backward(params, loss)
             fd = np.zeros_like(grad.values)
             h = 1e-5
             for i in range(len(fd)):
@@ -127,8 +128,8 @@ def test_criterion_1_gradient_suite():
                 up[i] += h
                 dn[i] -= h
                 fd[i] = (
-                    backward(ParamVector(up, spec), loss)[0]
-                    - backward(ParamVector(dn, spec), loss)[0]
+                    loss_value(ParamVector(up, spec), loss)
+                    - loss_value(ParamVector(dn, spec), loss)
                 ) / (2 * h)
             rel = np.abs(grad.values - fd).max() / max(1.0, np.abs(fd).max())
             worst = max(worst, rel)

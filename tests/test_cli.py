@@ -227,6 +227,9 @@ def test_compare_requires_two_methods_and_seeds(runner, tmp_path):
         {"seeds": [0], "alphas": ["x"]},
         {"seeds": [0], "per_class": 1},
         {"seeds": [0.5]},
+        {"methods": ["dcil_fedavg", "dcil_fedavg"], "seeds": [0, 0]},
+        {"seeds": [0, 1, 0.0]},
+        {"seeds": [0], "alphas": [1, 1.0]},
     ],
 )
 def test_compare_invalid_grid_value_exits_2(runner, tmp_path, monkeypatch, grid):

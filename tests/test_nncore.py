@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import cross_entropy, forward, kl_div, zeros_params
+from oracles import cross_entropy, forward, kl_div, loss_value, zeros_params
 
 from dcil.nncore import (
     CompositeLoss,
@@ -175,78 +175,132 @@ def fd_gradient(params, loss, h=1e-5):
         up[i] += h
         down = params.values.copy()
         down[i] -= h
-        lo_up, _ = backward(ParamVector(up, params.spec), loss)
-        lo_dn, _ = backward(ParamVector(down, params.spec), loss)
+        lo_up = loss_value(ParamVector(up, params.spec), loss)
+        lo_dn = loss_value(ParamVector(down, params.spec), loss)
         grad[i] = (lo_up - lo_dn) / (2 * h)
     return grad
 
 
 def assert_grad_close(params, loss, tol=1e-4):
-    _, grad = backward(params, loss)
+    grad = backward(params, loss)
     fd = fd_gradient(params, loss)
     denom = max(1.0, np.abs(fd).max())
     assert np.abs(grad.values - fd).max() / denom < tol
 
 
+# `_backprop` stops at the first layer, and skips the hidden-layer pass
+# altogether on a net without one: every gradient check covers both cases.
+HIDDEN_DEPTHS = ((), (4,), (4, 3))
+
+
 def test_grad_cross_entropy():
-    params = small_net(activation="tanh")
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6, 3))
     y = rng.integers(0, 3, size=6)
-    assert_grad_close(params, CompositeLoss((CrossEntropyTerm(x, y),)))
+    for hidden in HIDDEN_DEPTHS:
+        params = small_net(hidden=hidden, activation="tanh")
+        assert_grad_close(params, CompositeLoss((CrossEntropyTerm(x, y),)))
 
 
 def test_grad_distill_full_head():
-    params = small_net(activation="tanh")
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5, 3))
     teacher = softmax_t(rng.normal(size=(5, 3)), 5.0)
-    for reduction in ("mean", "sum"):
-        loss = CompositeLoss((DistillTerm(x, teacher, 5.0, weight=2.0, reduction=reduction),))
-        assert_grad_close(params, loss)
+    for hidden in HIDDEN_DEPTHS:
+        params = small_net(hidden=hidden, activation="tanh")
+        for reduction in ("mean", "sum"):
+            loss = CompositeLoss((DistillTerm(x, teacher, 5.0, weight=2.0, reduction=reduction),))
+            assert_grad_close(params, loss)
 
 
 def test_grad_distill_class_range():
-    params = small_net(n_classes=5, activation="tanh")
     rng = np.random.default_rng(4)
     x = rng.normal(size=(4, 3))
     teacher = softmax_t(rng.normal(size=(4, 2)), 2.0)
     loss = CompositeLoss((DistillTerm(x, teacher, 2.0, class_range=(1, 3)),))
-    assert_grad_close(params, loss)
+    for hidden in HIDDEN_DEPTHS:
+        assert_grad_close(small_net(hidden=hidden, n_classes=5, activation="tanh"), loss)
 
 
 def test_grad_proximal():
-    params = small_net()
-    ref = small_net(seed=9)
-    loss = CompositeLoss((ProximalTerm(ref, 0.7),))
-    _, grad = backward(params, loss)
-    assert np.allclose(grad.values, 0.7 * (params.values - ref.values), atol=1e-12)
+    for hidden in HIDDEN_DEPTHS:
+        params = small_net(hidden=hidden)
+        ref = small_net(seed=9, hidden=hidden)
+        loss = CompositeLoss((ProximalTerm(ref, 0.7),))
+        grad = backward(params, loss)
+        assert np.allclose(grad.values, 0.7 * (params.values - ref.values), atol=1e-12)
+        assert_grad_close(params, loss)
 
 
 def test_grad_uniform_activation():
-    params = small_net(activation="tanh")
     x = np.random.default_rng(5).normal(size=(6, 3))
-    assert_grad_close(params, CompositeLoss((UniformActivationTerm(x, 3.0),)))
+    for hidden in HIDDEN_DEPTHS:
+        params = small_net(hidden=hidden, activation="tanh")
+        assert_grad_close(params, CompositeLoss((UniformActivationTerm(x, 3.0),)))
 
 
 def test_grad_composite_sum_of_terms():
-    params = small_net(activation="tanh")
     rng = np.random.default_rng(6)
     x = rng.normal(size=(5, 3))
     y = rng.integers(0, 3, size=5)
     teacher = softmax_t(rng.normal(size=(5, 3)), 5.0)
-    ref = small_net(seed=11, activation="tanh")
-    loss = CompositeLoss((
-        CrossEntropyTerm(x, y),
-        DistillTerm(x, teacher, 5.0, weight=5.0),
-        ProximalTerm(ref, 0.2),
-        UniformActivationTerm(x, 1.5),
-    ))
-    assert_grad_close(params, loss)
-    # value is the sum of the individual term values
-    total, _ = backward(params, loss)
-    parts = sum(backward(params, CompositeLoss((t,)))[0] for t in loss.terms)
-    assert abs(total - parts) < 1e-10
+    for hidden in HIDDEN_DEPTHS:
+        params = small_net(hidden=hidden, activation="tanh")
+        ref = small_net(seed=11, hidden=hidden, activation="tanh")
+        loss = CompositeLoss((
+            CrossEntropyTerm(x, y),
+            DistillTerm(x, teacher, 5.0, weight=5.0),
+            ProximalTerm(ref, 0.2),
+            UniformActivationTerm(x, 1.5),
+        ))
+        assert_grad_close(params, loss)
+        # value is the sum of the individual term values
+        total = loss_value(params, loss)
+        parts = sum(loss_value(params, CompositeLoss((t,))) for t in loss.terms)
+        assert abs(total - parts) < 1e-10
+
+
+def _trainer_term_sets(params, ref, rng):
+    """The term sets the trainers build, plus a proximal term in first place."""
+    k = params.spec.n_classes
+    x = rng.normal(size=(5, 3))
+    y = rng.integers(0, k, size=5)
+    ax = rng.normal(size=(3, 3))
+    ay = rng.integers(0, k, size=3)
+    teacher = softmax_t(rng.normal(size=(3, k - 1)), 2.0)
+    pool_teacher = softmax_t(rng.normal(size=(5, k)), 5.0)
+    ce = CrossEntropyTerm(x, y)
+    replay = CrossEntropyTerm(ax, ay, weight=5.0)
+    kd = DistillTerm(ax, teacher, 2.0, weight=5.0, class_range=(0, k - 1))
+    pool = DistillTerm(x, pool_teacher, 5.0)
+    prox = ProximalTerm(ref, 0.3)
+    uniform = UniformActivationTerm(np.concatenate([x, ax]), 2.0)
+    return [
+        (ce,), (ce, replay), (ce, kd), (kd,), (replay,), (pool,),
+        (ce, prox), (ce, kd, prox), (kd, prox), (ce, replay, prox),
+        (ce, uniform), (ce, kd, uniform), (kd, uniform),
+        (prox, ce), (prox, kd), (prox, ce, kd, prox),
+    ]
+
+
+def test_backward_sums_term_gradients_in_order_and_leaves_inputs_alone():
+    rng = np.random.default_rng(13)
+    for hidden in HIDDEN_DEPTHS:
+        params = small_net(hidden=hidden, n_classes=4, activation="tanh")
+        ref = small_net(seed=14, hidden=hidden, n_classes=4, activation="tanh")
+        for terms in _trainer_term_sets(params, ref, rng):
+            arrays = [params.values, ref.values] + [
+                a for t in terms for a in vars(t).values() if isinstance(a, np.ndarray)
+            ]
+            before = [a.copy() for a in arrays]
+            parts = [backward(params, CompositeLoss((t,))).values for t in terms]
+            expect = parts[0].copy()
+            for part in parts[1:]:
+                expect += part
+            grad = backward(params, CompositeLoss(terms))
+            assert np.array_equal(grad.values, expect), (hidden, terms)
+            for a, b in zip(arrays, before):
+                assert a.tobytes() == b.tobytes()
 
 
 def test_distill_full_head_without_class_range_gives_same_bits():
@@ -258,8 +312,7 @@ def test_distill_full_head_without_class_range_gives_same_bits():
     ranged = backward(
         params, CompositeLoss((DistillTerm(x, teacher, 5.0, weight=2.0, class_range=(0, 4)),))
     )
-    assert whole[0] == ranged[0]
-    assert whole[1].values.tobytes() == ranged[1].values.tobytes()
+    assert whole.values.tobytes() == ranged.values.tobytes()
 
 
 def test_backward_rejects_empty_batch():
@@ -279,8 +332,9 @@ def test_sgd_step_moves_downhill():
     x = rng.normal(size=(20, 3))
     y = rng.integers(0, 3, size=20)
     loss = CompositeLoss((CrossEntropyTerm(x, y),))
-    before, grad = backward(params, loss)
-    after, _ = backward(sgd_step(params, grad, 0.1), loss)
+    before = loss_value(params, loss)
+    grad = backward(params, loss)
+    after = loss_value(sgd_step(params, grad, 0.1), loss)
     assert after < before
 
 

@@ -1,5 +1,7 @@
 """Protocol orchestration: traces, degeneracy identities, ledger, evaluation."""
 
+import importlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -195,6 +197,37 @@ def test_centralized_has_empty_trace_and_no_communication():
     res = run(replace(SMALL, method="centralized"))
     assert res.trace == []
     assert all(sum(r.comm.values()) == 0 for r in res.records)
+
+
+def _counting(counts, key, fn):
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_every_trainer_step_is_one_backward_and_one_sgd_step(monkeypatch):
+    # The benchmark tracer times steps and loss terms by wrapping `backward` and
+    # `sgd_step` in each trainer's module namespace; a trainer that stopped
+    # calling either through its own module would blank those metrics.
+    modules = ("orchestrator", "local_learner", "distillation")
+    counts = Counter()
+    for module in modules:
+        namespace = importlib.import_module(f"dcil.{module}")
+        for name in ("backward", "sgd_step"):
+            wrapped = _counting(counts, (module, name), getattr(namespace, name))
+            monkeypatch.setattr(namespace, name, wrapped)
+    # the values of the benchmark's tiny dcid run
+    cfg = RunConfig(
+        method="dcid", n_classes=6, n_base=2, n_sessions=2, n_sites=3, rounds=1,
+        input_dim=4, per_class=20, hidden_dims=(8,), base_epochs=1,
+        local=LocalLossConfig(local_epochs=1), dad_epochs=2, dcd_epochs=1,
+        anchors_per_class=2, shared_per_class=4, partition="iid",
+    )
+    run(cfg)
+    for module in modules:
+        assert counts[module, "backward"] == counts[module, "sgd_step"] > 0, (module, counts)
 
 
 # ---------------------------------------------------------------------------
