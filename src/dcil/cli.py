@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 from itertools import product
@@ -36,6 +37,16 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """A finite float; a bool, NaN or an infinity is rejected, not trained on."""
+    if isinstance(value, bool):
+        raise ValueError(f"not a number: {value!r}")
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"not finite: {value!r}")
+    return out
+
+
 # Flat config keys -> (target dataclass field, parser).
 _RUN_KEYS = {
     "method": ("method", str),
@@ -48,30 +59,30 @@ _RUN_KEYS = {
     "classes": ("n_classes", _int),
     "per_class": ("per_class", _int),
     "dim": ("input_dim", _int),
-    "spread": ("spread", float),
+    "spread": ("spread", _float),
     "base_classes": ("n_base", _int),
     "base_epochs": ("base_epochs", _int),
-    "base_lr": ("base_lr", float),
-    "tau1": ("tau1", float),
-    "tau2": ("tau2", float),
+    "base_lr": ("base_lr", _float),
+    "tau1": ("tau1", _float),
+    "tau2": ("tau2", _float),
     "shared_per_class": ("shared_per_class", _int),
-    "dcd_lr": ("dcd_lr", float),
+    "dcd_lr": ("dcd_lr", _float),
     "dcd_epochs": ("dcd_epochs", _int),
-    "dad_lr": ("dad_lr", float),
+    "dad_lr": ("dad_lr", _float),
     "dad_epochs": ("dad_epochs", _int),
     "anchors_per_class": ("anchors_per_class", _int),
     "partition": ("partition", str),
-    "alpha": ("alpha", float),
+    "alpha": ("alpha", _float),
 }
 _LOCAL_KEYS = {
     "anchor_variant": ("anchor_variant", str),
-    "lambda": ("lam", float),
-    "mu": ("mu", float),
-    "beta": ("beta", float),
-    "local_lr": ("lr", float),
+    "lambda": ("lam", _float),
+    "mu": ("mu", _float),
+    "beta": ("beta", _float),
+    "local_lr": ("lr", _float),
     "local_epochs": ("local_epochs", _int),
     "batch_size": ("batch_size", _int),
-    "anchor_temperature": ("anchor_temperature", float),
+    "anchor_temperature": ("anchor_temperature", _float),
 }
 _SWEEP_KEYS = {"methods", "seeds", "alphas", "out"}
 ALL_KEYS = set(_RUN_KEYS) | set(_LOCAL_KEYS) | _SWEEP_KEYS
@@ -233,7 +244,7 @@ def cmd_compare(config_path, out_dir):
             raise ConfigError("compare requires a non-empty 'seeds' list")
         seeds = [_parse_value("seeds", _int, seed) for seed in seeds]
         alphas = [
-            None if alpha is None else _parse_value("alphas", float, alpha)
+            None if alpha is None else _parse_value("alphas", _float, alpha)
             for alpha in _parse_value("alphas", list, doc.get("alphas") or [None])
         ]
         for key, values in (("methods", methods), ("seeds", seeds), ("alphas", alphas)):

@@ -19,6 +19,7 @@ from .nncore import (
     InputError,
     ParamVector,
     ParameterError,
+    Workspace,
     backward,
     forward_batch,
     minibatches,
@@ -126,9 +127,10 @@ def _distill(
     n = len(shared)
     batch = n if n <= DISTILL_FULL_BATCH_LIMIT else DISTILL_BATCH
     out = params.copy()
+    ws = Workspace(out.spec)
     for sel in minibatches(np.random.default_rng(seed), n, batch, epochs):
         term = DistillTerm(shared[sel], teacher_probs[sel], tau, reduction="mean")
-        grad = backward(out, CompositeLoss((term,)))
+        grad = backward(out, CompositeLoss((term,)), out=ws)
         out = sgd_step(out, grad, lr)
     return out
 

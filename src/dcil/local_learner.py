@@ -8,7 +8,8 @@ model's softened old-class outputs (the classic temperature-2 convention).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .nncore import (
     ParameterError,
     ProximalTerm,
     UniformActivationTerm,
+    Workspace,
     backward,
     forward_batch,
     minibatches,
@@ -71,7 +73,6 @@ def update_anchor_set(prev: AnchorSet, new_anchors: AnchorSet) -> AnchorSet:
 class SiteState:
     """One local site: its private shard, anchors and seed stream."""
 
-    site_id: int
     shard_x: np.ndarray
     shard_y: np.ndarray
     anchors: AnchorSet = field(default_factory=AnchorSet)
@@ -91,6 +92,7 @@ class LocalLossConfig:
     anchor_temperature: float = 2.0
 
     def __post_init__(self):
+        check_finite(self)
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.anchor_variant not in ANCHOR_VARIANTS:
@@ -101,6 +103,21 @@ class LocalLossConfig:
             raise ConfigError("local_epochs and batch_size must be >= 1")
         if self.lr < 0:
             raise ConfigError(f"learning rate must be >= 0, got {self.lr}")
+        if self.anchor_temperature <= 0:
+            raise ConfigError(
+                f"anchor_temperature must be > 0, got {self.anchor_temperature}"
+            )
+
+
+def check_finite(cfg) -> None:
+    """Reject a NaN or infinite float field of a config dataclass, naming it.
+
+    The range checks alone let NaN through: every comparison with it is False.
+    """
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 def select_anchors_herding(params: ParamVector, class_examples: np.ndarray, k_max: int):
@@ -194,9 +211,11 @@ def local_update(
     if cfg.lr == 0:
         return params
 
+    ws = Workspace(params.spec)
     for batch in minibatches(rng, n_new + n_anchor, cfg.batch_size, cfg.local_epochs):
-        new_sel = batch[batch < n_new]
-        anc_sel = batch[batch >= n_new] - n_new
+        is_new = batch < n_new
+        new_sel = batch[is_new]
+        anc_sel = batch[~is_new] - n_new
         terms: list = []
         if len(new_sel):
             terms.append(CrossEntropyTerm(stream_x[new_sel], stream_y[new_sel]))
@@ -220,6 +239,6 @@ def local_update(
             terms.append(ProximalTerm(general, cfg.mu))
         if not terms:
             continue
-        grad = backward(params, CompositeLoss(tuple(terms)))
+        grad = backward(params, CompositeLoss(tuple(terms)), out=ws)
         params = sgd_step(params, grad, cfg.lr)
     return params

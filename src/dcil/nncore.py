@@ -7,7 +7,9 @@ distillation, a proximal pull toward a reference model, and an
 activation-uniformity regularizer) whose gradients are all computed in one
 backward pass per term.  `backward` returns the gradient only; the trainers
 never read a loss value, and the tests evaluate one with
-`tests/oracles.py::loss_value`.
+`tests/oracles.py::loss_value`.  A trainer builds one `Workspace` per call
+and passes it as `backward(..., out=ws)`, so its steps reuse the same
+gradient buffers instead of allocating new ones.
 """
 
 from __future__ import annotations
@@ -58,11 +60,6 @@ class NetSpec:
     @cached_property
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_dims, self.n_classes)
-
-    @property
-    def feature_dim(self) -> int:
-        """Width of the input to the final fully-connected layer."""
-        return self.hidden_dims[-1] if self.hidden_dims else self.input_dim
 
     @cached_property
     def param_count(self) -> int:
@@ -156,12 +153,14 @@ def _forward_cache(layers, kind: str, x: np.ndarray):
     hs, zs = [x], []
     h = x
     for w, b in layers[:-1]:
-        z = h @ w + b
+        z = h @ w
+        z += b
         zs.append(z)
         h = _act(z, kind)
         hs.append(h)
     w_out, b_out = layers[-1]
-    logits = h @ w_out + b_out
+    logits = h @ w_out
+    logits += b_out
     return hs, zs, logits
 
 
@@ -251,38 +250,53 @@ class CompositeLoss:
     terms: tuple[LossTerm, ...] = ()
 
 
-def _backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features):
-    """Gradient of a scalar loss given dL/dlogits and dL/dfeatures, as one flat array.
+class Workspace:
+    """Gradient buffers reused by every `backward(..., out=ws)` call of one trainer.
 
-    Stops at the first layer's weights: no caller needs the input gradient.
+    `grad` is the `ParamVector` each call returns; the next call overwrites
+    its values.  `scratch` takes each later loss term's gradient before it is
+    added into `grad`.
     """
-    flat = np.empty(spec.param_count)
-    grads = _layer_views(flat, spec.layer_dims)
+
+    def __init__(self, spec: NetSpec):
+        self.spec = spec
+        self.grad = ParamVector(np.zeros(spec.param_count), spec)
+        self.scratch = np.empty(spec.param_count)
+        self.scratch_layers = _layer_views(self.scratch, spec.layer_dims)
+
+
+def _backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features, grads):
+    """Write the gradient of a scalar loss, given dL/dlogits and dL/dfeatures, into `grads`.
+
+    `grads` are the per-layer (W, b) views of one flat array.  Stops at the
+    first layer's weights: no caller needs the input gradient.
+    """
     gw, gb = grads[-1]
     np.matmul(hs[-1].T, d_logits, out=gw)
     d_logits.sum(axis=0, out=gb)
     if len(layers) == 1:
-        return flat
+        return
     delta = d_logits @ layers[-1][0].T
     if d_features is not None:
-        delta = delta + d_features
+        delta += d_features
     for i in range(len(layers) - 2, -1, -1):
-        delta = delta * _act_grad(zs[i], spec.activation)
+        delta *= _act_grad(zs[i], spec.activation)
         gw, gb = grads[i]
         np.matmul(hs[i].T, delta, out=gw)
         delta.sum(axis=0, out=gb)
         if i:
             delta = delta @ layers[i][0].T
-    return flat
 
 
-def _term_grad(params: ParamVector, layers, term: LossTerm) -> np.ndarray:
-    """Gradient of one loss term, in a fresh flat array."""
+def _term_grad(params: ParamVector, layers, term: LossTerm, flat, grads) -> None:
+    """Write the gradient of one loss term into `flat`, whose layer views are `grads`."""
     spec = params.spec
     if isinstance(term, ProximalTerm):
         if term.ref.spec != spec:
             raise InputError("proximal reference has a different spec")
-        return term.mu * (params.values - term.ref.values)
+        np.subtract(params.values, term.ref.values, out=flat)
+        flat *= term.mu
+        return
 
     x = np.asarray(term.x, dtype=np.float64)
     if x.size == 0:
@@ -291,6 +305,7 @@ def _term_grad(params: ParamVector, layers, term: LossTerm) -> np.ndarray:
     n = x.shape[0]
     n_classes = spec.n_classes
 
+    d_features = None
     if isinstance(term, CrossEntropyTerm):
         y = np.asarray(term.y, dtype=np.int64)
         if np.any(y < 0) or np.any(y >= n_classes):
@@ -298,9 +313,7 @@ def _term_grad(params: ParamVector, layers, term: LossTerm) -> np.ndarray:
         d_logits = np.exp(_log_softmax(logits))
         d_logits[np.arange(n), y] -= 1.0
         d_logits *= term.weight / n
-        return _backprop(spec, layers, hs, zs, d_logits, None)
-
-    if isinstance(term, DistillTerm):
+    elif isinstance(term, DistillTerm):
         a, b = term.class_range if term.class_range is not None else (0, n_classes)
         sub = logits[:, a:b]
         p = np.asarray(term.teacher_probs, dtype=np.float64)
@@ -314,36 +327,46 @@ def _term_grad(params: ParamVector, layers, term: LossTerm) -> np.ndarray:
         else:
             d_logits = np.zeros_like(logits)
             d_logits[:, a:b] = d_sub
-        return _backprop(spec, layers, hs, zs, d_logits, None)
-
-    if isinstance(term, UniformActivationTerm):
+    elif isinstance(term, UniformActivationTerm):
         feats = hs[-1]
         p = softmax_t(feats, 1.0)
         logp = np.log(np.maximum(p, EPS_LOG))
         inner = (p * logp).sum(axis=1, keepdims=True)
-        d_feats = p * (logp - inner) * (term.weight / n)
+        d_features = p * (logp - inner) * (term.weight / n)
         d_logits = np.zeros_like(logits)
-        return _backprop(spec, layers, hs, zs, d_logits, d_feats)
+    else:
+        raise InputError(f"unknown loss term {type(term).__name__}")
+    _backprop(spec, layers, hs, zs, d_logits, d_features, grads)
 
-    raise InputError(f"unknown loss term {type(term).__name__}")
 
-
-def backward(params: ParamVector, loss: CompositeLoss) -> ParamVector:
+def backward(
+    params: ParamVector, loss: CompositeLoss, out: Workspace | None = None
+) -> ParamVector:
     """Exact gradient of the total loss w.r.t. every parameter (not the loss value).
 
-    The term gradients are added in term order into the first term's array.
+    The first term's gradient is written into `out.grad`, each later term's
+    into `out.scratch`, and those are added in term order.  Returns
+    `out.grad`, which the next call on `out` overwrites; `out=None` uses a
+    fresh workspace.
     """
+    spec = params.spec
+    if out is None:
+        out = Workspace(spec)
+    elif out.spec != spec:
+        raise InputError("workspace spec does not match parameters")
     layers = params.layers()
-    grad = None
-    for term in loss.terms:
-        g = _term_grad(params, layers, term)
-        if grad is None:
-            grad = g
+    grad = out.grad.values
+    if not loss.terms:
+        grad.fill(0.0)
+    for i, term in enumerate(loss.terms):
+        if i == 0:
+            _term_grad(params, layers, term, grad, out.grad.layers())
         else:
-            grad += g
-    if grad is None:
-        grad = np.zeros(params.spec.param_count)
-    return ParamVector(grad, params.spec)
+            _term_grad(params, layers, term, out.scratch, out.scratch_layers)
+            grad += out.scratch
+    if not np.isfinite(grad).all():
+        raise InputError("gradient contains non-finite entries")
+    return out.grad
 
 
 def minibatches(rng: np.random.Generator, n: int, batch_size: int, epochs: int):

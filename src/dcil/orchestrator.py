@@ -29,6 +29,7 @@ from .local_learner import (
     AnchorSet,
     LocalLossConfig,
     SiteState,
+    check_finite,
     local_update,
     select_anchors_herding,
     update_anchor_set,
@@ -40,6 +41,7 @@ from .nncore import (
     InputError,
     NetSpec,
     ParamVector,
+    Workspace,
     backward,
     expand_head,
     forward_batch,
@@ -100,6 +102,7 @@ class RunConfig:
     alpha: float = 0.1
 
     def validate(self) -> None:
+        check_finite(self)
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.partition not in PARTITIONS:
@@ -247,8 +250,9 @@ def _train_plain(params, x, y, epochs, lr, batch_size, rng):
     out = params.copy()
     if lr == 0:
         return out
+    ws = Workspace(out.spec)
     for sel in minibatches(rng, len(x), batch_size, epochs):
-        grad = backward(out, CompositeLoss((CrossEntropyTerm(x[sel], y[sel]),)))
+        grad = backward(out, CompositeLoss((CrossEntropyTerm(x[sel], y[sel]),)), out=ws)
         out = sgd_step(out, grad, lr)
     return out
 
@@ -342,7 +346,7 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
     records.append(_record(0, general, bench, CommLedger()))
 
     sites = [
-        SiteState(m, np.empty((0, cfg.input_dim)), np.empty(0, dtype=np.int64),
+        SiteState(np.empty((0, cfg.input_dim)), np.empty(0, dtype=np.int64),
                   AnchorSet(), (cfg.seed, _S_SITE, m))
         for m in range(cfg.n_sites)
     ]
@@ -380,7 +384,6 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
         ledger.shared_samples += len(shared)
 
         weights = EnsembleWeights.from_counts(counts)
-        round_anchors: list[AnchorSet] = [AnchorSet() for _ in sites]
 
         for r in range(cfg.rounds):
             trace.append((t, r, "distribute"))
@@ -400,11 +403,12 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
             ledger.logit_scalars += cfg.n_sites * len(shared) * n_head
             trace.append((t, r, "local_outputs"))
 
-            round_anchors = [
-                _herd_session_anchors(cfg, theta0[m], s.shard_x, s.shard_y, new_classes)
-                for m, s in enumerate(sites)
-            ]
-            trace.append((t, r, "anchors"))
+            if r == cfg.rounds - 1:  # only the last round's anchors are kept
+                new_anchors = [
+                    _herd_session_anchors(cfg, theta0[m], s.shard_x, s.shard_y, new_classes)
+                    for m, s in enumerate(sites)
+                ]
+                trace.append((t, r, "anchors"))
 
             ensemble0 = ensemble_logits(tables0, weights)
             trace.append((t, r, "ensemble"))
@@ -433,8 +437,8 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
             trace.append((t, r, "dad"))
 
         for m, site in enumerate(sites):
-            if len(round_anchors[m].per_class):
-                site.anchors = update_anchor_set(site.anchors, round_anchors[m])
+            if len(new_anchors[m].per_class):
+                site.anchors = update_anchor_set(site.anchors, new_anchors[m])
 
         records.append(_record(t, general, bench, ledger))
 

@@ -125,6 +125,15 @@ def test_run_invalid_config_value_exits_2(runner, tmp_path):
         ("rounds=2.9", "'rounds'"),
         ("hidden_dims=[32.5]", "'hidden_dims'"),
         ("local_epochs=true", "'local_epochs'"),
+        ("alpha=NaN", "'alpha'"),  # every range check is False for NaN
+        ("alpha=nan", "'alpha'"),
+        ("local_lr=NaN", "'local_lr'"),
+        ("dad_lr=Infinity", "'dad_lr'"),
+        ("lambda=-Infinity", "'lambda'"),
+        ("tau1=NaN", "'tau1'"),
+        ("alpha=true", "'alpha'"),  # float keys reject a bool, as integer keys do
+        ("anchor_temperature=0", "anchor_temperature"),
+        ("anchor_temperature=-1", "anchor_temperature"),
     ],
 )
 def test_run_bad_config_value_exits_2_before_training(

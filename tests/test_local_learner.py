@@ -213,6 +213,9 @@ def test_local_config_validation():
         LocalLossConfig(lr=-0.1)
     with pytest.raises(ConfigError):
         LocalLossConfig(batch_size=0)
+    for tau in (0.0, -2.0):  # softmax_t would reject it only after base training
+        with pytest.raises(ConfigError, match="anchor_temperature"):
+            LocalLossConfig(anchor_temperature=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +232,7 @@ def site_with_data(seed=0, n=24, n_classes=4, input_dim=3):
         0: centers[0] + rng.normal(size=(3, input_dim)),
         1: centers[1] + rng.normal(size=(3, input_dim)),
     })
-    return SiteState(0, x, y, anchors, (seed, 7, 0))
+    return SiteState(x, y, anchors, (seed, 7, 0))
 
 
 def test_local_update_deterministic():
@@ -272,7 +275,7 @@ def test_local_update_lr_zero_returns_start_bitwise(monkeypatch):
 
 
 def test_local_update_empty_shard_returns_copy():
-    site = SiteState(0, np.empty((0, 3)), np.empty(0, dtype=np.int64))
+    site = SiteState(np.empty((0, 3)), np.empty(0, dtype=np.int64))
     general = net()
     out = local_update(site, general, LocalLossConfig())
     assert np.array_equal(out.values, general.values)

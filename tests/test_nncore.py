@@ -19,6 +19,7 @@ from dcil.nncore import (
     ParameterError,
     ProximalTerm,
     UniformActivationTerm,
+    Workspace,
     backward,
     expand_head,
     forward_batch,
@@ -301,6 +302,47 @@ def test_backward_sums_term_gradients_in_order_and_leaves_inputs_alone():
             assert np.array_equal(grad.values, expect), (hidden, terms)
             for a, b in zip(arrays, before):
                 assert a.tobytes() == b.tobytes()
+
+
+def test_backward_into_workspace_gives_same_bytes_and_leaves_inputs_alone():
+    rng = np.random.default_rng(15)
+    for hidden in HIDDEN_DEPTHS:
+        params = small_net(hidden=hidden, n_classes=4, activation="tanh")
+        ref = small_net(seed=16, hidden=hidden, n_classes=4, activation="tanh")
+        ws = Workspace(params.spec)  # one workspace for every term set, as a trainer uses it
+        for terms in _trainer_term_sets(params, ref, rng):
+            arrays = [params.values, ref.values] + [
+                a for t in terms for a in vars(t).values() if isinstance(a, np.ndarray)
+            ]
+            before = [a.copy() for a in arrays]
+            expect = backward(params, CompositeLoss(terms)).values.tobytes()
+            grad = backward(params, CompositeLoss(terms), out=ws)
+            assert grad is ws.grad
+            assert grad.values.tobytes() == expect, (hidden, terms)
+            for a, b in zip(arrays, before):
+                assert a.tobytes() == b.tobytes()
+        # an empty loss clears what the last call left in the workspace
+        assert not backward(params, CompositeLoss(()), out=ws).values.any()
+
+
+def test_backward_into_workspace_rejects_nan_teacher():
+    params = small_net(n_classes=4)
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(5, 3))
+    teacher = softmax_t(rng.normal(size=(5, 4)), 5.0)
+    teacher[2, 1] = np.nan
+    y = rng.integers(0, 4, size=5)
+    loss = CompositeLoss((CrossEntropyTerm(x, y), DistillTerm(x, teacher, 5.0)))
+    with pytest.raises(InputError, match="non-finite"):
+        backward(params, loss, out=Workspace(params.spec))
+
+
+def test_backward_rejects_workspace_of_another_spec():
+    params = small_net(n_classes=4)
+    loss = CompositeLoss((CrossEntropyTerm(np.ones((2, 3)), np.array([0, 3])),))
+    for spec in (params.spec.with_classes(5), NetSpec(3, (5,), 4)):
+        with pytest.raises(InputError):
+            backward(params, loss, out=Workspace(spec))
 
 
 def test_distill_full_head_without_class_range_gives_same_bits():

@@ -2,7 +2,7 @@
 
 import importlib
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,8 @@ from dcil.nncore import ConfigError, InputError, NetSpec, init_params
 from dcil.orchestrator import (
     MetricsRecord,
     RunConfig,
+    _Bench,
+    _partition,
     _train_plain,
     evaluate,
     run,
@@ -69,6 +71,20 @@ def test_config_validation_rejects_inconsistencies():
     for bad in ({"base_lr": -0.1}, {"base_epochs": -1}, {"per_class": 2}, {"spread": -1.0}):
         with pytest.raises(ConfigError):
             replace(SMALL, **bad).validate()
+
+
+def test_config_validation_rejects_non_finite_floats():
+    # every range check is False for NaN, so finiteness is checked on its own
+    floats = [f.name for f in fields(RunConfig) if f.type == "float"]
+    local_floats = [f.name for f in fields(LocalLossConfig) if f.type == "float"]
+    assert len(floats) == 7 and len(local_floats) == 5
+    for value in (np.nan, np.inf, -np.inf):
+        for name in floats:
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                replace(SMALL, **{name: value}).validate()
+        for name in local_floats:
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                LocalLossConfig(**{name: value})
 
 
 @pytest.mark.parametrize("method", ["dcid", "dcil_fedavg"])
@@ -182,7 +198,8 @@ def test_trace_step_order_within_each_round():
     expect = []
     for t in (1, 2):
         for r in (0, 1):
-            expect.extend((t, r, s) for s in steps)
+            # anchors are herded once per session, in its last round
+            expect.extend((t, r, s) for s in steps if s != "anchors" or r == 1)
     assert res.trace == expect
 
 
@@ -228,6 +245,86 @@ def test_every_trainer_step_is_one_backward_and_one_sgd_step(monkeypatch):
     run(cfg)
     for module in modules:
         assert counts[module, "backward"] == counts[module, "sgd_step"] > 0, (module, counts)
+
+
+def test_every_trainer_call_reuses_one_workspace(monkeypatch):
+    # A trainer that called `backward` without `out=` would still be correct,
+    # only slower: guard the reused workspace of every stage call.
+    events = []
+
+    def stage(name, fn):
+        def wrapper(*args, **kwargs):
+            events.append(("stage", name))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def workspace(cls):
+        def build(spec):
+            ws = cls(spec)
+            events.append(("workspace", ws))
+            return ws
+
+        return build
+
+    def backward(fn):
+        def wrapper(params, loss, out=None):
+            events.append(("backward", out))
+            return fn(params, loss, out=out)
+
+        return wrapper
+
+    orch = importlib.import_module("dcil.orchestrator")
+    dist = importlib.import_module("dcil.distillation")
+    for namespace, name in ((orch, "_train_plain"), (orch, "local_update"), (dist, "_distill")):
+        monkeypatch.setattr(namespace, name, stage(name, getattr(namespace, name)))
+    for module in ("orchestrator", "local_learner", "distillation"):
+        namespace = importlib.import_module(f"dcil.{module}")
+        monkeypatch.setattr(namespace, "Workspace", workspace(namespace.Workspace))
+        monkeypatch.setattr(namespace, "backward", backward(namespace.backward))
+    trainers = {
+        "dcid": {"_train_plain", "local_update", "_distill"},
+        # the baselines' shared pool is empty, so `_distill` takes no step
+        "dcil_fedprox": {"_train_plain", "local_update"},
+        "centralized": {"_train_plain"},
+    }
+    for method, stepping in trainers.items():
+        events.clear()
+        run(replace(SMALL, method=method))
+        calls = []
+        for kind, value in events:
+            if kind == "stage":
+                calls.append((value, [], []))
+            else:
+                calls[-1][1 if kind == "workspace" else 2].append(value)
+        assert {name for name, _, used in calls if used} == stepping, method
+        for name, built, used in calls:
+            # a call that takes no step (empty shard or pool) may return before building one
+            assert len(built) <= 1, (method, name, len(built))
+            if used:
+                assert built and all(out is built[0] for out in used), (method, name)
+
+
+def test_herding_runs_once_per_session_site_and_held_class(monkeypatch):
+    orch = importlib.import_module("dcil.orchestrator")
+    herded = Counter()
+
+    def counting(params, examples, k_max):
+        herded[params.spec.n_classes] += 1
+        return select(params, examples, k_max)
+
+    select = orch.select_anchors_herding
+    monkeypatch.setattr(orch, "select_anchors_herding", counting)
+    cfg = replace(SMALL, rounds=3)
+    run(cfg)
+    bench = _Bench(cfg)
+    expect = Counter()
+    for t in range(cfg.n_sessions + 1):
+        x, y = bench.session_train[t]
+        for _, sy in _partition(cfg, x, y, t).shards:
+            held = set(np.unique(sy).tolist()) & set(bench.session_classes[t])
+            expect[len(bench.seen(t))] += len(held)
+    assert herded == expect
 
 
 # ---------------------------------------------------------------------------
