@@ -47,6 +47,13 @@ def _float(value) -> float:
     return out
 
 
+def _list(value) -> list:
+    """A JSON list; a string is rejected, not split into its characters."""
+    if not isinstance(value, list):
+        raise ValueError(f"not a list: {value!r}")
+    return value
+
+
 # Flat config keys -> (target dataclass field, parser).
 _RUN_KEYS = {
     "method": ("method", str),
@@ -54,7 +61,7 @@ _RUN_KEYS = {
     "sites": ("n_sites", _int),
     "sessions": ("n_sessions", _int),
     "rounds": ("rounds", _int),
-    "hidden_dims": ("hidden_dims", lambda v: tuple(_int(x) for x in v)),
+    "hidden_dims": ("hidden_dims", lambda v: tuple(_int(x) for x in _list(v))),
     "activation": ("activation", str),
     "classes": ("n_classes", _int),
     "per_class": ("per_class", _int),
@@ -120,6 +127,14 @@ def _parse_value(key: str, parse, value):
         return parse(value)
     except (TypeError, ValueError):
         raise ConfigError(f"bad value for {key!r}: {value!r}") from None
+
+
+def _out_dir(cli_out, doc: dict) -> str:
+    """--out, else the config's string `out`, else 'results'."""
+    out = doc.get("out", "")
+    if not isinstance(out, str):
+        raise ConfigError(f"bad value for 'out': {out!r}")
+    return cli_out or out or "results"
 
 
 def build_run_config(doc: dict) -> RunConfig:
@@ -202,7 +217,7 @@ def cmd_run(config_path, seed, method, out_dir, overrides):
             doc["seed"] = seed
         if method is not None:
             doc["method"] = method
-        out = out_dir or doc.get("out") or "results"
+        out = _out_dir(out_dir, doc)
         cfg = build_run_config(doc)
     except (ConfigError, ParameterError) as exc:
         click.echo(f"config error: {exc}", err=True)
@@ -243,15 +258,14 @@ def cmd_compare(config_path, out_dir):
         if not isinstance(seeds, list) or not seeds:
             raise ConfigError("compare requires a non-empty 'seeds' list")
         seeds = [_parse_value("seeds", _int, seed) for seed in seeds]
-        alphas = [
-            None if alpha is None else _parse_value("alphas", _float, alpha)
-            for alpha in _parse_value("alphas", list, doc.get("alphas") or [None])
-        ]
+        alphas = doc.get("alphas")
+        alphas = [None] if alphas is None else _parse_value("alphas", _list, alphas) or [None]
+        alphas = [None if a is None else _parse_value("alphas", _float, a) for a in alphas]
         for key, values in (("methods", methods), ("seeds", seeds), ("alphas", alphas)):
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ConfigError(f"compare {key!r} lists {value!r} more than once")
-        out = out_dir or doc.get("out") or "results"
+        out = _out_dir(out_dir, doc)
         # Validate every grid entry up front.
         entries = []
         for method, alpha in product(methods, alphas):

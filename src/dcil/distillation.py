@@ -8,8 +8,6 @@ models (DCD) and for refining the FedAvg-aggregated general model (DAD).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nncore import (
@@ -31,25 +29,13 @@ DISTILL_FULL_BATCH_LIMIT = 256
 DISTILL_BATCH = 128
 
 
-@dataclass
-class EnsembleWeights:
-    omega: np.ndarray
-
-    def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=np.float64)
-        if np.any(self.omega < 0):
-            raise InputError("ensemble weights must be nonnegative")
-        if abs(self.omega.sum() - 1.0) > 1e-12:
-            raise InputError(f"ensemble weights sum to {self.omega.sum()}, not 1")
-
-    @classmethod
-    def from_counts(cls, counts) -> "EnsembleWeights":
-        """Data-proportional weights; uniform when no site holds any data."""
-        counts = np.asarray(counts, dtype=np.float64)
-        total = counts.sum()
-        if total <= 0:
-            return cls(np.full(len(counts), 1.0 / len(counts)))
-        return cls(counts / total)
+def ensemble_weights(counts) -> np.ndarray:
+    """Data-proportional ensemble weights; uniform when no site holds any data."""
+    counts = np.asarray(counts, dtype=np.float64)
+    total = counts.sum()
+    if total <= 0:
+        return np.full(len(counts), 1.0 / len(counts))
+    return counts / total
 
 
 def build_shared_dataset(
@@ -88,15 +74,15 @@ def compute_logits_table(params: ParamVector, shared: np.ndarray) -> np.ndarray:
     return forward_batch(params, shared)[1]
 
 
-def ensemble_logits(tables: list[np.ndarray], weights: EnsembleWeights) -> np.ndarray:
-    """Rowwise weighted sum of the local logits tables."""
-    if len(tables) != len(weights.omega):
-        raise InputError(f"{len(tables)} tables but {len(weights.omega)} weights")
+def ensemble_logits(tables: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """Rowwise weighted sum of the local logits tables, one weight per table."""
+    if len(tables) != len(weights):
+        raise InputError(f"{len(tables)} tables but {len(weights)} weights")
     shape = tables[0].shape
     if any(t.shape != shape for t in tables):
         raise InputError("logits tables have mismatched shapes")
     rows = np.zeros(shape)
-    for w, t in zip(weights.omega, tables):
+    for w, t in zip(weights, tables):
         rows += w * t
     return rows
 
@@ -121,15 +107,13 @@ def _distill(
         return params.copy()
     if len(teacher) != len(shared):
         raise InputError("teacher row count must match the shared pool")
-    if tau <= 0:
-        raise ParameterError(f"temperature must be > 0, got {tau}")
     teacher_probs = softmax_t(teacher, tau)
     n = len(shared)
     batch = n if n <= DISTILL_FULL_BATCH_LIMIT else DISTILL_BATCH
     out = params.copy()
     ws = Workspace(out.spec)
     for sel in minibatches(np.random.default_rng(seed), n, batch, epochs):
-        term = DistillTerm(shared[sel], teacher_probs[sel], tau, reduction="mean")
+        term = DistillTerm(shared[sel], teacher_probs[sel], tau)
         grad = backward(out, CompositeLoss((term,)), out=ws)
         out = sgd_step(out, grad, lr)
     return out
@@ -139,10 +123,10 @@ def dcd_finetune(
     site_params: ParamVector,
     teacher: np.ndarray,
     shared: np.ndarray,
-    tau1: float = 5.0,
-    lr: float = 1e-4,
-    epochs: int = 5,
-    seed=0,
+    tau1: float,
+    lr: float,
+    epochs: int,
+    seed,
 ) -> ParamVector:
     """DCD: fine-tune one local model against the ensemble teacher (no labels)."""
     return _distill(site_params, teacher, shared, tau1, lr, epochs, seed)
@@ -152,10 +136,10 @@ def dad_refine(
     init_general: ParamVector,
     teacher: np.ndarray,
     shared: np.ndarray,
-    tau2: float = 5.0,
-    lr: float = 1e-4,
-    epochs: int = 5,
-    seed=0,
+    tau2: float,
+    lr: float,
+    epochs: int,
+    seed,
 ) -> ParamVector:
     """DAD: distill the post-DCD ensemble into the FedAvg-initialized general model."""
     return _distill(init_general, teacher, shared, tau2, lr, epochs, seed)

@@ -2,11 +2,11 @@
 
 Everything here operates on flat parameter vectors so that models can be
 averaged, diffed and shipped around as plain arrays.  The engine supports a
-small family of composable loss terms (classification, softened-distribution
-distillation, a proximal pull toward a reference model, and an
-activation-uniformity regularizer) whose gradients are all computed in one
-backward pass per term.  `backward` returns the gradient only; the trainers
-never read a loss value, and the tests evaluate one with
+small family of composable loss terms (classification, full-head
+distillation of softened distributions, a proximal pull toward a reference
+model, and an activation-uniformity regularizer) whose gradients are all
+computed in one backward pass per term.  `backward` returns the gradient
+only; the trainers never read a loss value, and the tests evaluate one with
 `tests/oracles.py::loss_value`.  A trainer builds one `Workspace` per call
 and passes it as `backward(..., out=ws)`, so its steps reuse the same
 gradient buffers instead of allocating new ones.
@@ -209,21 +209,18 @@ class CrossEntropyTerm:
 
 @dataclass(frozen=True)
 class DistillTerm:
-    """KL(teacher || softmax(student_logits / temperature)) over a batch.
+    """Mean KL(teacher || softmax(student_logits / temperature)) over a batch.
 
-    `teacher_probs` are already-softened distributions.  When `class_range`
-    is set, the student distribution is formed over that slice of the logits
-    only (used to match an older, narrower teacher head).  No extra
-    temperature-squared rescaling is applied to the gradient: the raw KL of
-    the softened distributions is the loss.
+    `teacher_probs` are already-softened distributions over the full head; a
+    teacher that knows fewer classes is padded with zeros to the head width.
+    No extra temperature-squared rescaling is applied to the gradient: the
+    raw KL of the softened distributions is the loss.
     """
 
     x: np.ndarray
     teacher_probs: np.ndarray
     temperature: float
     weight: float = 1.0
-    class_range: tuple[int, int] | None = None
-    reduction: str = "mean"  # or "sum"
 
 
 @dataclass(frozen=True)
@@ -303,30 +300,22 @@ def _term_grad(params: ParamVector, layers, term: LossTerm, flat, grads) -> None
         raise InputError("empty batch in loss term")
     hs, zs, logits = _forward_cache(layers, spec.activation, x)
     n = x.shape[0]
-    n_classes = spec.n_classes
 
     d_features = None
     if isinstance(term, CrossEntropyTerm):
         y = np.asarray(term.y, dtype=np.int64)
-        if np.any(y < 0) or np.any(y >= n_classes):
+        if np.any(y < 0) or np.any(y >= spec.n_classes):
             raise InputError("label out of range")
         d_logits = np.exp(_log_softmax(logits))
         d_logits[np.arange(n), y] -= 1.0
         d_logits *= term.weight / n
     elif isinstance(term, DistillTerm):
-        a, b = term.class_range if term.class_range is not None else (0, n_classes)
-        sub = logits[:, a:b]
         p = np.asarray(term.teacher_probs, dtype=np.float64)
-        if p.shape != sub.shape:
+        if p.shape != logits.shape:
             raise InputError("teacher table shape mismatch")
-        q = softmax_t(sub, term.temperature)
-        scale = 1.0 / n if term.reduction == "mean" else 1.0
-        d_sub = (q - p) * (term.weight * scale / term.temperature)
-        if term.class_range is None:
-            d_logits = d_sub
-        else:
-            d_logits = np.zeros_like(logits)
-            d_logits[:, a:b] = d_sub
+        q = softmax_t(logits, term.temperature)
+        # weight * (1/n), not weight / n: the golden records pin this rounding
+        d_logits = (q - p) * (term.weight * (1.0 / n) / term.temperature)
     elif isinstance(term, UniformActivationTerm):
         feats = hs[-1]
         p = softmax_t(feats, 1.0)

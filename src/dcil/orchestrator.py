@@ -11,18 +11,18 @@ far.  Every run is a pure function of its config and seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import data as data_mod
 from .distillation import (
-    EnsembleWeights,
     build_shared_dataset,
     compute_logits_table,
     dad_refine,
     dcd_finetune,
     ensemble_logits,
+    ensemble_weights,
     fedavg_aggregate,
 )
 from .local_learner import (
@@ -165,14 +165,6 @@ class CommLedger:
     shared_samples: int = 0
     logit_scalars: int = 0
 
-    def snapshot(self) -> dict:
-        return {
-            "params_up": self.params_up,
-            "params_down": self.params_down,
-            "shared_samples": self.shared_samples,
-            "logit_scalars": self.logit_scalars,
-        }
-
 
 @dataclass
 class MetricsRecord:
@@ -312,7 +304,7 @@ def _partition(cfg: RunConfig, x, y, session):
 
 def _record(session, params, bench, ledger) -> MetricsRecord:
     acc, per_class = evaluate(params, bench.test_pool, bench.seen(session))
-    return MetricsRecord(session, acc, per_class, bench.seen(session), ledger.snapshot())
+    return MetricsRecord(session, acc, per_class, bench.seen(session), asdict(ledger))
 
 
 def _herd_session_anchors(cfg, params, shard_x, shard_y, classes) -> AnchorSet:
@@ -383,7 +375,7 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
         )
         ledger.shared_samples += len(shared)
 
-        weights = EnsembleWeights.from_counts(counts)
+        weights = ensemble_weights(counts)
 
         for r in range(cfg.rounds):
             trace.append((t, r, "distribute"))

@@ -128,7 +128,6 @@ def distill_loss(
 
 def loss_value(params: ParamVector, loss: CompositeLoss) -> float:
     """Total value of the loss whose gradient `nncore.backward` returns, summed in term order."""
-    spec = params.spec
     total = 0.0
     for term in loss.terms:
         if isinstance(term, ProximalTerm):
@@ -142,15 +141,13 @@ def loss_value(params: ParamVector, loss: CompositeLoss) -> float:
             logp = _log_softmax(logits)
             total += term.weight * float(-logp[np.arange(n), y].mean())
         elif isinstance(term, DistillTerm):
-            a, b = term.class_range if term.class_range is not None else (0, spec.n_classes)
             p = np.asarray(term.teacher_probs, dtype=np.float64)
-            q = softmax_t(logits[:, a:b], term.temperature)
+            q = softmax_t(logits, term.temperature)
             qc = np.maximum(q, EPS_LOG)
             val = float(
                 np.where(p > 0, p * (np.log(np.maximum(p, EPS_LOG)) - np.log(qc)), 0.0).sum()
             )
-            scale = 1.0 / n if term.reduction == "mean" else 1.0
-            total += term.weight * scale * val
+            total += term.weight * val / n
         elif isinstance(term, UniformActivationTerm):
             p = softmax_t(feats, 1.0)
             logp = np.log(np.maximum(p, EPS_LOG))

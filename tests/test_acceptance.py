@@ -110,8 +110,7 @@ def test_criterion_1_gradient_suite():
             # local incremental loss: classification + weighted distillation
             CompositeLoss((CrossEntropyTerm(x, y), DistillTerm(x, teacher, 2.0, weight=5.0))),
             # mutual / aggregated distillation: softened KL over a pool
-            CompositeLoss((DistillTerm(x, teacher, 5.0, reduction="sum"),)),
-            CompositeLoss((DistillTerm(x, teacher, 5.0, reduction="mean"),)),
+            CompositeLoss((DistillTerm(x, teacher, 5.0),)),
             # plain local loss
             CompositeLoss((CrossEntropyTerm(x, y),)),
             # activation-uniformity regularized loss

@@ -134,6 +134,8 @@ def test_run_invalid_config_value_exits_2(runner, tmp_path):
         ("alpha=true", "'alpha'"),  # float keys reject a bool, as integer keys do
         ("anchor_temperature=0", "anchor_temperature"),
         ("anchor_temperature=-1", "anchor_temperature"),
+        ('hidden_dims="64"', "'hidden_dims'"),  # a string is not split into [6, 4]
+        ("out=5", "'out'"),  # not only after training, when the output is written
     ],
 )
 def test_run_bad_config_value_exits_2_before_training(
@@ -239,6 +241,8 @@ def test_compare_requires_two_methods_and_seeds(runner, tmp_path):
         {"methods": ["dcil_fedavg", "dcil_fedavg"], "seeds": [0, 0]},
         {"seeds": [0, 1, 0.0]},
         {"seeds": [0], "alphas": [1, 1.0]},
+        {"seeds": [0], "alphas": "12"},  # not split into alphas 1 and 2
+        {"seeds": [0], "out": 5},
     ],
 )
 def test_compare_invalid_grid_value_exits_2(runner, tmp_path, monkeypatch, grid):
@@ -255,7 +259,7 @@ def test_compare_mean_and_std_arithmetic(runner, tmp_path):
     out = str(tmp_path / "cmp")
     assert runner.invoke(main, ["compare", cfg, "--out", out]).exit_code == 0
     # independently rerun the two dcid seeds and check the reported mean
-    from dcil import run
+    from dcil.orchestrator import run
     accs = []
     for seed in (0, 1):
         cfg_obj = build_run_config({**cfg_doc, "method": "dcid", "seed": seed})
