@@ -97,10 +97,12 @@ ALL_KEYS = set(_RUN_KEYS) | set(_LOCAL_KEYS) | _SWEEP_KEYS
 
 def load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = set(doc) - ALL_KEYS
@@ -130,11 +132,17 @@ def _parse_value(key: str, parse, value):
 
 
 def _out_dir(cli_out, doc: dict) -> str:
-    """--out, else the config's string `out`, else 'results'."""
+    """--out, else the config's string `out`, else 'results'; a file in the way is rejected."""
     out = doc.get("out", "")
     if not isinstance(out, str):
         raise ConfigError(f"bad value for 'out': {out!r}")
-    return cli_out or out or "results"
+    out = cli_out or out or "results"
+    existing = os.path.abspath(out)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"bad value for 'out': {existing!r} is not a directory")
+    return out
 
 
 def build_run_config(doc: dict) -> RunConfig:

@@ -9,7 +9,7 @@ model's softened old-class outputs (the classic temperature-2 convention).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,57 +31,11 @@ from .nncore import (
     softmax_t,
 )
 
-VARIANTS = ("dcid", "fedavg", "fedmax", "fedprox")
 ANCHOR_VARIANTS = ("replay_ce", "logit_kd")
-
-
-@dataclass
-class AnchorSet:
-    """Per-class anchor examples, ordered by herding selection rank."""
-
-    per_class: dict[int, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def classes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.per_class))
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self.per_class.values())
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """All anchors as (x, y) arrays, class-sorted then rank-ordered."""
-        if not self.per_class:
-            return np.empty((0, 0)), np.empty(0, dtype=np.int64)
-        xs, ys = [], []
-        for c in self.classes:
-            xs.append(self.per_class[c])
-            ys.append(np.full(len(self.per_class[c]), c, dtype=np.int64))
-        return np.concatenate(xs), np.concatenate(ys)
-
-
-def update_anchor_set(prev: AnchorSet, new_anchors: AnchorSet) -> AnchorSet:
-    """Union of two anchor sets over disjoint class sets; inputs untouched."""
-    collision = set(prev.per_class) & set(new_anchors.per_class)
-    if collision:
-        raise InputError(f"anchor classes already present: {sorted(collision)}")
-    merged = dict(prev.per_class)
-    merged.update(new_anchors.per_class)
-    return AnchorSet(merged)
-
-
-@dataclass
-class SiteState:
-    """One local site: its private shard, anchors and seed stream."""
-
-    shard_x: np.ndarray
-    shard_y: np.ndarray
-    anchors: AnchorSet = field(default_factory=AnchorSet)
-    seed: tuple[int, ...] = (0,)
 
 
 @dataclass(frozen=True)
 class LocalLossConfig:
-    variant: str = "dcid"
     anchor_variant: str = "logit_kd"
     lam: float = 5.0
     mu: float = 0.2
@@ -93,8 +47,6 @@ class LocalLossConfig:
 
     def __post_init__(self):
         check_finite(self)
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
         if self.anchor_variant not in ANCHOR_VARIANTS:
             raise ConfigError(f"unknown anchor variant {self.anchor_variant!r}")
         if self.lam < 0 or self.mu < 0 or self.beta < 0:
@@ -168,38 +120,42 @@ def _kd_teacher_probs(
         raise InputError("old model head is wider than the current head")
     _, old_logits = forward_batch(old_params, x)
     probs = softmax_t(old_logits, temperature)
-    if n_old == n_classes:
-        return probs
     return np.concatenate([probs, np.zeros((len(x), n_classes - n_old))], axis=1)
 
 
 def local_update(
-    site: SiteState,
+    shard: tuple[np.ndarray, np.ndarray],
+    anchors: dict[int, np.ndarray],
     general: ParamVector,
     cfg: LocalLossConfig,
     *,
-    old_general: ParamVector | None = None,
-    session: int = 0,
-    round_idx: int = 0,
+    method: str,
+    old_general: ParamVector | None,
+    seed,
 ) -> ParamVector:
     """One site's training pass for a round: E epochs of seeded minibatch SGD.
 
-    Anchors are appended to every epoch's data stream so each step sees the
-    composite loss.  The distributed `general` model and `old_general`
-    (previous session's model, possibly with a narrower head) are left
-    untouched.  Returns the updated local parameters; an empty shard or a
-    zero learning rate returns a copy of `general`.
+    The site's anchors, herding-ordered rows per class, are stacked in sorted
+    class order and appended to every epoch's data stream so each step sees
+    the composite loss.  `dcil_fedmax` adds the activation term and
+    `dcil_fedprox` the proximal pull toward `general`.  The distributed
+    `general` model and `old_general` (previous session's model, possibly
+    with a narrower head) are left untouched.  Returns the updated local
+    parameters; an empty shard or a zero learning rate returns a copy of
+    `general`.
     """
-    if len(site.shard_x) == 0:
+    shard_x, shard_y = shard
+    if len(shard_x) == 0:
         return general.copy()
-    rng = np.random.default_rng([*site.seed, session, round_idx])
+    rng = np.random.default_rng(seed)
     params = general.copy()
 
-    ax, ay = site.anchors.stacked()
-    n_new = len(site.shard_x)
+    classes = sorted(anchors)
+    stream_x = np.concatenate([shard_x, *(anchors[c] for c in classes)])
+    stream_y = np.concatenate([shard_y, *(np.full(len(anchors[c]), c) for c in classes)])
+    n_new = len(shard_x)
+    ax, ay = stream_x[n_new:], stream_y[n_new:]
     n_anchor = len(ax)
-    stream_x = site.shard_x if n_anchor == 0 else np.concatenate([site.shard_x, ax])
-    stream_y = site.shard_y if n_anchor == 0 else np.concatenate([site.shard_y, ay])
 
     teacher_probs = None
     if n_anchor and cfg.anchor_variant == "logit_kd":
@@ -233,9 +189,9 @@ def local_update(
                         weight=cfg.lam,
                     )
                 )
-        if cfg.variant == "fedmax" and cfg.beta > 0:
+        if method == "dcil_fedmax" and cfg.beta > 0:
             terms.append(UniformActivationTerm(stream_x[batch], cfg.beta))
-        if cfg.variant == "fedprox" and cfg.mu > 0:
+        if method == "dcil_fedprox" and cfg.mu > 0:
             terms.append(ProximalTerm(general, cfg.mu))
         if not terms:
             continue

@@ -11,7 +11,7 @@ far.  Every run is a pure function of its config and seed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,13 +26,10 @@ from .distillation import (
     fedavg_aggregate,
 )
 from .local_learner import (
-    AnchorSet,
     LocalLossConfig,
-    SiteState,
     check_finite,
     local_update,
     select_anchors_herding,
-    update_anchor_set,
 )
 from .nncore import (
     CompositeLoss,
@@ -127,8 +124,8 @@ class RunConfig:
             raise ConfigError("distillation epoch counts must be >= 0")
         if self.alpha <= 0:
             raise ConfigError("alpha must be > 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**63:  # an output file name holds the seed
+            raise ConfigError(f"seed must be in [0, 2**63 - 1], got {self.seed}")
         if self.base_lr < 0 or self.base_epochs < 0:
             raise ConfigError("base_lr and base_epochs must be >= 0")
         data_mod.check_synthetic(
@@ -145,15 +142,6 @@ class RunConfig:
                 )
         # LocalLossConfig validates itself on construction.
         NetSpec(self.input_dim, self.hidden_dims, self.n_base, self.activation)
-
-    def variant(self) -> str:
-        return {
-            "dcid": "dcid",
-            "dcil_fedavg": "fedavg",
-            "dcil_fedmax": "fedmax",
-            "dcil_fedprox": "fedprox",
-            "centralized": "fedavg",
-        }[self.method]
 
 
 @dataclass
@@ -307,10 +295,11 @@ def _record(session, params, bench, ledger) -> MetricsRecord:
     return MetricsRecord(session, acc, per_class, bench.seen(session), asdict(ledger))
 
 
-def _herd_session_anchors(cfg, params, shard_x, shard_y, classes) -> AnchorSet:
+def _herd_session_anchors(cfg, params, shard_x, shard_y, classes) -> dict[int, np.ndarray]:
+    """Each held class's herded examples, in selection order."""
     picked: dict[int, np.ndarray] = {}
     if cfg.anchors_per_class < 1:
-        return AnchorSet(picked)
+        return picked
     for c in classes:
         mask = shard_y == c
         if not mask.any():
@@ -318,7 +307,7 @@ def _herd_session_anchors(cfg, params, shard_x, shard_y, classes) -> AnchorSet:
         examples = shard_x[mask]
         idx = select_anchors_herding(params, examples, cfg.anchors_per_class)
         picked[int(c)] = examples[idx]
-    return AnchorSet(picked)
+    return picked
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +317,6 @@ def _herd_session_anchors(cfg, params, shard_x, shard_y, classes) -> AnchorSet:
 
 def _run_decentralized(cfg: RunConfig) -> RunResult:
     """DCID, or a baseline: the same protocol over a shared pool of size 0."""
-    local_cfg = replace(cfg.local, variant=cfg.variant())
     shared_per_class = cfg.shared_per_class if cfg.method == "dcid" else 0
     bench = _Bench(cfg)
     trace: list[tuple[int, int, str]] = []
@@ -337,22 +325,15 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
     general = _train_base(cfg, bench)
     records.append(_record(0, general, bench, CommLedger()))
 
-    sites = [
-        SiteState(np.empty((0, cfg.input_dim)), np.empty(0, dtype=np.int64),
-                  AnchorSet(), (cfg.seed, _S_SITE, m))
-        for m in range(cfg.n_sites)
-    ]
-
     # Base-class anchors: the base session is trained centrally, but each site
     # must enter session 1 with anchors for the classes already seen.  Deal
     # the base data to sites with the configured partitioner and herd with
-    # the base model.
+    # the base model.  anchors[m] maps each class to site m's herded rows.
     base_x, base_y = bench.session_train[0]
-    base_partition = _partition(cfg, base_x, base_y, 0)
-    for m, (sx, sy) in enumerate(base_partition.shards):
-        sites[m].anchors = _herd_session_anchors(
-            cfg, general, sx, sy, bench.session_classes[0]
-        )
+    anchors = [
+        _herd_session_anchors(cfg, general, sx, sy, bench.session_classes[0])
+        for sx, sy in _partition(cfg, base_x, base_y, 0).shards
+    ]
 
     for t in range(1, cfg.n_sessions + 1):
         prev_general = general
@@ -363,14 +344,11 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
         n_head = general.spec.n_classes
 
         x_t, y_t = bench.session_train[t]
-        partition = _partition(cfg, x_t, y_t, t)
-        for m, (sx, sy) in enumerate(partition.shards):
-            sites[m].shard_x = sx
-            sites[m].shard_y = sy
-        counts = [len(s.shard_x) for s in sites]
+        shards = _partition(cfg, x_t, y_t, t).shards
+        counts = [len(sx) for sx, _ in shards]
 
         shared = build_shared_dataset(
-            partition.shards, shared_per_class, new_classes,
+            shards, shared_per_class, new_classes,
             [cfg.seed, _S_SHARED, t],
         )
         ledger.shared_samples += len(shared)
@@ -381,14 +359,13 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
             trace.append((t, r, "distribute"))
             ledger.params_down += cfg.n_sites * p_count
 
-            theta0: list[ParamVector] = []
-            for site in sites:
-                theta0.append(
-                    local_update(
-                        site, general, local_cfg,
-                        old_general=prev_general, session=t, round_idx=r,
-                    )
+            theta0 = [
+                local_update(
+                    shard, anchors[m], general, cfg.local, method=cfg.method,
+                    old_general=prev_general, seed=[cfg.seed, _S_SITE, m, t, r],
                 )
+                for m, shard in enumerate(shards)
+            ]
             trace.append((t, r, "did"))
 
             tables0 = [compute_logits_table(p, shared) for p in theta0]
@@ -397,8 +374,8 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
 
             if r == cfg.rounds - 1:  # only the last round's anchors are kept
                 new_anchors = [
-                    _herd_session_anchors(cfg, theta0[m], s.shard_x, s.shard_y, new_classes)
-                    for m, s in enumerate(sites)
+                    _herd_session_anchors(cfg, theta0[m], sx, sy, new_classes)
+                    for m, (sx, sy) in enumerate(shards)
                 ]
                 trace.append((t, r, "anchors"))
 
@@ -428,9 +405,8 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
             )
             trace.append((t, r, "dad"))
 
-        for m, site in enumerate(sites):
-            if len(new_anchors[m].per_class):
-                site.anchors = update_anchor_set(site.anchors, new_anchors[m])
+        for site_anchors, picked in zip(anchors, new_anchors):
+            site_anchors.update(picked)  # this session's classes are new keys
 
         records.append(_record(t, general, bench, ledger))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dcil.local_learner import AnchorSet, _kd_teacher_probs
+from dcil.local_learner import _kd_teacher_probs
 from dcil.nncore import (
     EPS_LOG,
     CompositeLoss,
@@ -74,15 +74,17 @@ def cross_entropy(logits: np.ndarray, label: int) -> float:
 def anchor_loss(
     params: ParamVector,
     old_params: ParamVector | None,
-    anchors: AnchorSet,
+    anchors: dict[int, np.ndarray],
     anchor_variant: str,
     temperature: float = 2.0,
 ) -> float:
-    """Anchor regularization value; 0 (with a warning) on an empty anchor set."""
-    if len(anchors) == 0:
+    """Anchor regularization value over {class: rows}; 0 (with a warning) when empty."""
+    classes = sorted(anchors)
+    if not classes:
         log.warning("anchor_loss called with an empty anchor set; returning 0")
         return 0.0
-    ax, ay = anchors.stacked()
+    ax = np.concatenate([anchors[c] for c in classes])
+    ay = np.concatenate([np.full(len(anchors[c]), c) for c in classes])
     _, logits = forward_batch(params, ax)
     if anchor_variant == "replay_ce":
         logp = _log_softmax(logits)

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from dcil.cli import (
+    _LOCAL_KEYS,
     COMPARE_CSV_HEADER,
     RUN_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -122,6 +123,7 @@ def test_run_invalid_config_value_exits_2(runner, tmp_path):
         ("hidden_dims=[0]", "hidden dims"),
         ("activation=foo", "activation"),
         ("seed=1.7", "'seed'"),  # integer keys reject fractions, not truncate them
+        ("seed=1e300", "seed"),  # integral, but too long for the output file name
         ("rounds=2.9", "'rounds'"),
         ("hidden_dims=[32.5]", "'hidden_dims'"),
         ("local_epochs=true", "'local_epochs'"),
@@ -147,6 +149,35 @@ def test_run_bad_config_value_exits_2_before_training(
     assert result.exit_code == 2, result.output
     assert "config error" in result.output
     assert message in result.output
+
+
+def test_run_config_not_utf8_exits_2_before_training(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr("dcil.cli.run", lambda cfg: pytest.fail("training started"))
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00{")
+    result = runner.invoke(main, ["run", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "config error" in result.output
+
+
+def test_run_config_out_naming_a_file_exits_2_before_training(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr("dcil.cli.run", lambda cfg: pytest.fail("training started"))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (str(taken), str(taken / "sub")):
+        cfg = write_config(tmp_path, {**FAST, "out": out})
+        result = runner.invoke(main, ["run", cfg])
+        assert result.exit_code == 2, result.output
+        assert "bad value for 'out'" in result.output
+
+
+def test_run_json_local_config_holds_only_settable_keys(runner, tmp_path):
+    cfg = write_config(tmp_path, FAST)
+    out = str(tmp_path / "r")
+    result = runner.invoke(main, ["run", cfg, "--out", out, "--method", "dcil_fedprox"])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(open(os.path.join(out, "dcil_fedprox_seed0.json")).read())
+    assert set(doc["config"]["local"]) == {name for name, _ in _LOCAL_KEYS.values()}
 
 
 @pytest.mark.parametrize(

@@ -6,19 +6,13 @@ import numpy as np
 import pytest
 from oracles import anchor_loss, fedmax_regularizer, fedprox_term
 
-from dcil.local_learner import (
-    AnchorSet,
-    LocalLossConfig,
-    SiteState,
-    local_update,
-    select_anchors_herding,
-    update_anchor_set,
-)
+from dcil.local_learner import LocalLossConfig, local_update, select_anchors_herding
 from dcil.nncore import (
     ConfigError,
     InputError,
     NetSpec,
     ParameterError,
+    backward,
     expand_head,
     forward_batch,
     init_params,
@@ -115,39 +109,15 @@ def test_herding_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------------------
-# Anchor sets
-# ---------------------------------------------------------------------------
-
-
-def test_anchor_set_stacked_order_and_len():
-    a = AnchorSet({2: np.ones((2, 3)), 0: np.zeros((1, 3))})
-    x, y = a.stacked()
-    assert y.tolist() == [0, 2, 2]
-    assert len(a) == 3
-    assert a.classes == (0, 2)
-
-
-def test_update_anchor_set_merges_disjoint():
-    a = AnchorSet({0: np.zeros((1, 3))})
-    b = AnchorSet({1: np.ones((2, 3))})
-    merged = update_anchor_set(a, b)
-    assert merged.classes == (0, 1)
-    assert a.classes == (0,)  # inputs untouched
-    with pytest.raises(InputError):
-        update_anchor_set(merged, b)
-
-
-# ---------------------------------------------------------------------------
 # Loss building blocks
 # ---------------------------------------------------------------------------
 
 
 def test_anchor_loss_replay_ce_closed_form():
     params = net()
-    anchors = AnchorSet({1: np.random.default_rng(0).normal(size=(3, 3))})
+    anchors = {1: np.random.default_rng(0).normal(size=(3, 3))}
     val = anchor_loss(params, None, anchors, "replay_ce")
-    ax, _ = anchors.stacked()
-    _, logits = forward_batch(params, ax)
+    _, logits = forward_batch(params, anchors[1])
     p = softmax_t(logits, 1.0)
     expect = float(np.mean([-math.log(p[i, 1]) for i in range(3)]))
     assert abs(val - expect) < 1e-12
@@ -155,7 +125,7 @@ def test_anchor_loss_replay_ce_closed_form():
 
 def test_anchor_loss_logit_kd_zero_when_student_equals_teacher():
     params = net()
-    anchors = AnchorSet({0: np.random.default_rng(1).normal(size=(4, 3))})
+    anchors = {0: np.random.default_rng(1).normal(size=(4, 3))}
     val = anchor_loss(params, params, anchors, "logit_kd", temperature=2.0)
     assert abs(val) < 1e-12
 
@@ -163,7 +133,7 @@ def test_anchor_loss_logit_kd_zero_when_student_equals_teacher():
 def test_anchor_loss_logit_kd_wider_student_penalizes_new_mass():
     old = net()
     wide = expand_head(old, 2)
-    anchors = AnchorSet({0: np.random.default_rng(2).normal(size=(4, 3))})
+    anchors = {0: np.random.default_rng(2).normal(size=(4, 3))}
     # zero-init expansion keeps new logits at 0, which still gets softmax
     # mass, so the KL against the zero-padded teacher must be positive
     val = anchor_loss(wide, old, anchors, "logit_kd", temperature=2.0)
@@ -171,13 +141,12 @@ def test_anchor_loss_logit_kd_wider_student_penalizes_new_mass():
 
 
 def test_anchor_loss_empty_returns_zero(caplog):
-    assert anchor_loss(net(), None, AnchorSet(), "replay_ce") == 0.0
+    assert anchor_loss(net(), None, {}, "replay_ce") == 0.0
 
 
 def test_anchor_loss_logit_kd_requires_old_model():
-    anchors = AnchorSet({0: np.ones((1, 3))})
     with pytest.raises(InputError):
-        anchor_loss(net(), None, anchors, "logit_kd")
+        anchor_loss(net(), None, {0: np.ones((1, 3))}, "logit_kd")
 
 
 def test_fedmax_regularizer_closed_form():
@@ -204,8 +173,6 @@ def test_fedprox_term_closed_form():
 
 def test_local_config_validation():
     with pytest.raises(ConfigError):
-        LocalLossConfig(variant="sgd")
-    with pytest.raises(ConfigError):
         LocalLossConfig(anchor_variant="none")
     with pytest.raises(ConfigError):
         LocalLossConfig(lam=-1.0)
@@ -224,38 +191,70 @@ def test_local_config_validation():
 
 
 def site_with_data(seed=0, n=24, n_classes=4, input_dim=3):
+    """A shard of "new" classes 2..3 and anchors for the old classes 1 and 0."""
     rng = np.random.default_rng(seed)
     centers = 3.0 * rng.normal(size=(n_classes, input_dim))
-    y = rng.integers(2, n_classes, size=n)  # "new" classes 2..3
+    y = rng.integers(2, n_classes, size=n)
     x = centers[y] + rng.normal(size=(n, input_dim))
-    anchors = AnchorSet({
-        0: centers[0] + rng.normal(size=(3, input_dim)),
-        1: centers[1] + rng.normal(size=(3, input_dim)),
-    })
-    return SiteState(x, y, anchors, (seed, 7, 0))
+    anchors = {c: centers[c] + rng.normal(size=(3, input_dim)) for c in (1, 0)}
+    return (x, y), anchors
+
+
+def update(shard, anchors, general, cfg, *, method="dcid", old_general=None, seed=(0, 7, 0)):
+    return local_update(
+        shard, anchors, general, cfg, method=method, old_general=old_general, seed=seed
+    )
 
 
 def test_local_update_deterministic():
-    site = site_with_data()
+    shard, anchors = site_with_data()
     general = net()
     cfg = LocalLossConfig(local_epochs=2)
-    a = local_update(site, general, cfg, old_general=general, session=1, round_idx=0)
-    b = local_update(site, general, cfg, old_general=general, session=1, round_idx=0)
+    a = update(shard, anchors, general, cfg, old_general=general, seed=[0, 7, 0, 1, 0])
+    b = update(shard, anchors, general, cfg, old_general=general, seed=[0, 7, 0, 1, 0])
     assert np.array_equal(a.values, b.values)
-    c = local_update(site, general, cfg, old_general=general, session=1, round_idx=1)
+    c = update(shard, anchors, general, cfg, old_general=general, seed=[0, 7, 0, 1, 1])
     assert not np.array_equal(a.values, c.values)
 
 
+def test_local_update_stacks_anchors_in_sorted_class_order(monkeypatch):
+    # anchors inserted as {1: ..., 0: ...} reach the loss as class 0's rows,
+    # then class 1's, each class's rows in their given order and label
+    shard, anchors = site_with_data()
+    assert list(anchors) == [1, 0]
+    general = net()
+    stacked = []
+    monkeypatch.setattr(
+        "dcil.local_learner._kd_teacher_probs", lambda old, x, *rest: stacked.append(x)
+    )
+    update(shard, anchors, general, LocalLossConfig(lr=0.0), old_general=general)
+    assert np.array_equal(stacked[0], np.concatenate([anchors[0], anchors[1]]))
+
+    terms = []
+
+    def spy(params, loss, out=None):
+        terms.append(loss.terms[-1])  # the replay term follows the shard's
+        return backward(params, loss, out=out)
+
+    monkeypatch.setattr("dcil.local_learner.backward", spy)
+    cfg = LocalLossConfig(anchor_variant="replay_ce", local_epochs=1, batch_size=10**6)
+    update(shard, anchors, general, cfg)
+    assert sorted(terms[0].y.tolist()) == [0, 0, 0, 1, 1, 1]
+    for x, y in zip(terms[0].x, terms[0].y):
+        assert any(np.array_equal(x, row) for row in anchors[y])
+
+
 def test_local_update_improves_fit_on_shard():
-    site = site_with_data()
+    shard, anchors = site_with_data()
     general = net()
     cfg = LocalLossConfig(local_epochs=5, lam=0.0, anchor_variant="replay_ce")
-    out = local_update(site, general, cfg)
+    out = update(shard, anchors, general, cfg)
+    x, y = shard
 
     def shard_loss(p):
-        _, logits = forward_batch(p, site.shard_x)
+        _, logits = forward_batch(p, x)
         p1 = softmax_t(logits, 1.0)
-        return float(-np.log(p1[np.arange(len(site.shard_y)), site.shard_y]).mean())
+        return float(-np.log(p1[np.arange(len(y)), y]).mean())
 
     assert shard_loss(out) < shard_loss(general)
 
@@ -263,44 +262,42 @@ def test_local_update_improves_fit_on_shard():
 def test_local_update_lr_zero_returns_start_bitwise(monkeypatch):
     calls = []
     monkeypatch.setattr("dcil.local_learner.backward", lambda *a: calls.append(a))
-    site = site_with_data()
+    shard, anchors = site_with_data()
     general = net()
     cfg = LocalLossConfig(lr=0.0, local_epochs=2)
-    out = local_update(site, general, cfg, old_general=general)
+    out = update(shard, anchors, general, cfg, old_general=general)
     assert np.array_equal(out.values, general.values)
     assert out.values is not general.values
     assert calls == []  # no gradient is computed only to be thrown away
     with pytest.raises(InputError):  # logit_kd anchors still need the old model
-        local_update(site, general, cfg)
+        update(shard, anchors, general, cfg)
 
 
 def test_local_update_empty_shard_returns_copy():
-    site = SiteState(np.empty((0, 3)), np.empty(0, dtype=np.int64))
+    shard = (np.empty((0, 3)), np.empty(0, dtype=np.int64))
     general = net()
-    out = local_update(site, general, LocalLossConfig())
+    out = update(shard, {}, general, LocalLossConfig())
     assert np.array_equal(out.values, general.values)
 
 
 def test_local_update_general_left_untouched():
-    site = site_with_data()
+    shard, anchors = site_with_data()
     general = net()
     frozen = general.values.copy()
-    local_update(site, general, LocalLossConfig(local_epochs=2), old_general=general)
+    update(shard, anchors, general, LocalLossConfig(local_epochs=2), old_general=general)
     assert np.array_equal(general.values, frozen)
 
 
 def test_local_update_fedprox_pulls_toward_general():
-    site = site_with_data()
+    shard, anchors = site_with_data()
     general = net()
-    loose = local_update(
-        site, general,
-        LocalLossConfig(variant="fedprox", mu=0.0, local_epochs=3, lam=0.0),
-        old_general=general,
+    loose = update(
+        shard, anchors, general, LocalLossConfig(mu=0.0, local_epochs=3, lam=0.0),
+        method="dcil_fedprox", old_general=general,
     )
-    tight = local_update(
-        site, general,
-        LocalLossConfig(variant="fedprox", mu=5.0, local_epochs=3, lam=0.0),
-        old_general=general,
+    tight = update(
+        shard, anchors, general, LocalLossConfig(mu=5.0, local_epochs=3, lam=0.0),
+        method="dcil_fedprox", old_general=general,
     )
     d_loose = np.linalg.norm(loose.values - general.values)
     d_tight = np.linalg.norm(tight.values - general.values)
@@ -309,33 +306,31 @@ def test_local_update_fedprox_pulls_toward_general():
 
 def test_local_update_zero_weight_variant_matches_plain_bitwise():
     # mu=0 fedprox and beta=0 fedmax must take the exact same SGD path as
-    # the plain variant: zero-weight terms are skipped, not scaled by 0
-    site = site_with_data()
+    # the plain method: zero-weight terms are skipped, not scaled by 0
+    shard, anchors = site_with_data()
     general = net()
-    base = local_update(site, general, LocalLossConfig(variant="fedavg", local_epochs=2),
-                        old_general=general)
-    prox = local_update(site, general,
-                        LocalLossConfig(variant="fedprox", mu=0.0, local_epochs=2),
-                        old_general=general)
-    fmax = local_update(site, general,
-                        LocalLossConfig(variant="fedmax", beta=0.0, local_epochs=2),
-                        old_general=general)
+    base = update(shard, anchors, general, LocalLossConfig(local_epochs=2),
+                  method="dcil_fedavg", old_general=general)
+    prox = update(shard, anchors, general, LocalLossConfig(mu=0.0, local_epochs=2),
+                  method="dcil_fedprox", old_general=general)
+    fmax = update(shard, anchors, general, LocalLossConfig(beta=0.0, local_epochs=2),
+                  method="dcil_fedmax", old_general=general)
     assert np.array_equal(base.values, prox.values)
     assert np.array_equal(base.values, fmax.values)
 
 
 def test_local_update_lambda_controls_anchor_retention():
-    rng = np.random.default_rng(0)
     general = net(seed=1)
-    site = site_with_data(seed=2, n=40)
-    ax, ay = site.anchors.stacked()
+    shard, anchors = site_with_data(seed=2, n=40)
+    ax = np.concatenate([anchors[0], anchors[1]])
+    ay = np.repeat([0, 1], [len(anchors[0]), len(anchors[1])])
 
     def anchor_acc(p):
         _, logits = forward_batch(p, ax)
         return float((np.argmax(logits, axis=1) == ay).mean())
 
-    free = local_update(site, general, LocalLossConfig(lam=0.0, local_epochs=8),
-                        old_general=general)
-    held = local_update(site, general, LocalLossConfig(lam=5.0, local_epochs=8),
-                        old_general=general)
+    free = update(shard, anchors, general, LocalLossConfig(lam=0.0, local_epochs=8),
+                  old_general=general)
+    held = update(shard, anchors, general, LocalLossConfig(lam=5.0, local_epochs=8),
+                  old_general=general)
     assert anchor_acc(held) >= anchor_acc(free)
