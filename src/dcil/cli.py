@@ -177,11 +177,11 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _result_doc(result: RunResult) -> dict:
-    cfg = dataclasses.asdict(result.config)
-    cfg["hidden_dims"] = list(cfg["hidden_dims"])
+def _result_doc(cfg: RunConfig, result: RunResult) -> dict:
+    config = dataclasses.asdict(cfg)
+    config["hidden_dims"] = list(config["hidden_dims"])
     return {
-        "config": cfg,
+        "config": config,
         "records": [r.to_dict() for r in result.records],
         "summary": summarize(result.records),
     }
@@ -236,7 +236,7 @@ def cmd_run(config_path, seed, method, out_dir, overrides):
         stem = f"{cfg.method}_seed{cfg.seed}"
         _atomic_write(
             os.path.join(out, stem + ".json"),
-            json.dumps(_result_doc(result), indent=2) + "\n",
+            json.dumps(_result_doc(cfg, result), indent=2) + "\n",
         )
         _atomic_write(
             os.path.join(out, stem + ".csv"),
@@ -267,9 +267,13 @@ def cmd_compare(config_path, out_dir):
             raise ConfigError("compare requires a non-empty 'seeds' list")
         seeds = [_parse_value("seeds", _int, seed) for seed in seeds]
         alphas = doc.get("alphas")
-        alphas = [None] if alphas is None else _parse_value("alphas", _list, alphas) or [None]
+        alphas = [None] if alphas is None else _parse_value("alphas", _list, alphas)
+        if not alphas:
+            raise ConfigError("compare requires a non-empty 'alphas' list when one is given")
         alphas = [None if a is None else _parse_value("alphas", _float, a) for a in alphas]
-        for key, values in (("methods", methods), ("seeds", seeds), ("alphas", alphas)):
+        # a label prints alpha with :g, so alphas alike under it would share one
+        tags = [a if a is None else f"{a:g}" for a in alphas]
+        for key, values in (("methods", methods), ("seeds", seeds), ("alphas", tags)):
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ConfigError(f"compare {key!r} lists {value!r} more than once")

@@ -69,8 +69,6 @@ def build_shared_dataset(
 
 def compute_logits_table(params: ParamVector, shared: np.ndarray) -> np.ndarray:
     """Pre-softmax outputs of one model over the shared pool, one row per sample."""
-    if len(shared) == 0:
-        return np.empty((0, params.spec.n_classes))
     return forward_batch(params, shared)[1]
 
 

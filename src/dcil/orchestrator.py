@@ -175,8 +175,6 @@ class MetricsRecord:
 @dataclass
 class RunResult:
     records: list[MetricsRecord]
-    trace: list[tuple[int, int, str]]  # (session, round, step)
-    config: RunConfig
 
 
 def evaluate(params: ParamVector, test_pool: dict[int, np.ndarray], seen_classes):
@@ -237,46 +235,31 @@ def _train_plain(params, x, y, epochs, lr, batch_size, rng):
     return out
 
 
-class _Bench:
-    """Dataset, session split and label remap shared by all methods of a run.
+def _sessions(cfg: RunConfig):
+    """Each session's `(x, y)` training data ([0] = base) and the test pool.
 
     Labels are remapped so that head indices are contiguous in encounter
-    order: base classes first, then each session's classes.
+    order: base classes first, then each session's classes, so session t's
+    classes are `range(_head(cfg, t - 1), _head(cfg, t))`.
     """
-
-    def __init__(self, cfg: RunConfig):
-        ds = data_mod.make_synthetic(
-            cfg.n_classes, cfg.per_class, cfg.input_dim, cfg.spread, [cfg.seed, _S_DATA]
-        )
-        split = data_mod.split_sessions(ds, cfg.n_base, cfg.n_sessions, [cfg.seed, _S_SPLIT])
-        order = list(split.base_classes)
-        for chunk in split.session_classes:
-            order.extend(chunk)
-        remap = {orig: new for new, orig in enumerate(order)}
-        self.session_train = []
-        for x, y in split.per_session_train:
-            self.session_train.append(
-                (x, np.array([remap[int(v)] for v in y], dtype=np.int64))
-            )
-        self.test_pool = {remap[c]: pool for c, pool in split.test_pool.items()}
-        self.session_classes = []  # head-index chunks, [0] = base
-        self.session_classes.append(tuple(range(cfg.n_base)))
-        k = (cfg.n_classes - cfg.n_base) // cfg.n_sessions
-        for t in range(cfg.n_sessions):
-            lo = cfg.n_base + t * k
-            self.session_classes.append(tuple(range(lo, lo + k)))
-
-    def seen(self, session: int) -> tuple[int, ...]:
-        out: list[int] = []
-        for chunk in self.session_classes[: session + 1]:
-            out.extend(chunk)
-        return tuple(out)
+    ds = data_mod.make_synthetic(
+        cfg.n_classes, cfg.per_class, cfg.input_dim, cfg.spread, [cfg.seed, _S_DATA]
+    )
+    split = data_mod.split_sessions(ds, cfg.n_base, cfg.n_sessions, [cfg.seed, _S_SPLIT])
+    remap = np.empty(cfg.n_classes, dtype=np.int64)
+    remap[np.concatenate([split.base_classes, *split.session_classes])] = np.arange(cfg.n_classes)
+    train = [(x, remap[y]) for x, y in split.per_session_train]
+    return train, {int(remap[c]): pool for c, pool in split.test_pool.items()}
 
 
-def _train_base(cfg: RunConfig, bench: _Bench) -> ParamVector:
+def _head(cfg: RunConfig, t: int) -> int:
+    """Head width after session t; the classes seen so far are `range(_head(cfg, t))`."""
+    return cfg.n_base + t * ((cfg.n_classes - cfg.n_base) // cfg.n_sessions)
+
+
+def _train_base(cfg: RunConfig, x, y) -> ParamVector:
     spec = NetSpec(cfg.input_dim, cfg.hidden_dims, cfg.n_base, cfg.activation)
     params = init_params(spec, np.random.default_rng([cfg.seed, _S_INIT]))
-    x, y = bench.session_train[0]
     return _train_plain(
         params, x, y, cfg.base_epochs, cfg.base_lr,
         cfg.local.batch_size, np.random.default_rng([cfg.seed, _S_BASE]),
@@ -290,9 +273,10 @@ def _partition(cfg: RunConfig, x, y, session):
     return data_mod.partition_dirichlet(x, y, cfg.n_sites, cfg.alpha, seed)
 
 
-def _record(session, params, bench, ledger) -> MetricsRecord:
-    acc, per_class = evaluate(params, bench.test_pool, bench.seen(session))
-    return MetricsRecord(session, acc, per_class, bench.seen(session), asdict(ledger))
+def _record(cfg, session, params, test_pool, ledger) -> MetricsRecord:
+    seen = tuple(range(_head(cfg, session)))
+    acc, per_class = evaluate(params, test_pool, seen)
+    return MetricsRecord(session, acc, per_class, seen, asdict(ledger))
 
 
 def _herd_session_anchors(cfg, params, shard_x, shard_y, classes) -> dict[int, np.ndarray]:
@@ -318,33 +302,28 @@ def _herd_session_anchors(cfg, params, shard_x, shard_y, classes) -> dict[int, n
 def _run_decentralized(cfg: RunConfig) -> RunResult:
     """DCID, or a baseline: the same protocol over a shared pool of size 0."""
     shared_per_class = cfg.shared_per_class if cfg.method == "dcid" else 0
-    bench = _Bench(cfg)
-    trace: list[tuple[int, int, str]] = []
-    records: list[MetricsRecord] = []
-
-    general = _train_base(cfg, bench)
-    records.append(_record(0, general, bench, CommLedger()))
+    train, test_pool = _sessions(cfg)
+    general = _train_base(cfg, *train[0])
+    records = [_record(cfg, 0, general, test_pool, CommLedger())]
 
     # Base-class anchors: the base session is trained centrally, but each site
     # must enter session 1 with anchors for the classes already seen.  Deal
     # the base data to sites with the configured partitioner and herd with
     # the base model.  anchors[m] maps each class to site m's herded rows.
-    base_x, base_y = bench.session_train[0]
     anchors = [
-        _herd_session_anchors(cfg, general, sx, sy, bench.session_classes[0])
-        for sx, sy in _partition(cfg, base_x, base_y, 0).shards
+        _herd_session_anchors(cfg, general, sx, sy, range(cfg.n_base))
+        for sx, sy in _partition(cfg, *train[0], 0).shards
     ]
 
     for t in range(1, cfg.n_sessions + 1):
         prev_general = general
-        new_classes = bench.session_classes[t]
+        new_classes = range(_head(cfg, t - 1), _head(cfg, t))
         general = expand_head(general, len(new_classes))
         ledger = CommLedger()
         p_count = general.spec.param_count
         n_head = general.spec.n_classes
 
-        x_t, y_t = bench.session_train[t]
-        shards = _partition(cfg, x_t, y_t, t).shards
+        shards = _partition(cfg, *train[t], t).shards
         counts = [len(sx) for sx, _ in shards]
 
         shared = build_shared_dataset(
@@ -356,7 +335,6 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
         weights = ensemble_weights(counts)
 
         for r in range(cfg.rounds):
-            trace.append((t, r, "distribute"))
             ledger.params_down += cfg.n_sites * p_count
 
             theta0 = [
@@ -366,21 +344,17 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
                 )
                 for m, shard in enumerate(shards)
             ]
-            trace.append((t, r, "did"))
 
             tables0 = [compute_logits_table(p, shared) for p in theta0]
             ledger.logit_scalars += cfg.n_sites * len(shared) * n_head
-            trace.append((t, r, "local_outputs"))
 
             if r == cfg.rounds - 1:  # only the last round's anchors are kept
                 new_anchors = [
                     _herd_session_anchors(cfg, theta0[m], sx, sy, new_classes)
                     for m, (sx, sy) in enumerate(shards)
                 ]
-                trace.append((t, r, "anchors"))
 
             ensemble0 = ensemble_logits(tables0, weights)
-            trace.append((t, r, "ensemble"))
             theta1 = [
                 dcd_finetune(
                     p, ensemble0, shared, cfg.tau1, cfg.dcd_lr,
@@ -388,49 +362,41 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
                 )
                 for m, p in enumerate(theta0)
             ]
-            trace.append((t, r, "dcd"))
 
             ledger.params_up += cfg.n_sites * p_count
             aggregated = fedavg_aggregate(theta1, counts)
-            trace.append((t, r, "fedavg"))
 
             tables1 = [compute_logits_table(p, shared) for p in theta1]
             ledger.logit_scalars += cfg.n_sites * len(shared) * n_head
-            trace.append((t, r, "local_outputs"))
             ensemble1 = ensemble_logits(tables1, weights)
-            trace.append((t, r, "ensemble"))
             general = dad_refine(
                 aggregated, ensemble1, shared, cfg.tau2, cfg.dad_lr,
                 cfg.dad_epochs, seed=[cfg.seed, _S_DAD, t, r],
             )
-            trace.append((t, r, "dad"))
 
         for site_anchors, picked in zip(anchors, new_anchors):
             site_anchors.update(picked)  # this session's classes are new keys
 
-        records.append(_record(t, general, bench, ledger))
+        records.append(_record(cfg, t, general, test_pool, ledger))
 
-    return RunResult(records, trace, cfg)
+    return RunResult(records)
 
 
 def _run_centralized(cfg: RunConfig) -> RunResult:
     """Upper-bound reference: full retraining on all data seen so far."""
-    bench = _Bench(cfg)
-    records = [
-        _record(0, _train_base(cfg, bench), bench, CommLedger())
-    ]
+    train, test_pool = _sessions(cfg)
+    records = [_record(cfg, 0, _train_base(cfg, *train[0]), test_pool, CommLedger())]
     for t in range(1, cfg.n_sessions + 1):
-        seen = bench.seen(t)
-        spec = NetSpec(cfg.input_dim, cfg.hidden_dims, len(seen), cfg.activation)
+        spec = NetSpec(cfg.input_dim, cfg.hidden_dims, _head(cfg, t), cfg.activation)
         params = init_params(spec, np.random.default_rng([cfg.seed, _S_CENT, t]))
-        x = np.concatenate([bench.session_train[s][0] for s in range(t + 1)])
-        y = np.concatenate([bench.session_train[s][1] for s in range(t + 1)])
+        x = np.concatenate([x for x, _ in train[: t + 1]])
+        y = np.concatenate([y for _, y in train[: t + 1]])
         params = _train_plain(
             params, x, y, cfg.base_epochs, cfg.base_lr, cfg.local.batch_size,
             np.random.default_rng([cfg.seed, _S_CENT, t, 1]),
         )
-        records.append(_record(t, params, bench, CommLedger()))
-    return RunResult(records, [], cfg)
+        records.append(_record(cfg, t, params, test_pool, CommLedger()))
+    return RunResult(records)
 
 
 def run(config: RunConfig) -> RunResult:

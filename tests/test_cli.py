@@ -272,6 +272,8 @@ def test_compare_requires_two_methods_and_seeds(runner, tmp_path):
         {"methods": ["dcil_fedavg", "dcil_fedavg"], "seeds": [0, 0]},
         {"seeds": [0, 1, 0.0]},
         {"seeds": [0], "alphas": [1, 1.0]},
+        {"seeds": [0], "alphas": [0.1, 0.1000001]},  # one label, alpha=0.1, under :g
+        {"seeds": [0], "alphas": []},  # would silently run no sweep
         {"seeds": [0], "alphas": "12"},  # not split into alphas 1 and 2
         {"seeds": [0], "out": 5},
     ],

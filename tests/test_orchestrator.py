@@ -1,4 +1,4 @@
-"""Protocol orchestration: traces, degeneracy identities, ledger, evaluation."""
+"""Protocol orchestration: stage order, degeneracy identities, ledger, evaluation."""
 
 import importlib
 from collections import Counter
@@ -13,8 +13,9 @@ from dcil.nncore import ConfigError, InputError, NetSpec, init_params
 from dcil.orchestrator import (
     MetricsRecord,
     RunConfig,
-    _Bench,
+    _head,
     _partition,
+    _sessions,
     _train_plain,
     evaluate,
     run,
@@ -189,30 +190,65 @@ def test_run_produces_one_record_per_session():
     assert all(0.0 <= r.accuracy <= 1.0 for r in res.records)
 
 
-def test_trace_step_order_within_each_round():
-    res = run(SMALL)
-    steps = [
-        "distribute", "did", "local_outputs", "anchors", "ensemble",
-        "dcd", "fedavg", "local_outputs", "ensemble", "dad",
-    ]
-    expect = []
-    for t in (1, 2):
+STAGES = (
+    "local_update", "compute_logits_table", "select_anchors_herding", "ensemble_logits",
+    "dcd_finetune", "fedavg_aggregate", "dad_refine",
+)
+
+
+def _logging(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def log_stage_calls(monkeypatch) -> list[str]:
+    """Wrap the stage functions the orchestrator calls; returns the live call log."""
+    orch = importlib.import_module("dcil.orchestrator")
+    calls: list[str] = []
+    for name in STAGES:
+        monkeypatch.setattr(orch, name, _logging(calls, name, getattr(orch, name)))
+    return calls
+
+
+def collapsed(calls: list[str]) -> list[str]:
+    """The call log with consecutive calls to one stage (one per site) as one entry."""
+    return [name for i, name in enumerate(calls) if i == 0 or calls[i - 1] != name]
+
+
+def test_stage_call_order_within_each_round(monkeypatch):
+    calls = log_stage_calls(monkeypatch)
+    run(SMALL)
+    # anchors are herded once for the base classes, then once per session in its last round
+    expect = ["select_anchors_herding"]
+    for _ in (1, 2):
         for r in (0, 1):
-            # anchors are herded once per session, in its last round
-            expect.extend((t, r, s) for s in steps if s != "anchors" or r == 1)
-    assert res.trace == expect
+            expect += ["local_update", "compute_logits_table"]
+            expect += ["select_anchors_herding"] if r == 1 else []
+            expect += [
+                "ensemble_logits", "dcd_finetune", "fedavg_aggregate",
+                "compute_logits_table", "ensemble_logits", "dad_refine",
+            ]
+    assert collapsed(calls) == expect
 
 
-def test_baseline_trace_matches_dcid_stage_order():
+def test_baseline_stage_calls_match_dcid(monkeypatch):
     # baselines run the dcid protocol over an empty shared pool
-    dcid = run(SMALL)
+    calls = log_stage_calls(monkeypatch)
+    run(SMALL)
+    dcid = collapsed(calls)
     for method in ("dcil_fedavg", "dcil_fedmax", "dcil_fedprox"):
-        assert run(replace(SMALL, method=method)).trace == dcid.trace
+        calls.clear()
+        run(replace(SMALL, method=method))
+        assert collapsed(calls) == dcid, method
 
 
-def test_centralized_has_empty_trace_and_no_communication():
+def test_centralized_makes_no_stage_call_and_no_communication(monkeypatch):
+    calls = log_stage_calls(monkeypatch)
     res = run(replace(SMALL, method="centralized"))
-    assert res.trace == []
+    assert calls == []
     assert all(sum(r.comm.values()) == 0 for r in res.records)
 
 
@@ -317,13 +353,13 @@ def test_herding_runs_once_per_session_site_and_held_class(monkeypatch):
     monkeypatch.setattr(orch, "select_anchors_herding", counting)
     cfg = replace(SMALL, rounds=3)
     run(cfg)
-    bench = _Bench(cfg)
+    train, _ = _sessions(cfg)
     expect = Counter()
     for t in range(cfg.n_sessions + 1):
-        x, y = bench.session_train[t]
-        for _, sy in _partition(cfg, x, y, t).shards:
-            held = set(np.unique(sy).tolist()) & set(bench.session_classes[t])
-            expect[len(bench.seen(t))] += len(held)
+        classes = range(_head(cfg, t - 1) if t else 0, _head(cfg, t))
+        for _, sy in _partition(cfg, *train[t], t).shards:
+            held = set(np.unique(sy).tolist()) & set(classes)
+            expect[_head(cfg, t)] += len(held)
     assert herded == expect
 
 
