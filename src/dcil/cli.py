@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from .local_learner import LocalLossConfig
-from .nncore import ConfigError, ParameterError
+from .nncore import ConfigError
 from .orchestrator import METHODS, RunConfig, RunResult, run, summarize
 
 RUN_CSV_HEADER = [
@@ -54,43 +54,36 @@ def _list(value) -> list:
     return value
 
 
-# Flat config keys -> (target dataclass field, parser).
-_RUN_KEYS = {
-    "method": ("method", str),
-    "seed": ("seed", _int),
-    "sites": ("n_sites", _int),
-    "sessions": ("n_sessions", _int),
-    "rounds": ("rounds", _int),
-    "hidden_dims": ("hidden_dims", lambda v: tuple(_int(x) for x in _list(v))),
-    "activation": ("activation", str),
-    "classes": ("n_classes", _int),
-    "per_class": ("per_class", _int),
-    "dim": ("input_dim", _int),
-    "spread": ("spread", _float),
-    "base_classes": ("n_base", _int),
-    "base_epochs": ("base_epochs", _int),
-    "base_lr": ("base_lr", _float),
-    "tau1": ("tau1", _float),
-    "tau2": ("tau2", _float),
-    "shared_per_class": ("shared_per_class", _int),
-    "dcd_lr": ("dcd_lr", _float),
-    "dcd_epochs": ("dcd_epochs", _int),
-    "dad_lr": ("dad_lr", _float),
-    "dad_epochs": ("dad_epochs", _int),
-    "anchors_per_class": ("anchors_per_class", _int),
-    "partition": ("partition", str),
-    "alpha": ("alpha", _float),
+# The flat config keys are the config dataclass fields, but for these seven.
+_FLAT_NAMES = {
+    "n_sites": "sites",
+    "n_sessions": "sessions",
+    "n_classes": "classes",
+    "input_dim": "dim",
+    "n_base": "base_classes",
+    "lam": "lambda",
+    "lr": "local_lr",
 }
-_LOCAL_KEYS = {
-    "anchor_variant": ("anchor_variant", str),
-    "lambda": ("lam", _float),
-    "mu": ("mu", _float),
-    "beta": ("beta", _float),
-    "local_lr": ("lr", _float),
-    "local_epochs": ("local_epochs", _int),
-    "batch_size": ("batch_size", _int),
-    "anchor_temperature": ("anchor_temperature", _float),
+# A parser per declared field type; the annotations are strings (PEP 563).
+_PARSERS = {
+    "int": _int,
+    "float": _float,
+    "str": str,
+    "tuple[int, ...]": lambda v: tuple(_int(x) for x in _list(v)),
 }
+
+
+def _flat_keys(cls) -> dict:
+    """Flat key -> (field name, parser) for each field of `cls` but `local`."""
+    return {
+        _FLAT_NAMES.get(f.name, f.name): (f.name, _PARSERS[f.type])
+        for f in dataclasses.fields(cls)
+        if f.name != "local"
+    }
+
+
+_RUN_KEYS = _flat_keys(RunConfig)
+_LOCAL_KEYS = _flat_keys(LocalLossConfig)
 _SWEEP_KEYS = {"methods", "seeds", "alphas", "out"}
 ALL_KEYS = set(_RUN_KEYS) | set(_LOCAL_KEYS) | _SWEEP_KEYS
 
@@ -156,10 +149,7 @@ def build_run_config(doc: dict) -> RunConfig:
         else:
             name, parse = _LOCAL_KEYS[key]
             local_kwargs[name] = _parse_value(key, parse, value)
-    local = LocalLossConfig(**local_kwargs)
-    cfg = RunConfig(local=local, **run_kwargs)
-    cfg.validate()
-    return cfg
+    return RunConfig(local=LocalLossConfig(**local_kwargs), **run_kwargs)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -178,10 +168,8 @@ def _csv_text(header, rows) -> str:
 
 
 def _result_doc(cfg: RunConfig, result: RunResult) -> dict:
-    config = dataclasses.asdict(cfg)
-    config["hidden_dims"] = list(config["hidden_dims"])
     return {
-        "config": config,
+        "config": dataclasses.asdict(cfg),
         "records": [r.to_dict() for r in result.records],
         "summary": summarize(result.records),
     }
@@ -227,7 +215,7 @@ def cmd_run(config_path, seed, method, out_dir, overrides):
             doc["method"] = method
         out = _out_dir(out_dir, doc)
         cfg = build_run_config(doc)
-    except (ConfigError, ParameterError) as exc:
+    except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     try:
@@ -267,10 +255,13 @@ def cmd_compare(config_path, out_dir):
             raise ConfigError("compare requires a non-empty 'seeds' list")
         seeds = [_parse_value("seeds", _int, seed) for seed in seeds]
         alphas = doc.get("alphas")
-        alphas = [None] if alphas is None else _parse_value("alphas", _list, alphas)
-        if not alphas:
-            raise ConfigError("compare requires a non-empty 'alphas' list when one is given")
-        alphas = [None if a is None else _parse_value("alphas", _float, a) for a in alphas]
+        if alphas is None:
+            alphas = [None]
+        else:
+            alphas = _parse_value("alphas", _list, alphas)
+            alphas = [_parse_value("alphas", _float, a) for a in alphas]
+            if not alphas:
+                raise ConfigError("compare requires a non-empty 'alphas' list when one is given")
         # a label prints alpha with :g, so alphas alike under it would share one
         tags = [a if a is None else f"{a:g}" for a in alphas]
         for key, values in (("methods", methods), ("seeds", seeds), ("alphas", tags)):
@@ -288,7 +279,7 @@ def cmd_compare(config_path, out_dir):
                     entry["alpha"] = alpha
                     entry["partition"] = "dirichlet"
                 entries.append((method, alpha, build_run_config(entry)))
-    except (ConfigError, ParameterError) as exc:
+    except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     try:

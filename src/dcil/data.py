@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import ConfigError, ParameterError
+from .nncore import ConfigError
 
 SeedLike = int | list[int] | tuple[int, ...]
 
@@ -52,16 +52,14 @@ def train_count(per_class: int) -> int:
     return int(round(0.8 * per_class))
 
 
-def check_synthetic(
-    n_classes: int, per_class: int, dim: int, spread: float, error=ParameterError
-) -> None:
-    """Raise `error` unless every class gets a training and a test example."""
+def check_synthetic(n_classes: int, per_class: int, dim: int, spread: float) -> None:
+    """Raise `ConfigError` unless every class gets a training and a test example."""
     if n_classes < 2 or dim < 2 or not 0 < train_count(per_class) < per_class:
-        raise error(
+        raise ConfigError(
             f"degenerate dataset sizes: n_classes={n_classes}, per_class={per_class}, dim={dim}"
         )
     if spread < 0:
-        raise error(f"spread must be >= 0, got {spread}")
+        raise ConfigError(f"spread must be >= 0, got {spread}")
 
 
 def make_synthetic(
@@ -164,7 +162,7 @@ def partition_dirichlet(
     on few sites; empty shards are allowed.
     """
     if alpha <= 0:
-        raise ParameterError(f"alpha must be > 0, got {alpha}")
+        raise ConfigError(f"alpha must be > 0, got {alpha}")
     if n_sites < 2:
         raise ConfigError(f"n_sites must be >= 2 for dirichlet partitioning, got {n_sites}")
     rng = np.random.default_rng(seed)

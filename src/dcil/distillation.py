@@ -16,7 +16,6 @@ from .nncore import (
     DistillTerm,
     InputError,
     ParamVector,
-    ParameterError,
     Workspace,
     backward,
     forward_batch,
@@ -52,7 +51,7 @@ def build_shared_dataset(
     the `(n, dim)` sample array.
     """
     if per_class_count < 0:
-        raise ParameterError(f"per_class_count must be >= 0, got {per_class_count}")
+        raise ConfigError(f"per_class_count must be >= 0, got {per_class_count}")
     rng = np.random.default_rng(seed)
     dim = shards[0][0].shape[1] if shards and shards[0][0].ndim == 2 else 0
     samples = []

@@ -20,7 +20,6 @@ from .nncore import (
     DistillTerm,
     InputError,
     ParamVector,
-    ParameterError,
     ProximalTerm,
     UniformActivationTerm,
     Workspace,
@@ -82,7 +81,7 @@ def select_anchors_herding(params: ParamVector, class_examples: np.ndarray, k_ma
     if len(class_examples) == 0:
         raise InputError("class_examples must be non-empty")
     if k_max < 1:
-        raise ParameterError(f"k_max must be >= 1, got {k_max}")
+        raise ConfigError(f"k_max must be >= 1, got {k_max}")
     feats, _ = forward_batch(params, class_examples)
     mu = feats.mean(axis=0)
     n = len(feats)

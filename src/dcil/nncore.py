@@ -29,12 +29,8 @@ class InputError(ValueError):
     """Malformed input data (shape/range/finiteness)."""
 
 
-class ParameterError(ValueError):
-    """Invalid hyperparameter value."""
-
-
 class ConfigError(ValueError):
-    """Inconsistent configuration."""
+    """A bad hyperparameter or an inconsistent configuration."""
 
 
 @dataclass(frozen=True)
@@ -49,13 +45,13 @@ class NetSpec:
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         if self.input_dim < 1:
-            raise ParameterError(f"input_dim must be >= 1, got {self.input_dim}")
+            raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         if any(h < 1 for h in self.hidden_dims):
-            raise ParameterError(f"hidden dims must be >= 1, got {self.hidden_dims}")
+            raise ConfigError(f"hidden dims must be >= 1, got {self.hidden_dims}")
         if self.n_classes < 1:
-            raise ParameterError(f"n_classes must be >= 1, got {self.n_classes}")
+            raise ConfigError(f"n_classes must be >= 1, got {self.n_classes}")
         if self.activation not in ACTIVATIONS:
-            raise ParameterError(f"unknown activation {self.activation!r}")
+            raise ConfigError(f"unknown activation {self.activation!r}")
 
     @cached_property
     def layer_dims(self) -> tuple[int, ...]:
@@ -178,7 +174,7 @@ def forward_batch(params: ParamVector, x: np.ndarray) -> tuple[np.ndarray, np.nd
 def softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
     """Temperature-softened softmax with max-subtraction for stability."""
     if tau <= 0:
-        raise ParameterError(f"temperature must be > 0, got {tau}")
+        raise ConfigError(f"temperature must be > 0, got {tau}")
     z = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(z).all():
         raise InputError("non-finite logits")
@@ -369,7 +365,7 @@ def minibatches(rng: np.random.Generator, n: int, batch_size: int, epochs: int):
 def sgd_step(params: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
     """Update `params` in place by `-lr * grad` and return it; callers train on a copy."""
     if lr <= 0:
-        raise ParameterError(f"learning rate must be > 0, got {lr}")
+        raise ConfigError(f"learning rate must be > 0, got {lr}")
     if grad.spec != params.spec:
         raise InputError("gradient spec does not match parameters")
     params.values -= lr * grad.values
@@ -386,7 +382,7 @@ def expand_head(params: ParamVector, n_new: int) -> ParamVector:
     preserved bit-exactly and new-class logits are exactly 0 for any input.
     """
     if n_new < 1:
-        raise ParameterError(f"n_new must be >= 1, got {n_new}")
+        raise ConfigError(f"n_new must be >= 1, got {n_new}")
     layers = params.layers()
     w_out, b_out = layers[-1]
     w_new = np.concatenate([w_out, np.zeros((w_out.shape[0], n_new))], axis=1)

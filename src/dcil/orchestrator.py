@@ -62,6 +62,8 @@ class RunConfig:
 
     Defaults are the desk-scale synthetic benchmark: 20 classes in 16
     dimensions, 10 base classes plus 5 sessions of 2, 5 sites, 3 rounds.
+    A config checks itself on construction, so a bad one raises
+    `ConfigError` before any training.
     """
 
     method: str = "dcid"
@@ -98,7 +100,7 @@ class RunConfig:
     partition: str = "dirichlet"
     alpha: float = 0.1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_finite(self)
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
@@ -128,9 +130,7 @@ class RunConfig:
             raise ConfigError(f"seed must be in [0, 2**63 - 1], got {self.seed}")
         if self.base_lr < 0 or self.base_epochs < 0:
             raise ConfigError("base_lr and base_epochs must be >= 0")
-        data_mod.check_synthetic(
-            self.n_classes, self.per_class, self.input_dim, self.spread, ConfigError
-        )
+        data_mod.check_synthetic(self.n_classes, self.per_class, self.input_dim, self.spread)
         if self.method != "centralized":
             if self.partition == "dirichlet" and self.n_sites < 2:
                 raise ConfigError("dirichlet partitioning needs n_sites >= 2")
@@ -140,7 +140,7 @@ class RunConfig:
                     f"iid partitioning deals each class's {n_train} training "
                     f"examples to {self.n_sites} sites; n_sites must be <= {n_train}"
                 )
-        # LocalLossConfig validates itself on construction.
+        # LocalLossConfig checks itself on construction.
         NetSpec(self.input_dim, self.hidden_dims, self.n_base, self.activation)
 
 
@@ -400,7 +400,6 @@ def _run_centralized(cfg: RunConfig) -> RunResult:
 
 
 def run(config: RunConfig) -> RunResult:
-    config.validate()
     if config.method == "centralized":
         return _run_centralized(config)
     return _run_decentralized(config)

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from click.testing import CliRunner
 
 from dcil.cli import (
     _LOCAL_KEYS,
+    _RUN_KEYS,
+    ALL_KEYS,
     COMPARE_CSV_HEADER,
     RUN_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -16,7 +19,9 @@ from dcil.cli import (
     load_config,
     main,
 )
+from dcil.local_learner import LocalLossConfig
 from dcil.nncore import ConfigError
+from dcil.orchestrator import RunConfig
 
 # Small, fast run used throughout.
 FAST = {
@@ -64,6 +69,76 @@ def test_load_config_reports_json_error_position(tmp_path):
         load_config(str(path))
 
 
+# The seven flat keys that are not the names of their config fields.
+RENAMED = {
+    "sites": "n_sites",
+    "sessions": "n_sessions",
+    "classes": "n_classes",
+    "dim": "input_dim",
+    "base_classes": "n_base",
+    "lambda": "lam",
+    "local_lr": "lr",
+}
+SWEEP_KEYS = {"methods", "seeds", "alphas", "out"}
+LOCAL_FIELDS = {f.name for f in fields(LocalLossConfig)}
+# A valid value for every flat key of one run, none of them the default.
+FLAT_VALUES = {
+    "method": "centralized",
+    "seed": 7,
+    "sites": 4,
+    "sessions": 2,
+    "rounds": 2,
+    "hidden_dims": [16, 8],
+    "activation": "tanh",
+    "classes": 30,
+    "per_class": 50,
+    "dim": 8,
+    "spread": 0.5,
+    "base_classes": 15,
+    "base_epochs": 4,
+    "base_lr": 0.2,
+    "tau1": 3.0,
+    "tau2": 4.0,
+    "shared_per_class": 5,
+    "dcd_lr": 0.01,
+    "dcd_epochs": 2,
+    "dad_lr": 0.5,
+    "dad_epochs": 10,
+    "anchors_per_class": 5,
+    "partition": "iid",
+    "alpha": 0.5,
+    "anchor_variant": "replay_ce",
+    "lambda": 2.5,
+    "mu": 0.1,
+    "beta": 10.0,
+    "local_lr": 0.01,
+    "local_epochs": 3,
+    "batch_size": 16,
+    "anchor_temperature": 3.0,
+}
+
+
+def test_flat_keys_are_the_config_fields_with_seven_renamed():
+    field_names = {f.name for f in fields(RunConfig) if f.name != "local"} | LOCAL_FIELDS
+    flat = {RENAMED.get(key, key) for key in ALL_KEYS - SWEEP_KEYS}
+    assert flat == field_names
+    assert len(ALL_KEYS - SWEEP_KEYS) == len(field_names)
+    assert set(FLAT_VALUES) == ALL_KEYS - SWEEP_KEYS
+
+
+@pytest.mark.parametrize("key", sorted(FLAT_VALUES))
+def test_flat_key_lands_in_its_field(key):
+    name = RENAMED.get(key, key)
+    value = FLAT_VALUES[key]
+    expected = tuple(value) if isinstance(value, list) else value
+    cfg, default = build_run_config({key: value}), RunConfig()
+    if name in LOCAL_FIELDS:
+        cfg, default = cfg.local, default.local
+    assert getattr(default, name) != expected
+    assert getattr(cfg, name) == expected
+    assert type(getattr(cfg, name)) is type(expected)
+
+
 def test_build_run_config_maps_flat_keys():
     cfg = build_run_config({**FAST, "lambda": 2.5, "alpha": 0.7, "method": "dcil_fedprox"})
     assert cfg.n_sites == 3
@@ -85,6 +160,7 @@ def test_run_writes_json_and_csv(runner, tmp_path):
     assert result.exit_code == 0, result.output
     doc = json.loads(open(os.path.join(out, "dcid_seed3.json")).read())
     assert doc["config"]["seed"] == 3
+    assert doc["config"]["hidden_dims"] == [8]
     assert len(doc["records"]) == 3
     assert "average_accuracy" in doc["summary"]
     lines = open(os.path.join(out, "dcid_seed3.csv")).read().splitlines()
@@ -177,6 +253,7 @@ def test_run_json_local_config_holds_only_settable_keys(runner, tmp_path):
     result = runner.invoke(main, ["run", cfg, "--out", out, "--method", "dcil_fedprox"])
     assert result.exit_code == 0, result.output
     doc = json.loads(open(os.path.join(out, "dcil_fedprox_seed0.json")).read())
+    assert set(doc["config"]) == {name for name, _ in _RUN_KEYS.values()} | {"local"}
     assert set(doc["config"]["local"]) == {name for name, _ in _LOCAL_KEYS.values()}
 
 
@@ -275,6 +352,7 @@ def test_compare_requires_two_methods_and_seeds(runner, tmp_path):
         {"seeds": [0], "alphas": [0.1, 0.1000001]},  # one label, alpha=0.1, under :g
         {"seeds": [0], "alphas": []},  # would silently run no sweep
         {"seeds": [0], "alphas": "12"},  # not split into alphas 1 and 2
+        {"seeds": [0], "alphas": [None, 0.5]},  # would run a bare, unswept label
         {"seeds": [0], "out": 5},
     ],
 )

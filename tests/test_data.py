@@ -10,7 +10,7 @@ from dcil.data import (
     partition_iid,
     split_sessions,
 )
-from dcil.nncore import ConfigError, ParameterError
+from dcil.nncore import ConfigError
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +45,9 @@ def test_synthetic_spread_zero_collapses_to_centers():
 
 
 def test_synthetic_rejects_degenerate_sizes():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         make_synthetic(1, 10, 4, 1.0, 0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         make_synthetic(3, 10, 4, -0.5, 0)
 
 
@@ -169,7 +169,7 @@ def test_partition_dirichlet_concentrates_at_tiny_alpha():
 
 def test_partition_dirichlet_rejects_bad_params():
     x, y = labeled_blob()
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         partition_dirichlet(x, y, 4, 0.0, 0)
     with pytest.raises(ConfigError):
         partition_dirichlet(x, y, 1, 1.0, 0)

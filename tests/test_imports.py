@@ -1,18 +1,23 @@
-"""Every module of the package uses each name it imports, and every private
-top-level function or class is read somewhere in the package.
+"""Every module of the package uses each name it imports, every private
+top-level function or class is read somewhere in the package, and every
+public top-level function, class or constant is read by the package or by
+the benchmark.
 
 A deleted feature tends to leave its import behind (a class name in the
 module that built it, `dataclass` in a module that no longer declares one),
-or a private helper that only the tests still call; these checks fail on
-any such leftover.
+a private helper that only the tests still call, or a public name (an
+exception alias, a constant) that only the tests still read; these checks
+fail on any such leftover.
 """
 
 import ast
 import os
+import tomllib
 
 import pytest
 
-PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "dcil")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "dcil")
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
 
 
@@ -35,6 +40,20 @@ def test_unused_imports_finds_leftovers():
     assert unused_imports(source) == ["os", "c"]
 
 
+def names_read(trees) -> set[str]:
+    """Names the trees load, as a bare name, an attribute or an import."""
+    read = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)  # `data_mod._helper`
+            elif isinstance(n, ast.ImportFrom):
+                read.update(a.name for a in n.names)
+    return read
+
+
 def unread_private_defs(sources: list[str]) -> list[str]:
     """Private top-level functions and classes that no source reads."""
     trees = [ast.parse(source) for source in sources]
@@ -44,15 +63,7 @@ def unread_private_defs(sources: list[str]) -> list[str]:
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
     ]
-    read = set()
-    for tree in trees:
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name):
-                read.add(n.id)
-            elif isinstance(n, ast.Attribute):  # `data_mod._helper`
-                read.add(n.attr)
-            elif isinstance(n, ast.ImportFrom):
-                read.update(a.name for a in n.names)
+    read = names_read(trees)
     return [name for name in defined if name not in read]
 
 
@@ -71,6 +82,62 @@ def test_every_private_def_is_read_by_the_package():
         with open(os.path.join(PACKAGE, module)) as fh:
             sources.append(fh.read())
     assert unread_private_defs(sources) == []
+
+
+def is_command(decorator) -> bool:
+    """`@main.command(...)`: click reads the function, no source does."""
+    return (
+        isinstance(decorator, ast.Call)
+        and isinstance(decorator.func, ast.Attribute)
+        and decorator.func.attr == "command"
+    )
+
+
+def unread_public_defs(sources: list[str], readers: list[str], entry_points=()) -> list[str]:
+    """Public top-level functions, classes and constants of `sources` that
+    neither they nor `readers` read; click commands and `entry_points` are read."""
+    trees = [ast.parse(source) for source in sources]
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not any(is_command(d) for d in node.decorator_list):
+                    defined.append(node.name)
+            elif isinstance(node, ast.Assign):
+                defined += [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined.append(node.target.id)
+    read = names_read(trees + [ast.parse(source) for source in readers]) | set(entry_points)
+    return [name for name in defined if not name.startswith("_") and name not in read]
+
+
+def test_unread_public_defs_finds_leftovers():
+    sources = [
+        "class ConfigError(ValueError): pass\nParameterError = ConfigError\nLIMIT = 3\n"
+        "def main(): pass\n@group.command('run')\ndef cmd_run(): pass\ndef helper(): pass\n",
+        "from m import ConfigError\nraise ConfigError(LIMIT)\n",
+    ]
+    readers = ["import m\nm.helper()\nm.ParameterError = None\n"]  # a store is no read
+    assert unread_public_defs(sources, readers, ["main"]) == ["ParameterError"]
+    assert unread_public_defs(sources, readers) == ["ParameterError", "main"]
+
+
+def test_every_public_name_is_read_by_the_package_or_the_benchmark():
+    sources = []
+    for module in MODULES:
+        with open(os.path.join(PACKAGE, module)) as fh:
+            sources.append(fh.read())
+    readers = []
+    for folder, _, files in os.walk(os.path.join(ROOT, "perfbench")):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name)) as fh:
+                    readers.append(fh.read())
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    # a console script `pkg.module:func` reads `func`
+    entry_points = [target.rsplit(":", 1)[1] for target in scripts.values()]
+    assert unread_public_defs(sources, readers, entry_points) == []
 
 
 @pytest.mark.parametrize("module", MODULES)

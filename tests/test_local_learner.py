@@ -11,7 +11,6 @@ from dcil.nncore import (
     ConfigError,
     InputError,
     NetSpec,
-    ParameterError,
     backward,
     expand_head,
     forward_batch,
@@ -104,7 +103,7 @@ def test_herding_rejects_bad_inputs():
     params = net()
     with pytest.raises(InputError):
         select_anchors_herding(params, np.empty((0, 3)), 3)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         select_anchors_herding(params, np.ones((3, 3)), 0)
 
 

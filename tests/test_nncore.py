@@ -11,12 +11,12 @@ from oracles import cross_entropy, forward, kl_div, loss_value, zeros_params
 
 from dcil.nncore import (
     CompositeLoss,
+    ConfigError,
     CrossEntropyTerm,
     DistillTerm,
     InputError,
     NetSpec,
     ParamVector,
-    ParameterError,
     ProximalTerm,
     UniformActivationTerm,
     Workspace,
@@ -106,7 +106,7 @@ def test_softmax_handles_large_logits():
 
 
 def test_softmax_rejects_bad_temperature():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         softmax_t(np.zeros(2), 0.0)
 
 
@@ -394,7 +394,7 @@ def test_sgd_step_rejects_overflow_to_inf():
 
 def test_sgd_rejects_nonpositive_lr():
     params = small_net()
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         sgd_step(params, zeros_params(params.spec), 0.0)
 
 
@@ -410,7 +410,7 @@ def test_expand_head_preserves_old_logits_bitwise():
 
 
 def test_expand_head_rejects_zero():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         expand_head(small_net(), 0)
 
 
@@ -448,11 +448,11 @@ def test_param_vector_validates_length_and_finiteness():
 
 
 def test_netspec_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         NetSpec(0, (2,), 2)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         NetSpec(2, (0,), 2)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         NetSpec(2, (2,), 2, "sigmoid")
 
 

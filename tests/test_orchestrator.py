@@ -56,22 +56,22 @@ def records_equal(a: MetricsRecord, b: MetricsRecord) -> bool:
 
 def test_config_validation_rejects_inconsistencies():
     with pytest.raises(ConfigError):
-        replace(SMALL, method="magic").validate()
+        replace(SMALL, method="magic")
     with pytest.raises(ConfigError):
-        replace(SMALL, n_classes=9).validate()  # 5 rest classes, 2 sessions
+        replace(SMALL, n_classes=9)  # 5 rest classes, 2 sessions
     with pytest.raises(ConfigError):
-        replace(SMALL, partition="sorted").validate()
+        replace(SMALL, partition="sorted")
     with pytest.raises(ConfigError):
-        replace(SMALL, alpha=0.0).validate()
+        replace(SMALL, alpha=0.0)
     with pytest.raises(ConfigError):
-        replace(SMALL, tau1=0.0).validate()
+        replace(SMALL, tau1=0.0)
     with pytest.raises(ConfigError):
-        replace(SMALL, dad_lr=-1.0).validate()
+        replace(SMALL, dad_lr=-1.0)
     with pytest.raises(ConfigError):
-        replace(SMALL, rounds=0).validate()
+        replace(SMALL, rounds=0)
     for bad in ({"base_lr": -0.1}, {"base_epochs": -1}, {"per_class": 2}, {"spread": -1.0}):
         with pytest.raises(ConfigError):
-            replace(SMALL, **bad).validate()
+            replace(SMALL, **bad)
 
 
 def test_config_validation_rejects_non_finite_floats():
@@ -82,7 +82,7 @@ def test_config_validation_rejects_non_finite_floats():
     for value in (np.nan, np.inf, -np.inf):
         for name in floats:
             with pytest.raises(ConfigError, match=f"{name} must be finite"):
-                replace(SMALL, **{name: value}).validate()
+                replace(SMALL, **{name: value})
         for name in local_floats:
             with pytest.raises(ConfigError, match=f"{name} must be finite"):
                 LocalLossConfig(**{name: value})
@@ -92,12 +92,12 @@ def test_config_validation_rejects_non_finite_floats():
 def test_config_validation_rejects_unpartitionable_sites(method):
     # caught before any training, not by the partitioner mid-run
     with pytest.raises(ConfigError, match="dirichlet"):
-        replace(SMALL, method=method, n_sites=1).validate()
+        replace(SMALL, method=method, n_sites=1)
     # per_class=30 leaves 24 training examples per class
     with pytest.raises(ConfigError, match="n_sites must be <= 24"):
-        replace(SMALL, method=method, partition="iid", n_sites=25).validate()
-    replace(SMALL, method=method, partition="iid", n_sites=24).validate()
-    replace(SMALL, method="centralized", n_sites=1).validate()
+        replace(SMALL, method=method, partition="iid", n_sites=25)
+    replace(SMALL, method=method, partition="iid", n_sites=24)
+    replace(SMALL, method="centralized", n_sites=1)
 
 
 def test_zero_learning_rate_plain_training_returns_input(monkeypatch):
