@@ -139,6 +139,9 @@ def _out_dir(cli_out, doc: dict) -> str:
 
 
 def build_run_config(doc: dict) -> RunConfig:
+    unknown = set(doc) - ALL_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     run_kwargs, local_kwargs = {}, {}
     for key, value in doc.items():
         if key in _SWEEP_KEYS:

@@ -148,6 +148,11 @@ def test_build_run_config_maps_flat_keys():
     assert cfg.method == "dcil_fedprox"
 
 
+def test_build_run_config_rejects_unknown_key():
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['bogus'\]"):
+        build_run_config({**FAST, "bogus": 1})
+
+
 # ---------------------------------------------------------------------------
 # run command
 # ---------------------------------------------------------------------------
