@@ -18,6 +18,7 @@ from .nncore import (
     ParamVector,
     Workspace,
     backward,
+    check_once,
     forward_batch,
     minibatches,
     sgd_step,
@@ -107,13 +108,17 @@ def _distill(
     teacher_probs = softmax_t(teacher, tau)
     n = len(shared)
     batch = n if n <= DISTILL_FULL_BATCH_LIMIT else DISTILL_BATCH
-    out = params.copy()
-    ws = Workspace(out.spec)
-    for sel in minibatches(np.random.default_rng(seed), n, batch, epochs):
-        term = DistillTerm(shared[sel], teacher_probs[sel], tau)
-        grad = backward(out, CompositeLoss((term,)), out=ws)
-        out = sgd_step(out, grad, lr)
-    return out
+    ws = Workspace(params.spec)
+
+    def train(check):
+        out = params.copy()
+        for sel in minibatches(np.random.default_rng(seed), n, batch, epochs):
+            term = DistillTerm(shared[sel], teacher_probs[sel], tau)
+            grad = backward(out, CompositeLoss((term,)), out=ws, check=check)
+            out = sgd_step(out, grad, lr, check=check)
+        return out
+
+    return check_once(train)
 
 
 def dcd_finetune(

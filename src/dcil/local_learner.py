@@ -24,6 +24,7 @@ from .nncore import (
     UniformActivationTerm,
     Workspace,
     backward,
+    check_once,
     forward_batch,
     minibatches,
     sgd_step,
@@ -146,9 +147,6 @@ def local_update(
     shard_x, shard_y = shard
     if len(shard_x) == 0:
         return general.copy()
-    rng = np.random.default_rng(seed)
-    params = general.copy()
-
     classes = sorted(anchors)
     stream_x = np.concatenate([shard_x, *(anchors[c] for c in classes)])
     stream_y = np.concatenate([shard_y, *(np.full(len(anchors[c]), c) for c in classes)])
@@ -164,36 +162,42 @@ def local_update(
             old_general, ax, general.spec.n_classes, cfg.anchor_temperature
         )
     if cfg.lr == 0:
+        return general.copy()
+
+    ws = Workspace(general.spec)
+
+    def train(check):
+        params = general.copy()
+        rng = np.random.default_rng(seed)
+        for batch in minibatches(rng, n_new + n_anchor, cfg.batch_size, cfg.local_epochs):
+            is_new = batch < n_new
+            new_sel = batch[is_new]
+            anc_sel = batch[~is_new] - n_new
+            terms: list = []
+            if len(new_sel):
+                terms.append(CrossEntropyTerm(stream_x[new_sel], stream_y[new_sel]))
+            if len(anc_sel) and cfg.lam > 0:
+                if cfg.anchor_variant == "replay_ce":
+                    terms.append(
+                        CrossEntropyTerm(ax[anc_sel], ay[anc_sel], weight=cfg.lam)
+                    )
+                else:
+                    terms.append(
+                        DistillTerm(
+                            ax[anc_sel],
+                            teacher_probs[anc_sel],
+                            cfg.anchor_temperature,
+                            weight=cfg.lam,
+                        )
+                    )
+            if method == "dcil_fedmax" and cfg.beta > 0:
+                terms.append(UniformActivationTerm(stream_x[batch], cfg.beta))
+            if method == "dcil_fedprox" and cfg.mu > 0:
+                terms.append(ProximalTerm(general, cfg.mu))
+            if not terms:
+                continue
+            grad = backward(params, CompositeLoss(tuple(terms)), out=ws, check=check)
+            params = sgd_step(params, grad, cfg.lr, check=check)
         return params
 
-    ws = Workspace(params.spec)
-    for batch in minibatches(rng, n_new + n_anchor, cfg.batch_size, cfg.local_epochs):
-        is_new = batch < n_new
-        new_sel = batch[is_new]
-        anc_sel = batch[~is_new] - n_new
-        terms: list = []
-        if len(new_sel):
-            terms.append(CrossEntropyTerm(stream_x[new_sel], stream_y[new_sel]))
-        if len(anc_sel) and cfg.lam > 0:
-            if cfg.anchor_variant == "replay_ce":
-                terms.append(
-                    CrossEntropyTerm(ax[anc_sel], ay[anc_sel], weight=cfg.lam)
-                )
-            else:
-                terms.append(
-                    DistillTerm(
-                        ax[anc_sel],
-                        teacher_probs[anc_sel],
-                        cfg.anchor_temperature,
-                        weight=cfg.lam,
-                    )
-                )
-        if method == "dcil_fedmax" and cfg.beta > 0:
-            terms.append(UniformActivationTerm(stream_x[batch], cfg.beta))
-        if method == "dcil_fedprox" and cfg.mu > 0:
-            terms.append(ProximalTerm(general, cfg.mu))
-        if not terms:
-            continue
-        grad = backward(params, CompositeLoss(tuple(terms)), out=ws)
-        params = sgd_step(params, grad, cfg.lr)
-    return params
+    return check_once(train)

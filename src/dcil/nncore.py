@@ -6,15 +6,15 @@ small family of composable loss terms (classification, full-head
 distillation of softened distributions, a proximal pull toward a reference
 model, and an activation-uniformity regularizer) whose gradients are all
 computed in one backward pass per term.  `backward` returns the gradient
-only; the trainers never read a loss value, and the tests evaluate one with
-`tests/oracles.py::loss_value`.  A trainer builds one `Workspace` per call
-and passes it as `backward(..., out=ws)`, so its steps reuse the same
-gradient buffers instead of allocating new ones.
+only; the tests evaluate a loss value with `tests/oracles.py::loss_value`.
+A trainer reuses one `Workspace` per call (`backward(..., out=ws)`) and runs
+its steps through `check_once`, which scans for non-finite values once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -171,12 +171,15 @@ def forward_batch(params: ParamVector, x: np.ndarray) -> tuple[np.ndarray, np.nd
     return hs[-1], logits
 
 
-def softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
-    """Temperature-softened softmax with max-subtraction for stability."""
+def softmax_t(logits: np.ndarray, tau: float, check: bool = True) -> np.ndarray:
+    """Temperature-softened softmax with max-subtraction for stability.
+
+    `check=False` skips only the finiteness scan of `logits` (see `check_once`).
+    """
     if tau <= 0:
         raise ConfigError(f"temperature must be > 0, got {tau}")
     z = np.asarray(logits, dtype=np.float64)
-    if not np.isfinite(z).all():
+    if check and not np.isfinite(z).all():
         raise InputError("non-finite logits")
     z = z / tau
     z = z - z.max(axis=-1, keepdims=True)
@@ -281,7 +284,7 @@ def _backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features, grads):
             delta = delta @ layers[i][0].T
 
 
-def _term_grad(params: ParamVector, layers, term: LossTerm, flat, grads) -> None:
+def _term_grad(params: ParamVector, layers, term: LossTerm, flat, grads, check) -> None:
     """Write the gradient of one loss term into `flat`, whose layer views are `grads`."""
     spec = params.spec
     if isinstance(term, ProximalTerm):
@@ -309,12 +312,12 @@ def _term_grad(params: ParamVector, layers, term: LossTerm, flat, grads) -> None
         p = np.asarray(term.teacher_probs, dtype=np.float64)
         if p.shape != logits.shape:
             raise InputError("teacher table shape mismatch")
-        q = softmax_t(logits, term.temperature)
+        q = softmax_t(logits, term.temperature, check)
         # weight * (1/n), not weight / n: the golden records pin this rounding
         d_logits = (q - p) * (term.weight * (1.0 / n) / term.temperature)
     elif isinstance(term, UniformActivationTerm):
         feats = hs[-1]
-        p = softmax_t(feats, 1.0)
+        p = softmax_t(feats, 1.0, check)
         logp = np.log(np.maximum(p, EPS_LOG))
         inner = (p * logp).sum(axis=1, keepdims=True)
         d_features = p * (logp - inner) * (term.weight / n)
@@ -325,14 +328,18 @@ def _term_grad(params: ParamVector, layers, term: LossTerm, flat, grads) -> None
 
 
 def backward(
-    params: ParamVector, loss: CompositeLoss, out: Workspace | None = None
+    params: ParamVector,
+    loss: CompositeLoss,
+    out: Workspace | None = None,
+    check: bool = True,
 ) -> ParamVector:
     """Exact gradient of the total loss w.r.t. every parameter (not the loss value).
 
     The first term's gradient is written into `out.grad`, each later term's
     into `out.scratch`, and those are added in term order.  Returns
     `out.grad`, which the next call on `out` overwrites; `out=None` uses a
-    fresh workspace.
+    fresh workspace.  `check=False` skips only the finiteness scans of the
+    logits and of the gradient (see `check_once`).
     """
     spec = params.spec
     if out is None:
@@ -345,11 +352,11 @@ def backward(
         grad.fill(0.0)
     for i, term in enumerate(loss.terms):
         if i == 0:
-            _term_grad(params, layers, term, grad, out.grad.layers())
+            _term_grad(params, layers, term, grad, out.grad.layers(), check)
         else:
-            _term_grad(params, layers, term, out.scratch, out.scratch_layers)
+            _term_grad(params, layers, term, out.scratch, out.scratch_layers, check)
             grad += out.scratch
-    if not np.isfinite(grad).all():
+    if check and not np.isfinite(grad).all():
         raise InputError("gradient contains non-finite entries")
     return out.grad
 
@@ -362,16 +369,45 @@ def minibatches(rng: np.random.Generator, n: int, batch_size: int, epochs: int):
             yield order[start : start + batch_size]
 
 
-def sgd_step(params: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
-    """Update `params` in place by `-lr * grad` and return it; callers train on a copy."""
+def sgd_step(
+    params: ParamVector, grad: ParamVector, lr: float, check: bool = True
+) -> ParamVector:
+    """Update `params` in place by `-lr * grad` and return it; callers train on a copy.
+
+    `check=False` skips only the finiteness scan of the result (see `check_once`).
+    """
     if lr <= 0:
         raise ConfigError(f"learning rate must be > 0, got {lr}")
     if grad.spec != params.spec:
         raise InputError("gradient spec does not match parameters")
     params.values -= lr * grad.values
-    if not np.isfinite(params.values).all():
+    if check and not np.isfinite(params.values).all():
         raise InputError("SGD step produced non-finite parameters")
     return params
+
+
+def check_once(train: Callable[[bool], ParamVector]) -> ParamVector:
+    """Run a training stage with its finiteness checks made once, not at every step.
+
+    `train(check)` runs the whole stage from its start, passes `check` to each
+    `backward` and `sgd_step`, and returns the trained parameters.  The
+    unchecked pass runs with overflow, invalid operations and division by
+    zero raising: finite values turn non-finite only through one of those,
+    and a non-finite input spreads into the parameters, which are scanned
+    at the end.  A pass that raises or ends non-finite is replayed with the
+    per-step checks on.  Training is bit-deterministic, so the replay fails
+    at the same step with the same error and warnings as a checked run, and
+    a pass that trapped on a harmless operation (a -inf pre-activation that
+    ReLU zeroes) returns the same parameters from the replay.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = train(False)
+    except Exception:  # the checked replay raises what a checked run raises
+        return train(True)
+    if np.isfinite(out.values).all():
+        return out
+    return train(True)
 
 
 def expand_head(params: ParamVector, n_new: int) -> ParamVector:

@@ -40,6 +40,7 @@ from .nncore import (
     ParamVector,
     Workspace,
     backward,
+    check_once,
     expand_head,
     forward_batch,
     init_params,
@@ -223,16 +224,21 @@ def summarize(records: list[MetricsRecord]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _train_plain(params, x, y, epochs, lr, batch_size, rng):
+def _train_plain(params, x, y, epochs, lr, batch_size, seed):
     """Plain minibatch-SGD cross-entropy training; a zero lr returns a copy."""
-    out = params.copy()
     if lr == 0:
+        return params.copy()
+    ws = Workspace(params.spec)
+
+    def train(check):
+        out = params.copy()
+        for sel in minibatches(np.random.default_rng(seed), len(x), batch_size, epochs):
+            loss = CompositeLoss((CrossEntropyTerm(x[sel], y[sel]),))
+            grad = backward(out, loss, out=ws, check=check)
+            out = sgd_step(out, grad, lr, check=check)
         return out
-    ws = Workspace(out.spec)
-    for sel in minibatches(rng, len(x), batch_size, epochs):
-        grad = backward(out, CompositeLoss((CrossEntropyTerm(x[sel], y[sel]),)), out=ws)
-        out = sgd_step(out, grad, lr)
-    return out
+
+    return check_once(train)
 
 
 def _sessions(cfg: RunConfig):
@@ -262,7 +268,7 @@ def _train_base(cfg: RunConfig, x, y) -> ParamVector:
     params = init_params(spec, np.random.default_rng([cfg.seed, _S_INIT]))
     return _train_plain(
         params, x, y, cfg.base_epochs, cfg.base_lr,
-        cfg.local.batch_size, np.random.default_rng([cfg.seed, _S_BASE]),
+        cfg.local.batch_size, [cfg.seed, _S_BASE],
     )
 
 
@@ -393,7 +399,7 @@ def _run_centralized(cfg: RunConfig) -> RunResult:
         y = np.concatenate([y for _, y in train[: t + 1]])
         params = _train_plain(
             params, x, y, cfg.base_epochs, cfg.base_lr, cfg.local.batch_size,
-            np.random.default_rng([cfg.seed, _S_CENT, t, 1]),
+            [cfg.seed, _S_CENT, t, 1],
         )
         records.append(_record(cfg, t, params, test_pool, CommLedger()))
     return RunResult(records)

@@ -2,12 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import dcil.nncore
 from dcil.cli import (
     _LOCAL_KEYS,
     _RUN_KEYS,
@@ -299,6 +302,56 @@ def test_run_rerun_is_bit_identical(runner, tmp_path):
     assert runner.invoke(main, ["run", cfg, "--out", out_b]).exit_code == 0
     for name in ("dcid_seed0.json", "dcid_seed0.csv"):
         assert open(os.path.join(out_a, name)).read() == open(os.path.join(out_b, name)).read()
+
+
+# A 6-class dcid run that diverges in each training stage, and what
+# `python -m dcil.cli run` printed for it before the stages checked
+# finiteness once (`nncore.check_once`).  Each failing case warns from the
+# forward pass's output product, then names the first per-step check that
+# failed; local_lr=1e5 stays finite and runs to the end.
+DIVERGING = {
+    "method": "dcid", "classes": 6, "base_classes": 2, "sessions": 2,
+    "sites": 3, "rounds": 1, "dim": 8, "per_class": 30,
+    "partition": "dirichlet", "alpha": 1.0, "hidden_dims": [16],
+    "local_epochs": 3, "anchors_per_class": 5, "shared_per_class": 5,
+    "dcd_epochs": 2, "dad_epochs": 20, "base_epochs": 5, "seed": 0,
+}
+OVERFLOW_WARNINGS = (
+    "{nncore}:{line}: RuntimeWarning: overflow encountered in matmul\n"
+    "  logits = h @ w_out\n"
+    "{nncore}:{line}: RuntimeWarning: invalid value encountered in matmul\n"
+    "  logits = h @ w_out\n"
+)
+NON_FINITE_LOGITS = OVERFLOW_WARNINGS + "run failed: non-finite logits\n"
+DIVERGENCE_OUTPUT = {
+    "base_lr=1e300": (
+        1, "", OVERFLOW_WARNINGS + "run failed: gradient contains non-finite entries\n"
+    ),
+    "local_lr=1e300": (1, "", NON_FINITE_LOGITS),
+    "dcd_lr=1e300": (1, "", NON_FINITE_LOGITS),
+    "dad_lr=1e300": (1, "", NON_FINITE_LOGITS),
+    "local_lr=1e5": (0, "dcid, 0.3750, 0.1667, 2748\n", ""),
+}
+
+
+@pytest.mark.parametrize("override", sorted(DIVERGENCE_OUTPUT))
+def test_run_divergence_prints_what_per_step_checks_printed(tmp_path, override):
+    # A fresh interpreter, because pytest turns the warnings into errors and
+    # Python prints each warning once per process.
+    nncore = os.path.abspath(dcil.nncore.__file__)
+    with open(nncore) as fh:
+        line = fh.read().splitlines().index("    logits = h @ w_out") + 1
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONWARNINGS", "PYTHONDEVMODE")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(nncore))
+    res = subprocess.run(
+        [sys.executable, "-m", "dcil.cli", "run", write_config(tmp_path, DIVERGING),
+         "--out", str(tmp_path / "out"), "--set", override],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    code, stdout, stderr = DIVERGENCE_OUTPUT[override]
+    assert (res.returncode, res.stdout, res.stderr) == (
+        code, stdout, stderr.format(nncore=nncore, line=line)
+    )
 
 
 # ---------------------------------------------------------------------------

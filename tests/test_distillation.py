@@ -1,8 +1,10 @@
 """Shared pool construction, logits ensembling, distillation and averaging."""
 
+import warnings
+
 import numpy as np
 import pytest
-from oracles import distill_loss
+from oracles import distill_loss, zeros_params
 
 from dcil.distillation import (
     build_shared_dataset,
@@ -217,6 +219,31 @@ def test_distill_teacher_row_count_checked():
         dcd_finetune(student, teacher, pool, 5.0, lr=1e-4, epochs=5, seed=0)
     with pytest.raises(InputError):
         dad_refine(student, teacher, pool, 5.0, lr=1.0, epochs=5, seed=0)
+
+
+def test_distill_raises_on_a_logit_that_overflows_alone():
+    # 1e200 * -1e200 overflows to a -inf logit and nothing else: the softmax
+    # of [0, 0, -inf] is finite, and so is every step and the final model.
+    # Only the trap on that overflow sends the stage to its checked replay,
+    # whose scan of the logits raises as a per-step check does.
+    student = zeros_params(NetSpec(2, (), 3))
+    student.layers()[0][0][0, 2] = -1e200
+    pool = np.array([[1e200, 0.0], [1e200, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the replay's overflow warning
+        with pytest.raises(InputError, match="^non-finite logits$"):
+            dcd_finetune(student, np.zeros((2, 3)), pool, 1.0, lr=1e-300, epochs=3, seed=0)
+
+
+def test_dad_refine_raises_on_a_nan_row_in_the_shared_pool():
+    # a NaN input raises no trap; it spreads into the parameters, which the
+    # unchecked pass scans at its end before the checked replay names it
+    student = net()
+    pool = shared_pool()
+    teacher = compute_logits_table(net(seed=1), pool)
+    pool[5] = np.nan
+    with pytest.raises(InputError, match="^non-finite logits$"):
+        dad_refine(student, teacher, pool, 5.0, lr=0.5, epochs=3, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, every private
-top-level function or class is read somewhere in the package, and every
+top-level function or class is read somewhere in the package, every
 public top-level function, class or constant is read by the package or by
-the benchmark.
+the benchmark, and only a closure handed to `check_once` skips the per-step
+finiteness scans.
 
 A deleted feature tends to leave its import behind (a class name in the
 module that built it, `dataclass` in a module that no longer declares one),
@@ -144,3 +145,61 @@ def test_every_public_name_is_read_by_the_package_or_the_benchmark():
 def test_module_uses_every_import(module):
     with open(os.path.join(PACKAGE, module)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def unchecked_outside_check_once(source: str) -> list[int]:
+    """Lines of calls that pass `check=` other than as the parameter of a
+    closure handed to `check_once` in the function that defines it."""
+    tree = ast.parse(source)
+    allowed = set()
+    for outer in ast.walk(tree):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        handed = {
+            arg.id
+            for call in ast.walk(outer)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "check_once"
+            for arg in call.args
+            if isinstance(arg, ast.Name)
+        }
+        for closure in outer.body:
+            if isinstance(closure, ast.FunctionDef) and closure.name in handed:
+                param = closure.args.args[0].arg
+                allowed |= {
+                    id(kw)
+                    for call in ast.walk(closure)
+                    if isinstance(call, ast.Call)
+                    for kw in call.keywords
+                    if kw.arg == "check" and getattr(kw.value, "id", None) == param
+                }
+    return [
+        call.lineno
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        for kw in call.keywords
+        if kw.arg == "check" and id(kw) not in allowed
+    ]
+
+
+def test_unchecked_outside_check_once_finds_leftovers():
+    source = (
+        "def stage(p):\n"
+        "    def train(check):\n"
+        "        return sgd_step(p, g, lr, check=check)\n"
+        "    def other(check):\n"
+        "        return sgd_step(p, g, lr, check=check)\n"
+        "    sgd_step(p, g, lr, check=False)\n"
+        "    return check_once(train)\n"
+        "def plumbing(check):\n"
+        "    return softmax_t(z, 1.0, check=check)\n"
+    )
+    assert sorted(unchecked_outside_check_once(source)) == [5, 6, 9]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_finiteness_scans_are_skipped_only_under_check_once(module):
+    # An unchecked step outside `check_once` could hand on a non-finite model
+    # that no check ever sees.
+    with open(os.path.join(PACKAGE, module)) as fh:
+        assert unchecked_outside_check_once(fh.read()) == []
+

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from dcil.nncore import (
     UniformActivationTerm,
     Workspace,
     backward,
+    check_once,
     expand_head,
     forward_batch,
     init_params,
@@ -396,6 +398,64 @@ def test_sgd_rejects_nonpositive_lr():
     params = small_net()
     with pytest.raises(ConfigError):
         sgd_step(params, zeros_params(params.spec), 0.0)
+
+
+def test_check_false_skips_only_the_finiteness_scans():
+    params = small_net()
+    x = np.ones((2, 3))
+    nan_teacher = np.full((2, 3), np.nan)
+    grad = backward(params, CompositeLoss((DistillTerm(x, nan_teacher, 2.0),)), check=False)
+    assert np.isnan(grad.values).any()
+    assert np.isnan(softmax_t(np.full((1, 2), np.nan), 1.0, check=False)).all()
+    params.values[:] = 1e308
+    big = ParamVector(np.full(params.spec.param_count, -1e308), params.spec)
+    with np.errstate(over="ignore"):
+        assert np.isinf(sgd_step(params, big, 1.0, check=False).values).all()
+    # every input and config check still runs
+    with pytest.raises(InputError, match="label out of range"):
+        backward(small_net(), CompositeLoss((CrossEntropyTerm(x, [0, 3]),)), check=False)
+    short_teacher = CompositeLoss((DistillTerm(x, nan_teacher[:1], 2.0),))
+    with pytest.raises(InputError, match="teacher table shape"):
+        backward(small_net(), short_teacher, check=False)
+    with pytest.raises(ConfigError):
+        softmax_t(np.zeros((1, 2)), 0.0, check=False)
+    with pytest.raises(ConfigError):
+        sgd_step(small_net(), zeros_params(params.spec), 0.0, check=False)
+    with pytest.raises(InputError, match="spec"):
+        sgd_step(small_net(), zeros_params(NetSpec(3, (), 3)), 0.1, check=False)
+
+
+@pytest.mark.parametrize("unchecked", ["finite", "overflow", "nan"])
+def test_check_once_replays_a_pass_that_trapped_or_ended_non_finite(unchecked):
+    spec = NetSpec(1, (), 1)
+    passes = []
+
+    def train(check):
+        passes.append((check, np.geterr()["over"]))
+        out = ParamVector(np.ones(2), spec)
+        if not check and unchecked == "overflow":
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # only a trap can stop this pass
+                np.square(np.full(2, 1e300))
+        if not check and unchecked == "nan":
+            out.values[0] = np.nan
+        return out
+
+    caller = np.geterr()["over"]
+    out = check_once(train)
+    replay = [] if unchecked == "finite" else [(True, caller)]
+    assert passes == [(False, "raise"), *replay]
+    assert np.array_equal(out.values, np.ones(2))
+
+
+def test_check_once_raises_what_the_checked_replay_raises():
+    def train(check):
+        if check:
+            raise InputError("SGD step produced non-finite parameters")
+        return ParamVector(np.full(2, np.inf), NetSpec(1, (), 1))
+
+    with pytest.raises(InputError, match="^SGD step produced non-finite parameters$"):
+        check_once(train)
 
 
 def test_expand_head_preserves_old_logits_bitwise():

@@ -7,9 +7,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from oracles import zeros_params
+from test_golden import CONFIGS as GOLDEN
 
 from dcil.local_learner import LocalLossConfig
-from dcil.nncore import ConfigError, InputError, NetSpec, init_params
+from dcil.nncore import ConfigError, InputError, NetSpec, check_once, init_params
 from dcil.orchestrator import (
     MetricsRecord,
     RunConfig,
@@ -106,7 +107,7 @@ def test_zero_learning_rate_plain_training_returns_input(monkeypatch):
     params = init_params(NetSpec(4, (8,), 3), np.random.default_rng(0))
     rng = np.random.default_rng(1)
     x, y = rng.normal(size=(20, 4)), rng.integers(0, 3, size=20)
-    out = _train_plain(params, x, y, epochs=3, lr=0.0, batch_size=8, rng=rng)
+    out = _train_plain(params, x, y, epochs=3, lr=0.0, batch_size=8, seed=1)
     assert np.array_equal(out.values, params.values)
     assert out.values is not params.values
     assert calls == []
@@ -304,9 +305,9 @@ def test_every_trainer_call_reuses_one_workspace(monkeypatch):
         return build
 
     def backward(fn):
-        def wrapper(params, loss, out=None):
+        def wrapper(params, loss, out=None, check=True):
             events.append(("backward", out))
-            return fn(params, loss, out=out)
+            return fn(params, loss, out=out, check=check)
 
         return wrapper
 
@@ -339,6 +340,33 @@ def test_every_trainer_call_reuses_one_workspace(monkeypatch):
             assert len(built) <= 1, (method, name, len(built))
             if used:
                 assert built and all(out is built[0] for out in used), (method, name)
+
+
+def test_golden_runs_check_each_stage_once_and_never_replay(monkeypatch):
+    # `check_once` replays a stage with per-step checks when its unchecked
+    # pass trapped or ended non-finite; a run that does not diverge never
+    # should, or it pays for every such stage twice.
+    passes = Counter()
+
+    def counting(module):
+        def spy(train):
+            def counted(check):
+                passes[module, check] += 1
+                return train(check)
+
+            return check_once(counted)
+
+        return spy
+
+    for module in ("orchestrator", "local_learner", "distillation"):
+        monkeypatch.setattr(f"dcil.{module}.check_once", counting(module))
+    for cfg in GOLDEN.values():
+        run(cfg)
+    assert {key for key, n in passes.items() if n} == {
+        ("orchestrator", False),
+        ("local_learner", False),
+        ("distillation", False),
+    }
 
 
 def test_herding_runs_once_per_session_site_and_held_class(monkeypatch):
