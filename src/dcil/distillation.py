@@ -16,11 +16,9 @@ from .nncore import (
     DistillTerm,
     InputError,
     ParamVector,
-    Workspace,
     backward,
-    check_once,
+    fit,
     forward_batch,
-    minibatches,
     sgd_step,
     softmax_t,
 )
@@ -99,26 +97,25 @@ def _distill(
     Steps use the mean per-sample gradient so the step size does not scale
     with the pool size; small pools then get the same per-sample pull as
     large ones, which is what makes accuracy saturate in the pool size.  An
-    empty pool or a zero learning rate returns the input parameters unchanged.
+    empty pool or a zero learning rate returns the input parameters
+    unchanged, before the teacher is checked: the first step checks and
+    softens it.
     """
-    if len(shared) == 0 or lr == 0:
-        return params.copy()
-    if len(teacher) != len(shared):
-        raise InputError("teacher row count must match the shared pool")
-    teacher_probs = softmax_t(teacher, tau)
     n = len(shared)
+    teacher_probs = None
+
+    def step(out, sel, ws, check):
+        nonlocal teacher_probs
+        if teacher_probs is None:
+            if len(teacher) != n:
+                raise InputError("teacher row count must match the shared pool")
+            teacher_probs = softmax_t(teacher, tau)
+        term = DistillTerm(shared[sel], teacher_probs[sel], tau)
+        grad = backward(out, CompositeLoss((term,)), out=ws, check=check)
+        sgd_step(out, grad, lr, check=check)
+
     batch = n if n <= DISTILL_FULL_BATCH_LIMIT else DISTILL_BATCH
-    ws = Workspace(params.spec)
-
-    def train(check):
-        out = params.copy()
-        for sel in minibatches(np.random.default_rng(seed), n, batch, epochs):
-            term = DistillTerm(shared[sel], teacher_probs[sel], tau)
-            grad = backward(out, CompositeLoss((term,)), out=ws, check=check)
-            out = sgd_step(out, grad, lr, check=check)
-        return out
-
-    return check_once(train)
+    return fit(params, lr, n, batch, epochs, seed, step)
 
 
 def dcd_finetune(

@@ -22,11 +22,9 @@ from .nncore import (
     ParamVector,
     ProximalTerm,
     UniformActivationTerm,
-    Workspace,
     backward,
-    check_once,
+    fit,
     forward_batch,
-    minibatches,
     sgd_step,
     softmax_t,
 )
@@ -152,52 +150,40 @@ def local_update(
     stream_y = np.concatenate([shard_y, *(np.full(len(anchors[c]), c) for c in classes)])
     n_new = len(shard_x)
     ax, ay = stream_x[n_new:], stream_y[n_new:]
-    n_anchor = len(ax)
 
     teacher_probs = None
-    if n_anchor and cfg.anchor_variant == "logit_kd":
+    if len(ax) and cfg.lam > 0 and cfg.anchor_variant == "logit_kd":
         if old_general is None:
             raise InputError("logit_kd anchors need the previous general model")
         teacher_probs = _kd_teacher_probs(
             old_general, ax, general.spec.n_classes, cfg.anchor_temperature
         )
-    if cfg.lr == 0:
-        return general.copy()
 
-    ws = Workspace(general.spec)
-
-    def train(check):
-        params = general.copy()
-        rng = np.random.default_rng(seed)
-        for batch in minibatches(rng, n_new + n_anchor, cfg.batch_size, cfg.local_epochs):
-            is_new = batch < n_new
-            new_sel = batch[is_new]
-            anc_sel = batch[~is_new] - n_new
-            terms: list = []
-            if len(new_sel):
-                terms.append(CrossEntropyTerm(stream_x[new_sel], stream_y[new_sel]))
-            if len(anc_sel) and cfg.lam > 0:
-                if cfg.anchor_variant == "replay_ce":
-                    terms.append(
-                        CrossEntropyTerm(ax[anc_sel], ay[anc_sel], weight=cfg.lam)
+    def step(params, batch, ws, check):
+        is_new = batch < n_new
+        new_sel = batch[is_new]
+        anc_sel = batch[~is_new] - n_new
+        terms: list = []
+        if len(new_sel):
+            terms.append(CrossEntropyTerm(stream_x[new_sel], stream_y[new_sel]))
+        if len(anc_sel) and cfg.lam > 0:
+            if cfg.anchor_variant == "replay_ce":
+                terms.append(CrossEntropyTerm(ax[anc_sel], ay[anc_sel], weight=cfg.lam))
+            else:
+                terms.append(
+                    DistillTerm(
+                        ax[anc_sel],
+                        teacher_probs[anc_sel],
+                        cfg.anchor_temperature,
+                        weight=cfg.lam,
                     )
-                else:
-                    terms.append(
-                        DistillTerm(
-                            ax[anc_sel],
-                            teacher_probs[anc_sel],
-                            cfg.anchor_temperature,
-                            weight=cfg.lam,
-                        )
-                    )
-            if method == "dcil_fedmax" and cfg.beta > 0:
-                terms.append(UniformActivationTerm(stream_x[batch], cfg.beta))
-            if method == "dcil_fedprox" and cfg.mu > 0:
-                terms.append(ProximalTerm(general, cfg.mu))
-            if not terms:
-                continue
+                )
+        if method == "dcil_fedmax" and cfg.beta > 0:
+            terms.append(UniformActivationTerm(stream_x[batch], cfg.beta))
+        if method == "dcil_fedprox" and cfg.mu > 0:
+            terms.append(ProximalTerm(general, cfg.mu))
+        if terms:
             grad = backward(params, CompositeLoss(tuple(terms)), out=ws, check=check)
-            params = sgd_step(params, grad, cfg.lr, check=check)
-        return params
+            sgd_step(params, grad, cfg.lr, check=check)
 
-    return check_once(train)
+    return fit(general, cfg.lr, len(stream_x), cfg.batch_size, cfg.local_epochs, seed, step)

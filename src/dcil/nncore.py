@@ -7,8 +7,8 @@ distillation of softened distributions, a proximal pull toward a reference
 model, and an activation-uniformity regularizer) whose gradients are all
 computed in one backward pass per term.  `backward` returns the gradient
 only; the tests evaluate a loss value with `tests/oracles.py::loss_value`.
-A trainer reuses one `Workspace` per call (`backward(..., out=ws)`) and runs
-its steps through `check_once`, which scans for non-finite values once.
+Every trainer hands its per-batch step to `fit`, the one seeded SGD loop,
+which owns the call's `Workspace` and scans for non-finite values once.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def forward_batch(params: ParamVector, x: np.ndarray) -> tuple[np.ndarray, np.nd
 def softmax_t(logits: np.ndarray, tau: float, check: bool = True) -> np.ndarray:
     """Temperature-softened softmax with max-subtraction for stability.
 
-    `check=False` skips only the finiteness scan of `logits` (see `check_once`).
+    `check=False` skips only the finiteness scan of `logits` (see `fit`).
     """
     if tau <= 0:
         raise ConfigError(f"temperature must be > 0, got {tau}")
@@ -339,7 +339,7 @@ def backward(
     into `out.scratch`, and those are added in term order.  Returns
     `out.grad`, which the next call on `out` overwrites; `out=None` uses a
     fresh workspace.  `check=False` skips only the finiteness scans of the
-    logits and of the gradient (see `check_once`).
+    logits and of the gradient (see `fit`).
     """
     spec = params.spec
     if out is None:
@@ -361,20 +361,12 @@ def backward(
     return out.grad
 
 
-def minibatches(rng: np.random.Generator, n: int, batch_size: int, epochs: int):
-    """Seeded minibatch indices: one fresh permutation of range(n) per epoch, in slices."""
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            yield order[start : start + batch_size]
-
-
 def sgd_step(
     params: ParamVector, grad: ParamVector, lr: float, check: bool = True
 ) -> ParamVector:
     """Update `params` in place by `-lr * grad` and return it; callers train on a copy.
 
-    `check=False` skips only the finiteness scan of the result (see `check_once`).
+    `check=False` skips only the finiteness scan of the result (see `fit`).
     """
     if lr <= 0:
         raise ConfigError(f"learning rate must be > 0, got {lr}")
@@ -386,28 +378,49 @@ def sgd_step(
     return params
 
 
-def check_once(train: Callable[[bool], ParamVector]) -> ParamVector:
-    """Run a training stage with its finiteness checks made once, not at every step.
+def fit(
+    params: ParamVector, lr: float, n: int, batch_size: int, epochs: int, seed, step: Callable
+) -> ParamVector:
+    """Seeded minibatch SGD over `n` rows, with the finiteness checks made once.
 
-    `train(check)` runs the whole stage from its start, passes `check` to each
-    `backward` and `sgd_step`, and returns the trained parameters.  The
-    unchecked pass runs with overflow, invalid operations and division by
-    zero raising: finite values turn non-finite only through one of those,
-    and a non-finite input spreads into the parameters, which are scanned
-    at the end.  A pass that raises or ends non-finite is replayed with the
-    per-step checks on.  Training is bit-deterministic, so the replay fails
-    at the same step with the same error and warnings as a checked run, and
-    a pass that trapped on a harmless operation (a -inf pre-activation that
-    ReLU zeroes) returns the same parameters from the replay.
+    Trains a copy of `params`: each epoch draws one permutation of range(n)
+    from `np.random.default_rng(seed)` and hands each `batch_size` slice of
+    it, the last one possibly shorter, to `step(out, sel, ws, check)`, which
+    updates `out` in place through `backward(..., out=ws, check=check)` and
+    `sgd_step(..., check=check)`.  `ws` is the one `Workspace` of the call.
+    A zero learning rate or no rows returns a copy without calling `step`.
+
+    The first pass runs unchecked, with overflow, invalid operations and
+    division by zero raising: finite values turn non-finite only through one
+    of those, and a non-finite input spreads into the parameters, which are
+    scanned at the end.  A pass that raises or ends non-finite is replayed
+    from the start with the per-step checks on.  Training is
+    bit-deterministic, so the replay fails at the same step with the same
+    error and warnings as a checked run, and a pass that trapped on a
+    harmless operation (a -inf pre-activation that ReLU zeroes) returns the
+    same parameters from the replay.
     """
+    if lr == 0 or n == 0:
+        return params.copy()
+    ws = Workspace(params.spec)
+
+    def run(check):
+        out = params.copy()
+        rng = np.random.default_rng(seed)
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, batch_size):
+                step(out, order[start : start + batch_size], ws, check)
+        return out
+
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            out = train(False)
+            out = run(False)
     except Exception:  # the checked replay raises what a checked run raises
-        return train(True)
+        return run(True)
     if np.isfinite(out.values).all():
         return out
-    return train(True)
+    return run(True)
 
 
 def expand_head(params: ParamVector, n_new: int) -> ParamVector:

@@ -38,13 +38,11 @@ from .nncore import (
     InputError,
     NetSpec,
     ParamVector,
-    Workspace,
     backward,
-    check_once,
     expand_head,
+    fit,
     forward_batch,
     init_params,
-    minibatches,
     sgd_step,
 )
 
@@ -226,19 +224,13 @@ def summarize(records: list[MetricsRecord]) -> dict:
 
 def _train_plain(params, x, y, epochs, lr, batch_size, seed):
     """Plain minibatch-SGD cross-entropy training; a zero lr returns a copy."""
-    if lr == 0:
-        return params.copy()
-    ws = Workspace(params.spec)
 
-    def train(check):
-        out = params.copy()
-        for sel in minibatches(np.random.default_rng(seed), len(x), batch_size, epochs):
-            loss = CompositeLoss((CrossEntropyTerm(x[sel], y[sel]),))
-            grad = backward(out, loss, out=ws, check=check)
-            out = sgd_step(out, grad, lr, check=check)
-        return out
+    def step(out, sel, ws, check):
+        loss = CompositeLoss((CrossEntropyTerm(x[sel], y[sel]),))
+        grad = backward(out, loss, out=ws, check=check)
+        sgd_step(out, grad, lr, check=check)
 
-    return check_once(train)
+    return fit(params, lr, len(x), batch_size, epochs, seed, step)
 
 
 def _sessions(cfg: RunConfig):

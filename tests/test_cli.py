@@ -179,6 +179,30 @@ def test_run_writes_json_and_csv(runner, tmp_path):
     assert fields[0] == "dcid" and len(fields) == 4
 
 
+def test_run_failed_write_exits_1_and_leaves_no_temp_file(runner, tmp_path, monkeypatch):
+    def failing(src, dst):
+        raise OSError("disk full")
+
+    cfg = write_config(tmp_path, FAST)
+    out = tmp_path / "results"
+    monkeypatch.setattr(os, "replace", failing)
+    result = runner.invoke(main, ["run", cfg, "--out", str(out)])
+    assert result.exit_code == 1
+    assert list(out.iterdir()) == []
+
+
+def test_run_outputs_get_the_modes_of_plain_files(runner, tmp_path):
+    umask = os.umask(0o027)
+    try:
+        cfg = write_config(tmp_path, FAST)
+        out = tmp_path / "results"
+        assert runner.invoke(main, ["run", cfg, "--out", str(out)]).exit_code == 0
+    finally:
+        os.umask(umask)
+    assert sorted(p.name for p in out.iterdir()) == ["dcid_seed0.csv", "dcid_seed0.json"]
+    assert {p.stat().st_mode & 0o777 for p in out.iterdir()} == {0o640}
+
+
 def test_run_missing_config_exits_2(runner):
     result = runner.invoke(main, ["run", "/nonexistent.json"])
     assert result.exit_code == 2
@@ -306,7 +330,7 @@ def test_run_rerun_is_bit_identical(runner, tmp_path):
 
 # A 6-class dcid run that diverges in each training stage, and what
 # `python -m dcil.cli run` printed for it before the stages checked
-# finiteness once (`nncore.check_once`).  Each failing case warns from the
+# finiteness once (`nncore.fit`).  Each failing case warns from the
 # forward pass's output product, then names the first per-step check that
 # failed; local_lr=1e5 stays finite and runs to the end.
 DIVERGING = {

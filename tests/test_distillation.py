@@ -7,6 +7,8 @@ import pytest
 from oracles import distill_loss, zeros_params
 
 from dcil.distillation import (
+    DISTILL_BATCH,
+    DISTILL_FULL_BATCH_LIMIT,
     build_shared_dataset,
     compute_logits_table,
     dad_refine,
@@ -20,6 +22,7 @@ from dcil.nncore import (
     InputError,
     NetSpec,
     ParamVector,
+    backward,
     forward_batch,
     init_params,
 )
@@ -200,6 +203,34 @@ def test_zero_learning_rate_returns_input_bitwise():
         out = stage(params, teacher, pool, 5.0, lr=0.0, epochs=3, seed=0)
         assert np.array_equal(out.values, params.values)
         assert out.values is not params.values
+
+
+def test_distill_takes_no_step_and_checks_no_teacher_without_pool_or_lr():
+    params = net()
+    pool = shared_pool(n=5)
+    for teacher in (np.zeros((4, 4)), np.full((5, 4), np.nan)):  # short, and not finite
+        for stage in (dcd_finetune, dad_refine):
+            for rows, lr in ((pool, 0.0), (pool[:0], 0.5)):
+                out = stage(params, teacher, rows, 5.0, lr=lr, epochs=3, seed=0)
+                assert out.values.tobytes() == params.values.tobytes()
+                assert out.values is not params.values
+
+
+def test_dad_refine_walks_a_large_pool_in_batches(monkeypatch):
+    # above DISTILL_FULL_BATCH_LIMIT rows the pool is walked in DISTILL_BATCH
+    # slices, the last one ragged: 300 rows make 128, 128 and 44 per epoch
+    assert DISTILL_FULL_BATCH_LIMIT < 300 and DISTILL_BATCH == 128
+    rows = []
+
+    def spy(params, loss, out=None, check=True):
+        rows.append(len(loss.terms[0].x))
+        return backward(params, loss, out=out, check=check)
+
+    monkeypatch.setattr("dcil.distillation.backward", spy)
+    pool = shared_pool(n=300)
+    teacher = compute_logits_table(net(seed=1), pool)
+    dad_refine(net(), teacher, pool, 5.0, lr=0.1, epochs=2, seed=0)
+    assert rows == [128, 128, 44] * 2
 
 
 def test_dad_moves_student_toward_teacher():

@@ -1,8 +1,8 @@
 """Every module of the package uses each name it imports, every private
 top-level function or class is read somewhere in the package, every
 public top-level function, class or constant is read by the package or by
-the benchmark, and only a closure handed to `check_once` skips the per-step
-finiteness scans.
+the benchmark, only a step closure handed to `nncore.fit` skips the
+per-step finiteness scans, and only `nncore` builds a `Workspace`.
 
 A deleted feature tends to leave its import behind (a class name in the
 module that built it, `dataclass` in a module that no longer declares one),
@@ -148,8 +148,9 @@ def test_module_uses_every_import(module):
 
 
 def unchecked_outside_check_once(source: str) -> list[int]:
-    """Lines of calls that pass `check=` other than as the parameter of a
-    closure handed to `check_once` in the function that defines it."""
+    """Lines of calls that pass `check=` other than as the `check` parameter
+    (the fourth) of a step closure handed to `fit` in the function that
+    defines it."""
     tree = ast.parse(source)
     allowed = set()
     for outer in ast.walk(tree):
@@ -158,13 +159,17 @@ def unchecked_outside_check_once(source: str) -> list[int]:
         handed = {
             arg.id
             for call in ast.walk(outer)
-            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "check_once"
-            for arg in call.args
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "fit"
+            for arg in [*call.args, *(kw.value for kw in call.keywords)]
             if isinstance(arg, ast.Name)
         }
         for closure in outer.body:
-            if isinstance(closure, ast.FunctionDef) and closure.name in handed:
-                param = closure.args.args[0].arg
+            if (
+                isinstance(closure, ast.FunctionDef)
+                and closure.name in handed
+                and len(closure.args.args) == 4
+            ):
+                param = closure.args.args[3].arg
                 allowed |= {
                     id(kw)
                     for call in ast.walk(closure)
@@ -184,22 +189,50 @@ def unchecked_outside_check_once(source: str) -> list[int]:
 def test_unchecked_outside_check_once_finds_leftovers():
     source = (
         "def stage(p):\n"
+        "    def step(out, sel, ws, check):\n"
+        "        sgd_step(out, g, lr, check=check)\n"
+        "    def other(out, sel, ws, check):\n"
+        "        sgd_step(out, g, lr, check=check)\n"
+        "    def swapped(out, sel, check, ws):\n"
+        "        sgd_step(out, g, lr, check=check)\n"
         "    def train(check):\n"
-        "        return sgd_step(p, g, lr, check=check)\n"
-        "    def other(check):\n"
-        "        return sgd_step(p, g, lr, check=check)\n"
+        "        sgd_step(p, g, lr, check=check)\n"
         "    sgd_step(p, g, lr, check=False)\n"
-        "    return check_once(train)\n"
+        "    fit(p, lr, n, bs, 1, 0, swapped)\n"
+        "    fit(p, lr, n, bs, 1, 0, train)\n"
+        "    return fit(p, lr, n, bs, 1, 0, step=step)\n"
         "def plumbing(check):\n"
         "    return softmax_t(z, 1.0, check=check)\n"
     )
-    assert sorted(unchecked_outside_check_once(source)) == [5, 6, 9]
+    assert sorted(unchecked_outside_check_once(source)) == [5, 7, 9, 10, 15]
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_finiteness_scans_are_skipped_only_under_check_once(module):
-    # An unchecked step outside `check_once` could hand on a non-finite model
-    # that no check ever sees.
+    # An unchecked step outside `fit` could hand on a non-finite model that
+    # no check ever sees.
     with open(os.path.join(PACKAGE, module)) as fh:
         assert unchecked_outside_check_once(fh.read()) == []
 
+
+def workspace_builds(source: str) -> list[int]:
+    """Lines of calls that construct a `Workspace`."""
+    return [
+        call.lineno
+        for call in ast.walk(ast.parse(source))
+        if isinstance(call, ast.Call)
+        and "Workspace" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+    ]
+
+
+def test_workspace_builds_finds_both_spellings():
+    source = "ws = Workspace(spec)\nws = nncore.Workspace(spec)\nworkspace = ws\n"
+    assert workspace_builds(source) == [1, 2]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "nncore.py"])
+def test_only_nncore_builds_a_workspace(module):
+    # `fit` builds the one workspace of each training call; a trainer that
+    # built its own would bypass the loop every stage shares.
+    with open(os.path.join(PACKAGE, module)) as fh:
+        assert workspace_builds(fh.read()) == []

@@ -272,6 +272,22 @@ def test_local_update_lr_zero_returns_start_bitwise(monkeypatch):
         update(shard, anchors, general, cfg)
 
 
+def test_local_update_logit_kd_at_lambda_zero_needs_no_old_model(monkeypatch):
+    # at lam 0 no anchor term reads a KD target, so none is built: logit_kd
+    # trains exactly as replay_ce, without the previous general model
+    shard, anchors = site_with_data()
+    general = net()
+    ce = update(shard, anchors, general,
+                LocalLossConfig(anchor_variant="replay_ce", lam=0.0, local_epochs=2))
+
+    def no_teacher(*args):
+        raise AssertionError("built KD targets that no term reads")
+
+    monkeypatch.setattr("dcil.local_learner._kd_teacher_probs", no_teacher)
+    kd = update(shard, anchors, general, LocalLossConfig(lam=0.0, local_epochs=2))
+    assert kd.values.tobytes() == ce.values.tobytes()
+
+
 def test_local_update_empty_shard_returns_copy():
     shard = (np.empty((0, 3)), np.empty(0, dtype=np.int64))
     general = net()

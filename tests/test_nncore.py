@@ -22,8 +22,8 @@ from dcil.nncore import (
     UniformActivationTerm,
     Workspace,
     backward,
-    check_once,
     expand_head,
+    fit,
     forward_batch,
     init_params,
     pack_layers,
@@ -425,37 +425,84 @@ def test_check_false_skips_only_the_finiteness_scans():
         sgd_step(small_net(), zeros_params(NetSpec(3, (), 3)), 0.1, check=False)
 
 
+# `fit` checks a stage's finiteness once: an unchecked pass under floating-point
+# traps, replayed with the per-step checks on when it trapped or ended non-finite.
 @pytest.mark.parametrize("unchecked", ["finite", "overflow", "nan"])
 def test_check_once_replays_a_pass_that_trapped_or_ended_non_finite(unchecked):
-    spec = NetSpec(1, (), 1)
+    params = ParamVector(np.ones(2), NetSpec(1, (), 1))
     passes = []
 
-    def train(check):
+    def step(out, sel, ws, check):
         passes.append((check, np.geterr()["over"]))
-        out = ParamVector(np.ones(2), spec)
         if not check and unchecked == "overflow":
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # only a trap can stop this pass
                 np.square(np.full(2, 1e300))
         if not check and unchecked == "nan":
             out.values[0] = np.nan
-        return out
 
     caller = np.geterr()["over"]
-    out = check_once(train)
+    out = fit(params, 0.1, 1, 1, 1, 0, step)
     replay = [] if unchecked == "finite" else [(True, caller)]
     assert passes == [(False, "raise"), *replay]
     assert np.array_equal(out.values, np.ones(2))
+    assert np.array_equal(params.values, np.ones(2))
 
 
 def test_check_once_raises_what_the_checked_replay_raises():
-    def train(check):
+    def step(out, sel, ws, check):
         if check:
             raise InputError("SGD step produced non-finite parameters")
-        return ParamVector(np.full(2, np.inf), NetSpec(1, (), 1))
+        out.values[:] = np.inf
 
     with pytest.raises(InputError, match="^SGD step produced non-finite parameters$"):
-        check_once(train)
+        fit(small_net(), 0.1, 1, 1, 1, 0, step)
+
+
+def test_fit_without_lr_or_rows_returns_a_copy_and_takes_no_step():
+    params = small_net()
+
+    def step(out, sel, ws, check):
+        raise AssertionError("fit took a step")
+
+    for lr, n in ((0.0, 5), (0.1, 0)):
+        out = fit(params, lr, n, 2, 3, 0, step)
+        assert out is not params and out.values is not params.values
+        assert out.values.tobytes() == params.values.tobytes()
+
+
+def test_fit_builds_one_workspace_and_the_replay_reuses_it(monkeypatch):
+    built, seen = [], []
+
+    def counting(spec):
+        built.append(Workspace(spec))
+        return built[-1]
+
+    def step(out, sel, ws, check):
+        seen.append(ws)
+        if not check:
+            out.values[0] = np.nan  # force the checked replay
+
+    monkeypatch.setattr("dcil.nncore.Workspace", counting)
+    fit(small_net(), 0.1, 5, 2, 2, 0, step)
+    assert len(built) == 1
+    assert len(seen) == 2 * 2 * 3  # two passes of two epochs of three slices
+    assert all(ws is built[0] for ws in seen)
+
+
+def test_fit_walks_one_seeded_permutation_per_epoch_in_slices():
+    def minibatches(rng, n, batch_size, epochs):  # the stream the trainers walked before `fit`
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, batch_size):
+                yield order[start : start + batch_size]
+
+    for seed in (0, [5, 9, 1, 2]):
+        seen = []
+        fit(small_net(), 0.1, 10, 4, 3, seed, lambda out, sel, ws, check: seen.append(sel))
+        expect = list(minibatches(np.random.default_rng(seed), 10, 4, 3))
+        assert [len(sel) for sel in seen] == [4, 4, 2] * 3
+        assert [sel.tolist() for sel in seen] == [sel.tolist() for sel in expect]
 
 
 def test_expand_head_preserves_old_logits_bitwise():

@@ -10,7 +10,7 @@ from oracles import zeros_params
 from test_golden import CONFIGS as GOLDEN
 
 from dcil.local_learner import LocalLossConfig
-from dcil.nncore import ConfigError, InputError, NetSpec, check_once, init_params
+from dcil.nncore import ConfigError, InputError, NetSpec, fit, init_params
 from dcil.orchestrator import (
     MetricsRecord,
     RunConfig,
@@ -315,9 +315,10 @@ def test_every_trainer_call_reuses_one_workspace(monkeypatch):
     dist = importlib.import_module("dcil.distillation")
     for namespace, name in ((orch, "_train_plain"), (orch, "local_update"), (dist, "_distill")):
         monkeypatch.setattr(namespace, name, stage(name, getattr(namespace, name)))
+    nncore = importlib.import_module("dcil.nncore")
+    monkeypatch.setattr(nncore, "Workspace", workspace(nncore.Workspace))
     for module in ("orchestrator", "local_learner", "distillation"):
         namespace = importlib.import_module(f"dcil.{module}")
-        monkeypatch.setattr(namespace, "Workspace", workspace(namespace.Workspace))
         monkeypatch.setattr(namespace, "backward", backward(namespace.backward))
     trainers = {
         "dcid": {"_train_plain", "local_update", "_distill"},
@@ -343,23 +344,23 @@ def test_every_trainer_call_reuses_one_workspace(monkeypatch):
 
 
 def test_golden_runs_check_each_stage_once_and_never_replay(monkeypatch):
-    # `check_once` replays a stage with per-step checks when its unchecked
-    # pass trapped or ended non-finite; a run that does not diverge never
-    # should, or it pays for every such stage twice.
+    # `fit` replays a stage with per-step checks when its unchecked pass
+    # trapped or ended non-finite; a run that does not diverge never should,
+    # or it pays for every such stage twice.  Each step records its `check`.
     passes = Counter()
 
     def counting(module):
-        def spy(train):
-            def counted(check):
+        def spy(params, lr, n, batch_size, epochs, seed, step):
+            def counted(out, sel, ws, check):
                 passes[module, check] += 1
-                return train(check)
+                step(out, sel, ws, check)
 
-            return check_once(counted)
+            return fit(params, lr, n, batch_size, epochs, seed, counted)
 
         return spy
 
     for module in ("orchestrator", "local_learner", "distillation"):
-        monkeypatch.setattr(f"dcil.{module}.check_once", counting(module))
+        monkeypatch.setattr(f"dcil.{module}.fit", counting(module))
     for cfg in GOLDEN.values():
         run(cfg)
     assert {key for key, n in passes.items() if n} == {
