@@ -135,11 +135,13 @@ def partition_iid(x: np.ndarray, y: np.ndarray, n_sites: int, seed: SeedLike) ->
         idx = rng.permutation(idx)
         for m in range(n_sites):
             buckets[m].append(idx[m::n_sites])
-    shards = []
-    for m in range(n_sites):
-        take = np.concatenate(buckets[m])
-        shards.append((x[take], y[take]))
-    return SitePartition(shards)
+    return _shards(x, y, buckets)
+
+
+def _shards(x: np.ndarray, y: np.ndarray, buckets: list[list[np.ndarray]]) -> SitePartition:
+    """One `(x, y)` shard per site, its rows taken from its index buckets in order."""
+    takes = [np.concatenate(b) if b else np.empty(0, dtype=np.int64) for b in buckets]
+    return SitePartition([(x[take], y[take]) for take in takes])
 
 
 def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
@@ -175,8 +177,4 @@ def partition_dirichlet(
         for m in range(n_sites):
             buckets[m].append(idx[offset : offset + counts[m]])
             offset += counts[m]
-    shards = []
-    for m in range(n_sites):
-        take = np.concatenate(buckets[m]) if buckets[m] else np.empty(0, dtype=np.int64)
-        shards.append((x[take], y[take]))
-    return SitePartition(shards)
+    return _shards(x, y, buckets)

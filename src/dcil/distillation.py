@@ -104,15 +104,15 @@ def _distill(
     n = len(shared)
     teacher_probs = None
 
-    def step(out, sel, ws, check):
+    def step(out, sel, ws):
         nonlocal teacher_probs
         if teacher_probs is None:
             if len(teacher) != n:
                 raise InputError("teacher row count must match the shared pool")
             teacher_probs = softmax_t(teacher, tau)
         term = DistillTerm(shared[sel], teacher_probs[sel], tau)
-        grad = backward(out, CompositeLoss((term,)), out=ws, check=check)
-        sgd_step(out, grad, lr, check=check)
+        grad = backward(out, CompositeLoss((term,)), out=ws)
+        sgd_step(out, grad, lr)
 
     batch = n if n <= DISTILL_FULL_BATCH_LIMIT else DISTILL_BATCH
     return fit(params, lr, n, batch, epochs, seed, step)

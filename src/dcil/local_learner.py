@@ -159,7 +159,7 @@ def local_update(
             old_general, ax, general.spec.n_classes, cfg.anchor_temperature
         )
 
-    def step(params, batch, ws, check):
+    def step(params, batch, ws):
         is_new = batch < n_new
         new_sel = batch[is_new]
         anc_sel = batch[~is_new] - n_new
@@ -183,7 +183,7 @@ def local_update(
         if method == "dcil_fedprox" and cfg.mu > 0:
             terms.append(ProximalTerm(general, cfg.mu))
         if terms:
-            grad = backward(params, CompositeLoss(tuple(terms)), out=ws, check=check)
-            sgd_step(params, grad, cfg.lr, check=check)
+            grad = backward(params, CompositeLoss(tuple(terms)), out=ws)
+            sgd_step(params, grad, cfg.lr)
 
     return fit(general, cfg.lr, len(stream_x), cfg.batch_size, cfg.local_epochs, seed, step)

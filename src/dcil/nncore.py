@@ -171,11 +171,13 @@ def forward_batch(params: ParamVector, x: np.ndarray) -> tuple[np.ndarray, np.nd
     return hs[-1], logits
 
 
-def softmax_t(logits: np.ndarray, tau: float, check: bool = True) -> np.ndarray:
-    """Temperature-softened softmax with max-subtraction for stability.
+def softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
+    """Temperature-softened softmax with max-subtraction for stability."""
+    return _softmax_t(logits, tau, True)
 
-    `check=False` skips only the finiteness scan of `logits` (see `fit`).
-    """
+
+def _softmax_t(logits: np.ndarray, tau: float, check: bool) -> np.ndarray:
+    """`softmax_t`; `check=False` skips only the finiteness scan of `logits`."""
     if tau <= 0:
         raise ConfigError(f"temperature must be > 0, got {tau}")
     z = np.asarray(logits, dtype=np.float64)
@@ -251,11 +253,13 @@ class Workspace:
 
     `grad` is the `ParamVector` each call returns; the next call overwrites
     its values.  `scratch` takes each later loss term's gradient before it is
-    added into `grad`.
+    added into `grad`.  `check` is True on construction; `fit` clears it for
+    its unchecked pass, in which `backward` skips only its finiteness scans.
     """
 
     def __init__(self, spec: NetSpec):
         self.spec = spec
+        self.check = True
         self.grad = ParamVector(np.zeros(spec.param_count), spec)
         self.scratch = np.empty(spec.param_count)
         self.scratch_layers = _layer_views(self.scratch, spec.layer_dims)
@@ -312,12 +316,12 @@ def _term_grad(params: ParamVector, layers, term: LossTerm, flat, grads, check) 
         p = np.asarray(term.teacher_probs, dtype=np.float64)
         if p.shape != logits.shape:
             raise InputError("teacher table shape mismatch")
-        q = softmax_t(logits, term.temperature, check)
+        q = _softmax_t(logits, term.temperature, check)
         # weight * (1/n), not weight / n: the golden records pin this rounding
         d_logits = (q - p) * (term.weight * (1.0 / n) / term.temperature)
     elif isinstance(term, UniformActivationTerm):
         feats = hs[-1]
-        p = softmax_t(feats, 1.0, check)
+        p = _softmax_t(feats, 1.0, check)
         logp = np.log(np.maximum(p, EPS_LOG))
         inner = (p * logp).sum(axis=1, keepdims=True)
         d_features = p * (logp - inner) * (term.weight / n)
@@ -328,18 +332,15 @@ def _term_grad(params: ParamVector, layers, term: LossTerm, flat, grads, check) 
 
 
 def backward(
-    params: ParamVector,
-    loss: CompositeLoss,
-    out: Workspace | None = None,
-    check: bool = True,
+    params: ParamVector, loss: CompositeLoss, out: Workspace | None = None
 ) -> ParamVector:
     """Exact gradient of the total loss w.r.t. every parameter (not the loss value).
 
     The first term's gradient is written into `out.grad`, each later term's
     into `out.scratch`, and those are added in term order.  Returns
     `out.grad`, which the next call on `out` overwrites; `out=None` uses a
-    fresh workspace.  `check=False` skips only the finiteness scans of the
-    logits and of the gradient (see `fit`).
+    fresh, checked workspace.  With `out.check` off (`fit`'s unchecked pass)
+    the finiteness scans of the logits and of the gradient are skipped.
     """
     spec = params.spec
     if out is None:
@@ -352,29 +353,25 @@ def backward(
         grad.fill(0.0)
     for i, term in enumerate(loss.terms):
         if i == 0:
-            _term_grad(params, layers, term, grad, out.grad.layers(), check)
+            _term_grad(params, layers, term, grad, out.grad.layers(), out.check)
         else:
-            _term_grad(params, layers, term, out.scratch, out.scratch_layers, check)
+            _term_grad(params, layers, term, out.scratch, out.scratch_layers, out.check)
             grad += out.scratch
-    if check and not np.isfinite(grad).all():
+    if out.check and not np.isfinite(grad).all():
         raise InputError("gradient contains non-finite entries")
     return out.grad
 
 
-def sgd_step(
-    params: ParamVector, grad: ParamVector, lr: float, check: bool = True
-) -> ParamVector:
+def sgd_step(params: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
     """Update `params` in place by `-lr * grad` and return it; callers train on a copy.
 
-    `check=False` skips only the finiteness scan of the result (see `fit`).
+    The result is not scanned: `fit` does that after each checked step.
     """
     if lr <= 0:
         raise ConfigError(f"learning rate must be > 0, got {lr}")
     if grad.spec != params.spec:
         raise InputError("gradient spec does not match parameters")
     params.values -= lr * grad.values
-    if check and not np.isfinite(params.values).all():
-        raise InputError("SGD step produced non-finite parameters")
     return params
 
 
@@ -385,32 +382,37 @@ def fit(
 
     Trains a copy of `params`: each epoch draws one permutation of range(n)
     from `np.random.default_rng(seed)` and hands each `batch_size` slice of
-    it, the last one possibly shorter, to `step(out, sel, ws, check)`, which
-    updates `out` in place through `backward(..., out=ws, check=check)` and
-    `sgd_step(..., check=check)`.  `ws` is the one `Workspace` of the call.
-    A zero learning rate or no rows returns a copy without calling `step`.
+    it, the last one possibly shorter, to `step(out, sel, ws)`, which
+    updates `out` in place through `backward(..., out=ws)` and `sgd_step`,
+    its last call.  `ws` is the one `Workspace` of the call.  A zero
+    learning rate or no rows returns a copy without calling `step`.
 
-    The first pass runs unchecked, with overflow, invalid operations and
-    division by zero raising: finite values turn non-finite only through one
-    of those, and a non-finite input spreads into the parameters, which are
-    scanned at the end.  A pass that raises or ends non-finite is replayed
-    from the start with the per-step checks on.  Training is
-    bit-deterministic, so the replay fails at the same step with the same
-    error and warnings as a checked run, and a pass that trapped on a
-    harmless operation (a -inf pre-activation that ReLU zeroes) returns the
-    same parameters from the replay.
+    Only `fit` decides when training is scanned for non-finite values.  The
+    first pass runs with `ws.check` off, so `backward` skips its scans, and
+    with overflow, invalid operations and division by zero raising: finite
+    values turn non-finite only through one of those, and a non-finite input
+    spreads into the parameters, which are scanned at the end.  A pass that
+    raises or ends non-finite is replayed from the start with `ws.check` on
+    and the parameters scanned after every step.  Training is deterministic,
+    so the replay fails at the same step with the same error and warnings as
+    a checked run, and a pass that trapped on a harmless operation (a -inf
+    pre-activation that ReLU zeroes) returns the same parameters from the
+    replay.
     """
     if lr == 0 or n == 0:
         return params.copy()
     ws = Workspace(params.spec)
 
     def run(check):
+        ws.check = check
         out = params.copy()
         rng = np.random.default_rng(seed)
         for _ in range(epochs):
             order = rng.permutation(n)
             for start in range(0, n, batch_size):
-                step(out, order[start : start + batch_size], ws, check)
+                step(out, order[start : start + batch_size], ws)
+                if check and not np.isfinite(out.values).all():
+                    raise InputError("SGD step produced non-finite parameters")
         return out
 
     try:

@@ -225,10 +225,10 @@ def summarize(records: list[MetricsRecord]) -> dict:
 def _train_plain(params, x, y, epochs, lr, batch_size, seed):
     """Plain minibatch-SGD cross-entropy training; a zero lr returns a copy."""
 
-    def step(out, sel, ws, check):
+    def step(out, sel, ws):
         loss = CompositeLoss((CrossEntropyTerm(x[sel], y[sel]),))
-        grad = backward(out, loss, out=ws, check=check)
-        sgd_step(out, grad, lr, check=check)
+        grad = backward(out, loss, out=ws)
+        sgd_step(out, grad, lr)
 
     return fit(params, lr, len(x), batch_size, epochs, seed, step)
 

@@ -127,6 +127,14 @@ def test_partition_iid_round_robin_sizes_with_remainder():
     assert sizes == [2, 2, 3, 3]
 
 
+def test_partitions_of_no_examples_are_empty_shards():
+    x, y = np.empty((0, 2)), np.empty(0, dtype=np.int64)
+    for part in (partition_iid(x, y, 3, 0), partition_dirichlet(x, y, 3, 1.0, 0)):
+        assert len(part.shards) == 3
+        for sx, sy in part.shards:
+            assert sx.shape == (0, 2) and sy.shape == (0,)
+
+
 def test_partition_iid_rejects_too_few_examples():
     x, y = labeled_blob(n_per_class=2)
     with pytest.raises(ConfigError):

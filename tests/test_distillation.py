@@ -222,9 +222,9 @@ def test_dad_refine_walks_a_large_pool_in_batches(monkeypatch):
     assert DISTILL_FULL_BATCH_LIMIT < 300 and DISTILL_BATCH == 128
     rows = []
 
-    def spy(params, loss, out=None, check=True):
+    def spy(params, loss, out=None):
         rows.append(len(loss.terms[0].x))
-        return backward(params, loss, out=out, check=check)
+        return backward(params, loss, out=out)
 
     monkeypatch.setattr("dcil.distillation.backward", spy)
     pool = shared_pool(n=300)

@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports, every private
 top-level function or class is read somewhere in the package, every
 public top-level function, class or constant is read by the package or by
-the benchmark, only a step closure handed to `nncore.fit` skips the
-per-step finiteness scans, and only `nncore` builds a `Workspace`.
+the benchmark, only `nncore` passes, takes or sets a `check` flag (its `fit`
+alone decides when training is scanned for non-finite values), and only
+`nncore` builds a `Workspace`.
 
 A deleted feature tends to leave its import behind (a class name in the
 module that built it, `dataclass` in a module that no longer declares one),
@@ -147,72 +148,55 @@ def test_module_uses_every_import(module):
         assert unused_imports(fh.read()) == []
 
 
-def unchecked_outside_check_once(source: str) -> list[int]:
-    """Lines of calls that pass `check=` other than as the `check` parameter
-    (the fourth) of a step closure handed to `fit` in the function that
-    defines it."""
-    tree = ast.parse(source)
-    allowed = set()
-    for outer in ast.walk(tree):
-        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        handed = {
-            arg.id
-            for call in ast.walk(outer)
-            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "fit"
-            for arg in [*call.args, *(kw.value for kw in call.keywords)]
-            if isinstance(arg, ast.Name)
-        }
-        for closure in outer.body:
-            if (
-                isinstance(closure, ast.FunctionDef)
-                and closure.name in handed
-                and len(closure.args.args) == 4
-            ):
-                param = closure.args.args[3].arg
-                allowed |= {
-                    id(kw)
-                    for call in ast.walk(closure)
-                    if isinstance(call, ast.Call)
-                    for kw in call.keywords
-                    if kw.arg == "check" and getattr(kw.value, "id", None) == param
-                }
-    return [
-        call.lineno
-        for call in ast.walk(tree)
-        if isinstance(call, ast.Call)
-        for kw in call.keywords
-        if kw.arg == "check" and id(kw) not in allowed
-    ]
+def check_plumbing(source: str) -> list[tuple[str, str, int]]:
+    """(kind, top-level definition, line) of each `check=` keyword, `check`
+    parameter and `.check` store in `source`."""
+    found = []
+    for top in ast.parse(source).body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.keyword) and node.arg == "check":
+                found.append(("keyword", name, node.lineno))
+            elif isinstance(node, ast.arg) and node.arg == "check":
+                found.append(("parameter", name, node.lineno))
+            elif isinstance(node, ast.Attribute) and node.attr == "check":
+                if isinstance(node.ctx, ast.Store):
+                    found.append(("store", name, node.lineno))
+    return found
 
 
-def test_unchecked_outside_check_once_finds_leftovers():
+def test_check_plumbing_finds_leftovers():
     source = (
         "def stage(p):\n"
         "    def step(out, sel, ws, check):\n"
         "        sgd_step(out, g, lr, check=check)\n"
-        "    def other(out, sel, ws, check):\n"
-        "        sgd_step(out, g, lr, check=check)\n"
-        "    def swapped(out, sel, check, ws):\n"
-        "        sgd_step(out, g, lr, check=check)\n"
-        "    def train(check):\n"
-        "        sgd_step(p, g, lr, check=check)\n"
-        "    sgd_step(p, g, lr, check=False)\n"
-        "    fit(p, lr, n, bs, 1, 0, swapped)\n"
-        "    fit(p, lr, n, bs, 1, 0, train)\n"
-        "    return fit(p, lr, n, bs, 1, 0, step=step)\n"
-        "def plumbing(check):\n"
-        "    return softmax_t(z, 1.0, check=check)\n"
+        "    ws.check = False\n"
+        "    if ws.check and check_finite(p):\n"
+        "        return fit(p, lr, n, bs, 1, 0, step)\n"
+        "class Workspace:\n"
+        "    def __init__(self, spec, *, check=True):\n"
+        "        self.check = check\n"
     )
-    assert sorted(unchecked_outside_check_once(source)) == [5, 7, 9, 10, 15]
+    assert sorted(check_plumbing(source), key=lambda f: f[2]) == [
+        ("parameter", "stage", 2),
+        ("keyword", "stage", 3),
+        ("store", "stage", 4),
+        ("parameter", "Workspace", 8),
+        ("store", "Workspace", 9),
+    ]
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_finiteness_scans_are_skipped_only_under_check_once(module):
-    # An unchecked step outside `fit` could hand on a non-finite model that
-    # no check ever sees.
+    # Only `nncore` decides when training is checked: `fit` sets
+    # `Workspace.check` for each pass of its check-once replay.  A stage
+    # module that passed or took a `check` flag could skip a scan outside it.
     with open(os.path.join(PACKAGE, module)) as fh:
-        assert unchecked_outside_check_once(fh.read()) == []
+        found = check_plumbing(fh.read())
+    if module == "nncore.py":
+        assert {top for kind, top, _ in found if kind == "store"} == {"Workspace", "fit"}
+    else:
+        assert found == []
 
 
 def workspace_builds(source: str) -> list[int]:

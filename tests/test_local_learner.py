@@ -231,9 +231,9 @@ def test_local_update_stacks_anchors_in_sorted_class_order(monkeypatch):
 
     terms = []
 
-    def spy(params, loss, out=None, check=True):
+    def spy(params, loss, out=None):
         terms.append(loss.terms[-1])  # the replay term follows the shard's
-        return backward(params, loss, out=out, check=check)
+        return backward(params, loss, out=out)
 
     monkeypatch.setattr("dcil.local_learner.backward", spy)
     cfg = LocalLossConfig(anchor_variant="replay_ce", local_epochs=1, batch_size=10**6)

@@ -387,11 +387,24 @@ def test_sgd_step_updates_in_place():
 
 
 def test_sgd_step_rejects_overflow_to_inf():
+    # `sgd_step` is the last call of a step, so `fit`'s checked replay scans
+    # its result before the next step: a finite gradient whose update
+    # overflows raises at that step, in the replay as in the unchecked pass
     params = small_net()
     params.values[:] = 1e308
-    grad = ParamVector(np.full(params.spec.param_count, -1e308), params.spec)
-    with np.errstate(over="ignore"), pytest.raises(InputError):
-        sgd_step(params, grad, 1.0)
+    zero = zeros_params(params.spec)
+    big = ParamVector(np.full(params.spec.param_count, -1e308), params.spec)
+    steps = []
+
+    def step(out, sel, ws):
+        steps.append(ws.check)
+        sgd_step(out, big if steps.count(ws.check) == 3 else zero, 1.0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the replay's overflow warns before the scan
+        with pytest.raises(InputError, match="^SGD step produced non-finite parameters$"):
+            fit(params, 1.0, 4, 1, 1, 0, step)
+    assert steps == [False, False, False, True, True, True]
 
 
 def test_sgd_rejects_nonpositive_lr():
@@ -400,29 +413,55 @@ def test_sgd_rejects_nonpositive_lr():
         sgd_step(params, zeros_params(params.spec), 0.0)
 
 
+def unchecked(spec):
+    """A workspace as `fit`'s unchecked pass hands it to each step."""
+    ws = Workspace(spec)
+    ws.check = False
+    return ws
+
+
 def test_check_false_skips_only_the_finiteness_scans():
     params = small_net()
+    ws = unchecked(params.spec)
     x = np.ones((2, 3))
     nan_teacher = np.full((2, 3), np.nan)
-    grad = backward(params, CompositeLoss((DistillTerm(x, nan_teacher, 2.0),)), check=False)
+    grad = backward(params, CompositeLoss((DistillTerm(x, nan_teacher, 2.0),)), out=ws)
     assert np.isnan(grad.values).any()
-    assert np.isnan(softmax_t(np.full((1, 2), np.nan), 1.0, check=False)).all()
+    nan_features = CompositeLoss((UniformActivationTerm(np.full((2, 3), np.nan), 1.0),))
+    assert np.isnan(backward(params, nan_features, out=ws).values).any()
     params.values[:] = 1e308
     big = ParamVector(np.full(params.spec.param_count, -1e308), params.spec)
-    with np.errstate(over="ignore"):
-        assert np.isinf(sgd_step(params, big, 1.0, check=False).values).all()
+    with np.errstate(over="ignore"):  # `sgd_step` never scans; `fit` does
+        assert np.isinf(sgd_step(params, big, 1.0).values).all()
     # every input and config check still runs
     with pytest.raises(InputError, match="label out of range"):
-        backward(small_net(), CompositeLoss((CrossEntropyTerm(x, [0, 3]),)), check=False)
+        backward(small_net(), CompositeLoss((CrossEntropyTerm(x, [0, 3]),)), out=ws)
     short_teacher = CompositeLoss((DistillTerm(x, nan_teacher[:1], 2.0),))
     with pytest.raises(InputError, match="teacher table shape"):
-        backward(small_net(), short_teacher, check=False)
+        backward(small_net(), short_teacher, out=ws)
+    with pytest.raises(InputError, match="workspace spec"):
+        backward(small_net(n_classes=4), short_teacher, out=ws)
     with pytest.raises(ConfigError):
-        softmax_t(np.zeros((1, 2)), 0.0, check=False)
-    with pytest.raises(ConfigError):
-        sgd_step(small_net(), zeros_params(params.spec), 0.0, check=False)
+        sgd_step(small_net(), zeros_params(params.spec), 0.0)
     with pytest.raises(InputError, match="spec"):
-        sgd_step(small_net(), zeros_params(NetSpec(3, (), 3)), 0.1, check=False)
+        sgd_step(small_net(), zeros_params(NetSpec(3, (), 3)), 0.1)
+    # a fresh workspace is checked
+    assert Workspace(params.spec).check
+    with pytest.raises(InputError, match="gradient contains non-finite"):
+        backward(small_net(), CompositeLoss((DistillTerm(x, nan_teacher, 2.0),)))
+
+
+def test_temperature_is_checked_before_any_finiteness_scan():
+    nan_logits = np.full((2, 3), np.nan)
+    with pytest.raises(ConfigError, match="temperature"):
+        softmax_t(nan_logits, 0.0)  # `softmax_t` always scans, after the temperature
+    params = small_net()
+    nan_x = np.full((2, 3), np.nan)  # non-finite logits, seen by no scan
+    teacher = np.full((2, 3), 1.0 / 3)
+    for ws in (unchecked(params.spec), Workspace(params.spec)):
+        for tau in (0.0, -1.0):
+            with pytest.raises(ConfigError, match="temperature"):
+                backward(params, CompositeLoss((DistillTerm(nan_x, teacher, tau),)), out=ws)
 
 
 # `fit` checks a stage's finiteness once: an unchecked pass under floating-point
@@ -432,13 +471,13 @@ def test_check_once_replays_a_pass_that_trapped_or_ended_non_finite(unchecked):
     params = ParamVector(np.ones(2), NetSpec(1, (), 1))
     passes = []
 
-    def step(out, sel, ws, check):
-        passes.append((check, np.geterr()["over"]))
-        if not check and unchecked == "overflow":
+    def step(out, sel, ws):
+        passes.append((ws.check, np.geterr()["over"]))
+        if not ws.check and unchecked == "overflow":
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # only a trap can stop this pass
                 np.square(np.full(2, 1e300))
-        if not check and unchecked == "nan":
+        if not ws.check and unchecked == "nan":
             out.values[0] = np.nan
 
     caller = np.geterr()["over"]
@@ -450,8 +489,8 @@ def test_check_once_replays_a_pass_that_trapped_or_ended_non_finite(unchecked):
 
 
 def test_check_once_raises_what_the_checked_replay_raises():
-    def step(out, sel, ws, check):
-        if check:
+    def step(out, sel, ws):
+        if ws.check:
             raise InputError("SGD step produced non-finite parameters")
         out.values[:] = np.inf
 
@@ -459,10 +498,23 @@ def test_check_once_raises_what_the_checked_replay_raises():
         fit(small_net(), 0.1, 1, 1, 1, 0, step)
 
 
+def test_checked_replay_runs_checked_after_the_unchecked_pass_raised_partway():
+    seen = []
+
+    def step(out, sel, ws):
+        seen.append(ws.check)
+        if len(seen) == 2:
+            raise FloatingPointError("overflow encountered in matmul")  # as a trap does
+
+    out = fit(small_net(), 0.1, 3, 1, 1, 0, step)
+    assert seen == [False, False, True, True, True]
+    assert out.values.tobytes() == small_net().values.tobytes()
+
+
 def test_fit_without_lr_or_rows_returns_a_copy_and_takes_no_step():
     params = small_net()
 
-    def step(out, sel, ws, check):
+    def step(out, sel, ws):
         raise AssertionError("fit took a step")
 
     for lr, n in ((0.0, 5), (0.1, 0)):
@@ -478,9 +530,9 @@ def test_fit_builds_one_workspace_and_the_replay_reuses_it(monkeypatch):
         built.append(Workspace(spec))
         return built[-1]
 
-    def step(out, sel, ws, check):
+    def step(out, sel, ws):
         seen.append(ws)
-        if not check:
+        if not ws.check:
             out.values[0] = np.nan  # force the checked replay
 
     monkeypatch.setattr("dcil.nncore.Workspace", counting)
@@ -499,7 +551,7 @@ def test_fit_walks_one_seeded_permutation_per_epoch_in_slices():
 
     for seed in (0, [5, 9, 1, 2]):
         seen = []
-        fit(small_net(), 0.1, 10, 4, 3, seed, lambda out, sel, ws, check: seen.append(sel))
+        fit(small_net(), 0.1, 10, 4, 3, seed, lambda out, sel, ws: seen.append(sel))
         expect = list(minibatches(np.random.default_rng(seed), 10, 4, 3))
         assert [len(sel) for sel in seen] == [4, 4, 2] * 3
         assert [sel.tolist() for sel in seen] == [sel.tolist() for sel in expect]

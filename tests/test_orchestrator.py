@@ -305,9 +305,9 @@ def test_every_trainer_call_reuses_one_workspace(monkeypatch):
         return build
 
     def backward(fn):
-        def wrapper(params, loss, out=None, check=True):
+        def wrapper(params, loss, out=None):
             events.append(("backward", out))
-            return fn(params, loss, out=out, check=check)
+            return fn(params, loss, out=out)
 
         return wrapper
 
@@ -346,14 +346,14 @@ def test_every_trainer_call_reuses_one_workspace(monkeypatch):
 def test_golden_runs_check_each_stage_once_and_never_replay(monkeypatch):
     # `fit` replays a stage with per-step checks when its unchecked pass
     # trapped or ended non-finite; a run that does not diverge never should,
-    # or it pays for every such stage twice.  Each step records its `check`.
+    # or it pays for every such stage twice.  Each step records `ws.check`.
     passes = Counter()
 
     def counting(module):
         def spy(params, lr, n, batch_size, epochs, seed, step):
-            def counted(out, sel, ws, check):
-                passes[module, check] += 1
-                step(out, sel, ws, check)
+            def counted(out, sel, ws):
+                passes[module, ws.check] += 1
+                step(out, sel, ws)
 
             return fit(params, lr, n, batch_size, epochs, seed, counted)
 
