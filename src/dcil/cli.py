@@ -86,6 +86,9 @@ def _flat_keys(cls) -> dict:
 _RUN_KEYS = _flat_keys(RunConfig)
 _LOCAL_KEYS = _flat_keys(LocalLossConfig)
 _SWEEP_KEYS = {"methods", "seeds", "alphas", "out"}
+# What `run` takes in place of each grid key; a config file may hold the
+# grid keys, so that one file serves `run` and `compare`, but `--set` may not.
+_RUN_COUNTERPARTS = {"methods": "--method", "seeds": "--seed", "alphas": "--set alpha="}
 ALL_KEYS = set(_RUN_KEYS) | set(_LOCAL_KEYS) | _SWEEP_KEYS
 
 
@@ -222,6 +225,8 @@ def cmd_run(config_path, seed, method, out_dir, overrides):
         doc = load_config(config_path)
         for raw in overrides:
             key, value = _parse_override(raw)
+            if key in _RUN_COUNTERPARTS:
+                raise ConfigError(f"run takes no {key!r} list; use {_RUN_COUNTERPARTS[key]}")
             doc[key] = value
         if seed is not None:
             doc["seed"] = seed

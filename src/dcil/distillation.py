@@ -110,7 +110,7 @@ def _distill(
             if len(teacher) != n:
                 raise InputError("teacher row count must match the shared pool")
             teacher_probs = softmax_t(teacher, tau)
-        term = DistillTerm(shared[sel], teacher_probs[sel], tau)
+        term = DistillTerm(shared.take(sel, axis=0), teacher_probs.take(sel, axis=0), tau)
         grad = backward(out, CompositeLoss((term,)), out=ws)
         sgd_step(out, grad, lr)
 

@@ -165,21 +165,16 @@ def local_update(
         anc_sel = batch[~is_new] - n_new
         terms: list = []
         if len(new_sel):
-            terms.append(CrossEntropyTerm(stream_x[new_sel], stream_y[new_sel]))
+            terms.append(CrossEntropyTerm(stream_x.take(new_sel, axis=0), stream_y.take(new_sel)))
         if len(anc_sel) and cfg.lam > 0:
+            anc_x = ax.take(anc_sel, axis=0)
             if cfg.anchor_variant == "replay_ce":
-                terms.append(CrossEntropyTerm(ax[anc_sel], ay[anc_sel], weight=cfg.lam))
+                terms.append(CrossEntropyTerm(anc_x, ay.take(anc_sel), weight=cfg.lam))
             else:
-                terms.append(
-                    DistillTerm(
-                        ax[anc_sel],
-                        teacher_probs[anc_sel],
-                        cfg.anchor_temperature,
-                        weight=cfg.lam,
-                    )
-                )
+                anc_p = teacher_probs.take(anc_sel, axis=0)
+                terms.append(DistillTerm(anc_x, anc_p, cfg.anchor_temperature, weight=cfg.lam))
         if method == "dcil_fedmax" and cfg.beta > 0:
-            terms.append(UniformActivationTerm(stream_x[batch], cfg.beta))
+            terms.append(UniformActivationTerm(stream_x.take(batch, axis=0), cfg.beta))
         if method == "dcil_fedprox" and cfg.mu > 0:
             terms.append(ProximalTerm(general, cfg.mu))
         if terms:

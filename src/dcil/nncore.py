@@ -9,6 +9,9 @@ computed in one backward pass per term.  `backward` returns the gradient
 only; the tests evaluate a loss value with `tests/oracles.py::loss_value`.
 Every trainer hands its per-batch step to `fit`, the one seeded SGD loop,
 which owns the call's `Workspace` and scans for non-finite values once.
+A step calls `np.dot` and the ufunc reductions directly and works in place
+on the arrays it owns: the bytes of `@`, `.sum`/`.max` and a fresh array per
+stage (`tests/test_step_bytes.py`), for less per-call overhead.
 """
 
 from __future__ import annotations
@@ -129,10 +132,6 @@ def init_params(spec: NetSpec, rng: np.random.Generator) -> ParamVector:
     return pack_layers(layers, spec)
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
-
-
 def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return z > 0.0  # multiplying by a bool mask gives the same bits as by 1.0/0.0
@@ -149,13 +148,13 @@ def _forward_cache(layers, kind: str, x: np.ndarray):
     hs, zs = [x], []
     h = x
     for w, b in layers[:-1]:
-        z = h @ w
+        z = np.dot(h, w)
         z += b
         zs.append(z)
-        h = _act(z, kind)
+        h = np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
         hs.append(h)
     w_out, b_out = layers[-1]
-    logits = h @ w_out
+    logits = np.dot(h, w_out)
     logits += b_out
     return hs, zs, logits
 
@@ -176,22 +175,26 @@ def softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
     return _softmax_t(logits, tau, True)
 
 
-def _softmax_t(logits: np.ndarray, tau: float, check: bool) -> np.ndarray:
-    """`softmax_t`; `check=False` skips only the finiteness scan of `logits`."""
+def _softmax_t(logits: np.ndarray, tau: float, check: bool, out=None) -> np.ndarray:
+    """`softmax_t` into `out` (a new array by default, or `logits` itself when
+    the caller owns it); `check=False` skips only the finiteness scan of `logits`."""
     if tau <= 0:
         raise ConfigError(f"temperature must be > 0, got {tau}")
     z = np.asarray(logits, dtype=np.float64)
     if check and not np.isfinite(z).all():
         raise InputError("non-finite logits")
-    z = z / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    z = np.true_divide(z, tau, out=out)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, written into `z`, which the caller owns."""
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    z -= np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -272,27 +275,27 @@ def _backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features, grads):
     first layer's weights: no caller needs the input gradient.
     """
     gw, gb = grads[-1]
-    np.matmul(hs[-1].T, d_logits, out=gw)
-    d_logits.sum(axis=0, out=gb)
+    np.dot(hs[-1].T, d_logits, out=gw)
+    np.add.reduce(d_logits, axis=0, out=gb)
     if len(layers) == 1:
         return
-    delta = d_logits @ layers[-1][0].T
+    delta = np.dot(d_logits, layers[-1][0].T)
     if d_features is not None:
         delta += d_features
     for i in range(len(layers) - 2, -1, -1):
         delta *= _act_grad(zs[i], spec.activation)
         gw, gb = grads[i]
-        np.matmul(hs[i].T, delta, out=gw)
-        delta.sum(axis=0, out=gb)
+        np.dot(hs[i].T, delta, out=gw)
+        np.add.reduce(delta, axis=0, out=gb)
         if i:
-            delta = delta @ layers[i][0].T
+            delta = np.dot(delta, layers[i][0].T)
 
 
 def _term_grad(params: ParamVector, layers, term: LossTerm, flat, grads, check) -> None:
     """Write the gradient of one loss term into `flat`, whose layer views are `grads`."""
     spec = params.spec
     if isinstance(term, ProximalTerm):
-        if term.ref.spec != spec:
+        if term.ref.spec is not spec and term.ref.spec != spec:
             raise InputError("proximal reference has a different spec")
         np.subtract(params.values, term.ref.values, out=flat)
         flat *= term.mu
@@ -307,24 +310,27 @@ def _term_grad(params: ParamVector, layers, term: LossTerm, flat, grads, check) 
     d_features = None
     if isinstance(term, CrossEntropyTerm):
         y = np.asarray(term.y, dtype=np.int64)
-        if np.any(y < 0) or np.any(y >= spec.n_classes):
+        if (y < 0).any() or (y >= spec.n_classes).any():
             raise InputError("label out of range")
-        d_logits = np.exp(_log_softmax(logits))
+        d_logits = np.exp(_log_softmax(logits), out=logits)
         d_logits[np.arange(n), y] -= 1.0
         d_logits *= term.weight / n
     elif isinstance(term, DistillTerm):
         p = np.asarray(term.teacher_probs, dtype=np.float64)
         if p.shape != logits.shape:
             raise InputError("teacher table shape mismatch")
-        q = _softmax_t(logits, term.temperature, check)
+        d_logits = _softmax_t(logits, term.temperature, check, out=logits)
+        d_logits -= p
         # weight * (1/n), not weight / n: the golden records pin this rounding
-        d_logits = (q - p) * (term.weight * (1.0 / n) / term.temperature)
+        d_logits *= term.weight * (1.0 / n) / term.temperature
     elif isinstance(term, UniformActivationTerm):
         feats = hs[-1]
         p = _softmax_t(feats, 1.0, check)
-        logp = np.log(np.maximum(p, EPS_LOG))
-        inner = (p * logp).sum(axis=1, keepdims=True)
-        d_features = p * (logp - inner) * (term.weight / n)
+        logp = np.maximum(p, EPS_LOG)
+        np.log(logp, out=logp)
+        d_features = logp - np.add.reduce(p * logp, axis=1, keepdims=True)
+        d_features *= p
+        d_features *= term.weight / n
         d_logits = np.zeros_like(logits)
     else:
         raise InputError(f"unknown loss term {type(term).__name__}")
@@ -345,7 +351,7 @@ def backward(
     spec = params.spec
     if out is None:
         out = Workspace(spec)
-    elif out.spec != spec:
+    elif out.spec is not spec and out.spec != spec:
         raise InputError("workspace spec does not match parameters")
     layers = params.layers()
     grad = out.grad.values
@@ -369,7 +375,7 @@ def sgd_step(params: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
     """
     if lr <= 0:
         raise ConfigError(f"learning rate must be > 0, got {lr}")
-    if grad.spec != params.spec:
+    if grad.spec is not params.spec and grad.spec != params.spec:
         raise InputError("gradient spec does not match parameters")
     params.values -= lr * grad.values
     return params

@@ -226,7 +226,7 @@ def _train_plain(params, x, y, epochs, lr, batch_size, seed):
     """Plain minibatch-SGD cross-entropy training; a zero lr returns a copy."""
 
     def step(out, sel, ws):
-        loss = CompositeLoss((CrossEntropyTerm(x[sel], y[sel]),))
+        loss = CompositeLoss((CrossEntropyTerm(x.take(sel, axis=0), y.take(sel)),))
         grad = backward(out, loss, out=ws)
         sgd_step(out, grad, lr)
 

@@ -1,8 +1,14 @@
-"""Scalar reference implementations the tests check the engine against.
+"""Reference implementations the tests check the engine against.
 
-Each one evaluates a loss or a forward pass one sample at a time, apart from
-the batched code paths in `dcil`, so the tests compare two independent
-computations.
+The scalar oracles evaluate a loss or a forward pass one sample at a time,
+apart from the batched code paths in `dcil`, so the tests compare two
+independent computations.
+
+The `plain_*` oracles are the engine's training step in its plain NumPy
+spelling: `@` products, `.sum`/`.max` reductions, an out-of-place softmax and
+fancy-index batch gathers.  `nncore` and the step closures reach the same
+operations through cheaper entry points (`np.dot`, `np.add.reduce`, in-place
+ufuncs, `take`), in the same order, and must give the same bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dcil.local_learner import _kd_teacher_probs
+from dcil.distillation import DISTILL_BATCH, DISTILL_FULL_BATCH_LIMIT
+from dcil.local_learner import LocalLossConfig, _kd_teacher_probs
 from dcil.nncore import (
     EPS_LOG,
     CompositeLoss,
@@ -25,7 +32,8 @@ from dcil.nncore import (
     ParamVector,
     ProximalTerm,
     UniformActivationTerm,
-    _log_softmax,
+    Workspace,
+    fit,
     forward_batch,
     softmax_t,
 )
@@ -68,7 +76,7 @@ def cross_entropy(logits: np.ndarray, label: int) -> float:
     z = np.asarray(logits, dtype=np.float64)
     if not 0 <= label < len(z):
         raise InputError(f"label {label} out of range for {len(z)} classes")
-    return float(-_log_softmax(z)[label])
+    return float(-plain_log_softmax(z)[label])
 
 
 def anchor_loss(
@@ -87,7 +95,7 @@ def anchor_loss(
     ay = np.concatenate([np.full(len(anchors[c]), c) for c in classes])
     _, logits = forward_batch(params, ax)
     if anchor_variant == "replay_ce":
-        logp = _log_softmax(logits)
+        logp = plain_log_softmax(logits)
         return float(-logp[np.arange(len(ay)), ay].mean())
     if anchor_variant == "logit_kd":
         if old_params is None:
@@ -140,7 +148,7 @@ def loss_value(params: ParamVector, loss: CompositeLoss) -> float:
         n = logits.shape[0]
         if isinstance(term, CrossEntropyTerm):
             y = np.asarray(term.y, dtype=np.int64)
-            logp = _log_softmax(logits)
+            logp = plain_log_softmax(logits)
             total += term.weight * float(-logp[np.arange(n), y].mean())
         elif isinstance(term, DistillTerm):
             p = np.asarray(term.teacher_probs, dtype=np.float64)
@@ -158,3 +166,231 @@ def loss_value(params: ParamVector, loss: CompositeLoss) -> float:
         else:
             raise InputError(f"unknown loss term {type(term).__name__}")
     return total
+
+
+# ---------------------------------------------------------------------------
+# The training step in its plain NumPy spelling
+# ---------------------------------------------------------------------------
+
+
+def plain_act(z: np.ndarray, kind: str) -> np.ndarray:
+    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
+
+
+def plain_act_grad(z: np.ndarray, kind: str) -> np.ndarray:
+    if kind == "relu":
+        return z > 0.0
+    t = np.tanh(z)
+    return 1.0 - t * t
+
+
+def plain_forward_cache(layers, kind: str, x: np.ndarray):
+    """(hs, zs, logits): the inputs and pre-activations of each layer, and the logits."""
+    hs, zs = [x], []
+    h = x
+    for w, b in layers[:-1]:
+        z = h @ w
+        z += b
+        zs.append(z)
+        h = plain_act(z, kind)
+        hs.append(h)
+    w_out, b_out = layers[-1]
+    logits = h @ w_out
+    logits += b_out
+    return hs, zs, logits
+
+
+def plain_forward_batch(params: ParamVector, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.spec.input_dim:
+        raise InputError(
+            f"expected batch of {params.spec.input_dim}-dim inputs, got shape {x.shape}"
+        )
+    hs, _, logits = plain_forward_cache(params.layers(), params.spec.activation, x)
+    return hs[-1], logits
+
+
+def plain_softmax_t(logits: np.ndarray, tau: float, check: bool = True) -> np.ndarray:
+    if tau <= 0:
+        raise ConfigError(f"temperature must be > 0, got {tau}")
+    z = np.asarray(logits, dtype=np.float64)
+    if check and not np.isfinite(z).all():
+        raise InputError("non-finite logits")
+    z = z / tau
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def plain_log_softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def plain_backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features, grads):
+    gw, gb = grads[-1]
+    np.matmul(hs[-1].T, d_logits, out=gw)
+    d_logits.sum(axis=0, out=gb)
+    if len(layers) == 1:
+        return
+    delta = d_logits @ layers[-1][0].T
+    if d_features is not None:
+        delta += d_features
+    for i in range(len(layers) - 2, -1, -1):
+        delta *= plain_act_grad(zs[i], spec.activation)
+        gw, gb = grads[i]
+        np.matmul(hs[i].T, delta, out=gw)
+        delta.sum(axis=0, out=gb)
+        if i:
+            delta = delta @ layers[i][0].T
+
+
+def plain_term_grad(params: ParamVector, layers, term, flat, grads, check) -> None:
+    spec = params.spec
+    if isinstance(term, ProximalTerm):
+        if term.ref.spec != spec:
+            raise InputError("proximal reference has a different spec")
+        np.subtract(params.values, term.ref.values, out=flat)
+        flat *= term.mu
+        return
+
+    x = np.asarray(term.x, dtype=np.float64)
+    if x.size == 0:
+        raise InputError("empty batch in loss term")
+    hs, zs, logits = plain_forward_cache(layers, spec.activation, x)
+    n = x.shape[0]
+
+    d_features = None
+    if isinstance(term, CrossEntropyTerm):
+        y = np.asarray(term.y, dtype=np.int64)
+        if np.any(y < 0) or np.any(y >= spec.n_classes):
+            raise InputError("label out of range")
+        d_logits = np.exp(plain_log_softmax(logits))
+        d_logits[np.arange(n), y] -= 1.0
+        d_logits *= term.weight / n
+    elif isinstance(term, DistillTerm):
+        p = np.asarray(term.teacher_probs, dtype=np.float64)
+        if p.shape != logits.shape:
+            raise InputError("teacher table shape mismatch")
+        q = plain_softmax_t(logits, term.temperature, check)
+        d_logits = (q - p) * (term.weight * (1.0 / n) / term.temperature)
+    elif isinstance(term, UniformActivationTerm):
+        feats = hs[-1]
+        p = plain_softmax_t(feats, 1.0, check)
+        logp = np.log(np.maximum(p, EPS_LOG))
+        inner = (p * logp).sum(axis=1, keepdims=True)
+        d_features = p * (logp - inner) * (term.weight / n)
+        d_logits = np.zeros_like(logits)
+    else:
+        raise InputError(f"unknown loss term {type(term).__name__}")
+    plain_backprop(spec, layers, hs, zs, d_logits, d_features, grads)
+
+
+def plain_backward(
+    params: ParamVector, loss: CompositeLoss, out: Workspace | None = None
+) -> ParamVector:
+    spec = params.spec
+    if out is None:
+        out = Workspace(spec)
+    elif out.spec != spec:
+        raise InputError("workspace spec does not match parameters")
+    layers = params.layers()
+    grad = out.grad.values
+    if not loss.terms:
+        grad.fill(0.0)
+    for i, term in enumerate(loss.terms):
+        if i == 0:
+            plain_term_grad(params, layers, term, grad, out.grad.layers(), out.check)
+        else:
+            plain_term_grad(params, layers, term, out.scratch, out.scratch_layers, out.check)
+            grad += out.scratch
+    if out.check and not np.isfinite(grad).all():
+        raise InputError("gradient contains non-finite entries")
+    return out.grad
+
+
+def plain_sgd_step(params: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
+    if lr <= 0:
+        raise ConfigError(f"learning rate must be > 0, got {lr}")
+    if grad.spec != params.spec:
+        raise InputError("gradient spec does not match parameters")
+    params.values -= lr * grad.values
+    return params
+
+
+def plain_train_plain(params, x, y, epochs, lr, batch_size, seed):
+    """`orchestrator._train_plain` on the plain step."""
+
+    def step(out, sel, ws):
+        loss = CompositeLoss((CrossEntropyTerm(x[sel], y[sel]),))
+        grad = plain_backward(out, loss, out=ws)
+        plain_sgd_step(out, grad, lr)
+
+    return fit(params, lr, len(x), batch_size, epochs, seed, step)
+
+
+def plain_local_update(
+    shard, anchors, general: ParamVector, cfg: LocalLossConfig, *, method, old_general, seed
+) -> ParamVector:
+    """`local_learner.local_update` on the plain step."""
+    shard_x, shard_y = shard
+    if len(shard_x) == 0:
+        return general.copy()
+    classes = sorted(anchors)
+    stream_x = np.concatenate([shard_x, *(anchors[c] for c in classes)])
+    stream_y = np.concatenate([shard_y, *(np.full(len(anchors[c]), c) for c in classes)])
+    n_new = len(shard_x)
+    ax, ay = stream_x[n_new:], stream_y[n_new:]
+
+    teacher_probs = None
+    if len(ax) and cfg.lam > 0 and cfg.anchor_variant == "logit_kd":
+        _, old_logits = plain_forward_batch(old_general, ax)
+        probs = plain_softmax_t(old_logits, cfg.anchor_temperature)
+        pad = np.zeros((len(ax), general.spec.n_classes - old_general.spec.n_classes))
+        teacher_probs = np.concatenate([probs, pad], axis=1)
+
+    def step(params, batch, ws):
+        is_new = batch < n_new
+        new_sel = batch[is_new]
+        anc_sel = batch[~is_new] - n_new
+        terms: list = []
+        if len(new_sel):
+            terms.append(CrossEntropyTerm(stream_x[new_sel], stream_y[new_sel]))
+        if len(anc_sel) and cfg.lam > 0:
+            if cfg.anchor_variant == "replay_ce":
+                terms.append(CrossEntropyTerm(ax[anc_sel], ay[anc_sel], weight=cfg.lam))
+            else:
+                terms.append(
+                    DistillTerm(
+                        ax[anc_sel], teacher_probs[anc_sel], cfg.anchor_temperature,
+                        weight=cfg.lam,
+                    )
+                )
+        if method == "dcil_fedmax" and cfg.beta > 0:
+            terms.append(UniformActivationTerm(stream_x[batch], cfg.beta))
+        if method == "dcil_fedprox" and cfg.mu > 0:
+            terms.append(ProximalTerm(general, cfg.mu))
+        if terms:
+            grad = plain_backward(params, CompositeLoss(tuple(terms)), out=ws)
+            plain_sgd_step(params, grad, cfg.lr)
+
+    return fit(general, cfg.lr, len(stream_x), cfg.batch_size, cfg.local_epochs, seed, step)
+
+
+def plain_distill(params, teacher, shared, tau, lr, epochs, seed) -> ParamVector:
+    """`distillation._distill` on the plain step."""
+    n = len(shared)
+    teacher_probs = None
+
+    def step(out, sel, ws):
+        nonlocal teacher_probs
+        if teacher_probs is None:
+            if len(teacher) != n:
+                raise InputError("teacher row count must match the shared pool")
+            teacher_probs = plain_softmax_t(teacher, tau)
+        term = DistillTerm(shared[sel], teacher_probs[sel], tau)
+        grad = plain_backward(out, CompositeLoss((term,)), out=ws)
+        plain_sgd_step(out, grad, lr)
+
+    batch = n if n <= DISTILL_FULL_BATCH_LIMIT else DISTILL_BATCH
+    return fit(params, lr, n, batch, epochs, seed, step)

@@ -303,6 +303,37 @@ def test_run_unpartitionable_sites_exit_2(runner, tmp_path, overrides):
     assert "config error" in result.output
 
 
+@pytest.mark.parametrize(
+    "override, counterpart",
+    [("seeds=[3]", "use --seed"), ("alphas=[5.0]", "use --set alpha="),
+     ('methods=["dcid","dcil_fedavg"]', "use --method")],
+)
+def test_run_set_of_a_grid_key_exits_2_before_training(
+    runner, tmp_path, monkeypatch, override, counterpart
+):
+    # `run` read none of them, so `--set seeds=[3]` ran seed 0 and exited 0
+    monkeypatch.setattr("dcil.cli.run", lambda cfg: pytest.fail("training started"))
+    cfg = write_config(tmp_path, FAST)
+    out = tmp_path / "r"
+    result = runner.invoke(main, ["run", cfg, "--out", str(out), "--set", override])
+    key = override.split("=")[0]
+    assert (result.exit_code, result.output) == (
+        2, f"config error: run takes no {key!r} list; {counterpart}\n"
+    )
+    assert not out.exists()
+
+
+def test_run_keeps_grid_keys_of_the_config_file_and_set_out(runner, tmp_path):
+    # one file serves `run` and `compare`
+    cfg = write_config(
+        tmp_path, {**FAST, "methods": ["dcid", "dcil_fedavg"], "seeds": [3], "alphas": [5.0]}
+    )
+    out = tmp_path / "r"
+    result = runner.invoke(main, ["run", cfg, "--set", f"out={out}"])
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in out.iterdir()) == ["dcid_seed0.csv", "dcid_seed0.json"]
+
+
 def test_run_unknown_override_key_exits_2(runner, tmp_path):
     cfg = write_config(tmp_path, FAST)
     result = runner.invoke(main, ["run", cfg, "--set", "warp=9"])
@@ -329,10 +360,12 @@ def test_run_rerun_is_bit_identical(runner, tmp_path):
 
 
 # A 6-class dcid run that diverges in each training stage, and what
-# `python -m dcil.cli run` printed for it before the stages checked
-# finiteness once (`nncore.fit`).  Each failing case warns from the
-# forward pass's output product, then names the first per-step check that
-# failed; local_lr=1e5 stays finite and runs to the end.
+# `python -m dcil.cli run` prints for it: the bytes per-step checks printed
+# before the stages checked finiteness once (`nncore.fit`), but for the
+# product's op name and source line since the forward pass calls `np.dot`.
+# Each failing case warns from the forward pass's output product, then
+# names the first per-step check that failed; local_lr=1e5 stays finite and
+# runs to the end.
 DIVERGING = {
     "method": "dcid", "classes": 6, "base_classes": 2, "sessions": 2,
     "sites": 3, "rounds": 1, "dim": 8, "per_class": 30,
@@ -341,10 +374,10 @@ DIVERGING = {
     "dcd_epochs": 2, "dad_epochs": 20, "base_epochs": 5, "seed": 0,
 }
 OVERFLOW_WARNINGS = (
-    "{nncore}:{line}: RuntimeWarning: overflow encountered in matmul\n"
-    "  logits = h @ w_out\n"
-    "{nncore}:{line}: RuntimeWarning: invalid value encountered in matmul\n"
-    "  logits = h @ w_out\n"
+    "{nncore}:{line}: RuntimeWarning: overflow encountered in dot\n"
+    "  logits = np.dot(h, w_out)\n"
+    "{nncore}:{line}: RuntimeWarning: invalid value encountered in dot\n"
+    "  logits = np.dot(h, w_out)\n"
 )
 NON_FINITE_LOGITS = OVERFLOW_WARNINGS + "run failed: non-finite logits\n"
 DIVERGENCE_OUTPUT = {
@@ -364,7 +397,7 @@ def test_run_divergence_prints_what_per_step_checks_printed(tmp_path, override):
     # Python prints each warning once per process.
     nncore = os.path.abspath(dcil.nncore.__file__)
     with open(nncore) as fh:
-        line = fh.read().splitlines().index("    logits = h @ w_out") + 1
+        line = fh.read().splitlines().index("    logits = np.dot(h, w_out)") + 1
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONWARNINGS", "PYTHONDEVMODE")}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(nncore))
     res = subprocess.run(

@@ -2,8 +2,9 @@
 top-level function or class is read somewhere in the package, every
 public top-level function, class or constant is read by the package or by
 the benchmark, only `nncore` passes, takes or sets a `check` flag (its `fit`
-alone decides when training is scanned for non-finite values), and only
-`nncore` builds a `Workspace`.
+alone decides when training is scanned for non-finite values), only
+`nncore` builds a `Workspace`, and the step arithmetic of `nncore` reaches
+NumPy through its cheapest entry points.
 
 A deleted feature tends to leave its import behind (a class name in the
 module that built it, `dataclass` in a module that no longer declares one),
@@ -220,3 +221,51 @@ def test_only_nncore_builds_a_workspace(module):
     # built its own would bypass the loop every stage shares.
     with open(os.path.join(PACKAGE, module)) as fh:
         assert workspace_builds(fh.read()) == []
+
+
+# The functions that every training step runs, once or more per loss term.
+STEP_FUNCTIONS = ("_forward_cache", "_backprop", "_term_grad", "_softmax_t", "_log_softmax")
+
+
+def costly_entry_points(source: str, functions) -> list[tuple[str, str, int]]:
+    """(function, spelling, line) of each `@`, `np.matmul` and `.sum(`/`.max(`
+    call in the top-level `functions` of `source`."""
+    found = []
+    for top in ast.parse(source).body:
+        if not isinstance(top, ast.FunctionDef) or top.name not in functions:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((node.lineno, node.col_offset, top.name, "@"))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in ("matmul", "sum", "max"):
+                    found.append((node.lineno, node.col_offset, top.name, node.func.attr))
+    return [(name, spelling, line) for line, _, name, spelling in sorted(found)]
+
+
+def test_costly_entry_points_finds_leftovers():
+    source = (
+        "def _step(h, w, z):\n"
+        "    z = h @ w\n"
+        "    z @= w\n"
+        "    np.matmul(h.T, z, out=w)\n"
+        "    s = z.sum(axis=0) + np.max(z)\n"
+        "    return np.dot(h, w), np.add.reduce(z), np.maximum.reduce(z)\n"
+        "def other(h, w):\n"
+        "    return (h @ w).sum()\n"
+    )
+    assert costly_entry_points(source, ("_step",)) == [
+        ("_step", "@", 2), ("_step", "@", 3), ("_step", "matmul", 4),
+        ("_step", "sum", 5), ("_step", "max", 5),
+    ]
+
+
+def test_step_arithmetic_uses_the_cheapest_entry_points():
+    # `np.dot` skips the matmul ufunc machinery, and `np.add.reduce` and
+    # `np.maximum.reduce` skip the Python wrappers behind `.sum` and `.max`;
+    # `tests/test_step_bytes.py` holds them to the bytes of the plain spelling.
+    with open(os.path.join(PACKAGE, "nncore.py")) as fh:
+        source = fh.read()
+    defined = {top.name for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)}
+    assert set(STEP_FUNCTIONS) <= defined
+    assert costly_entry_points(source, STEP_FUNCTIONS) == []

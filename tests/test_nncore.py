@@ -265,17 +265,21 @@ def test_grad_composite_sum_of_terms():
         assert abs(total - parts) < 1e-10
 
 
-def _trainer_term_sets(params, ref, rng):
-    """The term sets the trainers build, plus a proximal term in first place."""
-    k = params.spec.n_classes
-    x = rng.normal(size=(5, 3))
-    y = rng.integers(0, k, size=5)
-    ax = rng.normal(size=(3, 3))
-    ay = rng.integers(0, k, size=3)
+def trainer_term_sets(params, ref, rng, rows=5):
+    """The 16 term sets the trainers build, plus a proximal term in first place,
+    with `rows` new rows and `rows // 3 + 2` anchor rows.
+
+    12 anchor rows (`rows=31`) round `weight * (1/n)` apart from `weight / n`."""
+    d, k = params.spec.input_dim, params.spec.n_classes
+    n_anc = rows // 3 + 2
+    x = rng.normal(size=(rows, d))
+    y = rng.integers(0, k, size=rows)
+    ax = rng.normal(size=(n_anc, d))
+    ay = rng.integers(0, k, size=n_anc)
     # anchor KD: the previous general model knows k - 1 classes, padded to k
-    teacher = np.zeros((3, k))
-    teacher[:, : k - 1] = softmax_t(rng.normal(size=(3, k - 1)), 2.0)
-    pool_teacher = softmax_t(rng.normal(size=(5, k)), 5.0)
+    teacher = np.zeros((n_anc, k))
+    teacher[:, : k - 1] = softmax_t(rng.normal(size=(n_anc, k - 1)), 2.0)
+    pool_teacher = softmax_t(rng.normal(size=(rows, k)), 5.0)
     ce = CrossEntropyTerm(x, y)
     replay = CrossEntropyTerm(ax, ay, weight=5.0)
     kd = DistillTerm(ax, teacher, 2.0, weight=5.0)
@@ -295,7 +299,7 @@ def test_backward_sums_term_gradients_in_order_and_leaves_inputs_alone():
     for hidden in HIDDEN_DEPTHS:
         params = small_net(hidden=hidden, n_classes=4, activation="tanh")
         ref = small_net(seed=14, hidden=hidden, n_classes=4, activation="tanh")
-        for terms in _trainer_term_sets(params, ref, rng):
+        for terms in trainer_term_sets(params, ref, rng):
             arrays = [params.values, ref.values] + [
                 a for t in terms for a in vars(t).values() if isinstance(a, np.ndarray)
             ]
@@ -316,7 +320,7 @@ def test_backward_into_workspace_gives_same_bytes_and_leaves_inputs_alone():
         params = small_net(hidden=hidden, n_classes=4, activation="tanh")
         ref = small_net(seed=16, hidden=hidden, n_classes=4, activation="tanh")
         ws = Workspace(params.spec)  # one workspace for every term set, as a trainer uses it
-        for terms in _trainer_term_sets(params, ref, rng):
+        for terms in trainer_term_sets(params, ref, rng):
             arrays = [params.values, ref.values] + [
                 a for t in terms for a in vars(t).values() if isinstance(a, np.ndarray)
             ]
