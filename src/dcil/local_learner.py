@@ -25,6 +25,7 @@ from .nncore import (
     backward,
     fit,
     forward_batch,
+    one_hot,
     sgd_step,
     softmax_t,
 )
@@ -89,14 +90,15 @@ def select_anchors_herding(params: ParamVector, class_examples: np.ndarray, k_ma
     available = np.ones(n, dtype=bool)
     for k in range(1, min(k_max, n) + 1):
         diff = mu - (feats + running) / k
-        dist = np.linalg.norm(diff, axis=1)
+        # both norms as `np.linalg.norm` computes them, without its Python wrapper
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
         dist[~available] = np.inf
         # The row-norm reduces in another order than the scalar norm of one
         # row and can differ from it by a few ulps, enough to flip a near-tie.
         # The scalar norm decides among the candidates within 1e-9 of the
         # minimum; argmin takes the lowest index on a tie.
         near = np.flatnonzero(dist <= dist.min() * (1.0 + 1e-9))
-        i = int(near[np.argmin([np.linalg.norm(diff[j]) for j in near])])
+        i = int(near[np.argmin([np.sqrt(np.dot(diff[j], diff[j])) for j in near])])
         chosen.append(i)
         available[i] = False
         running = running + feats[i]
@@ -148,8 +150,9 @@ def local_update(
     classes = sorted(anchors)
     stream_x = np.concatenate([shard_x, *(anchors[c] for c in classes)])
     stream_y = np.concatenate([shard_y, *(np.full(len(anchors[c]), c) for c in classes)])
+    targets = one_hot(stream_y, general.spec.n_classes)
     n_new = len(shard_x)
-    ax, ay = stream_x[n_new:], stream_y[n_new:]
+    ax, at = stream_x[n_new:], targets[n_new:]
 
     teacher_probs = None
     if len(ax) and cfg.lam > 0 and cfg.anchor_variant == "logit_kd":
@@ -165,11 +168,12 @@ def local_update(
         anc_sel = batch[~is_new] - n_new
         terms: list = []
         if len(new_sel):
-            terms.append(CrossEntropyTerm(stream_x.take(new_sel, axis=0), stream_y.take(new_sel)))
+            new_x, new_t = stream_x.take(new_sel, axis=0), targets.take(new_sel, axis=0)
+            terms.append(CrossEntropyTerm(new_x, new_t))
         if len(anc_sel) and cfg.lam > 0:
             anc_x = ax.take(anc_sel, axis=0)
             if cfg.anchor_variant == "replay_ce":
-                terms.append(CrossEntropyTerm(anc_x, ay.take(anc_sel), weight=cfg.lam))
+                terms.append(CrossEntropyTerm(anc_x, at.take(anc_sel, axis=0), weight=cfg.lam))
             else:
                 anc_p = teacher_probs.take(anc_sel, axis=0)
                 terms.append(DistillTerm(anc_x, anc_p, cfg.anchor_temperature, weight=cfg.lam))

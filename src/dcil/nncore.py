@@ -202,12 +202,35 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def one_hot(y, n_classes: int) -> np.ndarray:
+    """The `(len(y), n_classes)` target rows of the labels `y`: exact 0.0 and 1.0.
+
+    The labels are checked here, once per training call: a 1-D array of
+    integers (not bools) in `range(n_classes)`.  A trainer then gathers each
+    batch's rows with `take`, as it gathers teacher rows.
+    """
+    y = np.asarray(y)
+    if y.ndim != 1 or y.dtype.kind not in "iu":
+        raise InputError(f"labels must be a 1-D integer array, got {y.dtype} of shape {y.shape}")
+    if len(y) and (y.min() < 0 or y.max() >= n_classes):
+        raise InputError("label out of range")
+    rows = np.zeros((len(y), n_classes))
+    rows[np.arange(len(y)), y] = 1.0
+    return rows
+
+
 @dataclass(frozen=True)
 class CrossEntropyTerm:
-    """Mean cross-entropy over a labeled batch."""
+    """Mean cross-entropy over a labeled batch.
+
+    `targets` holds one row per example over the full head, the batch's rows
+    of `one_hot`, which checked the labels; `backward` checks only its shape.
+    Subtracting an exact 0.0/1.0 row from the softmax gives the bytes of
+    subtracting 1.0 at the label alone.
+    """
 
     x: np.ndarray
-    y: np.ndarray
+    targets: np.ndarray
     weight: float = 1.0
 
 
@@ -309,11 +332,11 @@ def _term_grad(params: ParamVector, layers, term: LossTerm, flat, grads, check) 
 
     d_features = None
     if isinstance(term, CrossEntropyTerm):
-        y = np.asarray(term.y, dtype=np.int64)
-        if (y < 0).any() or (y >= spec.n_classes).any():
-            raise InputError("label out of range")
+        t = np.asarray(term.targets, dtype=np.float64)
+        if t.shape != logits.shape:
+            raise InputError("target table shape mismatch")
         d_logits = np.exp(_log_softmax(logits), out=logits)
-        d_logits[np.arange(n), y] -= 1.0
+        d_logits -= t
         d_logits *= term.weight / n
     elif isinstance(term, DistillTerm):
         p = np.asarray(term.teacher_probs, dtype=np.float64)

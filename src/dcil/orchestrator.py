@@ -43,6 +43,7 @@ from .nncore import (
     fit,
     forward_batch,
     init_params,
+    one_hot,
     sgd_step,
 )
 
@@ -223,10 +224,16 @@ def summarize(records: list[MetricsRecord]) -> dict:
 
 
 def _train_plain(params, x, y, epochs, lr, batch_size, seed):
-    """Plain minibatch-SGD cross-entropy training; a zero lr returns a copy."""
+    """Plain minibatch-SGD cross-entropy training; a zero lr returns a copy.
+
+    The labels are encoded, and so checked, once for the call, before any step.
+    """
+    targets = one_hot(y, params.spec.n_classes)
 
     def step(out, sel, ws):
-        loss = CompositeLoss((CrossEntropyTerm(x.take(sel, axis=0), y.take(sel)),))
+        loss = CompositeLoss(
+            (CrossEntropyTerm(x.take(sel, axis=0), targets.take(sel, axis=0)),)
+        )
         grad = backward(out, loss, out=ws)
         sgd_step(out, grad, lr)
 

@@ -5,10 +5,12 @@ apart from the batched code paths in `dcil`, so the tests compare two
 independent computations.
 
 The `plain_*` oracles are the engine's training step in its plain NumPy
-spelling: `@` products, `.sum`/`.max` reductions, an out-of-place softmax and
-fancy-index batch gathers.  `nncore` and the step closures reach the same
-operations through cheaper entry points (`np.dot`, `np.add.reduce`, in-place
-ufuncs, `take`), in the same order, and must give the same bytes.
+spelling: `@` products, `.sum`/`.max` reductions, an out-of-place softmax,
+fancy-index batch gathers, and a cross-entropy gradient that subtracts 1.0 at
+each label, read back from its one-hot target row.  `nncore` and the step
+closures reach the same operations through cheaper entry points (`np.dot`,
+`np.add.reduce`, in-place ufuncs, `take`), in the same order, subtract whole
+target rows (`x - 0.0 == x`), and must give the same bytes.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from dcil.nncore import (
     Workspace,
     fit,
     forward_batch,
+    one_hot,
     softmax_t,
 )
 
@@ -147,7 +150,7 @@ def loss_value(params: ParamVector, loss: CompositeLoss) -> float:
         feats, logits = forward_batch(params, term.x)
         n = logits.shape[0]
         if isinstance(term, CrossEntropyTerm):
-            y = np.asarray(term.y, dtype=np.int64)
+            y = np.argmax(term.targets, axis=1)
             logp = plain_log_softmax(logits)
             total += term.weight * float(-logp[np.arange(n), y].mean())
         elif isinstance(term, DistillTerm):
@@ -262,9 +265,13 @@ def plain_term_grad(params: ParamVector, layers, term, flat, grads, check) -> No
 
     d_features = None
     if isinstance(term, CrossEntropyTerm):
-        y = np.asarray(term.y, dtype=np.int64)
-        if np.any(y < 0) or np.any(y >= spec.n_classes):
-            raise InputError("label out of range")
+        t = np.asarray(term.targets, dtype=np.float64)
+        if t.shape != logits.shape:
+            raise InputError("target table shape mismatch")
+        # the labels the one-hot rows encode, subtracted at their index alone
+        y = np.argmax(t, axis=1)
+        if not np.array_equal(t, np.eye(spec.n_classes)[y]):
+            raise InputError("targets are not one-hot rows")
         d_logits = np.exp(plain_log_softmax(logits))
         d_logits[np.arange(n), y] -= 1.0
         d_logits *= term.weight / n
@@ -320,9 +327,10 @@ def plain_sgd_step(params: ParamVector, grad: ParamVector, lr: float) -> ParamVe
 
 def plain_train_plain(params, x, y, epochs, lr, batch_size, seed):
     """`orchestrator._train_plain` on the plain step."""
+    targets = one_hot(y, params.spec.n_classes)
 
     def step(out, sel, ws):
-        loss = CompositeLoss((CrossEntropyTerm(x[sel], y[sel]),))
+        loss = CompositeLoss((CrossEntropyTerm(x[sel], targets[sel]),))
         grad = plain_backward(out, loss, out=ws)
         plain_sgd_step(out, grad, lr)
 
@@ -339,8 +347,9 @@ def plain_local_update(
     classes = sorted(anchors)
     stream_x = np.concatenate([shard_x, *(anchors[c] for c in classes)])
     stream_y = np.concatenate([shard_y, *(np.full(len(anchors[c]), c) for c in classes)])
+    targets = one_hot(stream_y, general.spec.n_classes)
     n_new = len(shard_x)
-    ax, ay = stream_x[n_new:], stream_y[n_new:]
+    ax, at = stream_x[n_new:], targets[n_new:]
 
     teacher_probs = None
     if len(ax) and cfg.lam > 0 and cfg.anchor_variant == "logit_kd":
@@ -355,10 +364,10 @@ def plain_local_update(
         anc_sel = batch[~is_new] - n_new
         terms: list = []
         if len(new_sel):
-            terms.append(CrossEntropyTerm(stream_x[new_sel], stream_y[new_sel]))
+            terms.append(CrossEntropyTerm(stream_x[new_sel], targets[new_sel]))
         if len(anc_sel) and cfg.lam > 0:
             if cfg.anchor_variant == "replay_ce":
-                terms.append(CrossEntropyTerm(ax[anc_sel], ay[anc_sel], weight=cfg.lam))
+                terms.append(CrossEntropyTerm(ax[anc_sel], at[anc_sel], weight=cfg.lam))
             else:
                 terms.append(
                     DistillTerm(

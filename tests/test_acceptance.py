@@ -29,6 +29,7 @@ from dcil.nncore import (
     backward,
     forward_batch,
     init_params,
+    one_hot,
     softmax_t,
 )
 from dcil.orchestrator import RunConfig, run
@@ -106,17 +107,18 @@ def test_criterion_1_gradient_suite():
         x = rng.normal(size=(n, d))
         y = rng.integers(0, k, size=n)
         teacher = softmax_t(rng.normal(size=(n, k)), 5.0)
+        ce = CrossEntropyTerm(x, one_hot(y, k))
         losses = [
             # local incremental loss: classification + weighted distillation
-            CompositeLoss((CrossEntropyTerm(x, y), DistillTerm(x, teacher, 2.0, weight=5.0))),
+            CompositeLoss((ce, DistillTerm(x, teacher, 2.0, weight=5.0))),
             # mutual / aggregated distillation: softened KL over a pool
             CompositeLoss((DistillTerm(x, teacher, 5.0),)),
             # plain local loss
-            CompositeLoss((CrossEntropyTerm(x, y),)),
+            CompositeLoss((ce,)),
             # activation-uniformity regularized loss
-            CompositeLoss((CrossEntropyTerm(x, y), UniformActivationTerm(x, 500.0))),
+            CompositeLoss((ce, UniformActivationTerm(x, 500.0))),
             # proximal regularized loss
-            CompositeLoss((CrossEntropyTerm(x, y), ProximalTerm(ref, 0.2))),
+            CompositeLoss((ce, ProximalTerm(ref, 0.2))),
         ]
         for loss in losses:
             grad = backward(params, loss)

@@ -227,9 +227,15 @@ def test_only_nncore_builds_a_workspace(module):
 STEP_FUNCTIONS = ("_forward_cache", "_backprop", "_term_grad", "_softmax_t", "_log_softmax")
 
 
+def is_arange_call(node) -> bool:
+    return isinstance(node, ast.Call) and "arange" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
 def costly_entry_points(source: str, functions) -> list[tuple[str, str, int]]:
-    """(function, spelling, line) of each `@`, `np.matmul` and `.sum(`/`.max(`
-    call in the top-level `functions` of `source`."""
+    """(function, spelling, line) of each `@`, `np.matmul`, `.sum(`/`.max(`/`.any(`
+    call and `np.arange`-indexed subscript in the top-level `functions` of `source`."""
     found = []
     for top in ast.parse(source).body:
         if not isinstance(top, ast.FunctionDef) or top.name not in functions:
@@ -238,8 +244,11 @@ def costly_entry_points(source: str, functions) -> list[tuple[str, str, int]]:
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
                 found.append((node.lineno, node.col_offset, top.name, "@"))
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if node.func.attr in ("matmul", "sum", "max"):
+                if node.func.attr in ("matmul", "sum", "max", "any"):
                     found.append((node.lineno, node.col_offset, top.name, node.func.attr))
+            elif isinstance(node, ast.Subscript):
+                if any(is_arange_call(n) for n in ast.walk(node.slice)):
+                    found.append((node.lineno, node.col_offset, top.name, "arange index"))
     return [(name, spelling, line) for line, _, name, spelling in sorted(found)]
 
 
@@ -250,20 +259,27 @@ def test_costly_entry_points_finds_leftovers():
         "    z @= w\n"
         "    np.matmul(h.T, z, out=w)\n"
         "    s = z.sum(axis=0) + np.max(z)\n"
+        "    if (y < 0).any() or np.any(y >= k):\n"
+        "        raise InputError('label out of range')\n"
+        "    z[np.arange(n), y] -= 1.0\n"
+        "    z[arange(n)] = z[y] - t[:, 0]\n"
         "    return np.dot(h, w), np.add.reduce(z), np.maximum.reduce(z)\n"
         "def other(h, w):\n"
         "    return (h @ w).sum()\n"
     )
     assert costly_entry_points(source, ("_step",)) == [
         ("_step", "@", 2), ("_step", "@", 3), ("_step", "matmul", 4),
-        ("_step", "sum", 5), ("_step", "max", 5),
+        ("_step", "sum", 5), ("_step", "max", 5), ("_step", "any", 6),
+        ("_step", "any", 6), ("_step", "arange index", 8), ("_step", "arange index", 9),
     ]
 
 
 def test_step_arithmetic_uses_the_cheapest_entry_points():
     # `np.dot` skips the matmul ufunc machinery, and `np.add.reduce` and
     # `np.maximum.reduce` skip the Python wrappers behind `.sum` and `.max`;
-    # `tests/test_step_bytes.py` holds them to the bytes of the plain spelling.
+    # labels are checked and encoded once per call by `one_hot`, not scanned
+    # with `.any()` and fancy-indexed per term.  `tests/test_step_bytes.py`
+    # holds the step to the bytes of the plain spelling.
     with open(os.path.join(PACKAGE, "nncore.py")) as fh:
         source = fh.read()
     defined = {top.name for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)}

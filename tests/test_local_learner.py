@@ -238,8 +238,10 @@ def test_local_update_stacks_anchors_in_sorted_class_order(monkeypatch):
     monkeypatch.setattr("dcil.local_learner.backward", spy)
     cfg = LocalLossConfig(anchor_variant="replay_ce", local_epochs=1, batch_size=10**6)
     update(shard, anchors, general, cfg)
-    assert sorted(terms[0].y.tolist()) == [0, 0, 0, 1, 1, 1]
-    for x, y in zip(terms[0].x, terms[0].y):
+    labels = terms[0].targets.argmax(axis=1)
+    assert np.array_equal(terms[0].targets, np.eye(general.spec.n_classes)[labels])
+    assert sorted(labels.tolist()) == [0, 0, 0, 1, 1, 1]
+    for x, y in zip(terms[0].x, labels):
         assert any(np.array_equal(x, row) for row in anchors[y])
 
 

@@ -26,6 +26,7 @@ from dcil.nncore import (
     fit,
     forward_batch,
     init_params,
+    one_hot,
     pack_layers,
     sgd_step,
     softmax_t,
@@ -202,7 +203,7 @@ def test_grad_cross_entropy():
     y = rng.integers(0, 3, size=6)
     for hidden in HIDDEN_DEPTHS:
         params = small_net(hidden=hidden, activation="tanh")
-        assert_grad_close(params, CompositeLoss((CrossEntropyTerm(x, y),)))
+        assert_grad_close(params, CompositeLoss((CrossEntropyTerm(x, one_hot(y, 3)),)))
 
 
 def test_grad_distill_full_head():
@@ -253,7 +254,7 @@ def test_grad_composite_sum_of_terms():
         params = small_net(hidden=hidden, activation="tanh")
         ref = small_net(seed=11, hidden=hidden, activation="tanh")
         loss = CompositeLoss((
-            CrossEntropyTerm(x, y),
+            CrossEntropyTerm(x, one_hot(y, 3)),
             DistillTerm(x, teacher, 5.0, weight=5.0),
             ProximalTerm(ref, 0.2),
             UniformActivationTerm(x, 1.5),
@@ -269,19 +270,23 @@ def trainer_term_sets(params, ref, rng, rows=5):
     """The 16 term sets the trainers build, plus a proximal term in first place,
     with `rows` new rows and `rows // 3 + 2` anchor rows.
 
-    12 anchor rows (`rows=31`) round `weight * (1/n)` apart from `weight / n`."""
+    12 anchor rows (`rows=31`) round `weight * (1/n)` apart from `weight / n`.
+    The first and last rows of each cross-entropy batch are labeled 0 and
+    `n_classes - 1`, so the one-hot targets reach both edge columns."""
     d, k = params.spec.input_dim, params.spec.n_classes
     n_anc = rows // 3 + 2
     x = rng.normal(size=(rows, d))
     y = rng.integers(0, k, size=rows)
     ax = rng.normal(size=(n_anc, d))
     ay = rng.integers(0, k, size=n_anc)
+    for labels in (y, ay):
+        labels[0], labels[-1] = 0, k - 1
     # anchor KD: the previous general model knows k - 1 classes, padded to k
     teacher = np.zeros((n_anc, k))
     teacher[:, : k - 1] = softmax_t(rng.normal(size=(n_anc, k - 1)), 2.0)
     pool_teacher = softmax_t(rng.normal(size=(rows, k)), 5.0)
-    ce = CrossEntropyTerm(x, y)
-    replay = CrossEntropyTerm(ax, ay, weight=5.0)
+    ce = CrossEntropyTerm(x, one_hot(y, k))
+    replay = CrossEntropyTerm(ax, one_hot(ay, k), weight=5.0)
     kd = DistillTerm(ax, teacher, 2.0, weight=5.0)
     pool = DistillTerm(x, pool_teacher, 5.0)
     prox = ProximalTerm(ref, 0.3)
@@ -342,14 +347,14 @@ def test_backward_into_workspace_rejects_nan_teacher():
     teacher = softmax_t(rng.normal(size=(5, 4)), 5.0)
     teacher[2, 1] = np.nan
     y = rng.integers(0, 4, size=5)
-    loss = CompositeLoss((CrossEntropyTerm(x, y), DistillTerm(x, teacher, 5.0)))
+    loss = CompositeLoss((CrossEntropyTerm(x, one_hot(y, 4)), DistillTerm(x, teacher, 5.0)))
     with pytest.raises(InputError, match="non-finite"):
         backward(params, loss, out=Workspace(params.spec))
 
 
 def test_backward_rejects_workspace_of_another_spec():
     params = small_net(n_classes=4)
-    loss = CompositeLoss((CrossEntropyTerm(np.ones((2, 3)), np.array([0, 3])),))
+    loss = CompositeLoss((CrossEntropyTerm(np.ones((2, 3)), one_hot([0, 3], 4)),))
     for spec in (params.spec.with_classes(5), NetSpec(3, (5,), 4)):
         with pytest.raises(InputError):
             backward(params, loss, out=Workspace(spec))
@@ -357,8 +362,51 @@ def test_backward_rejects_workspace_of_another_spec():
 
 def test_backward_rejects_empty_batch():
     params = small_net()
+    empty = CrossEntropyTerm(np.empty((0, 3)), one_hot(np.empty(0, int), 3))
     with pytest.raises(InputError):
-        backward(params, CompositeLoss((CrossEntropyTerm(np.empty((0, 3)), np.empty(0, int)),)))
+        backward(params, CompositeLoss((empty,)))
+
+
+def test_one_hot_gives_exact_rows():
+    rows = one_hot(np.array([2, 0, 2, 1], dtype=np.uint8), 4)
+    assert rows.dtype == np.float64
+    assert rows.tobytes() == np.eye(4)[[2, 0, 2, 1]].tobytes()
+    assert one_hot(np.empty(0, int), 3).shape == (0, 3)
+
+
+def test_one_hot_rejects_negative_and_too_large_labels():
+    # a wrapped -1 would train silently on the last class
+    for bad in ([0, -1, 2], [0, 3, 2]):
+        with pytest.raises(InputError, match="label out of range"):
+            one_hot(np.array(bad), 3)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [2, np.int64(2), [[0, 1]], [0.0, 1.0], [0.5, 1.2], np.array([True, False]), ["a"]],
+    ids=["int", "scalar", "2d", "float", "fraction", "bool", "str"],
+)
+def test_one_hot_rejects_labels_that_are_not_a_1d_integer_array(labels):
+    # a scalar would broadcast to every row and a fraction be truncated
+    with pytest.raises(InputError, match="1-D integer"):
+        one_hot(labels, 3)
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_backward_rejects_targets_of_the_wrong_shape(check):
+    # a single label, a short label list or a narrower head would otherwise
+    # broadcast, raise a raw IndexError or train on the wrong columns
+    params = small_net()
+    ws = Workspace(params.spec)
+    ws.check = check
+    x = np.random.default_rng(18).normal(size=(5, 3))
+    for targets in (one_hot([2], 3), one_hot([0, 1, 2], 3), one_hot([0, 1, 1, 0, 1], 2),
+                    one_hot([0, 1, 2, 0, 1, 2], 3), one_hot([0, 1, 2, 0, 1], 3)[:, :, None]):
+        loss = CompositeLoss((CrossEntropyTerm(x, targets),))
+        with pytest.raises(InputError, match="target table shape mismatch"):
+            backward(params, loss, out=ws)
+    with pytest.raises(InputError, match="target table shape mismatch"):
+        backward(params, CompositeLoss((CrossEntropyTerm(x, 1.0),)), out=ws)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +419,7 @@ def test_sgd_step_moves_downhill():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(20, 3))
     y = rng.integers(0, 3, size=20)
-    loss = CompositeLoss((CrossEntropyTerm(x, y),))
+    loss = CompositeLoss((CrossEntropyTerm(x, one_hot(y, 3)),))
     before = loss_value(params, loss)
     grad = backward(params, loss)
     after = loss_value(sgd_step(params, grad, 0.1), loss)
@@ -437,9 +485,12 @@ def test_check_false_skips_only_the_finiteness_scans():
     big = ParamVector(np.full(params.spec.param_count, -1e308), params.spec)
     with np.errstate(over="ignore"):  # `sgd_step` never scans; `fit` does
         assert np.isinf(sgd_step(params, big, 1.0).values).all()
-    # every input and config check still runs
+    # every input and config check still runs; labels are checked by `one_hot`
     with pytest.raises(InputError, match="label out of range"):
-        backward(small_net(), CompositeLoss((CrossEntropyTerm(x, [0, 3]),)), out=ws)
+        one_hot([0, 3], 3)
+    short_targets = CompositeLoss((CrossEntropyTerm(x, one_hot([0], 3)),))
+    with pytest.raises(InputError, match="target table shape"):
+        backward(small_net(), short_targets, out=ws)
     short_teacher = CompositeLoss((DistillTerm(x, nan_teacher[:1], 2.0),))
     with pytest.raises(InputError, match="teacher table shape"):
         backward(small_net(), short_teacher, out=ws)

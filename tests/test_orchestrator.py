@@ -9,7 +9,7 @@ import pytest
 from oracles import zeros_params
 from test_golden import CONFIGS as GOLDEN
 
-from dcil.local_learner import LocalLossConfig
+from dcil.local_learner import LocalLossConfig, local_update
 from dcil.nncore import ConfigError, InputError, NetSpec, fit, init_params
 from dcil.orchestrator import (
     MetricsRecord,
@@ -111,6 +111,25 @@ def test_zero_learning_rate_plain_training_returns_input(monkeypatch):
     assert np.array_equal(out.values, params.values)
     assert out.values is not params.values
     assert calls == []
+
+
+def test_negative_label_raises_before_any_step(monkeypatch):
+    # labels are encoded once per training call, before `fit` runs a step: a
+    # wrapped -1 would otherwise train silently on the last class
+    def no_step(*args):
+        raise AssertionError("trained on a -1 label")
+
+    monkeypatch.setattr("dcil.orchestrator.fit", no_step)
+    monkeypatch.setattr("dcil.local_learner.fit", no_step)
+    params = init_params(NetSpec(4, (8,), 3), np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    x, y = rng.normal(size=(20, 4)), rng.integers(0, 3, size=20)
+    y[7] = -1
+    with pytest.raises(InputError, match="label out of range"):
+        _train_plain(params, x, y, epochs=1, lr=0.1, batch_size=8, seed=1)
+    cfg = LocalLossConfig(anchor_variant="replay_ce", local_epochs=1)
+    with pytest.raises(InputError, match="label out of range"):
+        local_update((x, y), {}, params, cfg, method="dcid", old_general=None, seed=2)
 
 
 # ---------------------------------------------------------------------------
