@@ -126,7 +126,7 @@ def partition_iid(x: np.ndarray, y: np.ndarray, n_sites: int, seed: SeedLike) ->
         raise ConfigError(f"n_sites must be >= 1, got {n_sites}")
     rng = np.random.default_rng(seed)
     buckets: list[list[np.ndarray]] = [[] for _ in range(n_sites)]
-    for c in sorted(int(v) for v in np.unique(y)):
+    for c in _classes(y):
         idx = np.flatnonzero(y == c)
         if len(idx) < n_sites:
             raise ConfigError(
@@ -136,6 +136,16 @@ def partition_iid(x: np.ndarray, y: np.ndarray, n_sites: int, seed: SeedLike) ->
         for m in range(n_sites):
             buckets[m].append(idx[m::n_sites])
     return _shards(x, y, buckets)
+
+
+def _classes(y: np.ndarray) -> list[int]:
+    """The distinct labels of `y`, ascending.
+
+    Not `np.unique(y)`: on numpy 2.4 its hash path imports `numpy.ma`, about
+    1.2 MB resident and 11-16 ms at a process's first partition, and a set
+    of a session's few labels costs neither.
+    """
+    return sorted({int(v) for v in y.tolist()})
 
 
 def _shards(x: np.ndarray, y: np.ndarray, buckets: list[list[np.ndarray]]) -> SitePartition:
@@ -169,7 +179,7 @@ def partition_dirichlet(
         raise ConfigError(f"n_sites must be >= 2 for dirichlet partitioning, got {n_sites}")
     rng = np.random.default_rng(seed)
     buckets: list[list[np.ndarray]] = [[] for _ in range(n_sites)]
-    for c in sorted(int(v) for v in np.unique(y)):
+    for c in _classes(y):
         idx = rng.permutation(np.flatnonzero(y == c))
         props = rng.dirichlet(np.full(n_sites, alpha))
         counts = _largest_remainder(props, len(idx))

@@ -342,7 +342,9 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
         for r in range(cfg.rounds):
             ledger.params_down += cfg.n_sites * p_count
 
-            theta0 = [
+            # One generation of site models per round: DCD overwrites each
+            # site's entry, and the list is dropped before DAD runs.
+            sites = [
                 local_update(
                     shard, anchors[m], general, cfg.local, method=cfg.method,
                     old_general=prev_general, seed=[cfg.seed, _S_SITE, m, t, r],
@@ -350,32 +352,31 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
                 for m, shard in enumerate(shards)
             ]
 
-            tables0 = [compute_logits_table(p, shared) for p in theta0]
+            tables = [compute_logits_table(p, shared) for p in sites]
             ledger.logit_scalars += cfg.n_sites * len(shared) * n_head
 
             if r == cfg.rounds - 1:  # only the last round's anchors are kept
                 new_anchors = [
-                    _herd_session_anchors(cfg, theta0[m], sx, sy, new_classes)
+                    _herd_session_anchors(cfg, sites[m], sx, sy, new_classes)
                     for m, (sx, sy) in enumerate(shards)
                 ]
 
-            ensemble0 = ensemble_logits(tables0, weights)
-            theta1 = [
-                dcd_finetune(
-                    p, ensemble0, shared, cfg.tau1, cfg.dcd_lr,
+            teacher = ensemble_logits(tables, weights)
+            del tables
+            for m in range(cfg.n_sites):
+                sites[m] = dcd_finetune(
+                    sites[m], teacher, shared, cfg.tau1, cfg.dcd_lr,
                     cfg.dcd_epochs, seed=[cfg.seed, _S_DCD, t, r, m],
                 )
-                for m, p in enumerate(theta0)
-            ]
 
             ledger.params_up += cfg.n_sites * p_count
-            aggregated = fedavg_aggregate(theta1, counts)
+            aggregated = fedavg_aggregate(sites, counts)
 
-            tables1 = [compute_logits_table(p, shared) for p in theta1]
             ledger.logit_scalars += cfg.n_sites * len(shared) * n_head
-            ensemble1 = ensemble_logits(tables1, weights)
+            teacher = ensemble_logits([compute_logits_table(p, shared) for p in sites], weights)
+            del sites
             general = dad_refine(
-                aggregated, ensemble1, shared, cfg.tau2, cfg.dad_lr,
+                aggregated, teacher, shared, cfg.tau2, cfg.dad_lr,
                 cfg.dad_epochs, seed=[cfg.seed, _S_DAD, t, r],
             )
 

@@ -4,11 +4,8 @@ Each check runs in a fresh interpreter, because OpenBLAS reads its thread
 count once, when numpy loads it, and this process loaded numpy long ago.
 """
 
-import os
-import subprocess
-import sys
+from fresh import fresh_python
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 VAR = "OPENBLAS_NUM_THREADS"
 
 # One small dcid run over 128-wide layers, where two BLAS threads split the
@@ -31,22 +28,10 @@ print(len(tasks), len(result.records), hashlib.sha256(text.encode()).hexdigest()
 """
 
 
-def python(code: str, threads: str | None = None) -> str:
-    """stdout of `code` in a fresh interpreter, with `threads` as the variable (None: unset)."""
-    env = {k: v for k, v in os.environ.items() if k != VAR}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    if threads is not None:
-        env[VAR] = threads
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    return res.stdout
-
-
 def probe(imports: str, threads: str | None = None) -> list[str]:
     """Whether numpy is loaded after `imports`, and the variable's value then."""
     code = f"import os, sys; {imports}; print('numpy' in sys.modules, os.environ.get({VAR!r}))"
-    return python(code, threads).split()
+    return fresh_python(code, {VAR: threads}).split()
 
 
 def test_import_sets_one_thread_before_numpy_loads():
@@ -62,8 +47,8 @@ def test_process_that_loaded_numpy_first_is_left_alone():
 
 
 def test_blas_thread_count_leaves_records_bit_identical():
-    tasks_one, records, digest_one = python(RUN).split()
-    tasks_two, _, digest_two = python(RUN, threads="2").split()
+    tasks_one, records, digest_one = fresh_python(RUN, {VAR: None}).split()
+    tasks_two, _, digest_two = fresh_python(RUN, {VAR: "2"}).split()
     if int(tasks_one):  # where the interpreter's threads can be counted
         assert int(tasks_two) == int(tasks_one) + 1
     assert records == "3"

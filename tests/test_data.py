@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from fresh import fresh_python
 from hypothesis import given, settings, strategies as st
 
 from dcil.data import (
+    _largest_remainder,
     make_synthetic,
     partition_dirichlet,
     partition_iid,
@@ -212,3 +214,63 @@ def mean_site_entropy(n_sites, alpha, seeds=20, n_per_class=60, n_classes=4):
 def test_partition_dirichlet_entropy_monotone_in_alpha():
     ents = [mean_site_entropy(5, a) for a in (0.01, 0.1, 1.0, 10.0, 1e6)]
     assert all(a < b for a, b in zip(ents, ents[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Class order
+# ---------------------------------------------------------------------------
+
+
+def unique_ordered_shards(x, y, n_sites, alpha, seed):
+    """Reference shards: classes visited in `np.unique(y)` order, dealt
+    round-robin (alpha None) or by Dirichlet(alpha) shares."""
+    rng = np.random.default_rng(seed)
+    buckets = [[] for _ in range(n_sites)]
+    for c in sorted(int(v) for v in np.unique(y)):
+        idx = rng.permutation(np.flatnonzero(y == c))
+        if alpha is None:
+            for m in range(n_sites):
+                buckets[m].append(idx[m::n_sites])
+        else:
+            counts = _largest_remainder(rng.dirichlet(np.full(n_sites, alpha)), len(idx))
+            offset = 0
+            for m in range(n_sites):
+                buckets[m].append(idx[offset : offset + counts[m]])
+                offset += counts[m]
+    takes = [np.concatenate(b) for b in buckets]
+    return [(x[take], y[take]) for take in takes]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_partitions_visit_unordered_gapped_labels_in_ascending_order(seed):
+    y = np.tile(np.array([7, 2, 9, 2, 7, 9, 7]), 3)
+    x = np.arange(2 * len(y), dtype=np.float64).reshape(-1, 2)
+    for alpha, part in (
+        (None, partition_iid(x, y, 3, seed)),
+        (0.5, partition_dirichlet(x, y, 3, 0.5, seed)),
+    ):
+        expect = unique_ordered_shards(x, y, 3, alpha, seed)
+        assert len(part.shards) == len(expect)
+        for (sx, sy), (ex, ey) in zip(part.shards, expect):
+            assert np.array_equal(sx, ex) and np.array_equal(sy, ey)
+
+
+# Every method at a tiny size under both partitioners; prints whether any of
+# them loaded `numpy.ma`, which `np.unique(y)` imports on numpy 2.4.
+NO_MA_RUNS = """
+import sys
+from dcil.local_learner import LocalLossConfig
+from dcil.orchestrator import METHODS, PARTITIONS, RunConfig, run
+
+for method in METHODS:
+    for partition in PARTITIONS:
+        run(RunConfig(method=method, partition=partition, n_classes=6, n_base=2,
+                      n_sessions=2, n_sites=3, rounds=1, input_dim=4, per_class=20,
+                      hidden_dims=(8,), base_epochs=1, local=LocalLossConfig(local_epochs=1),
+                      dad_epochs=2, dcd_epochs=1, anchors_per_class=2, shared_per_class=4))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_runs_never_load_numpy_ma():
+    assert fresh_python(NO_MA_RUNS).split() == ["False"]

@@ -1,6 +1,8 @@
 """Protocol orchestration: stage order, degeneracy identities, ledger, evaluation."""
 
+import gc
 import importlib
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -272,6 +274,54 @@ def test_centralized_makes_no_stage_call_and_no_communication(monkeypatch):
     assert all(sum(r.comm.values()) == 0 for r in res.records)
 
 
+@pytest.mark.parametrize("method", ["dcid", "dcil_fedavg"])
+def test_a_round_holds_one_generation_of_site_models(monkeypatch, method):
+    # The spies keep only weak references: holding a model would keep it alive.
+    orch = importlib.import_module("dcil.orchestrator")
+    local, dcd, previous = [], [], []  # this round's models and the last round's
+    checked = []  # one entry per round checked at its DAD call
+    local_update, dcd_finetune = orch.local_update, orch.dcd_finetune
+    fedavg_aggregate, dad_refine = orch.fedavg_aggregate, orch.dad_refine
+
+    def alive(refs):
+        gc.collect()
+        return [ref() for ref in refs if ref() is not None]
+
+    def spy_local(*args, **kwargs):
+        if not local:  # a round's first local update
+            assert alive(previous) == []
+        out = local_update(*args, **kwargs)
+        local.append(weakref.ref(out))
+        return out
+
+    def spy_dcd(site_params, *args, **kwargs):
+        assert site_params is local[len(dcd)]()  # in site order
+        out = dcd_finetune(site_params, *args, **kwargs)
+        dcd.append(weakref.ref(out))
+        return out
+
+    def spy_fedavg(param_list, *args, **kwargs):
+        assert len(param_list) == len(dcd)
+        assert all(p is ref() for p, ref in zip(param_list, dcd))
+        return fedavg_aggregate(param_list, *args, **kwargs)
+
+    def spy_dad(*args, **kwargs):
+        assert len(local) == len(dcd) == SMALL.n_sites
+        assert alive(local + dcd) == []
+        checked.append(True)
+        previous[:] = local + dcd
+        local.clear()
+        dcd.clear()
+        return dad_refine(*args, **kwargs)
+
+    monkeypatch.setattr(orch, "local_update", spy_local)
+    monkeypatch.setattr(orch, "dcd_finetune", spy_dcd)
+    monkeypatch.setattr(orch, "fedavg_aggregate", spy_fedavg)
+    monkeypatch.setattr(orch, "dad_refine", spy_dad)
+    run(replace(SMALL, method=method))
+    assert len(checked) == SMALL.n_sessions * SMALL.rounds
+
+
 def _counting(counts, key, fn):
     def wrapper(*args, **kwargs):
         counts[key] += 1
@@ -426,6 +476,14 @@ def test_repeat_run_bit_identical():
 def test_degenerate_dcid_without_shared_pool_is_fedavg_baseline():
     dcid = run(replace(SMALL, shared_per_class=0))
     base = run(replace(SMALL, method="dcil_fedavg"))
+    assert all(records_equal(x, y) for x, y in zip(dcid.records, base.records))
+
+
+def test_degenerate_dcid_without_shared_pool_is_fedavg_at_the_default_config():
+    # the same identity at full size, where a grid could serve one run for both
+    dcid = run(RunConfig(shared_per_class=0))
+    base = run(RunConfig(method="dcil_fedavg"))
+    assert len(dcid.records) == len(base.records) == 6
     assert all(records_equal(x, y) for x, y in zip(dcid.records, base.records))
 
 
