@@ -24,12 +24,11 @@ class Dataset:
     test_x: np.ndarray
     test_y: np.ndarray
     n_classes: int
-    input_dim: int
 
 
 @dataclass
 class SessionSplit:
-    """Disjoint class chunks and their training data, plus a per-class test pool.
+    """Disjoint class chunks and their training data.
 
     `per_session_train` has T+1 entries; entry 0 is the base session.
     """
@@ -37,7 +36,6 @@ class SessionSplit:
     base_classes: tuple[int, ...]
     session_classes: list[tuple[int, ...]]
     per_session_train: list[tuple[np.ndarray, np.ndarray]]
-    test_pool: dict[int, np.ndarray]
 
 
 @dataclass
@@ -87,7 +85,6 @@ def make_synthetic(
         np.concatenate(te_x),
         np.concatenate(te_y),
         n_classes,
-        dim,
     )
 
 
@@ -114,10 +111,7 @@ def split_sessions(dataset: Dataset, n_base: int, n_sessions: int, seed: SeedLik
     for chunk in chunks:
         mask = np.isin(dataset.train_y, chunk)
         per_session.append((dataset.train_x[mask], dataset.train_y[mask]))
-    pool = {
-        int(cls): dataset.test_x[dataset.test_y == cls] for cls in range(c)
-    }
-    return SessionSplit(base, sessions, per_session, pool)
+    return SessionSplit(base, sessions, per_session)
 
 
 def partition_iid(x: np.ndarray, y: np.ndarray, n_sites: int, seed: SeedLike) -> SitePartition:

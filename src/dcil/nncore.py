@@ -98,11 +98,6 @@ class ParamVector:
         if not np.isfinite(self.values).all():
             raise InputError("parameter vector contains non-finite entries")
 
-    def __getstate__(self):
-        # pickle and deepcopy would turn the cached views into copies detached
-        # from `values`; leave them out so the copy builds its own
-        return {"values": self.values, "spec": self.spec}
-
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.spec)
 

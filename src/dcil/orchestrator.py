@@ -177,33 +177,17 @@ class RunResult:
     records: list[MetricsRecord]
 
 
-def evaluate(params: ParamVector, test_pool: dict[int, np.ndarray], seen_classes):
-    """Top-1 accuracy over the seen-class logits, plus a per-class map.
+def evaluate(params: ParamVector, x: np.ndarray, y: np.ndarray):
+    """Top-1 accuracy of the whole head on `(x, y)`, plus a per-class map.
 
-    Classes are head indices here; prediction argmax ties break toward the
-    lowest class id.
+    The map holds the classes present in `y`.  Classes are head indices
+    here; prediction argmax ties break toward the lowest class id.
     """
-    seen = sorted(int(c) for c in seen_classes)
-    if not seen:
-        raise InputError("no seen classes to evaluate")
-    xs, ys = [], []
-    for c in seen:
-        pool = test_pool.get(c)
-        if pool is None or len(pool) == 0:
-            continue
-        xs.append(pool)
-        ys.append(np.full(len(pool), c, dtype=np.int64))
-    if not xs:
-        raise InputError("empty test pool for the seen classes")
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
+    if len(y) == 0:
+        raise InputError("empty test set")
     _, logits = forward_batch(params, x)
-    sub = logits[:, seen]
-    pred = np.array(seen)[np.argmax(sub, axis=1)]
-    correct = pred == y
-    per_class = {
-        c: float(correct[y == c].mean()) for c in seen if np.any(y == c)
-    }
+    correct = np.argmax(logits, axis=1) == y
+    per_class = {c: float(correct[y == c].mean()) for c in sorted(set(y.tolist()))}
     return float(correct.mean()), per_class
 
 
@@ -241,11 +225,13 @@ def _train_plain(params, x, y, epochs, lr, batch_size, seed):
 
 
 def _sessions(cfg: RunConfig):
-    """Each session's `(x, y)` training data ([0] = base) and the test pool.
+    """Each session's `(x, y)` training data ([0] = base) and the test set.
 
     Labels are remapped so that head indices are contiguous in encounter
     order: base classes first, then each session's classes, so session t's
-    classes are `range(_head(cfg, t - 1), _head(cfg, t))`.
+    classes are `range(_head(cfg, t - 1), _head(cfg, t))`.  The test set is
+    stably sorted by head index, so the classes seen after session t label
+    its leading rows.
     """
     ds = data_mod.make_synthetic(
         cfg.n_classes, cfg.per_class, cfg.input_dim, cfg.spread, [cfg.seed, _S_DATA]
@@ -254,7 +240,9 @@ def _sessions(cfg: RunConfig):
     remap = np.empty(cfg.n_classes, dtype=np.int64)
     remap[np.concatenate([split.base_classes, *split.session_classes])] = np.arange(cfg.n_classes)
     train = [(x, remap[y]) for x, y in split.per_session_train]
-    return train, {int(remap[c]): pool for c, pool in split.test_pool.items()}
+    test_y = remap[ds.test_y]
+    order = np.argsort(test_y, kind="stable")
+    return train, (ds.test_x[order], test_y[order])
 
 
 def _head(cfg: RunConfig, t: int) -> int:
@@ -278,9 +266,11 @@ def _partition(cfg: RunConfig, x, y, session):
     return data_mod.partition_dirichlet(x, y, cfg.n_sites, cfg.alpha, seed)
 
 
-def _record(cfg, session, params, test_pool, ledger) -> MetricsRecord:
+def _record(cfg, session, params, test, ledger) -> MetricsRecord:
     seen = tuple(range(_head(cfg, session)))
-    acc, per_class = evaluate(params, test_pool, seen)
+    x, y = test
+    n = int(np.searchsorted(y, len(seen)))
+    acc, per_class = evaluate(params, x[:n], y[:n])
     return MetricsRecord(session, acc, per_class, seen, asdict(ledger))
 
 
@@ -307,9 +297,9 @@ def _herd_session_anchors(cfg, params, shard_x, shard_y, classes) -> dict[int, n
 def _run_decentralized(cfg: RunConfig) -> RunResult:
     """DCID, or a baseline: the same protocol over a shared pool of size 0."""
     shared_per_class = cfg.shared_per_class if cfg.method == "dcid" else 0
-    train, test_pool = _sessions(cfg)
+    train, test = _sessions(cfg)
     general = _train_base(cfg, *train[0])
-    records = [_record(cfg, 0, general, test_pool, CommLedger())]
+    records = [_record(cfg, 0, general, test, CommLedger())]
 
     # Base-class anchors: the base session is trained centrally, but each site
     # must enter session 1 with anchors for the classes already seen.  Deal
@@ -383,15 +373,15 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
         for site_anchors, picked in zip(anchors, new_anchors):
             site_anchors.update(picked)  # this session's classes are new keys
 
-        records.append(_record(cfg, t, general, test_pool, ledger))
+        records.append(_record(cfg, t, general, test, ledger))
 
     return RunResult(records)
 
 
 def _run_centralized(cfg: RunConfig) -> RunResult:
     """Upper-bound reference: full retraining on all data seen so far."""
-    train, test_pool = _sessions(cfg)
-    records = [_record(cfg, 0, _train_base(cfg, *train[0]), test_pool, CommLedger())]
+    train, test = _sessions(cfg)
+    records = [_record(cfg, 0, _train_base(cfg, *train[0]), test, CommLedger())]
     for t in range(1, cfg.n_sessions + 1):
         spec = NetSpec(cfg.input_dim, cfg.hidden_dims, _head(cfg, t), cfg.activation)
         params = init_params(spec, np.random.default_rng([cfg.seed, _S_CENT, t]))
@@ -401,7 +391,7 @@ def _run_centralized(cfg: RunConfig) -> RunResult:
             params, x, y, cfg.base_epochs, cfg.base_lr, cfg.local.batch_size,
             [cfg.seed, _S_CENT, t, 1],
         )
-        records.append(_record(cfg, t, params, test_pool, CommLedger()))
+        records.append(_record(cfg, t, params, test, CommLedger()))
     return RunResult(records)
 
 

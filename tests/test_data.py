@@ -1,5 +1,7 @@
 """Dataset synthesis, session splitting and partitioning."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from fresh import fresh_python
@@ -24,7 +26,7 @@ def test_synthetic_counts_and_shapes():
     ds = make_synthetic(5, 10, 4, 1.0, 0)
     assert ds.train_x.shape == (40, 4)  # 80% of 10 per class
     assert ds.test_x.shape == (10, 4)
-    assert ds.n_classes == 5 and ds.input_dim == 4
+    assert ds.n_classes == 5
     for c in range(5):
         assert (ds.train_y == c).sum() == 8
         assert (ds.test_y == c).sum() == 2
@@ -83,11 +85,15 @@ def test_split_sessions_rejects_indivisible():
         split_sessions(ds, 4, 4, 0)  # 6 classes into 4 sessions
 
 
-def test_split_sessions_test_pool_covers_all_classes():
+def test_dataset_and_split_carry_no_test_only_fields():
+    # the run builds its one test set from `test_x`/`test_y` (see
+    # `orchestrator._sessions`), so no per-class pool or input width is kept
     ds = make_synthetic(8, 10, 4, 1.0, 0)
     split = split_sessions(ds, 4, 2, 0)
-    assert set(split.test_pool) == set(range(8))
-    assert all(len(v) == 2 for v in split.test_pool.values())
+    assert [f.name for f in fields(ds)] == ["train_x", "train_y", "test_x", "test_y", "n_classes"]
+    assert [f.name for f in fields(split)] == [
+        "base_classes", "session_classes", "per_session_train"
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
 """Network engine tests: forward oracles, closed-form losses, gradient checks."""
 
-import copy
 import math
-import pickle
 import warnings
 
 import numpy as np
@@ -637,18 +635,6 @@ def test_layer_views_follow_reassigned_values():
     assert not np.shares_memory(new_w, old_w)
     assert np.array_equal(new_w, old_w + 1.0)
     assert params.layers() is params.layers()  # built once per values array
-
-
-@pytest.mark.parametrize(
-    "clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))], ids=["deepcopy", "pickle"]
-)
-def test_cloned_params_view_their_own_values(clone):
-    params = small_net()
-    params.layers()
-    twin = clone(params)
-    w, _ = twin.layers()[0]
-    assert np.shares_memory(w, twin.values)
-    assert not np.shares_memory(w, params.values)
 
 
 def test_param_vector_validates_length_and_finiteness():

@@ -11,9 +11,14 @@ import pytest
 from oracles import zeros_params
 from test_golden import CONFIGS as GOLDEN
 
+from dcil import orchestrator
+from dcil.data import make_synthetic, split_sessions, train_count
 from dcil.local_learner import LocalLossConfig, local_update
 from dcil.nncore import ConfigError, InputError, NetSpec, fit, init_params
 from dcil.orchestrator import (
+    _S_DATA,
+    _S_SPLIT,
+    CommLedger,
     MetricsRecord,
     RunConfig,
     _head,
@@ -150,40 +155,66 @@ def one_hot_net(n_classes, input_dim):
 
 def test_evaluate_accuracy_and_per_class_accounting():
     params = one_hot_net(3, 3)
-    pool = {
-        0: np.array([[5.0, 0.0, 0.0], [0.0, 5.0, 0.0]]),  # one right, one wrong
-        1: np.array([[0.0, 5.0, 0.0]]),
-        2: np.array([[0.0, 0.0, 5.0]]),
-    }
-    acc, per_class = evaluate(params, pool, [0, 1, 2])
-    assert per_class == {0: 0.5, 1: 1.0, 2: 1.0}
+    x = np.array([
+        [5.0, 0.0, 0.0],  # class 0: one right,
+        [0.0, 5.0, 0.0],  # one wrong
+        [0.0, 0.0, 5.0],  # class 2
+    ])
+    acc, per_class = evaluate(params, x, np.array([0, 0, 2]))
+    # only the classes present in y get an entry, though the head has three
+    assert per_class == {0: 0.5, 2: 1.0}
     # overall accuracy is the sample-weighted mean of per-class accuracy
-    assert abs(acc - 3 / 4) < 1e-15
-
-
-def test_evaluate_restricted_to_seen_classes():
-    params = one_hot_net(4, 4)
-    pool = {0: np.array([[1.0, 0.0, 0.0, 9.0]])}  # class 3 logit dominates
-    acc, _ = evaluate(params, pool, [0, 1])  # but class 3 is unseen
-    assert acc == 1.0
+    assert abs(acc - 2 / 3) < 1e-15
 
 
 def test_evaluate_tie_breaks_toward_lowest_class():
     params = one_hot_net(3, 3)
-    pool = {
-        1: np.array([[0.0, 0.0, 0.0]]),  # all logits tie
-        2: np.array([[0.0, 0.0, 0.0]]),
-    }
-    acc, per_class = evaluate(params, pool, [1, 2])
-    assert per_class == {1: 1.0, 2: 0.0}
+    x = np.array([
+        [0.0, 0.0, 0.0],  # all three logits tie
+        [-1.0, 0.0, 0.0],  # classes 1 and 2 tie
+        [-1.0, 0.0, 0.0],
+    ])
+    acc, per_class = evaluate(params, x, np.array([0, 1, 2]))
+    assert per_class == {0: 1.0, 1: 1.0, 2: 0.0}
 
 
 def test_evaluate_rejects_empty():
     params = one_hot_net(2, 2)
-    with pytest.raises(InputError):
-        evaluate(params, {}, [])
-    with pytest.raises(InputError):
-        evaluate(params, {0: np.empty((0, 2))}, [0])
+    with pytest.raises(InputError, match="empty test set"):
+        evaluate(params, np.empty((0, 2)), np.empty(0, dtype=np.int64))
+
+
+def test_sessions_test_set_is_sorted_by_head_and_covers_every_class():
+    _, (x, y) = _sessions(SMALL)
+    n_test = SMALL.per_class - train_count(SMALL.per_class)
+    assert x.shape == (SMALL.n_classes * n_test, SMALL.input_dim)
+    assert np.array_equal(y, np.repeat(np.arange(SMALL.n_classes), n_test))
+
+
+def test_record_scores_the_seen_class_prefix_of_the_test_set(monkeypatch):
+    # the per-class pool the test set replaced, concatenated in head order
+    ds = make_synthetic(
+        SMALL.n_classes, SMALL.per_class, SMALL.input_dim, SMALL.spread, [SMALL.seed, _S_DATA]
+    )
+    split = split_sessions(ds, SMALL.n_base, SMALL.n_sessions, [SMALL.seed, _S_SPLIT])
+    order = [*split.base_classes, *(c for chunk in split.session_classes for c in chunk)]
+    pool = {h: ds.test_x[ds.test_y == c] for h, c in enumerate(order)}
+
+    scored = []
+
+    def spy(params, x, y):
+        scored.append((x, y))
+        return 1.0, {}
+
+    monkeypatch.setattr(orchestrator, "evaluate", spy)
+    _, test = _sessions(SMALL)
+    for t in range(SMALL.n_sessions + 1):
+        spec = NetSpec(SMALL.input_dim, SMALL.hidden_dims, _head(SMALL, t))
+        orchestrator._record(SMALL, t, zeros_params(spec), test, CommLedger())
+        x, y = scored[-1]
+        classes = range(_head(SMALL, t))
+        assert np.array_equal(x, np.concatenate([pool[h] for h in classes]))
+        assert np.array_equal(y, np.concatenate([np.full(len(pool[h]), h) for h in classes]))
 
 
 def test_summarize_arithmetic():
