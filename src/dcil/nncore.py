@@ -9,7 +9,7 @@ computed in one backward pass per term.  `backward` returns the gradient
 only; the tests evaluate a loss value with `tests/oracles.py::loss_value`.
 Every trainer hands its per-batch step to `fit`, the one seeded SGD loop,
 which owns the call's `Workspace` and scans for non-finite values once.
-A step calls `np.dot` and the ufunc reductions directly and works in place
+A step calls `ndarray.dot` and the ufunc reductions directly and works in place
 on the arrays it owns: the bytes of `@`, `.sum`/`.max` and a fresh array per
 stage (`tests/test_step_bytes.py`), for less per-call overhead.
 """
@@ -143,13 +143,13 @@ def _forward_cache(layers, kind: str, x: np.ndarray):
     hs, zs = [x], []
     h = x
     for w, b in layers[:-1]:
-        z = np.dot(h, w)
+        z = h.dot(w)
         z += b
         zs.append(z)
         h = np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
         hs.append(h)
     w_out, b_out = layers[-1]
-    logits = np.dot(h, w_out)
+    logits = h.dot(w_out)
     logits += b_out
     return hs, zs, logits
 
@@ -293,20 +293,20 @@ def _backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features, grads):
     first layer's weights: no caller needs the input gradient.
     """
     gw, gb = grads[-1]
-    np.dot(hs[-1].T, d_logits, out=gw)
+    hs[-1].T.dot(d_logits, out=gw)
     np.add.reduce(d_logits, axis=0, out=gb)
     if len(layers) == 1:
         return
-    delta = np.dot(d_logits, layers[-1][0].T)
+    delta = d_logits.dot(layers[-1][0].T)
     if d_features is not None:
         delta += d_features
     for i in range(len(layers) - 2, -1, -1):
         delta *= _act_grad(zs[i], spec.activation)
         gw, gb = grads[i]
-        np.dot(hs[i].T, delta, out=gw)
+        hs[i].T.dot(delta, out=gw)
         np.add.reduce(delta, axis=0, out=gb)
         if i:
-            delta = np.dot(delta, layers[i][0].T)
+            delta = delta.dot(layers[i][0].T)
 
 
 def _term_grad(params: ParamVector, layers, term: LossTerm, flat, grads, check) -> None:
@@ -349,7 +349,7 @@ def _term_grad(params: ParamVector, layers, term: LossTerm, flat, grads, check) 
         d_features = logp - np.add.reduce(p * logp, axis=1, keepdims=True)
         d_features *= p
         d_features *= term.weight / n
-        d_logits = np.zeros_like(logits)
+        d_logits = np.zeros(logits.shape)
     else:
         raise InputError(f"unknown loss term {type(term).__name__}")
     _backprop(spec, layers, hs, zs, d_logits, d_features, grads)

@@ -11,7 +11,7 @@ far.  Every run is a pure function of its config and seed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,16 +145,6 @@ class RunConfig:
 
 
 @dataclass
-class CommLedger:
-    """Cumulative per-session communication counters."""
-
-    params_up: int = 0
-    params_down: int = 0
-    shared_samples: int = 0
-    logit_scalars: int = 0
-
-
-@dataclass
 class MetricsRecord:
     session: int
     accuracy: float
@@ -250,13 +240,17 @@ def _head(cfg: RunConfig, t: int) -> int:
     return cfg.n_base + t * ((cfg.n_classes - cfg.n_base) // cfg.n_sessions)
 
 
-def _train_base(cfg: RunConfig, x, y) -> ParamVector:
-    spec = NetSpec(cfg.input_dim, cfg.hidden_dims, cfg.n_base, cfg.activation)
-    params = init_params(spec, np.random.default_rng([cfg.seed, _S_INIT]))
+def _train_fresh(cfg: RunConfig, x, y, n_classes, init_seed, seed) -> ParamVector:
+    """A freshly initialized `n_classes`-way model trained on labelled `(x, y)`."""
+    spec = NetSpec(cfg.input_dim, cfg.hidden_dims, n_classes, cfg.activation)
+    params = init_params(spec, np.random.default_rng(init_seed))
     return _train_plain(
-        params, x, y, cfg.base_epochs, cfg.base_lr,
-        cfg.local.batch_size, [cfg.seed, _S_BASE],
+        params, x, y, cfg.base_epochs, cfg.base_lr, cfg.local.batch_size, seed
     )
+
+
+def _train_base(cfg: RunConfig, x, y) -> ParamVector:
+    return _train_fresh(cfg, x, y, cfg.n_base, [cfg.seed, _S_INIT], [cfg.seed, _S_BASE])
 
 
 def _partition(cfg: RunConfig, x, y, session):
@@ -266,12 +260,17 @@ def _partition(cfg: RunConfig, x, y, session):
     return data_mod.partition_dirichlet(x, y, cfg.n_sites, cfg.alpha, seed)
 
 
-def _record(cfg, session, params, test, ledger) -> MetricsRecord:
+def _no_traffic() -> dict[str, int]:
+    """A session's communication counters, zeroed, in the order records list them."""
+    return {"params_up": 0, "params_down": 0, "shared_samples": 0, "logit_scalars": 0}
+
+
+def _record(cfg, session, params, test, traffic) -> MetricsRecord:
     seen = tuple(range(_head(cfg, session)))
     x, y = test
     n = int(np.searchsorted(y, len(seen)))
     acc, per_class = evaluate(params, x[:n], y[:n])
-    return MetricsRecord(session, acc, per_class, seen, asdict(ledger))
+    return MetricsRecord(session, acc, per_class, seen, traffic)
 
 
 def _herd_session_anchors(cfg, params, shard_x, shard_y, classes) -> dict[int, np.ndarray]:
@@ -299,7 +298,7 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
     shared_per_class = cfg.shared_per_class if cfg.method == "dcid" else 0
     train, test = _sessions(cfg)
     general = _train_base(cfg, *train[0])
-    records = [_record(cfg, 0, general, test, CommLedger())]
+    records = [_record(cfg, 0, general, test, _no_traffic())]
 
     # Base-class anchors: the base session is trained centrally, but each site
     # must enter session 1 with anchors for the classes already seen.  Deal
@@ -314,23 +313,27 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
         prev_general = general
         new_classes = range(_head(cfg, t - 1), _head(cfg, t))
         general = expand_head(general, len(new_classes))
-        ledger = CommLedger()
         p_count = general.spec.param_count
-        n_head = general.spec.n_classes
+        traffic = _no_traffic()
 
         shards = _partition(cfg, *train[t], t).shards
         counts = [len(sx) for sx, _ in shards]
-
         shared = build_shared_dataset(
             shards, shared_per_class, new_classes,
             [cfg.seed, _S_SHARED, t],
         )
-        ledger.shared_samples += len(shared)
-
+        traffic["shared_samples"] += len(shared)
         weights = ensemble_weights(counts)
 
+        def teacher(models):
+            """DCD's and DAD's teacher: the data-weighted ensemble of the
+            models' logits tables over the shared pool, one sent per site."""
+            tables = [compute_logits_table(p, shared) for p in models]
+            traffic["logit_scalars"] += sum(table.size for table in tables)
+            return ensemble_logits(tables, weights)
+
         for r in range(cfg.rounds):
-            ledger.params_down += cfg.n_sites * p_count
+            traffic["params_down"] += cfg.n_sites * p_count
 
             # One generation of site models per round: DCD overwrites each
             # site's entry, and the list is dropped before DAD runs.
@@ -342,38 +345,32 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
                 for m, shard in enumerate(shards)
             ]
 
-            tables = [compute_logits_table(p, shared) for p in sites]
-            ledger.logit_scalars += cfg.n_sites * len(shared) * n_head
-
             if r == cfg.rounds - 1:  # only the last round's anchors are kept
                 new_anchors = [
                     _herd_session_anchors(cfg, sites[m], sx, sy, new_classes)
                     for m, (sx, sy) in enumerate(shards)
                 ]
 
-            teacher = ensemble_logits(tables, weights)
-            del tables
+            dcd_teacher = teacher(sites)
             for m in range(cfg.n_sites):
                 sites[m] = dcd_finetune(
-                    sites[m], teacher, shared, cfg.tau1, cfg.dcd_lr,
+                    sites[m], dcd_teacher, shared, cfg.tau1, cfg.dcd_lr,
                     cfg.dcd_epochs, seed=[cfg.seed, _S_DCD, t, r, m],
                 )
 
-            ledger.params_up += cfg.n_sites * p_count
+            traffic["params_up"] += cfg.n_sites * p_count
             aggregated = fedavg_aggregate(sites, counts)
-
-            ledger.logit_scalars += cfg.n_sites * len(shared) * n_head
-            teacher = ensemble_logits([compute_logits_table(p, shared) for p in sites], weights)
+            dad_teacher = teacher(sites)
             del sites
             general = dad_refine(
-                aggregated, teacher, shared, cfg.tau2, cfg.dad_lr,
+                aggregated, dad_teacher, shared, cfg.tau2, cfg.dad_lr,
                 cfg.dad_epochs, seed=[cfg.seed, _S_DAD, t, r],
             )
 
         for site_anchors, picked in zip(anchors, new_anchors):
             site_anchors.update(picked)  # this session's classes are new keys
 
-        records.append(_record(cfg, t, general, test, ledger))
+        records.append(_record(cfg, t, general, test, traffic))
 
     return RunResult(records)
 
@@ -381,17 +378,14 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
 def _run_centralized(cfg: RunConfig) -> RunResult:
     """Upper-bound reference: full retraining on all data seen so far."""
     train, test = _sessions(cfg)
-    records = [_record(cfg, 0, _train_base(cfg, *train[0]), test, CommLedger())]
+    records = [_record(cfg, 0, _train_base(cfg, *train[0]), test, _no_traffic())]
     for t in range(1, cfg.n_sessions + 1):
-        spec = NetSpec(cfg.input_dim, cfg.hidden_dims, _head(cfg, t), cfg.activation)
-        params = init_params(spec, np.random.default_rng([cfg.seed, _S_CENT, t]))
         x = np.concatenate([x for x, _ in train[: t + 1]])
         y = np.concatenate([y for _, y in train[: t + 1]])
-        params = _train_plain(
-            params, x, y, cfg.base_epochs, cfg.base_lr, cfg.local.batch_size,
-            [cfg.seed, _S_CENT, t, 1],
+        params = _train_fresh(
+            cfg, x, y, _head(cfg, t), [cfg.seed, _S_CENT, t], [cfg.seed, _S_CENT, t, 1]
         )
-        records.append(_record(cfg, t, params, test, CommLedger()))
+        records.append(_record(cfg, t, params, test, _no_traffic()))
     return RunResult(records)
 
 

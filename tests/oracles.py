@@ -8,7 +8,7 @@ The `plain_*` oracles are the engine's training step in its plain NumPy
 spelling: `@` products, `.sum`/`.max` reductions, an out-of-place softmax,
 fancy-index batch gathers, and a cross-entropy gradient that subtracts 1.0 at
 each label, read back from its one-hot target row.  `nncore` and the step
-closures reach the same operations through cheaper entry points (`np.dot`,
+closures reach the same operations through cheaper entry points (`ndarray.dot`,
 `np.add.reduce`, in-place ufuncs, `take`), in the same order, subtract whole
 target rows (`x - 0.0 == x`), and must give the same bytes.
 """

@@ -179,6 +179,19 @@ def test_run_writes_json_and_csv(runner, tmp_path):
     assert fields[0] == "dcid" and len(fields) == 4
 
 
+def test_run_json_lists_each_records_comm_keys_in_ledger_order(runner, tmp_path):
+    # json.loads keeps the file's key order, so this reads the written order
+    cfg = write_config(tmp_path, FAST)
+    out = str(tmp_path / "results")
+    assert runner.invoke(main, ["run", cfg, "--out", out]).exit_code == 0
+    doc = json.loads(open(os.path.join(out, "dcid_seed0.json")).read())
+    assert len(doc["records"]) == 3
+    for record in doc["records"]:
+        assert list(record["comm"]) == [
+            "params_up", "params_down", "shared_samples", "logit_scalars",
+        ]
+
+
 def test_run_failed_write_exits_1_and_leaves_no_temp_file(runner, tmp_path, monkeypatch):
     def failing(src, dst):
         raise OSError("disk full")
@@ -362,7 +375,7 @@ def test_run_rerun_is_bit_identical(runner, tmp_path):
 # A 6-class dcid run that diverges in each training stage, and what
 # `python -m dcil.cli run` prints for it: the bytes per-step checks printed
 # before the stages checked finiteness once (`nncore.fit`), but for the
-# product's op name and source line since the forward pass calls `np.dot`.
+# product's op name and source line since the forward pass calls `ndarray.dot`.
 # Each failing case warns from the forward pass's output product, then
 # names the first per-step check that failed; local_lr=1e5 stays finite and
 # runs to the end.
@@ -375,9 +388,9 @@ DIVERGING = {
 }
 OVERFLOW_WARNINGS = (
     "{nncore}:{line}: RuntimeWarning: overflow encountered in dot\n"
-    "  logits = np.dot(h, w_out)\n"
+    "  logits = h.dot(w_out)\n"
     "{nncore}:{line}: RuntimeWarning: invalid value encountered in dot\n"
-    "  logits = np.dot(h, w_out)\n"
+    "  logits = h.dot(w_out)\n"
 )
 NON_FINITE_LOGITS = OVERFLOW_WARNINGS + "run failed: non-finite logits\n"
 DIVERGENCE_OUTPUT = {
@@ -397,7 +410,7 @@ def test_run_divergence_prints_what_per_step_checks_printed(tmp_path, override):
     # Python prints each warning once per process.
     nncore = os.path.abspath(dcil.nncore.__file__)
     with open(nncore) as fh:
-        line = fh.read().splitlines().index("    logits = np.dot(h, w_out)") + 1
+        line = fh.read().splitlines().index("    logits = h.dot(w_out)") + 1
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONWARNINGS", "PYTHONDEVMODE")}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(nncore))
     res = subprocess.run(

@@ -234,8 +234,9 @@ def is_arange_call(node) -> bool:
 
 
 def costly_entry_points(source: str, functions) -> list[tuple[str, str, int]]:
-    """(function, spelling, line) of each `@`, `np.matmul`, `.sum(`/`.max(`/`.any(`
-    call and `np.arange`-indexed subscript in the top-level `functions` of `source`."""
+    """(function, spelling, line) of each `@`, `np.matmul`, `np.dot`, `zeros_like`,
+    `.sum(`/`.max(`/`.any(` call and `np.arange`-indexed subscript in the
+    top-level `functions` of `source`."""
     found = []
     for top in ast.parse(source).body:
         if not isinstance(top, ast.FunctionDef) or top.name not in functions:
@@ -244,8 +245,13 @@ def costly_entry_points(source: str, functions) -> list[tuple[str, str, int]]:
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
                 found.append((node.lineno, node.col_offset, top.name, "@"))
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if node.func.attr in ("matmul", "sum", "max", "any"):
-                    found.append((node.lineno, node.col_offset, top.name, node.func.attr))
+                func = node.func
+                if func.attr in ("matmul", "sum", "max", "any", "zeros_like"):
+                    found.append((node.lineno, node.col_offset, top.name, func.attr))
+                elif func.attr == "dot" and getattr(func.value, "id", None) == "np":
+                    found.append((node.lineno, node.col_offset, top.name, "np.dot"))
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "zeros_like":
+                found.append((node.lineno, node.col_offset, top.name, "zeros_like"))
             elif isinstance(node, ast.Subscript):
                 if any(is_arange_call(n) for n in ast.walk(node.slice)):
                     found.append((node.lineno, node.col_offset, top.name, "arange index"))
@@ -263,7 +269,8 @@ def test_costly_entry_points_finds_leftovers():
         "        raise InputError('label out of range')\n"
         "    z[np.arange(n), y] -= 1.0\n"
         "    z[arange(n)] = z[y] - t[:, 0]\n"
-        "    return np.dot(h, w), np.add.reduce(z), np.maximum.reduce(z)\n"
+        "    g = np.dot(h.T, z) + np.zeros_like(z) + zeros_like(w)\n"
+        "    return h.dot(w), np.zeros(z.shape), np.add.reduce(z), np.maximum.reduce(z)\n"
         "def other(h, w):\n"
         "    return (h @ w).sum()\n"
     )
@@ -271,12 +278,15 @@ def test_costly_entry_points_finds_leftovers():
         ("_step", "@", 2), ("_step", "@", 3), ("_step", "matmul", 4),
         ("_step", "sum", 5), ("_step", "max", 5), ("_step", "any", 6),
         ("_step", "any", 6), ("_step", "arange index", 8), ("_step", "arange index", 9),
+        ("_step", "np.dot", 10), ("_step", "zeros_like", 10), ("_step", "zeros_like", 10),
     ]
 
 
 def test_step_arithmetic_uses_the_cheapest_entry_points():
-    # `np.dot` skips the matmul ufunc machinery, and `np.add.reduce` and
-    # `np.maximum.reduce` skip the Python wrappers behind `.sum` and `.max`;
+    # `ndarray.dot` skips the matmul ufunc machinery and `np.dot`'s
+    # `__array_function__` dispatcher, as `np.zeros(shape)` skips the one of
+    # `np.zeros_like`, and `np.add.reduce` and `np.maximum.reduce` skip the
+    # Python wrappers behind `.sum` and `.max`;
     # labels are checked and encoded once per call by `one_hot`, not scanned
     # with `.any()` and fancy-indexed per term.  `tests/test_step_bytes.py`
     # holds the step to the bytes of the plain spelling.

@@ -18,7 +18,6 @@ from dcil.nncore import ConfigError, InputError, NetSpec, fit, init_params
 from dcil.orchestrator import (
     _S_DATA,
     _S_SPLIT,
-    CommLedger,
     MetricsRecord,
     RunConfig,
     _head,
@@ -210,7 +209,8 @@ def test_record_scores_the_seen_class_prefix_of_the_test_set(monkeypatch):
     _, test = _sessions(SMALL)
     for t in range(SMALL.n_sessions + 1):
         spec = NetSpec(SMALL.input_dim, SMALL.hidden_dims, _head(SMALL, t))
-        orchestrator._record(SMALL, t, zeros_params(spec), test, CommLedger())
+        traffic = {"params_up": 0, "params_down": 0, "shared_samples": 0, "logit_scalars": 0}
+        orchestrator._record(SMALL, t, zeros_params(spec), test, traffic)
         x, y = scored[-1]
         classes = range(_head(SMALL, t))
         assert np.array_equal(x, np.concatenate([pool[h] for h in classes]))
@@ -274,14 +274,15 @@ def collapsed(calls: list[str]) -> list[str]:
 def test_stage_call_order_within_each_round(monkeypatch):
     calls = log_stage_calls(monkeypatch)
     run(SMALL)
-    # anchors are herded once for the base classes, then once per session in its last round
+    # anchors are herded once for the base classes, then once per session in
+    # its last round, from the local models before the DCD teacher is built
     expect = ["select_anchors_herding"]
     for _ in (1, 2):
         for r in (0, 1):
-            expect += ["local_update", "compute_logits_table"]
+            expect += ["local_update"]
             expect += ["select_anchors_herding"] if r == 1 else []
             expect += [
-                "ensemble_logits", "dcd_finetune", "fedavg_aggregate",
+                "compute_logits_table", "ensemble_logits", "dcd_finetune", "fedavg_aggregate",
                 "compute_logits_table", "ensemble_logits", "dad_refine",
             ]
     assert collapsed(calls) == expect
@@ -502,6 +503,13 @@ def test_repeat_run_bit_identical():
     assert all(records_equal(x, y) for x, y in zip(a.records, b.records))
     c = run(replace(SMALL, seed=1))
     assert not all(records_equal(x, y) for x, y in zip(a.records, c.records))
+
+
+def test_every_method_trains_the_same_base_session():
+    # one fresh-model trainer, with the base seeds, serves every method
+    base = run(SMALL).records[0]
+    for method in ("dcil_fedavg", "dcil_fedmax", "dcil_fedprox", "centralized"):
+        assert records_equal(run(replace(SMALL, method=method)).records[0], base), method
 
 
 def test_degenerate_dcid_without_shared_pool_is_fedavg_baseline():
