@@ -8,7 +8,8 @@ model, and an activation-uniformity regularizer) whose gradients are all
 computed in one backward pass per term.  `backward` returns the gradient
 only; the tests evaluate a loss value with `tests/oracles.py::loss_value`.
 Every trainer hands its per-batch step to `fit`, the one seeded SGD loop,
-which owns the call's `Workspace` and scans for non-finite values once.
+which owns the call's `Workspace`, traps divergence at the step where it
+happens and scans the trained parameters once.
 A step calls `ndarray.dot` and the ufunc reductions directly and works in place
 on the arrays it owns: the bytes of `@`, `.sum`/`.max` and a fresh array per
 stage (`tests/test_step_bytes.py`), for less per-call overhead.
@@ -166,18 +167,21 @@ def forward_batch(params: ParamVector, x: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
-    """Temperature-softened softmax with max-subtraction for stability."""
-    return _softmax_t(logits, tau, True)
+    """Temperature-softened softmax with max-subtraction for stability.
+
+    Rejects non-finite logits (a teacher table, softened outside `fit`'s traps).
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    if tau > 0 and not np.isfinite(z).all():  # a bad temperature is reported first
+        raise InputError("non-finite logits")
+    return _softmax_t(z, tau)
 
 
-def _softmax_t(logits: np.ndarray, tau: float, check: bool, out=None) -> np.ndarray:
-    """`softmax_t` into `out` (a new array by default, or `logits` itself when
-    the caller owns it); `check=False` skips only the finiteness scan of `logits`."""
+def _softmax_t(z: np.ndarray, tau: float, out=None) -> np.ndarray:
+    """`softmax_t` of float64 `z` into `out` (a new array by default, or `z`
+    itself when the caller owns it), without the finiteness scan."""
     if tau <= 0:
         raise ConfigError(f"temperature must be > 0, got {tau}")
-    z = np.asarray(logits, dtype=np.float64)
-    if check and not np.isfinite(z).all():
-        raise InputError("non-finite logits")
     z = np.true_divide(z, tau, out=out)
     z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
@@ -274,13 +278,11 @@ class Workspace:
 
     `grad` is the `ParamVector` each call returns; the next call overwrites
     its values.  `scratch` takes each later loss term's gradient before it is
-    added into `grad`.  `check` is True on construction; `fit` clears it for
-    its unchecked pass, in which `backward` skips only its finiteness scans.
+    added into `grad`.
     """
 
     def __init__(self, spec: NetSpec):
         self.spec = spec
-        self.check = True
         self.grad = ParamVector(np.zeros(spec.param_count), spec)
         self.scratch = np.empty(spec.param_count)
         self.scratch_layers = _layer_views(self.scratch, spec.layer_dims)
@@ -309,7 +311,7 @@ def _backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features, grads):
             delta = delta.dot(layers[i][0].T)
 
 
-def _term_grad(params: ParamVector, layers, term: LossTerm, flat, grads, check) -> None:
+def _term_grad(params: ParamVector, layers, term: LossTerm, flat, grads) -> None:
     """Write the gradient of one loss term into `flat`, whose layer views are `grads`."""
     spec = params.spec
     if isinstance(term, ProximalTerm):
@@ -337,13 +339,13 @@ def _term_grad(params: ParamVector, layers, term: LossTerm, flat, grads, check) 
         p = np.asarray(term.teacher_probs, dtype=np.float64)
         if p.shape != logits.shape:
             raise InputError("teacher table shape mismatch")
-        d_logits = _softmax_t(logits, term.temperature, check, out=logits)
+        d_logits = _softmax_t(logits, term.temperature, out=logits)
         d_logits -= p
         # weight * (1/n), not weight / n: the golden records pin this rounding
         d_logits *= term.weight * (1.0 / n) / term.temperature
     elif isinstance(term, UniformActivationTerm):
         feats = hs[-1]
-        p = _softmax_t(feats, 1.0, check)
+        p = _softmax_t(feats, 1.0)
         logp = np.maximum(p, EPS_LOG)
         np.log(logp, out=logp)
         d_features = logp - np.add.reduce(p * logp, axis=1, keepdims=True)
@@ -363,8 +365,8 @@ def backward(
     The first term's gradient is written into `out.grad`, each later term's
     into `out.scratch`, and those are added in term order.  Returns
     `out.grad`, which the next call on `out` overwrites; `out=None` uses a
-    fresh, checked workspace.  With `out.check` off (`fit`'s unchecked pass)
-    the finiteness scans of the logits and of the gradient are skipped.
+    fresh workspace.  Nothing is scanned for non-finite values: `fit` traps
+    the operation that makes one.
     """
     spec = params.spec
     if out is None:
@@ -377,19 +379,17 @@ def backward(
         grad.fill(0.0)
     for i, term in enumerate(loss.terms):
         if i == 0:
-            _term_grad(params, layers, term, grad, out.grad.layers(), out.check)
+            _term_grad(params, layers, term, grad, out.grad.layers())
         else:
-            _term_grad(params, layers, term, out.scratch, out.scratch_layers, out.check)
+            _term_grad(params, layers, term, out.scratch, out.scratch_layers)
             grad += out.scratch
-    if out.check and not np.isfinite(grad).all():
-        raise InputError("gradient contains non-finite entries")
     return out.grad
 
 
 def sgd_step(params: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
     """Update `params` in place by `-lr * grad` and return it; callers train on a copy.
 
-    The result is not scanned: `fit` does that after each checked step.
+    The result is not scanned: under `fit` an update that overflows raises.
     """
     if lr <= 0:
         raise ConfigError(f"learning rate must be > 0, got {lr}")
@@ -402,7 +402,7 @@ def sgd_step(params: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
 def fit(
     params: ParamVector, lr: float, n: int, batch_size: int, epochs: int, seed, step: Callable
 ) -> ParamVector:
-    """Seeded minibatch SGD over `n` rows, with the finiteness checks made once.
+    """Seeded minibatch SGD over `n` rows, in one pass that stops where it diverges.
 
     Trains a copy of `params`: each epoch draws one permutation of range(n)
     from `np.random.default_rng(seed)` and hands each `batch_size` slice of
@@ -411,42 +411,31 @@ def fit(
     its last call.  `ws` is the one `Workspace` of the call.  A zero
     learning rate or no rows returns a copy without calling `step`.
 
-    Only `fit` decides when training is scanned for non-finite values.  The
-    first pass runs with `ws.check` off, so `backward` skips its scans, and
-    with overflow, invalid operations and division by zero raising: finite
-    values turn non-finite only through one of those, and a non-finite input
-    spreads into the parameters, which are scanned at the end.  A pass that
-    raises or ends non-finite is replayed from the start with `ws.check` on
-    and the parameters scanned after every step.  Training is deterministic,
-    so the replay fails at the same step with the same error and warnings as
-    a checked run, and a pass that trapped on a harmless operation (a -inf
-    pre-activation that ReLU zeroes) returns the same parameters from the
-    replay.
+    Every step runs with overflow, invalid operations and division by zero
+    raising, the only ways finite values turn non-finite: such a trap
+    becomes an `InputError` that names the epoch and batch (from 1) and
+    numpy's message.  A non-finite input raises no trap but spreads into
+    the parameters, so they are scanned once, after the last step.  Any
+    other error from `step` propagates unchanged.
     """
     if lr == 0 or n == 0:
         return params.copy()
     ws = Workspace(params.spec)
-
-    def run(check):
-        ws.check = check
-        out = params.copy()
-        rng = np.random.default_rng(seed)
-        for _ in range(epochs):
+    out = params.copy()
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for epoch in range(1, epochs + 1):
             order = rng.permutation(n)
-            for start in range(0, n, batch_size):
-                step(out, order[start : start + batch_size], ws)
-                if check and not np.isfinite(out.values).all():
-                    raise InputError("SGD step produced non-finite parameters")
-        return out
-
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            out = run(False)
-    except Exception:  # the checked replay raises what a checked run raises
-        return run(True)
-    if np.isfinite(out.values).all():
-        return out
-    return run(True)
+            for batch, start in enumerate(range(0, n, batch_size), 1):
+                try:
+                    step(out, order[start : start + batch_size], ws)
+                except FloatingPointError as err:
+                    raise InputError(
+                        f"SGD diverged in epoch {epoch}, batch {batch}: {err}"
+                    ) from err
+    if not np.isfinite(out.values).all():
+        raise InputError("SGD produced non-finite parameters")
+    return out
 
 
 def expand_head(params: ParamVector, n_new: int) -> ParamVector:

@@ -213,13 +213,11 @@ def plain_forward_batch(params: ParamVector, x: np.ndarray) -> tuple[np.ndarray,
     return hs[-1], logits
 
 
-def plain_softmax_t(logits: np.ndarray, tau: float, check: bool = True) -> np.ndarray:
+def plain_softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
+    """The arithmetic of `softmax_t`, without its scan for non-finite logits."""
     if tau <= 0:
         raise ConfigError(f"temperature must be > 0, got {tau}")
-    z = np.asarray(logits, dtype=np.float64)
-    if check and not np.isfinite(z).all():
-        raise InputError("non-finite logits")
-    z = z / tau
+    z = np.asarray(logits, dtype=np.float64) / tau
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
@@ -248,7 +246,7 @@ def plain_backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features, grads):
             delta = delta @ layers[i][0].T
 
 
-def plain_term_grad(params: ParamVector, layers, term, flat, grads, check) -> None:
+def plain_term_grad(params: ParamVector, layers, term, flat, grads) -> None:
     spec = params.spec
     if isinstance(term, ProximalTerm):
         if term.ref.spec != spec:
@@ -279,11 +277,11 @@ def plain_term_grad(params: ParamVector, layers, term, flat, grads, check) -> No
         p = np.asarray(term.teacher_probs, dtype=np.float64)
         if p.shape != logits.shape:
             raise InputError("teacher table shape mismatch")
-        q = plain_softmax_t(logits, term.temperature, check)
+        q = plain_softmax_t(logits, term.temperature)
         d_logits = (q - p) * (term.weight * (1.0 / n) / term.temperature)
     elif isinstance(term, UniformActivationTerm):
         feats = hs[-1]
-        p = plain_softmax_t(feats, 1.0, check)
+        p = plain_softmax_t(feats, 1.0)
         logp = np.log(np.maximum(p, EPS_LOG))
         inner = (p * logp).sum(axis=1, keepdims=True)
         d_features = p * (logp - inner) * (term.weight / n)
@@ -307,12 +305,10 @@ def plain_backward(
         grad.fill(0.0)
     for i, term in enumerate(loss.terms):
         if i == 0:
-            plain_term_grad(params, layers, term, grad, out.grad.layers(), out.check)
+            plain_term_grad(params, layers, term, grad, out.grad.layers())
         else:
-            plain_term_grad(params, layers, term, out.scratch, out.scratch_layers, out.check)
+            plain_term_grad(params, layers, term, out.scratch, out.scratch_layers)
             grad += out.scratch
-    if out.check and not np.isfinite(grad).all():
-        raise InputError("gradient contains non-finite entries")
     return out.grad
 
 

@@ -1,7 +1,5 @@
 """Shared pool construction, logits ensembling, distillation and averaging."""
 
-import warnings
-
 import numpy as np
 import pytest
 from oracles import distill_loss, zeros_params
@@ -254,26 +252,24 @@ def test_distill_teacher_row_count_checked():
 
 def test_distill_raises_on_a_logit_that_overflows_alone():
     # 1e200 * -1e200 overflows to a -inf logit and nothing else: the softmax
-    # of [0, 0, -inf] is finite, and so is every step and the final model.
-    # Only the trap on that overflow sends the stage to its checked replay,
-    # whose scan of the logits raises as a per-step check does.
+    # of [0, 0, -inf] is finite, and so would be every step and the final
+    # model.  The trap on that overflow stops the stage at its first step.
     student = zeros_params(NetSpec(2, (), 3))
     student.layers()[0][0][0, 2] = -1e200
     pool = np.array([[1e200, 0.0], [1e200, 1.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the replay's overflow warning
-        with pytest.raises(InputError, match="^non-finite logits$"):
-            dcd_finetune(student, np.zeros((2, 3)), pool, 1.0, lr=1e-300, epochs=3, seed=0)
+    message = "^SGD diverged in epoch 1, batch 1: overflow encountered in dot$"
+    with pytest.raises(InputError, match=message):
+        dcd_finetune(student, np.zeros((2, 3)), pool, 1.0, lr=1e-300, epochs=3, seed=0)
 
 
 def test_dad_refine_raises_on_a_nan_row_in_the_shared_pool():
-    # a NaN input raises no trap; it spreads into the parameters, which the
-    # unchecked pass scans at its end before the checked replay names it
+    # a NaN input raises no trap; it spreads into the parameters, which
+    # `fit` scans after the last step
     student = net()
     pool = shared_pool()
     teacher = compute_logits_table(net(seed=1), pool)
     pool[5] = np.nan
-    with pytest.raises(InputError, match="^non-finite logits$"):
+    with pytest.raises(InputError, match="^SGD produced non-finite parameters$"):
         dad_refine(student, teacher, pool, 5.0, lr=0.5, epochs=3, seed=0)
 
 

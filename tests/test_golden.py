@@ -3,14 +3,22 @@
 Every session's accuracy (as `repr`), per-class map and communication ledger
 is compared as text against the committed text below, so a change that
 shifts the numerics by one ulp fails here even when every acceptance margin
-still holds.  The text was produced with numpy 2.4.6 on scipy-openblas
-0.3.31 (x86-64, Haswell kernels); another BLAS build may round matrix
-products differently and then legitimately fail this test.
+still holds.  A record is a function of config, seed, numpy version and
+BLAS kernel.  `GOLDEN` was produced with numpy 2.4.6 on scipy-openblas
+0.3.31 (x86-64) running its `SkylakeX` kernel, and `HASWELL` on the same
+build forced to its `Haswell` kernel (`OPENBLAS_CORETYPE=Haswell`), which
+rounds some matrix products differently.  The kernel a process runs is
+what `scipy_openblas_get_corename64_` returns, called through `ctypes` on
+the `libscipy_openblas64_` library that numpy loaded (`KERNEL_RECORDS`
+shows how).  Another BLAS build may legitimately fail these tests.
 """
 
+import json
+import os
 from dataclasses import replace
 
 import pytest
+from fresh import fresh_python
 
 from dcil.local_learner import LocalLossConfig
 from dcil.orchestrator import RunConfig, run
@@ -83,3 +91,43 @@ GOLDEN = {
 @pytest.mark.parametrize("method", sorted(CONFIGS))
 def test_golden_records(method):
     assert records_text(run(CONFIGS[method])) == "".join(GOLDEN[method])
+
+
+# `GOLDEN` under the `Haswell` kernel: only `dcil_fedmax` rounds differently.
+HASWELL = {
+    **GOLDEN,
+    "dcil_fedmax": (
+        "0 0.6666666666666666 [0:0.4166666666666667,1:0.4166666666666667,2:0.8333333333333334,3:1.0] logit_scalars=0,params_down=0,params_up=0,shared_samples=0\n"
+        "1 0.4166666666666667 [0:0.08333333333333333,1:0.25,2:0.5833333333333334,3:0.3333333333333333,4:0.5,5:0.75] logit_scalars=0,params_down=1476,params_up=1476,shared_samples=0\n"
+        "2 0.16666666666666666 [0:0.0,1:0.08333333333333333,2:0.25,3:0.16666666666666666,4:0.0,5:0.0,6:0.8333333333333334,7:0.0] logit_scalars=0,params_down=1680,params_up=1680,shared_samples=0\n"
+    ),
+}
+
+# The kernel OpenBLAS runs, then the records text of each config, as JSON;
+# run with this directory on `sys.path`.
+KERNEL_RECORDS = """
+import ctypes, glob, json, os
+import numpy
+from test_golden import CONFIGS, records_text
+from dcil.orchestrator import run
+lib, = glob.glob(os.path.join(os.path.dirname(numpy.__file__) + ".libs", "libscipy_openblas64_*"))
+corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+corename.argtypes, corename.restype = [], ctypes.c_char_p
+records = {method: records_text(run(cfg)) for method, cfg in CONFIGS.items()}
+print(json.dumps([corename().decode(), records]))
+"""
+
+
+def test_golden_records_on_the_haswell_kernel():
+    # A refactor that keeps the bytes on one kernel but reorders a sum that
+    # another kernel rounds differently fails here.
+    from numpy._core._multiarray_umath import __cpu_features__  # numpy's runtime CPU probe
+
+    missing = [f for f in ("AVX2", "FMA3") if not __cpu_features__.get(f)]
+    if missing:
+        pytest.skip(f"the CPU lacks {'/'.join(missing)}, which the Haswell kernel needs")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = f"import sys; sys.path.insert(0, {tests!r})\n{KERNEL_RECORDS}"
+    kernel, records = json.loads(fresh_python(code, {"OPENBLAS_CORETYPE": "Haswell"}))
+    assert kernel == "Haswell"
+    assert records == HASWELL

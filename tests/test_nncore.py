@@ -1,7 +1,6 @@
 """Network engine tests: forward oracles, closed-form losses, gradient checks."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -339,6 +338,8 @@ def test_backward_into_workspace_gives_same_bytes_and_leaves_inputs_alone():
 
 
 def test_backward_into_workspace_rejects_nan_teacher():
+    # a NaN raises no trap: `backward` passes it into the gradient and
+    # `sgd_step` into the parameters, which `fit` scans after its last step
     params = small_net(n_classes=4)
     rng = np.random.default_rng(17)
     x = rng.normal(size=(5, 3))
@@ -346,8 +347,13 @@ def test_backward_into_workspace_rejects_nan_teacher():
     teacher[2, 1] = np.nan
     y = rng.integers(0, 4, size=5)
     loss = CompositeLoss((CrossEntropyTerm(x, one_hot(y, 4)), DistillTerm(x, teacher, 5.0)))
-    with pytest.raises(InputError, match="non-finite"):
-        backward(params, loss, out=Workspace(params.spec))
+    assert np.isnan(backward(params, loss, out=Workspace(params.spec)).values).any()
+
+    def step(out, sel, ws):
+        sgd_step(out, backward(out, loss, out=ws), 0.1)
+
+    with pytest.raises(InputError, match="^SGD produced non-finite parameters$"):
+        fit(params, 0.1, 5, 5, 1, 0, step)
 
 
 def test_backward_rejects_workspace_of_another_spec():
@@ -390,21 +396,26 @@ def test_one_hot_rejects_labels_that_are_not_a_1d_integer_array(labels):
         one_hot(labels, 3)
 
 
-@pytest.mark.parametrize("check", [True, False])
-def test_backward_rejects_targets_of_the_wrong_shape(check):
+@pytest.mark.parametrize("in_fit", [True, False])
+def test_backward_rejects_targets_of_the_wrong_shape(in_fit):
     # a single label, a short label list or a narrower head would otherwise
-    # broadcast, raise a raw IndexError or train on the wrong columns
+    # broadcast, raise a raw IndexError or train on the wrong columns; under
+    # `fit` the error reaches the caller unchanged
     params = small_net()
-    ws = Workspace(params.spec)
-    ws.check = check
     x = np.random.default_rng(18).normal(size=(5, 3))
+
+    def train(loss):
+        if in_fit:
+            fit(params, 0.1, 1, 1, 1, 0, lambda out, sel, ws: backward(out, loss, out=ws))
+        else:
+            backward(params, loss, out=Workspace(params.spec))
+
     for targets in (one_hot([2], 3), one_hot([0, 1, 2], 3), one_hot([0, 1, 1, 0, 1], 2),
                     one_hot([0, 1, 2, 0, 1, 2], 3), one_hot([0, 1, 2, 0, 1], 3)[:, :, None]):
-        loss = CompositeLoss((CrossEntropyTerm(x, targets),))
-        with pytest.raises(InputError, match="target table shape mismatch"):
-            backward(params, loss, out=ws)
-    with pytest.raises(InputError, match="target table shape mismatch"):
-        backward(params, CompositeLoss((CrossEntropyTerm(x, 1.0),)), out=ws)
+        with pytest.raises(InputError, match="^target table shape mismatch$"):
+            train(CompositeLoss((CrossEntropyTerm(x, targets),)))
+    with pytest.raises(InputError, match="^target table shape mismatch$"):
+        train(CompositeLoss((CrossEntropyTerm(x, 1.0),)))
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +448,8 @@ def test_sgd_step_updates_in_place():
 
 
 def test_sgd_step_rejects_overflow_to_inf():
-    # `sgd_step` is the last call of a step, so `fit`'s checked replay scans
-    # its result before the next step: a finite gradient whose update
-    # overflows raises at that step, in the replay as in the unchecked pass
+    # `sgd_step` never scans its result, but under `fit` an update of a
+    # finite gradient that overflows traps at that step, and no step follows
     params = small_net()
     params.values[:] = 1e308
     zero = zeros_params(params.spec)
@@ -447,14 +457,16 @@ def test_sgd_step_rejects_overflow_to_inf():
     steps = []
 
     def step(out, sel, ws):
-        steps.append(ws.check)
-        sgd_step(out, big if steps.count(ws.check) == 3 else zero, 1.0)
+        steps.append(sel)
+        sgd_step(out, big if len(steps) == 3 else zero, 1.0)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the replay's overflow warns before the scan
-        with pytest.raises(InputError, match="^SGD step produced non-finite parameters$"):
-            fit(params, 1.0, 4, 1, 1, 0, step)
-    assert steps == [False, False, False, True, True, True]
+    with pytest.raises(
+        InputError, match="^SGD diverged in epoch 1, batch 3: overflow encountered in subtract$"
+    ):
+        fit(params, 1.0, 4, 1, 1, 0, step)
+    assert len(steps) == 3
+    with np.errstate(over="ignore"):  # outside `fit` the update overflows to inf
+        assert np.isinf(sgd_step(params, big, 1.0).values).all()
 
 
 def test_sgd_rejects_nonpositive_lr():
@@ -463,26 +475,18 @@ def test_sgd_rejects_nonpositive_lr():
         sgd_step(params, zeros_params(params.spec), 0.0)
 
 
-def unchecked(spec):
-    """A workspace as `fit`'s unchecked pass hands it to each step."""
-    ws = Workspace(spec)
-    ws.check = False
-    return ws
-
-
-def test_check_false_skips_only_the_finiteness_scans():
+def test_backward_checks_its_inputs_and_scans_no_values():
+    # non-finite values pass through `backward`; `fit` traps the operation
+    # that makes one and scans the parameters its steps leave
     params = small_net()
-    ws = unchecked(params.spec)
+    ws = Workspace(params.spec)
     x = np.ones((2, 3))
     nan_teacher = np.full((2, 3), np.nan)
-    grad = backward(params, CompositeLoss((DistillTerm(x, nan_teacher, 2.0),)), out=ws)
-    assert np.isnan(grad.values).any()
     nan_features = CompositeLoss((UniformActivationTerm(np.full((2, 3), np.nan), 1.0),))
-    assert np.isnan(backward(params, nan_features, out=ws).values).any()
-    params.values[:] = 1e308
-    big = ParamVector(np.full(params.spec.param_count, -1e308), params.spec)
-    with np.errstate(over="ignore"):  # `sgd_step` never scans; `fit` does
-        assert np.isinf(sgd_step(params, big, 1.0).values).all()
+    for out in (ws, None):
+        grad = backward(params, CompositeLoss((DistillTerm(x, nan_teacher, 2.0),)), out=out)
+        assert np.isnan(grad.values).any()
+        assert np.isnan(backward(params, nan_features, out=out).values).any()
     # every input and config check still runs; labels are checked by `one_hot`
     with pytest.raises(InputError, match="label out of range"):
         one_hot([0, 3], 3)
@@ -498,70 +502,75 @@ def test_check_false_skips_only_the_finiteness_scans():
         sgd_step(small_net(), zeros_params(params.spec), 0.0)
     with pytest.raises(InputError, match="spec"):
         sgd_step(small_net(), zeros_params(NetSpec(3, (), 3)), 0.1)
-    # a fresh workspace is checked
-    assert Workspace(params.spec).check
-    with pytest.raises(InputError, match="gradient contains non-finite"):
-        backward(small_net(), CompositeLoss((DistillTerm(x, nan_teacher, 2.0),)))
 
 
 def test_temperature_is_checked_before_any_finiteness_scan():
     nan_logits = np.full((2, 3), np.nan)
     with pytest.raises(ConfigError, match="temperature"):
         softmax_t(nan_logits, 0.0)  # `softmax_t` always scans, after the temperature
+    with pytest.raises(InputError, match="^non-finite logits$"):
+        softmax_t(nan_logits, 1.0)
     params = small_net()
     nan_x = np.full((2, 3), np.nan)  # non-finite logits, seen by no scan
     teacher = np.full((2, 3), 1.0 / 3)
-    for ws in (unchecked(params.spec), Workspace(params.spec)):
-        for tau in (0.0, -1.0):
-            with pytest.raises(ConfigError, match="temperature"):
-                backward(params, CompositeLoss((DistillTerm(nan_x, teacher, tau),)), out=ws)
+    for tau in (0.0, -1.0):
+        loss = CompositeLoss((DistillTerm(nan_x, teacher, tau),))
+        with pytest.raises(ConfigError, match="temperature"):
+            backward(params, loss, out=Workspace(params.spec))
+        with pytest.raises(ConfigError, match="temperature"):  # not the end scan of `fit`
+            fit(params, 0.1, 2, 2, 1, 0, lambda out, sel, ws: backward(out, loss, out=ws))
 
 
-# `fit` checks a stage's finiteness once: an unchecked pass under floating-point
-# traps, replayed with the per-step checks on when it trapped or ended non-finite.
-@pytest.mark.parametrize("unchecked", ["finite", "overflow", "nan"])
-def test_check_once_replays_a_pass_that_trapped_or_ended_non_finite(unchecked):
-    params = ParamVector(np.ones(2), NetSpec(1, (), 1))
-    passes = []
-
-    def step(out, sel, ws):
-        passes.append((ws.check, np.geterr()["over"]))
-        if not ws.check and unchecked == "overflow":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # only a trap can stop this pass
-                np.square(np.full(2, 1e300))
-        if not ws.check and unchecked == "nan":
-            out.values[0] = np.nan
-
-    caller = np.geterr()["over"]
-    out = fit(params, 0.1, 1, 1, 1, 0, step)
-    replay = [] if unchecked == "finite" else [(True, caller)]
-    assert passes == [(False, "raise"), *replay]
-    assert np.array_equal(out.values, np.ones(2))
-    assert np.array_equal(params.values, np.ones(2))
-
-
-def test_check_once_raises_what_the_checked_replay_raises():
-    def step(out, sel, ws):
-        if ws.check:
-            raise InputError("SGD step produced non-finite parameters")
-        out.values[:] = np.inf
-
-    with pytest.raises(InputError, match="^SGD step produced non-finite parameters$"):
-        fit(small_net(), 0.1, 1, 1, 1, 0, step)
-
-
-def test_checked_replay_runs_checked_after_the_unchecked_pass_raised_partway():
-    seen = []
+# `fit` trains in one pass: a trap names the step it stopped at, a NaN that
+# raised no trap is found by one scan after the last step, any other error
+# propagates unchanged, and no step is ever run twice.
+def test_fit_names_the_step_whose_trap_stopped_it():
+    params = small_net()
+    before = params.values.tobytes()
+    modes = []
 
     def step(out, sel, ws):
-        seen.append(ws.check)
-        if len(seen) == 2:
-            raise FloatingPointError("overflow encountered in matmul")  # as a trap does
+        modes.append(np.geterr()["over"])
+        out.values[0] += 1.0
+        if len(modes) == 5:  # epoch 2, batch 2 of three slices per epoch
+            np.square(np.full(2, 1e300))
 
-    out = fit(small_net(), 0.1, 3, 1, 1, 0, step)
-    assert seen == [False, False, True, True, True]
-    assert out.values.tobytes() == small_net().values.tobytes()
+    caller = np.geterr()
+    with pytest.raises(
+        InputError, match="^SGD diverged in epoch 2, batch 2: overflow encountered in square$"
+    ) as info:
+        fit(params, 0.1, 5, 2, 3, 0, step)
+    assert isinstance(info.value.__cause__, FloatingPointError)
+    assert modes == ["raise"] * 5
+    assert np.geterr() == caller
+    assert params.values.tobytes() == before
+
+
+def test_fit_scans_the_parameters_once_after_the_last_step():
+    calls = []
+
+    def step(out, sel, ws):
+        calls.append(sel)
+        if len(calls) == 1:
+            out.values[0] = np.nan  # spreads no further, and raises no trap
+
+    with pytest.raises(InputError, match="^SGD produced non-finite parameters$"):
+        fit(small_net(), 0.1, 5, 2, 3, 0, step)
+    assert len(calls) == 3 * 3  # three epochs of three slices
+
+
+def test_fit_passes_any_other_error_through_once_and_unchanged():
+    calls = []
+    error = ValueError("not a trap")
+
+    def step(out, sel, ws):
+        calls.append(sel)
+        raise error
+
+    with pytest.raises(ValueError) as info:
+        fit(small_net(), 0.1, 5, 2, 3, 0, step)
+    assert info.value is error
+    assert len(calls) == 1
 
 
 def test_fit_without_lr_or_rows_returns_a_copy_and_takes_no_step():
@@ -576,22 +585,17 @@ def test_fit_without_lr_or_rows_returns_a_copy_and_takes_no_step():
         assert out.values.tobytes() == params.values.tobytes()
 
 
-def test_fit_builds_one_workspace_and_the_replay_reuses_it(monkeypatch):
+def test_fit_builds_one_workspace(monkeypatch):
     built, seen = [], []
 
     def counting(spec):
         built.append(Workspace(spec))
         return built[-1]
 
-    def step(out, sel, ws):
-        seen.append(ws)
-        if not ws.check:
-            out.values[0] = np.nan  # force the checked replay
-
     monkeypatch.setattr("dcil.nncore.Workspace", counting)
-    fit(small_net(), 0.1, 5, 2, 2, 0, step)
+    fit(small_net(), 0.1, 5, 2, 2, 0, lambda out, sel, ws: seen.append(ws))
     assert len(built) == 1
-    assert len(seen) == 2 * 2 * 3  # two passes of two epochs of three slices
+    assert len(seen) == 2 * 3  # two epochs of three slices
     assert all(ws is built[0] for ws in seen)
 
 

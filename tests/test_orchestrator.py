@@ -9,12 +9,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from oracles import zeros_params
-from test_golden import CONFIGS as GOLDEN
 
 from dcil import orchestrator
 from dcil.data import make_synthetic, split_sessions, train_count
 from dcil.local_learner import LocalLossConfig, local_update
-from dcil.nncore import ConfigError, InputError, NetSpec, fit, init_params
+from dcil.nncore import ConfigError, InputError, NetSpec, init_params
 from dcil.orchestrator import (
     _S_DATA,
     _S_SPLIT,
@@ -442,33 +441,6 @@ def test_every_trainer_call_reuses_one_workspace(monkeypatch):
             assert len(built) <= 1, (method, name, len(built))
             if used:
                 assert built and all(out is built[0] for out in used), (method, name)
-
-
-def test_golden_runs_check_each_stage_once_and_never_replay(monkeypatch):
-    # `fit` replays a stage with per-step checks when its unchecked pass
-    # trapped or ended non-finite; a run that does not diverge never should,
-    # or it pays for every such stage twice.  Each step records `ws.check`.
-    passes = Counter()
-
-    def counting(module):
-        def spy(params, lr, n, batch_size, epochs, seed, step):
-            def counted(out, sel, ws):
-                passes[module, ws.check] += 1
-                step(out, sel, ws)
-
-            return fit(params, lr, n, batch_size, epochs, seed, counted)
-
-        return spy
-
-    for module in ("orchestrator", "local_learner", "distillation"):
-        monkeypatch.setattr(f"dcil.{module}.fit", counting(module))
-    for cfg in GOLDEN.values():
-        run(cfg)
-    assert {key for key, n in passes.items() if n} == {
-        ("orchestrator", False),
-        ("local_learner", False),
-        ("distillation", False),
-    }
 
 
 def test_herding_runs_once_per_session_site_and_held_class(monkeypatch):

@@ -1,7 +1,7 @@
 """The training step gives the bytes of its plain NumPy spelling.
 
 `nncore` and the three step closures reach each operation through the
-cheapest NumPy entry point (`np.dot`, `np.add.reduce`, in-place ufuncs,
+cheapest NumPy entry point (`ndarray.dot`, `np.add.reduce`, in-place ufuncs,
 `take`); `oracles.plain_*` spells the same arithmetic with `@`, `.sum`/`.max`,
 an out-of-place softmax and fancy-index gathers.  Every result here must
 match byte for byte, and no input may be written.
