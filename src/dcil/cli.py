@@ -22,11 +22,9 @@ import numpy as np
 
 from .local_learner import LocalLossConfig
 from .nncore import ConfigError
-from .orchestrator import METHODS, RunConfig, RunResult, run, summarize
+from .orchestrator import COMM_KEYS, METHODS, RunConfig, RunResult, run, summarize
 
-RUN_CSV_HEADER = [
-    "session", "accuracy", "params_up", "params_down", "shared_samples", "logit_scalars",
-]
+RUN_CSV_HEADER = ["session", "accuracy", *COMM_KEYS]
 COMPARE_CSV_HEADER = ["method", "session", "mean_acc", "std_acc"]
 SUMMARY_CSV_HEADER = ["method", "avg_acc_mean", "final_acc_mean"]
 
@@ -187,19 +185,15 @@ def _csv_text(header, rows) -> str:
 def _result_doc(cfg: RunConfig, result: RunResult) -> dict:
     return {
         "config": dataclasses.asdict(cfg),
-        "records": [r.to_dict() for r in result.records],
+        "records": [dataclasses.asdict(r) for r in result.records],
         "summary": summarize(result.records),
     }
 
 
 def _run_csv_rows(result: RunResult):
-    rows = []
-    for r in result.records:
-        rows.append([
-            r.session, repr(r.accuracy), r.comm["params_up"], r.comm["params_down"],
-            r.comm["shared_samples"], r.comm["logit_scalars"],
-        ])
-    return rows
+    return [
+        [r.session, repr(r.accuracy), *(r.comm[k] for k in COMM_KEYS)] for r in result.records
+    ]
 
 
 def _params_transferred(result: RunResult) -> int:

@@ -88,17 +88,19 @@ def make_synthetic(
     )
 
 
+def check_split(n_classes: int, n_base: int, n_sessions: int) -> None:
+    """Raise `ConfigError` unless the classes form `n_base` base + `n_sessions` equal sessions."""
+    if n_base < 1 or n_sessions < 1 or n_classes <= n_base or (n_classes - n_base) % n_sessions:
+        raise ConfigError(
+            f"cannot split {n_classes} classes into {n_base} base + {n_sessions} equal sessions"
+        )
+
+
 def split_sessions(dataset: Dataset, n_base: int, n_sessions: int, seed: SeedLike) -> SessionSplit:
     """Seeded random split of the label space into base + T equal sessions."""
     c = dataset.n_classes
-    if n_base < 1 or n_sessions < 1:
-        raise ConfigError(f"n_base and n_sessions must be >= 1, got {n_base}, {n_sessions}")
-    rest = c - n_base
-    if rest <= 0 or rest % n_sessions != 0:
-        raise ConfigError(
-            f"cannot split {c} classes into {n_base} base + {n_sessions} equal sessions"
-        )
-    k = rest // n_sessions
+    check_split(c, n_base, n_sessions)
+    k = (c - n_base) // n_sessions
     rng = np.random.default_rng(seed)
     order = rng.permutation(c)
     base = tuple(sorted(int(x) for x in order[:n_base]))

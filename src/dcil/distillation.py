@@ -28,11 +28,13 @@ DISTILL_BATCH = 128
 
 
 def ensemble_weights(counts) -> np.ndarray:
-    """Data-proportional ensemble weights; uniform when no site holds any data."""
+    """Data-proportional weights N_m / N, for FedAvg and the ensemble teacher alike."""
     counts = np.asarray(counts, dtype=np.float64)
+    if np.any(counts < 0):
+        raise InputError("sample counts must be nonnegative")
     total = counts.sum()
     if total <= 0:
-        return np.full(len(counts), 1.0 / len(counts))
+        raise ConfigError("cannot weigh sites with all-zero sample counts")
     return counts / total
 
 
@@ -71,7 +73,7 @@ def compute_logits_table(params: ParamVector, shared: np.ndarray) -> np.ndarray:
 
 
 def ensemble_logits(tables: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    """Rowwise weighted sum of the local logits tables, one weight per table."""
+    """Weighted sum of the local logits tables (or, for FedAvg, parameter vectors)."""
     if len(tables) != len(weights):
         raise InputError(f"{len(tables)} tables but {len(weights)} weights")
     shape = tables[0].shape
@@ -151,19 +153,11 @@ def fedavg_aggregate(param_list: list[ParamVector], sample_counts) -> ParamVecto
     spec = param_list[0].spec
     if any(p.spec != spec for p in param_list):
         raise InputError("cannot aggregate parameters with different specs")
-    counts = np.asarray(sample_counts, dtype=np.float64)
-    if len(counts) != len(param_list):
+    weights = ensemble_weights(sample_counts)
+    if len(weights) != len(param_list):
         raise InputError("one sample count per model is required")
-    if np.any(counts < 0):
-        raise InputError("sample counts must be nonnegative")
-    total = counts.sum()
-    if total <= 0:
-        raise ConfigError("cannot aggregate with all-zero sample counts")
     if all(np.array_equal(p.values, param_list[0].values) for p in param_list[1:]):
         # identical inputs average to themselves; skip the weighted sum so
         # the result is bit-exact rather than within rounding error
         return param_list[0].copy()
-    acc = np.zeros(spec.param_count)
-    for c, p in zip(counts, param_list):
-        acc += (c / total) * p.values
-    return ParamVector(acc, spec)
+    return ParamVector(ensemble_logits([p.values for p in param_list], weights), spec)

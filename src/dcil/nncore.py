@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -65,9 +65,6 @@ class NetSpec:
     def param_count(self) -> int:
         dims = self.layer_dims
         return sum((dims[i] + 1) * dims[i + 1] for i in range(len(dims) - 1))
-
-    def with_classes(self, n_classes: int) -> "NetSpec":
-        return NetSpec(self.input_dim, self.hidden_dims, n_classes, self.activation)
 
 
 def _layer_views(flat: np.ndarray, dims) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -278,14 +275,13 @@ class Workspace:
 
     `grad` is the `ParamVector` each call returns; the next call overwrites
     its values.  `scratch` takes each later loss term's gradient before it is
-    added into `grad`.
+    added into `grad`.  Both are zeroed, because a `ParamVector` scans its values.
     """
 
     def __init__(self, spec: NetSpec):
         self.spec = spec
         self.grad = ParamVector(np.zeros(spec.param_count), spec)
-        self.scratch = np.empty(spec.param_count)
-        self.scratch_layers = _layer_views(self.scratch, spec.layer_dims)
+        self.scratch = ParamVector(np.zeros(spec.param_count), spec)
 
 
 def _backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features, grads):
@@ -381,8 +377,8 @@ def backward(
         if i == 0:
             _term_grad(params, layers, term, grad, out.grad.layers())
         else:
-            _term_grad(params, layers, term, out.scratch, out.scratch_layers)
-            grad += out.scratch
+            _term_grad(params, layers, term, out.scratch.values, out.scratch.layers())
+            grad += out.scratch.values
     return out.grad
 
 
@@ -451,5 +447,5 @@ def expand_head(params: ParamVector, n_new: int) -> ParamVector:
     w_out, b_out = layers[-1]
     w_new = np.concatenate([w_out, np.zeros((w_out.shape[0], n_new))], axis=1)
     b_new = np.concatenate([b_out, np.zeros(n_new)])
-    new_spec = params.spec.with_classes(params.spec.n_classes + n_new)
+    new_spec = replace(params.spec, n_classes=params.spec.n_classes + n_new)
     return pack_layers([*layers[:-1], (w_new, b_new)], new_spec)

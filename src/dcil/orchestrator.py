@@ -49,6 +49,8 @@ from .nncore import (
 
 METHODS = ("dcid", "dcil_fedavg", "dcil_fedmax", "dcil_fedprox", "centralized")
 PARTITIONS = ("iid", "dirichlet")
+# A record's communication counters, in the order its `comm` dict lists them.
+COMM_KEYS = ("params_up", "params_down", "shared_samples", "logit_scalars")
 
 # Seed-stream tags; every generator is derived structurally from
 # (seed, tag, ...) so that independent stages never share a stream.
@@ -106,16 +108,9 @@ class RunConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.partition not in PARTITIONS:
             raise ConfigError(f"unknown partition {self.partition!r}")
-        if self.n_sites < 1 or self.n_sessions < 1 or self.rounds < 1:
-            raise ConfigError("n_sites, n_sessions and rounds must all be >= 1")
-        if self.n_base < 1:
-            raise ConfigError("n_base must be >= 1")
-        rest = self.n_classes - self.n_base
-        if rest <= 0 or rest % self.n_sessions != 0:
-            raise ConfigError(
-                f"{self.n_classes} classes cannot form {self.n_base} base + "
-                f"{self.n_sessions} equal sessions"
-            )
+        if self.n_sites < 1 or self.rounds < 1:
+            raise ConfigError("n_sites and rounds must both be >= 1")
+        data_mod.check_split(self.n_classes, self.n_base, self.n_sessions)
         if self.shared_per_class < 0 or self.anchors_per_class < 0:
             raise ConfigError("shared_per_class and anchors_per_class must be >= 0")
         if self.tau1 <= 0 or self.tau2 <= 0:
@@ -151,15 +146,6 @@ class MetricsRecord:
     per_class: dict[int, float]
     seen_classes: tuple[int, ...]
     comm: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "session": self.session,
-            "accuracy": self.accuracy,
-            "per_class": {str(k): v for k, v in sorted(self.per_class.items())},
-            "seen_classes": list(self.seen_classes),
-            "comm": self.comm,
-        }
 
 
 @dataclass
@@ -262,7 +248,7 @@ def _partition(cfg: RunConfig, x, y, session):
 
 def _no_traffic() -> dict[str, int]:
     """A session's communication counters, zeroed, in the order records list them."""
-    return {"params_up": 0, "params_down": 0, "shared_samples": 0, "logit_scalars": 0}
+    return dict.fromkeys(COMM_KEYS, 0)
 
 
 def _record(cfg, session, params, test, traffic) -> MetricsRecord:

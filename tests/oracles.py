@@ -307,8 +307,8 @@ def plain_backward(
         if i == 0:
             plain_term_grad(params, layers, term, grad, out.grad.layers())
         else:
-            plain_term_grad(params, layers, term, out.scratch, out.scratch_layers)
-            grad += out.scratch
+            plain_term_grad(params, layers, term, out.scratch.values, out.scratch.layers())
+            grad += out.scratch.values
     return out.grad
 
 

@@ -24,7 +24,7 @@ from dcil.cli import (
 )
 from dcil.local_learner import LocalLossConfig
 from dcil.nncore import ConfigError
-from dcil.orchestrator import RunConfig
+from dcil.orchestrator import COMM_KEYS, RunConfig
 
 # Small, fast run used throughout.
 FAST = {
@@ -180,16 +180,19 @@ def test_run_writes_json_and_csv(runner, tmp_path):
 
 
 def test_run_json_lists_each_records_comm_keys_in_ledger_order(runner, tmp_path):
-    # json.loads keeps the file's key order, so this reads the written order
-    cfg = write_config(tmp_path, FAST)
+    # json.loads keeps the file's key order, so this reads the written order;
+    # 12 classes put "10" and "11" among the per-class keys
+    cfg = write_config(tmp_path, {**FAST, "classes": 12})
     out = str(tmp_path / "results")
     assert runner.invoke(main, ["run", cfg, "--out", out]).exit_code == 0
     doc = json.loads(open(os.path.join(out, "dcid_seed0.json")).read())
     assert len(doc["records"]) == 3
+    assert COMM_KEYS == ("params_up", "params_down", "shared_samples", "logit_scalars")
+    assert tuple(RUN_CSV_HEADER[2:]) == COMM_KEYS
     for record in doc["records"]:
-        assert list(record["comm"]) == [
-            "params_up", "params_down", "shared_samples", "logit_scalars",
-        ]
+        assert list(record["comm"]) == list(COMM_KEYS)
+        assert list(record["per_class"]) == [str(c) for c in record["seen_classes"]]
+    assert doc["records"][-1]["seen_classes"] == list(range(12))  # so "9" before "10"
 
 
 def test_run_failed_write_exits_1_and_leaves_no_temp_file(runner, tmp_path, monkeypatch):
@@ -259,6 +262,11 @@ def test_run_invalid_config_value_exits_2(runner, tmp_path):
         ("anchor_temperature=-1", "anchor_temperature"),
         ('hidden_dims="64"', "'hidden_dims'"),  # a string is not split into [6, 4]
         ("out=5", "'out'"),  # not only after training, when the output is written
+        # one split rule, one whole line: 8 classes, 4 base, 2 sessions in FAST
+        ("sessions=0", "config error: cannot split 8 classes into 4 base + 0 equal sessions\n"),
+        ("base_classes=0",
+         "config error: cannot split 8 classes into 0 base + 2 equal sessions\n"),
+        ("sessions=3", "config error: cannot split 8 classes into 4 base + 3 equal sessions\n"),
     ],
 )
 def test_run_bad_config_value_exits_2_before_training(
@@ -269,7 +277,10 @@ def test_run_bad_config_value_exits_2_before_training(
     result = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "r"), "--set", override])
     assert result.exit_code == 2, result.output
     assert "config error" in result.output
-    assert message in result.output
+    if message.endswith("\n"):  # a whole stderr line, pinned exactly
+        assert result.stdout == "" and result.stderr == message
+    else:
+        assert message in result.output
 
 
 def test_run_config_not_utf8_exits_2_before_training(runner, tmp_path, monkeypatch):

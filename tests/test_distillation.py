@@ -138,7 +138,12 @@ def test_ensemble_rejects_mismatches():
 def test_ensemble_weights_validation():
     counts = np.array([10.0, 30.0, 0.0, 7.0])
     assert np.array_equal(ensemble_weights(counts), counts / counts.sum())
-    assert np.array_equal(ensemble_weights([0, 0]), [0.5, 0.5])
+    # a negative count is bad input, not a negative weight
+    with pytest.raises(InputError, match="nonnegative"):
+        ensemble_weights([3, -1])
+    # no site holds data: nothing to weigh by, and no uniform fallback
+    with pytest.raises(ConfigError, match="all-zero"):
+        ensemble_weights([0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +295,15 @@ def test_fedavg_weighted_mean_oracle():
     out = fedavg_aggregate(models, counts)
     expect = sum((c / 100.0) * m.values for c, m in zip(counts, models))
     assert np.abs(out.values - expect).max() < 1e-12
+
+
+def test_fedavg_is_the_ensemble_sum_of_the_parameter_vectors():
+    # FedAvg weighs and sums through the teacher's rule and loop, bit for bit
+    models = [net(seed=s) for s in range(4)]
+    counts = [10, 0, 23, 7]  # a site with no data gets weight 0
+    out = fedavg_aggregate(models, counts)
+    expect = ensemble_logits([m.values for m in models], ensemble_weights(counts))
+    assert out.values.tobytes() == expect.tobytes()
 
 
 def test_fedavg_affine_equivariance():

@@ -9,14 +9,19 @@ BLAS kernel.  `GOLDEN` was produced with numpy 2.4.6 on scipy-openblas
 build forced to its `Haswell` kernel (`OPENBLAS_CORETYPE=Haswell`), which
 rounds some matrix products differently.  The kernel a process runs is
 what `scipy_openblas_get_corename64_` returns, called through `ctypes` on
-the `libscipy_openblas64_` library that numpy loaded (`KERNEL_RECORDS`
-shows how).  Another BLAS build may legitimately fail these tests.
+the `libscipy_openblas64_` library that numpy loaded (`running_kernel`).
+The in-process test compares against the running kernel's text and skips,
+naming the kernel, where none is pinned.  Another BLAS build may
+legitimately fail these tests.
 """
 
+import ctypes
+import glob
 import json
 import os
 from dataclasses import replace
 
+import numpy
 import pytest
 from fresh import fresh_python
 
@@ -88,11 +93,6 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("method", sorted(CONFIGS))
-def test_golden_records(method):
-    assert records_text(run(CONFIGS[method])) == "".join(GOLDEN[method])
-
-
 # `GOLDEN` under the `Haswell` kernel: only `dcil_fedmax` rounds differently.
 HASWELL = {
     **GOLDEN,
@@ -103,18 +103,35 @@ HASWELL = {
     ),
 }
 
+# The pinned text of each kernel.
+PINNED = {"SkylakeX": GOLDEN, "Haswell": HASWELL}
+
+
+def running_kernel() -> str:
+    """The kernel the OpenBLAS library that numpy loaded runs in this process."""
+    libs = os.path.dirname(numpy.__file__) + ".libs"
+    (lib,) = glob.glob(os.path.join(libs, "libscipy_openblas64_*"))
+    corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+@pytest.mark.parametrize("method", sorted(CONFIGS))
+def test_golden_records(method):
+    kernel = running_kernel()
+    if kernel not in PINNED:
+        pytest.skip(f"no golden text is pinned for the {kernel} kernel")
+    assert records_text(run(CONFIGS[method])) == PINNED[kernel][method]
+
+
 # The kernel OpenBLAS runs, then the records text of each config, as JSON;
 # run with this directory on `sys.path`.
 KERNEL_RECORDS = """
-import ctypes, glob, json, os
-import numpy
-from test_golden import CONFIGS, records_text
+import json
+from test_golden import CONFIGS, records_text, running_kernel
 from dcil.orchestrator import run
-lib, = glob.glob(os.path.join(os.path.dirname(numpy.__file__) + ".libs", "libscipy_openblas64_*"))
-corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
-corename.argtypes, corename.restype = [], ctypes.c_char_p
 records = {method: records_text(run(cfg)) for method, cfg in CONFIGS.items()}
-print(json.dumps([corename().decode(), records]))
+print(json.dumps([running_kernel(), records]))
 """
 
 

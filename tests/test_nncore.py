@@ -1,6 +1,7 @@
 """Network engine tests: forward oracles, closed-form losses, gradient checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -359,7 +360,7 @@ def test_backward_into_workspace_rejects_nan_teacher():
 def test_backward_rejects_workspace_of_another_spec():
     params = small_net(n_classes=4)
     loss = CompositeLoss((CrossEntropyTerm(np.ones((2, 3)), one_hot([0, 3], 4)),))
-    for spec in (params.spec.with_classes(5), NetSpec(3, (5,), 4)):
+    for spec in (replace(params.spec, n_classes=5), NetSpec(3, (5,), 4)):
         with pytest.raises(InputError):
             backward(params, loss, out=Workspace(spec))
 

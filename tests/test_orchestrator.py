@@ -80,6 +80,23 @@ def test_config_validation_rejects_inconsistencies():
             replace(SMALL, **bad)
 
 
+@pytest.mark.parametrize(
+    "n_base, n_sessions",
+    [(4, 0), (4, -1), (0, 2), (8, 2), (9, 2), (4, 3)],
+    ids=["sessions_0", "sessions_neg1", "base_0", "base_eq_classes", "base_gt_classes",
+         "indivisible"],
+)
+def test_config_and_split_sessions_reject_a_bad_split_alike(n_base, n_sessions):
+    # one rule and one message, whichever checks it; sessions <= 0 never
+    # reaches the modulo (a ZeroDivisionError would escape pytest.raises)
+    message = f"cannot split 8 classes into {n_base} base + {n_sessions} equal sessions"
+    with pytest.raises(ConfigError) as from_config:
+        replace(SMALL, n_base=n_base, n_sessions=n_sessions)
+    with pytest.raises(ConfigError) as from_split:
+        split_sessions(make_synthetic(8, 10, 4, 1.0, 0), n_base, n_sessions, 0)
+    assert str(from_config.value) == str(from_split.value) == message
+
+
 def test_config_validation_rejects_non_finite_floats():
     # every range check is False for NaN, so finiteness is checked on its own
     floats = [f.name for f in fields(RunConfig) if f.type == "float"]
