@@ -91,9 +91,15 @@ ALL_KEYS = set(_RUN_KEYS) | set(_LOCAL_KEYS) | _SWEEP_KEYS
 
 
 def load_config(path: str) -> dict:
+    def unique_keys(pairs):  # json.load would keep the last of a repeated key
+        for i, (key, _) in enumerate(pairs):
+            if key in (k for k, _ in pairs[:i]):
+                raise ConfigError(f"{path}: key {key!r} appears more than once")
+        return dict(pairs)
+
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except (OSError, UnicodeDecodeError) as exc:

@@ -122,7 +122,7 @@ def partition_iid(x: np.ndarray, y: np.ndarray, n_sites: int, seed: SeedLike) ->
         raise ConfigError(f"n_sites must be >= 1, got {n_sites}")
     rng = np.random.default_rng(seed)
     buckets: list[list[np.ndarray]] = [[] for _ in range(n_sites)]
-    for c in _classes(y):
+    for c in classes(y):
         idx = np.flatnonzero(y == c)
         if len(idx) < n_sites:
             raise ConfigError(
@@ -134,7 +134,7 @@ def partition_iid(x: np.ndarray, y: np.ndarray, n_sites: int, seed: SeedLike) ->
     return _shards(x, y, buckets)
 
 
-def _classes(y: np.ndarray) -> list[int]:
+def classes(y: np.ndarray) -> list[int]:
     """The distinct labels of `y`, ascending.
 
     Not `np.unique(y)`: on numpy 2.4 its hash path imports `numpy.ma`, about
@@ -175,7 +175,7 @@ def partition_dirichlet(
         raise ConfigError(f"n_sites must be >= 2 for dirichlet partitioning, got {n_sites}")
     rng = np.random.default_rng(seed)
     buckets: list[list[np.ndarray]] = [[] for _ in range(n_sites)]
-    for c in _classes(y):
+    for c in classes(y):
         idx = rng.permutation(np.flatnonzero(y == c))
         props = rng.dirichlet(np.full(n_sites, alpha))
         counts = _largest_remainder(props, len(idx))

@@ -98,20 +98,16 @@ def _distill(
 
     Steps use the mean per-sample gradient so the step size does not scale
     with the pool size; small pools then get the same per-sample pull as
-    large ones, which is what makes accuracy saturate in the pool size.  An
-    empty pool or a zero learning rate returns the input parameters
-    unchanged, before the teacher is checked: the first step checks and
-    softens it.
+    large ones, which is what makes accuracy saturate in the pool size.  The
+    teacher is checked and softened once, before `fit`; an empty pool or a
+    zero learning rate then returns a copy of the input parameters.
     """
     n = len(shared)
-    teacher_probs = None
+    if len(teacher) != n:
+        raise InputError("teacher row count must match the shared pool")
+    teacher_probs = softmax_t(teacher, tau)
 
     def step(out, sel, ws):
-        nonlocal teacher_probs
-        if teacher_probs is None:
-            if len(teacher) != n:
-                raise InputError("teacher row count must match the shared pool")
-            teacher_probs = softmax_t(teacher, tau)
         term = DistillTerm(shared.take(sel, axis=0), teacher_probs.take(sel, axis=0), tau)
         grad = backward(out, CompositeLoss((term,)), out=ws)
         sgd_step(out, grad, lr)

@@ -125,7 +125,7 @@ def _kd_teacher_probs(
 
 def local_update(
     shard: tuple[np.ndarray, np.ndarray],
-    anchors: dict[int, np.ndarray],
+    anchors: tuple[np.ndarray, np.ndarray],
     general: ParamVector,
     cfg: LocalLossConfig,
     *,
@@ -135,9 +135,9 @@ def local_update(
 ) -> ParamVector:
     """One site's training pass for a round: E epochs of seeded minibatch SGD.
 
-    The site's anchors, herding-ordered rows per class, are stacked in sorted
-    class order and appended to every epoch's data stream so each step sees
-    the composite loss.  `dcil_fedmax` adds the activation term and
+    The site's anchors, an `(x, y)` pair of herded rows like the shard, follow
+    the shard in every epoch's data stream, as given, so each step sees the
+    composite loss.  `dcil_fedmax` adds the activation term and
     `dcil_fedprox` the proximal pull toward `general`.  The distributed
     `general` model and `old_general` (previous session's model, possibly
     with a narrower head) are left untouched.  Returns the updated local
@@ -147,9 +147,8 @@ def local_update(
     shard_x, shard_y = shard
     if len(shard_x) == 0:
         return general.copy()
-    classes = sorted(anchors)
-    stream_x = np.concatenate([shard_x, *(anchors[c] for c in classes)])
-    stream_y = np.concatenate([shard_y, *(np.full(len(anchors[c]), c) for c in classes)])
+    stream_x = np.concatenate([shard_x, anchors[0]])
+    stream_y = np.concatenate([shard_y, anchors[1]])
     targets = one_hot(stream_y, general.spec.n_classes)
     n_new = len(shard_x)
     ax, at = stream_x[n_new:], targets[n_new:]

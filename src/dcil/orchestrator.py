@@ -163,7 +163,7 @@ def evaluate(params: ParamVector, x: np.ndarray, y: np.ndarray):
         raise InputError("empty test set")
     _, logits = forward_batch(params, x)
     correct = np.argmax(logits, axis=1) == y
-    per_class = {c: float(correct[y == c].mean()) for c in sorted(set(y.tolist()))}
+    per_class = {c: float(correct[y == c].mean()) for c in data_mod.classes(y)}
     return float(correct.mean()), per_class
 
 
@@ -259,19 +259,17 @@ def _record(cfg, session, params, test, traffic) -> MetricsRecord:
     return MetricsRecord(session, acc, per_class, seen, traffic)
 
 
-def _herd_session_anchors(cfg, params, shard_x, shard_y, classes) -> dict[int, np.ndarray]:
-    """Each held class's herded examples, in selection order."""
-    picked: dict[int, np.ndarray] = {}
-    if cfg.anchors_per_class < 1:
-        return picked
-    for c in classes:
-        mask = shard_y == c
-        if not mask.any():
-            continue
-        examples = shard_x[mask]
-        idx = select_anchors_herding(params, examples, cfg.anchors_per_class)
-        picked[int(c)] = examples[idx]
-    return picked
+def _herd(cfg, params, shard) -> tuple[np.ndarray, np.ndarray]:
+    """The `(x, y)` shard rows herding keeps for each class the shard holds,
+    in class order, each class's rows in selection order."""
+    x, y = shard
+    k = cfg.anchors_per_class
+    kept = [np.empty(0, dtype=np.int64)]
+    for c in data_mod.classes(y) if k else ():
+        rows = np.flatnonzero(y == c)
+        kept.append(rows[select_anchors_herding(params, x[rows], k)])
+    kept = np.concatenate(kept)
+    return x[kept], y[kept]
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +287,9 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
     # Base-class anchors: the base session is trained centrally, but each site
     # must enter session 1 with anchors for the classes already seen.  Deal
     # the base data to sites with the configured partitioner and herd with
-    # the base model.  anchors[m] maps each class to site m's herded rows.
-    anchors = [
-        _herd_session_anchors(cfg, general, sx, sy, range(cfg.n_base))
-        for sx, sy in _partition(cfg, *train[0], 0).shards
-    ]
+    # the base model.  anchors[m] is site m's `(x, y)` pair of herded shard
+    # rows, in class order: each session appends its own, higher, classes.
+    anchors = [_herd(cfg, general, shard) for shard in _partition(cfg, *train[0], 0).shards]
 
     for t in range(1, cfg.n_sessions + 1):
         prev_general = general
@@ -332,10 +328,9 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
             ]
 
             if r == cfg.rounds - 1:  # only the last round's anchors are kept
-                new_anchors = [
-                    _herd_session_anchors(cfg, sites[m], sx, sy, new_classes)
-                    for m, (sx, sy) in enumerate(shards)
-                ]
+                for m, (ax, ay) in enumerate(anchors):
+                    hx, hy = _herd(cfg, sites[m], shards[m])
+                    anchors[m] = (np.concatenate([ax, hx]), np.concatenate([ay, hy]))
 
             dcd_teacher = teacher(sites)
             for m in range(cfg.n_sites):
@@ -352,9 +347,6 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
                 aggregated, dad_teacher, shared, cfg.tau2, cfg.dad_lr,
                 cfg.dad_epochs, seed=[cfg.seed, _S_DAD, t, r],
             )
-
-        for site_anchors, picked in zip(anchors, new_anchors):
-            site_anchors.update(picked)  # this session's classes are new keys
 
         records.append(_record(cfg, t, general, test, traffic))
 

@@ -85,17 +85,15 @@ def cross_entropy(logits: np.ndarray, label: int) -> float:
 def anchor_loss(
     params: ParamVector,
     old_params: ParamVector | None,
-    anchors: dict[int, np.ndarray],
+    anchors: tuple[np.ndarray, np.ndarray],
     anchor_variant: str,
     temperature: float = 2.0,
 ) -> float:
-    """Anchor regularization value over {class: rows}; 0 (with a warning) when empty."""
-    classes = sorted(anchors)
-    if not classes:
+    """Anchor regularization value over an `(x, y)` pair; 0 (with a warning) when empty."""
+    ax, ay = anchors
+    if len(ax) == 0:
         log.warning("anchor_loss called with an empty anchor set; returning 0")
         return 0.0
-    ax = np.concatenate([anchors[c] for c in classes])
-    ay = np.concatenate([np.full(len(anchors[c]), c) for c in classes])
     _, logits = forward_batch(params, ax)
     if anchor_variant == "replay_ce":
         logp = plain_log_softmax(logits)
@@ -340,9 +338,8 @@ def plain_local_update(
     shard_x, shard_y = shard
     if len(shard_x) == 0:
         return general.copy()
-    classes = sorted(anchors)
-    stream_x = np.concatenate([shard_x, *(anchors[c] for c in classes)])
-    stream_y = np.concatenate([shard_y, *(np.full(len(anchors[c]), c) for c in classes)])
+    stream_x = np.concatenate([shard_x, anchors[0]])
+    stream_y = np.concatenate([shard_y, anchors[1]])
     targets = one_hot(stream_y, general.spec.n_classes)
     n_new = len(shard_x)
     ax, at = stream_x[n_new:], targets[n_new:]

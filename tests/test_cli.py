@@ -65,6 +65,34 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(path)
 
 
+def write_twice(tmp_path, doc, key, value):
+    """`doc` as a JSON file whose last entry repeats `key` with `value`."""
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc)[:-1] + f", {json.dumps(key)}: {json.dumps(value)}}}")
+    return str(path)
+
+
+def test_load_config_rejects_a_repeated_key(tmp_path):
+    # json.load alone keeps the last of two equal keys, so alpha 10 would run
+    path = write_twice(tmp_path, {"alpha": 0.1, "sites": 3}, "alpha", 10)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}: key 'alpha' appears more than once"
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_repeated_config_key_exits_2_before_training(runner, tmp_path, monkeypatch, command):
+    monkeypatch.setattr("dcil.cli.run", lambda cfg: pytest.fail("training started"))
+    doc = {**FAST, "alpha": 0.1, "methods": ["dcid", "dcil_fedavg"], "seeds": [0]}
+    path = write_twice(tmp_path, doc, "alpha", 10)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, path, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr == f"config error: {path}: key 'alpha' appears more than once\n"
+    assert not out.exists()
+
+
 def test_load_config_reports_json_error_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "sites": 3,\n}\n')

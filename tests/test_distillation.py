@@ -208,15 +208,29 @@ def test_zero_learning_rate_returns_input_bitwise():
         assert out.values is not params.values
 
 
-def test_distill_takes_no_step_and_checks_no_teacher_without_pool_or_lr():
+def test_distill_takes_no_step_without_pool_or_lr(monkeypatch):
+    calls = []
+    monkeypatch.setattr("dcil.distillation.backward", lambda *a, **k: calls.append(a))
+    params = net()
+    pool = shared_pool(n=5)
+    teacher = compute_logits_table(net(seed=1), pool)
+    for stage in (dcd_finetune, dad_refine):
+        for rows, table, lr in ((pool, teacher, 0.0), (pool[:0], teacher[:0], 0.5)):
+            out = stage(params, table, rows, 5.0, lr=lr, epochs=3, seed=0)
+            assert out.values.tobytes() == params.values.tobytes()
+            assert out.values is not params.values
+    assert calls == []
+
+
+def test_distill_checks_its_teacher_before_fit_whatever_the_lr():
+    # a short or non-finite teacher is refused even when no step would read it
     params = net()
     pool = shared_pool(n=5)
     for teacher in (np.zeros((4, 4)), np.full((5, 4), np.nan)):  # short, and not finite
         for stage in (dcd_finetune, dad_refine):
             for rows, lr in ((pool, 0.0), (pool[:0], 0.5)):
-                out = stage(params, teacher, rows, 5.0, lr=lr, epochs=3, seed=0)
-                assert out.values.tobytes() == params.values.tobytes()
-                assert out.values is not params.values
+                with pytest.raises(InputError):
+                    stage(params, teacher, rows, 5.0, lr=lr, epochs=3, seed=0)
 
 
 def test_dad_refine_walks_a_large_pool_in_batches(monkeypatch):

@@ -15,6 +15,7 @@ from dcil.nncore import (
     expand_head,
     forward_batch,
     init_params,
+    one_hot,
     softmax_t,
 )
 
@@ -22,6 +23,10 @@ from dcil.nncore import (
 def net(seed=0, input_dim=3, hidden=(5,), n_classes=4):
     spec = NetSpec(input_dim, hidden, n_classes)
     return init_params(spec, np.random.default_rng(seed))
+
+
+def no_anchors(input_dim):
+    return np.empty((0, input_dim)), np.empty(0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +119,9 @@ def test_herding_rejects_bad_inputs():
 
 def test_anchor_loss_replay_ce_closed_form():
     params = net()
-    anchors = {1: np.random.default_rng(0).normal(size=(3, 3))}
+    anchors = (np.random.default_rng(0).normal(size=(3, 3)), np.ones(3, dtype=np.int64))
     val = anchor_loss(params, None, anchors, "replay_ce")
-    _, logits = forward_batch(params, anchors[1])
+    _, logits = forward_batch(params, anchors[0])
     p = softmax_t(logits, 1.0)
     expect = float(np.mean([-math.log(p[i, 1]) for i in range(3)]))
     assert abs(val - expect) < 1e-12
@@ -124,7 +129,7 @@ def test_anchor_loss_replay_ce_closed_form():
 
 def test_anchor_loss_logit_kd_zero_when_student_equals_teacher():
     params = net()
-    anchors = {0: np.random.default_rng(1).normal(size=(4, 3))}
+    anchors = (np.random.default_rng(1).normal(size=(4, 3)), np.zeros(4, dtype=np.int64))
     val = anchor_loss(params, params, anchors, "logit_kd", temperature=2.0)
     assert abs(val) < 1e-12
 
@@ -132,7 +137,7 @@ def test_anchor_loss_logit_kd_zero_when_student_equals_teacher():
 def test_anchor_loss_logit_kd_wider_student_penalizes_new_mass():
     old = net()
     wide = expand_head(old, 2)
-    anchors = {0: np.random.default_rng(2).normal(size=(4, 3))}
+    anchors = (np.random.default_rng(2).normal(size=(4, 3)), np.zeros(4, dtype=np.int64))
     # zero-init expansion keeps new logits at 0, which still gets softmax
     # mass, so the KL against the zero-padded teacher must be positive
     val = anchor_loss(wide, old, anchors, "logit_kd", temperature=2.0)
@@ -140,12 +145,12 @@ def test_anchor_loss_logit_kd_wider_student_penalizes_new_mass():
 
 
 def test_anchor_loss_empty_returns_zero(caplog):
-    assert anchor_loss(net(), None, {}, "replay_ce") == 0.0
+    assert anchor_loss(net(), None, no_anchors(3), "replay_ce") == 0.0
 
 
 def test_anchor_loss_logit_kd_requires_old_model():
     with pytest.raises(InputError):
-        anchor_loss(net(), None, {0: np.ones((1, 3))}, "logit_kd")
+        anchor_loss(net(), None, (np.ones((1, 3)), np.zeros(1, dtype=np.int64)), "logit_kd")
 
 
 def test_fedmax_regularizer_closed_form():
@@ -190,13 +195,14 @@ def test_local_config_validation():
 
 
 def site_with_data(seed=0, n=24, n_classes=4, input_dim=3):
-    """A shard of "new" classes 2..3 and anchors for the old classes 1 and 0."""
+    """A shard of "new" classes 2..3 and an `(x, y)` anchor pair of three rows
+    for each old class, 0 then 1."""
     rng = np.random.default_rng(seed)
     centers = 3.0 * rng.normal(size=(n_classes, input_dim))
     y = rng.integers(2, n_classes, size=n)
     x = centers[y] + rng.normal(size=(n, input_dim))
-    anchors = {c: centers[c] + rng.normal(size=(3, input_dim)) for c in (1, 0)}
-    return (x, y), anchors
+    rows = {c: centers[c] + rng.normal(size=(3, input_dim)) for c in (1, 0)}
+    return (x, y), (np.concatenate([rows[0], rows[1]]), np.repeat([0, 1], 3))
 
 
 def update(shard, anchors, general, cfg, *, method="dcid", old_general=None, seed=(0, 7, 0)):
@@ -216,33 +222,39 @@ def test_local_update_deterministic():
     assert not np.array_equal(a.values, c.values)
 
 
-def test_local_update_stacks_anchors_in_sorted_class_order(monkeypatch):
-    # anchors inserted as {1: ..., 0: ...} reach the loss as class 0's rows,
-    # then class 1's, each class's rows in their given order and label
-    shard, anchors = site_with_data()
-    assert list(anchors) == [1, 0]
+def test_local_update_streams_the_shard_then_the_anchors_as_given(monkeypatch):
+    # the anchor pair is appended to the shard as it is given: rows out of
+    # class order stay in that order, each with its own label
+    shard, (ax, ay) = site_with_data()
+    anchors = (ax[::-1].copy(), ay[::-1].copy())  # class 1's rows, then class 0's
     general = net()
-    stacked = []
+    labels, kd_rows = [], []
     monkeypatch.setattr(
-        "dcil.local_learner._kd_teacher_probs", lambda old, x, *rest: stacked.append(x)
+        "dcil.local_learner.one_hot", lambda y, n: labels.append(y) or one_hot(y, n)
+    )
+    monkeypatch.setattr(
+        "dcil.local_learner._kd_teacher_probs", lambda old, x, *rest: kd_rows.append(x)
     )
     update(shard, anchors, general, LocalLossConfig(lr=0.0), old_general=general)
-    assert np.array_equal(stacked[0], np.concatenate([anchors[0], anchors[1]]))
+    assert np.array_equal(labels[0], np.concatenate([shard[1], anchors[1]]))
+    assert np.array_equal(kd_rows[0], anchors[0])
 
     terms = []
 
     def spy(params, loss, out=None):
-        terms.append(loss.terms[-1])  # the replay term follows the shard's
+        terms.append(loss.terms)
         return backward(params, loss, out=out)
 
     monkeypatch.setattr("dcil.local_learner.backward", spy)
     cfg = LocalLossConfig(anchor_variant="replay_ce", local_epochs=1, batch_size=10**6)
     update(shard, anchors, general, cfg)
-    labels = terms[0].targets.argmax(axis=1)
-    assert np.array_equal(terms[0].targets, np.eye(general.spec.n_classes)[labels])
-    assert sorted(labels.tolist()) == [0, 0, 0, 1, 1, 1]
-    for x, y in zip(terms[0].x, labels):
-        assert any(np.array_equal(x, row) for row in anchors[y])
+    (new, replay), = terms  # one batch: the shard's term, then the anchors'
+    for term, (x, y) in ((new, shard), (replay, anchors)):
+        got = term.targets.argmax(axis=1)
+        assert np.array_equal(term.targets, np.eye(general.spec.n_classes)[got])
+        assert sorted(map(tuple, np.column_stack([term.x, got]).tolist())) == sorted(
+            map(tuple, np.column_stack([x, y]).tolist())
+        )
 
 
 def test_local_update_improves_fit_on_shard():
@@ -293,7 +305,7 @@ def test_local_update_logit_kd_at_lambda_zero_needs_no_old_model(monkeypatch):
 def test_local_update_empty_shard_returns_copy():
     shard = (np.empty((0, 3)), np.empty(0, dtype=np.int64))
     general = net()
-    out = update(shard, {}, general, LocalLossConfig())
+    out = update(shard, no_anchors(3), general, LocalLossConfig())
     assert np.array_equal(out.values, general.values)
 
 
@@ -339,8 +351,7 @@ def test_local_update_zero_weight_variant_matches_plain_bitwise():
 def test_local_update_lambda_controls_anchor_retention():
     general = net(seed=1)
     shard, anchors = site_with_data(seed=2, n=40)
-    ax = np.concatenate([anchors[0], anchors[1]])
-    ay = np.repeat([0, 1], [len(anchors[0]), len(anchors[1])])
+    ax, ay = anchors
 
     def anchor_acc(p):
         _, logits = forward_batch(p, ax)

@@ -12,7 +12,7 @@ from oracles import zeros_params
 
 from dcil import orchestrator
 from dcil.data import make_synthetic, split_sessions, train_count
-from dcil.local_learner import LocalLossConfig, local_update
+from dcil.local_learner import LocalLossConfig, local_update, select_anchors_herding
 from dcil.nncore import ConfigError, InputError, NetSpec, init_params
 from dcil.orchestrator import (
     _S_DATA,
@@ -20,6 +20,7 @@ from dcil.orchestrator import (
     MetricsRecord,
     RunConfig,
     _head,
+    _herd,
     _partition,
     _sessions,
     _train_plain,
@@ -151,7 +152,8 @@ def test_negative_label_raises_before_any_step(monkeypatch):
         _train_plain(params, x, y, epochs=1, lr=0.1, batch_size=8, seed=1)
     cfg = LocalLossConfig(anchor_variant="replay_ce", local_epochs=1)
     with pytest.raises(InputError, match="label out of range"):
-        local_update((x, y), {}, params, cfg, method="dcid", old_general=None, seed=2)
+        local_update((x, y), (x[:0], y[:0]), params, cfg, method="dcid", old_general=None,
+                     seed=2)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +482,46 @@ def test_herding_runs_once_per_session_site_and_held_class(monkeypatch):
             held = set(np.unique(sy).tolist()) & set(classes)
             expect[_head(cfg, t)] += len(held)
     assert herded == expect
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SMALL, replace(SMALL, partition="iid"), replace(SMALL, anchors_per_class=0)],
+    ids=["dirichlet", "iid", "no-anchors"],
+)
+def test_herd_gives_the_class_dict_stacked_in_class_order(cfg):
+    # the oracle herds each of the session's classes the shard holds into a
+    # {class: rows} dict, then stacks it in sorted class order with its labels
+    def dict_oracle(params, shard, classes):
+        x, y = shard
+        picked = {}
+        for c in classes if cfg.anchors_per_class >= 1 else ():
+            if (y == c).any():
+                examples = x[y == c]
+                picked[c] = examples[
+                    select_anchors_herding(params, examples, cfg.anchors_per_class)
+                ]
+        order = sorted(picked)
+        return (
+            np.concatenate([x[:0], *(picked[c] for c in order)]),
+            np.concatenate([y[:0], *(np.full(len(picked[c]), c) for c in order)]),
+        )
+
+    train, _ = _sessions(cfg)
+    for t in range(cfg.n_sessions + 1):
+        classes = range(_head(cfg, t - 1) if t else 0, _head(cfg, t))
+        params = init_params(
+            NetSpec(cfg.input_dim, cfg.hidden_dims, _head(cfg, t)), np.random.default_rng(t)
+        )
+        shards = _partition(cfg, *train[t], t).shards
+        x, y = shards[0]
+        shards.append((x[y != classes[0]], y[y != classes[0]]))  # one class short
+        for shard in shards:
+            got, want = _herd(cfg, params, shard), dict_oracle(params, shard, classes)
+            for g, w in zip(got, want):
+                assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+            if cfg.anchors_per_class == 0:
+                assert got[0].shape == (0, cfg.input_dim) and got[1].dtype == np.int64
 
 
 # ---------------------------------------------------------------------------

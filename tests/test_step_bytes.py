@@ -124,9 +124,9 @@ def test_local_update_pass_gives_the_plain_bytes_and_writes_no_input(method, var
     old = net(8, (16,), "tanh", 9, n_classes=3)
     general = net(8, (16,), "tanh", 10, n_classes=5)
     shard_x, shard_y = shard(rng, 30, 8, (3, 5))
-    anchors = {c: rng.normal(size=(4, 8)) for c in (2, 0, 1)}  # 42 rows: batches 32 and 10
+    anchors = (rng.normal(size=(12, 8)), np.repeat([0, 1, 2], 4))  # 42 rows: batches 32 and 10
     cfg = LocalLossConfig(anchor_variant=variant, local_epochs=1, lr=0.05)
-    inputs = [shard_x, shard_y, general.values, old.values, *anchors.values()]
+    inputs = [shard_x, shard_y, general.values, old.values, *anchors]
     before = snapshot(*inputs)
     kwargs = dict(method=method, old_general=old, seed=[3, 4])
     got = local_update((shard_x, shard_y), anchors, general, cfg, **kwargs)
