@@ -3,11 +3,16 @@
 Config files are flat JSON documents; unknown keys are rejected.  Overrides
 are --set key=value pairs with precedence CLI > file > defaults.  All output
 files are written atomically (temp file + rename); CSV schemas are stable.
+
+The config half (`load_config`, `build_run_config`, the key tables and
+parsers) loads without click; the benchmark and the tests build their
+configs through it.  The click group `main` is built on the first read of
+`dcil.cli.main`, which `from dcil.cli import main` and the `dcil` console
+script make, and the module keeps it.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import io
 import json
@@ -17,7 +22,6 @@ import sys
 import tempfile
 from itertools import product
 
-import click
 import numpy as np
 
 from .local_learner import LocalLossConfig
@@ -181,6 +185,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _csv_text(header, rows) -> str:
+    import csv  # only the commands write CSV
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -206,133 +211,153 @@ def _params_transferred(result: RunResult) -> int:
     return sum(r.comm["params_up"] + r.comm["params_down"] for r in result.records)
 
 
-@click.group()
-def main():
-    """Decentralized class-incremental learning experiments."""
+def _build_main():
+    """The click group `main` with its `run` and `compare` commands.
 
+    The command bodies read `run` from this module at each call, so a
+    `dcil.cli.run` patched in after the build is the one they call.
+    """
+    import click
 
-@main.command("run")
-@click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--seed", type=int, default=None, help="Override the run seed.")
-@click.option("--method", type=click.Choice(METHODS), default=None, help="Override the method.")
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
-              help="Output directory (default from config, else 'results').")
-@click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
-              help="Override any config key (repeatable).")
-def cmd_run(config_path, seed, method, out_dir, overrides):
-    """Execute one run and write metrics JSON + CSV."""
-    try:
-        doc = load_config(config_path)
-        for raw in overrides:
-            key, value = _parse_override(raw)
-            if key in _RUN_COUNTERPARTS:
-                raise ConfigError(f"run takes no {key!r} list; use {_RUN_COUNTERPARTS[key]}")
-            doc[key] = value
-        if seed is not None:
-            doc["seed"] = seed
-        if method is not None:
-            doc["method"] = method
-        out = _out_dir(out_dir, doc)
-        cfg = build_run_config(doc)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    try:
-        result = run(cfg)
-        os.makedirs(out, exist_ok=True)
-        stem = f"{cfg.method}_seed{cfg.seed}"
-        _atomic_write(
-            os.path.join(out, stem + ".json"),
-            json.dumps(_result_doc(cfg, result), indent=2) + "\n",
+    @click.group()
+    def main():
+        """Decentralized class-incremental learning experiments."""
+
+    @main.command("run")
+    @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
+    @click.option("--seed", type=int, default=None, help="Override the run seed.")
+    @click.option("--method", type=click.Choice(METHODS), default=None,
+                  help="Override the method.")
+    @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
+                  help="Output directory (default from config, else 'results').")
+    @click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
+                  help="Override any config key (repeatable).")
+    def cmd_run(config_path, seed, method, out_dir, overrides):
+        """Execute one run and write metrics JSON + CSV."""
+        try:
+            doc = load_config(config_path)
+            for raw in overrides:
+                key, value = _parse_override(raw)
+                if key in _RUN_COUNTERPARTS:
+                    raise ConfigError(f"run takes no {key!r} list; use {_RUN_COUNTERPARTS[key]}")
+                doc[key] = value
+            if seed is not None:
+                doc["seed"] = seed
+            if method is not None:
+                doc["method"] = method
+            out = _out_dir(out_dir, doc)
+            cfg = build_run_config(doc)
+        except ConfigError as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(2)
+        try:
+            result = run(cfg)
+            os.makedirs(out, exist_ok=True)
+            stem = f"{cfg.method}_seed{cfg.seed}"
+            _atomic_write(
+                os.path.join(out, stem + ".json"),
+                json.dumps(_result_doc(cfg, result), indent=2) + "\n",
+            )
+            _atomic_write(
+                os.path.join(out, stem + ".csv"),
+                _csv_text(RUN_CSV_HEADER, _run_csv_rows(result)),
+            )
+        except Exception as exc:  # runtime failure -> exit 1
+            click.echo(f"run failed: {exc}", err=True)
+            sys.exit(1)
+        s = summarize(result.records)
+        click.echo(
+            f"{cfg.method}, {s['average_accuracy']:.4f}, {s['final_accuracy']:.4f}, "
+            f"{_params_transferred(result)}"
         )
-        _atomic_write(
-            os.path.join(out, stem + ".csv"),
-            _csv_text(RUN_CSV_HEADER, _run_csv_rows(result)),
-        )
-    except Exception as exc:  # runtime failure -> exit 1
-        click.echo(f"run failed: {exc}", err=True)
-        sys.exit(1)
-    s = summarize(result.records)
-    click.echo(
-        f"{cfg.method}, {s['average_accuracy']:.4f}, {s['final_accuracy']:.4f}, "
-        f"{_params_transferred(result)}"
-    )
 
+    @main.command("compare")
+    @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
+    @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
+    def cmd_compare(config_path, out_dir):
+        """Run a methods x seeds (x alphas) grid; write per-session and summary CSVs."""
+        try:
+            doc = load_config(config_path)
+            methods = doc.get("methods")
+            seeds = doc.get("seeds")
+            if not isinstance(methods, list) or len(methods) < 2:
+                raise ConfigError("compare requires a 'methods' list with >= 2 entries")
+            if not isinstance(seeds, list) or not seeds:
+                raise ConfigError("compare requires a non-empty 'seeds' list")
+            seeds = [_parse_value("seeds", _int, seed) for seed in seeds]
+            alphas = doc.get("alphas")
+            if alphas is None:
+                alphas = [None]
+            else:
+                alphas = _parse_value("alphas", _list, alphas)
+                alphas = [_parse_value("alphas", _float, a) for a in alphas]
+                if not alphas:
+                    raise ConfigError(
+                        "compare requires a non-empty 'alphas' list when one is given"
+                    )
+            # a label prints alpha with :g, so alphas alike under it would share one
+            tags = [a if a is None else f"{a:g}" for a in alphas]
+            for key, values in (("methods", methods), ("seeds", seeds), ("alphas", tags)):
+                for i, value in enumerate(values):
+                    if value in values[:i]:
+                        raise ConfigError(f"compare {key!r} lists {value!r} more than once")
+            out = _out_dir(out_dir, doc)
+            # Validate every grid entry up front.
+            entries = []
+            for method, alpha in product(methods, alphas):
+                for seed in seeds:
+                    # build_run_config skips the sweep keys
+                    entry = {**doc, "method": method, "seed": seed}
+                    if alpha is not None:
+                        entry["alpha"] = alpha
+                        entry["partition"] = "dirichlet"
+                    entries.append((method, alpha, build_run_config(entry)))
+        except ConfigError as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(2)
+        try:
+            grouped: dict[str, list[RunResult]] = {}
+            for method, alpha, cfg in entries:  # in grid order, one run at a time
+                label = method if alpha is None else f"{method}@alpha={alpha:g}"
+                grouped.setdefault(label, []).append(run(cfg))
 
-@main.command("compare")
-@click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
-def cmd_compare(config_path, out_dir):
-    """Run a methods x seeds (x alphas) grid; write per-session and summary CSVs."""
-    try:
-        doc = load_config(config_path)
-        methods = doc.get("methods")
-        seeds = doc.get("seeds")
-        if not isinstance(methods, list) or len(methods) < 2:
-            raise ConfigError("compare requires a 'methods' list with >= 2 entries")
-        if not isinstance(seeds, list) or not seeds:
-            raise ConfigError("compare requires a non-empty 'seeds' list")
-        seeds = [_parse_value("seeds", _int, seed) for seed in seeds]
-        alphas = doc.get("alphas")
-        if alphas is None:
-            alphas = [None]
-        else:
-            alphas = _parse_value("alphas", _list, alphas)
-            alphas = [_parse_value("alphas", _float, a) for a in alphas]
-            if not alphas:
-                raise ConfigError("compare requires a non-empty 'alphas' list when one is given")
-        # a label prints alpha with :g, so alphas alike under it would share one
-        tags = [a if a is None else f"{a:g}" for a in alphas]
-        for key, values in (("methods", methods), ("seeds", seeds), ("alphas", tags)):
-            for i, value in enumerate(values):
-                if value in values[:i]:
-                    raise ConfigError(f"compare {key!r} lists {value!r} more than once")
-        out = _out_dir(out_dir, doc)
-        # Validate every grid entry up front.
-        entries = []
-        for method, alpha in product(methods, alphas):
-            for seed in seeds:
-                # build_run_config skips the sweep keys
-                entry = {**doc, "method": method, "seed": seed}
-                if alpha is not None:
-                    entry["alpha"] = alpha
-                    entry["partition"] = "dirichlet"
-                entries.append((method, alpha, build_run_config(entry)))
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    try:
-        grouped: dict[str, list[RunResult]] = {}
-        for method, alpha, cfg in entries:  # in grid order, one run at a time
-            label = method if alpha is None else f"{method}@alpha={alpha:g}"
-            grouped.setdefault(label, []).append(run(cfg))
-
-        data_rows, summary_rows = [], []
-        for label, group in grouped.items():
-            acc = np.array([[r.accuracy for r in res.records] for res in group])
-            for session in range(acc.shape[1]):
-                data_rows.append([
-                    label, session,
-                    repr(float(acc[:, session].mean())),
-                    repr(float(acc[:, session].std())),
+            data_rows, summary_rows = [], []
+            for label, group in grouped.items():
+                acc = np.array([[r.accuracy for r in res.records] for res in group])
+                for session in range(acc.shape[1]):
+                    data_rows.append([
+                        label, session,
+                        repr(float(acc[:, session].mean())),
+                        repr(float(acc[:, session].std())),
+                    ])
+                sums = [summarize(res.records) for res in group]
+                summary_rows.append([
+                    label,
+                    repr(float(np.mean([s["average_accuracy"] for s in sums]))),
+                    repr(float(np.mean([s["final_accuracy"] for s in sums]))),
                 ])
-            sums = [summarize(res.records) for res in group]
-            summary_rows.append([
-                label,
-                repr(float(np.mean([s["average_accuracy"] for s in sums]))),
-                repr(float(np.mean([s["final_accuracy"] for s in sums]))),
-            ])
-        os.makedirs(out, exist_ok=True)
-        _atomic_write(os.path.join(out, "comparison.csv"),
-                      _csv_text(COMPARE_CSV_HEADER, data_rows))
-        _atomic_write(os.path.join(out, "summary.csv"),
-                      _csv_text(SUMMARY_CSV_HEADER, summary_rows))
-    except Exception as exc:
-        click.echo(f"compare failed: {exc}", err=True)
-        sys.exit(1)
-    for row in summary_rows:
-        click.echo(", ".join(str(v) for v in row))
+            os.makedirs(out, exist_ok=True)
+            _atomic_write(os.path.join(out, "comparison.csv"),
+                          _csv_text(COMPARE_CSV_HEADER, data_rows))
+            _atomic_write(os.path.join(out, "summary.csv"),
+                          _csv_text(SUMMARY_CSV_HEADER, summary_rows))
+        except Exception as exc:
+            click.echo(f"compare failed: {exc}", err=True)
+            sys.exit(1)
+        for row in summary_rows:
+            click.echo(", ".join(str(v) for v in row))
+
+    return main
+
+
+def __getattr__(name: str):
+    # PEP 562: `main` is built on its first read and kept as a module global.
+    if name != "main":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global main
+    main = _build_main()
+    return main
 
 
 if __name__ == "__main__":
-    main()
+    __getattr__("main")()

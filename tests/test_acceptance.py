@@ -235,8 +235,26 @@ def test_criterion_4_degeneracy_lattice():
     max0 = _records_key(
         replace(small, method="dcil_fedmax", local=replace(small.local, beta=0.0))
     )
-    ok = no_pool == base and prox0 == base and max0 == base
-    report(4, ok, "empty-pool dcid, mu=0 fedprox and beta=0 fedmax all equal fedavg bitwise")
+    lr0 = _records_key(replace(small, method="dcid", dcd_lr=0.0, dad_lr=0.0))
+    epochs0 = _records_key(replace(small, method="dcid", dcd_epochs=0, dad_epochs=0))
+    # one site is its own teacher, and the self-teacher's gradient is exactly 0
+    one_site = replace(small, n_sites=1, partition="iid")
+    one_dcid = _records_key(replace(one_site, method="dcid"))
+    one_fedavg = _records_key(replace(one_site, method="dcil_fedavg"))
+
+    def no_comm(key):  # dcid still builds a pool and ships its logits in these
+        return [record[:-1] for record in key]
+
+    ok = (
+        no_pool == base and prox0 == base and max0 == base
+        and no_comm(lr0) == no_comm(base) and no_comm(epochs0) == no_comm(base)
+        and no_comm(one_dcid) == no_comm(one_fedavg)
+    )
+    report(
+        4, ok,
+        "empty-pool dcid, mu=0 fedprox and beta=0 fedmax equal fedavg bitwise; dcid at "
+        "lr 0, at 0 epochs and on one iid site equal it on accuracies and per-class maps",
+    )
 
 
 # ---------------------------------------------------------------------------
