@@ -1,14 +1,16 @@
-"""Config-driven command line: single runs, comparison grids, seed sweeps.
+"""Config-driven command line: single runs and comparison grids.
 
 Config files are flat JSON documents; unknown keys are rejected.  Overrides
 are --set key=value pairs with precedence CLI > file > defaults.  All output
 files are written atomically (temp file + rename); CSV schemas are stable.
 
 The config half (`load_config`, `build_run_config`, the key tables and
-parsers) loads without click; the benchmark and the tests build their
-configs through it.  The click group `main` is built on the first read of
-`dcil.cli.main`, which `from dcil.cli import main` and the `dcil` console
-script make, and the module keeps it.
+parsers) imports no argument parser; the benchmark and the tests build
+their configs through it.  `main` imports argparse when it is called, and
+dispatches to `_cmd_run` or `_cmd_compare`, which read `run` from this
+module at each call, so a patched `dcil.cli.run` is the one they call.
+Exit codes: 0 success (and --help), 1 runtime failure, 2 usage or config
+error, found before any training starts.
 """
 
 from __future__ import annotations
@@ -211,153 +213,141 @@ def _params_transferred(result: RunResult) -> int:
     return sum(r.comm["params_up"] + r.comm["params_down"] for r in result.records)
 
 
-def _build_main():
-    """The click group `main` with its `run` and `compare` commands.
-
-    The command bodies read `run` from this module at each call, so a
-    `dcil.cli.run` patched in after the build is the one they call.
-    """
-    import click
-
-    @click.group()
-    def main():
-        """Decentralized class-incremental learning experiments."""
-
-    @main.command("run")
-    @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
-    @click.option("--seed", type=int, default=None, help="Override the run seed.")
-    @click.option("--method", type=click.Choice(METHODS), default=None,
-                  help="Override the method.")
-    @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
-                  help="Output directory (default from config, else 'results').")
-    @click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
-                  help="Override any config key (repeatable).")
-    def cmd_run(config_path, seed, method, out_dir, overrides):
-        """Execute one run and write metrics JSON + CSV."""
-        try:
-            doc = load_config(config_path)
-            for raw in overrides:
-                key, value = _parse_override(raw)
-                if key in _RUN_COUNTERPARTS:
-                    raise ConfigError(f"run takes no {key!r} list; use {_RUN_COUNTERPARTS[key]}")
-                doc[key] = value
-            if seed is not None:
-                doc["seed"] = seed
-            if method is not None:
-                doc["method"] = method
-            out = _out_dir(out_dir, doc)
-            cfg = build_run_config(doc)
-        except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(2)
-        try:
-            result = run(cfg)
-            os.makedirs(out, exist_ok=True)
-            stem = f"{cfg.method}_seed{cfg.seed}"
-            _atomic_write(
-                os.path.join(out, stem + ".json"),
-                json.dumps(_result_doc(cfg, result), indent=2) + "\n",
-            )
-            _atomic_write(
-                os.path.join(out, stem + ".csv"),
-                _csv_text(RUN_CSV_HEADER, _run_csv_rows(result)),
-            )
-        except Exception as exc:  # runtime failure -> exit 1
-            click.echo(f"run failed: {exc}", err=True)
-            sys.exit(1)
-        s = summarize(result.records)
-        click.echo(
-            f"{cfg.method}, {s['average_accuracy']:.4f}, {s['final_accuracy']:.4f}, "
-            f"{_params_transferred(result)}"
+def _cmd_run(args) -> None:
+    """Execute one run and write metrics JSON + CSV."""
+    try:
+        doc = load_config(args.config_path)
+        for raw in args.overrides:
+            key, value = _parse_override(raw)
+            if key in _RUN_COUNTERPARTS:
+                raise ConfigError(f"run takes no {key!r} list; use {_RUN_COUNTERPARTS[key]}")
+            doc[key] = value
+        if args.seed is not None:
+            doc["seed"] = args.seed
+        if args.method is not None:
+            doc["method"] = args.method
+        out = _out_dir(args.out, doc)
+        cfg = build_run_config(doc)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    try:
+        result = run(cfg)
+        os.makedirs(out, exist_ok=True)
+        stem = f"{cfg.method}_seed{cfg.seed}"
+        _atomic_write(
+            os.path.join(out, stem + ".json"),
+            json.dumps(_result_doc(cfg, result), indent=2) + "\n",
         )
+        _atomic_write(
+            os.path.join(out, stem + ".csv"),
+            _csv_text(RUN_CSV_HEADER, _run_csv_rows(result)),
+        )
+    except Exception as exc:  # runtime failure -> exit 1
+        print(f"run failed: {exc}", file=sys.stderr)
+        sys.exit(1)
+    s = summarize(result.records)
+    print(
+        f"{cfg.method}, {s['average_accuracy']:.4f}, {s['final_accuracy']:.4f}, "
+        f"{_params_transferred(result)}"
+    )
 
-    @main.command("compare")
-    @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
-    @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
-    def cmd_compare(config_path, out_dir):
-        """Run a methods x seeds (x alphas) grid; write per-session and summary CSVs."""
-        try:
-            doc = load_config(config_path)
-            methods = doc.get("methods")
-            seeds = doc.get("seeds")
-            if not isinstance(methods, list) or len(methods) < 2:
-                raise ConfigError("compare requires a 'methods' list with >= 2 entries")
-            if not isinstance(seeds, list) or not seeds:
-                raise ConfigError("compare requires a non-empty 'seeds' list")
-            seeds = [_parse_value("seeds", _int, seed) for seed in seeds]
-            alphas = doc.get("alphas")
-            if alphas is None:
-                alphas = [None]
-            else:
-                alphas = _parse_value("alphas", _list, alphas)
-                alphas = [_parse_value("alphas", _float, a) for a in alphas]
-                if not alphas:
-                    raise ConfigError(
-                        "compare requires a non-empty 'alphas' list when one is given"
-                    )
-            # a label prints alpha with :g, so alphas alike under it would share one
-            tags = [a if a is None else f"{a:g}" for a in alphas]
-            for key, values in (("methods", methods), ("seeds", seeds), ("alphas", tags)):
-                for i, value in enumerate(values):
-                    if value in values[:i]:
-                        raise ConfigError(f"compare {key!r} lists {value!r} more than once")
-            out = _out_dir(out_dir, doc)
-            # Validate every grid entry up front.
-            entries = []
-            for method, alpha in product(methods, alphas):
-                for seed in seeds:
-                    # build_run_config skips the sweep keys
-                    entry = {**doc, "method": method, "seed": seed}
-                    if alpha is not None:
-                        entry["alpha"] = alpha
-                        entry["partition"] = "dirichlet"
-                    entries.append((method, alpha, build_run_config(entry)))
-        except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(2)
-        try:
-            grouped: dict[str, list[RunResult]] = {}
-            for method, alpha, cfg in entries:  # in grid order, one run at a time
-                label = method if alpha is None else f"{method}@alpha={alpha:g}"
-                grouped.setdefault(label, []).append(run(cfg))
 
-            data_rows, summary_rows = [], []
-            for label, group in grouped.items():
-                acc = np.array([[r.accuracy for r in res.records] for res in group])
-                for session in range(acc.shape[1]):
-                    data_rows.append([
-                        label, session,
-                        repr(float(acc[:, session].mean())),
-                        repr(float(acc[:, session].std())),
-                    ])
-                sums = [summarize(res.records) for res in group]
-                summary_rows.append([
-                    label,
-                    repr(float(np.mean([s["average_accuracy"] for s in sums]))),
-                    repr(float(np.mean([s["final_accuracy"] for s in sums]))),
+def _cmd_compare(args) -> None:
+    """Run a methods x seeds (x alphas) grid; write per-session and summary CSVs."""
+    try:
+        doc = load_config(args.config_path)
+        methods = doc.get("methods")
+        seeds = doc.get("seeds")
+        if not isinstance(methods, list) or len(methods) < 2:
+            raise ConfigError("compare requires a 'methods' list with >= 2 entries")
+        if not isinstance(seeds, list) or not seeds:
+            raise ConfigError("compare requires a non-empty 'seeds' list")
+        seeds = [_parse_value("seeds", _int, seed) for seed in seeds]
+        alphas = doc.get("alphas")
+        if alphas is None:
+            alphas = [None]
+        else:
+            alphas = _parse_value("alphas", _list, alphas)
+            alphas = [_parse_value("alphas", _float, a) for a in alphas]
+            if not alphas:
+                raise ConfigError("compare requires a non-empty 'alphas' list when one is given")
+        # a label prints alpha with :g, so alphas alike under it would share one
+        tags = [a if a is None else f"{a:g}" for a in alphas]
+        for key, values in (("methods", methods), ("seeds", seeds), ("alphas", tags)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigError(f"compare {key!r} lists {value!r} more than once")
+        out = _out_dir(args.out, doc)
+        # Validate every grid entry up front.
+        entries = []
+        for method, alpha in product(methods, alphas):
+            for seed in seeds:
+                # build_run_config skips the sweep keys
+                entry = {**doc, "method": method, "seed": seed}
+                if alpha is not None:
+                    entry["alpha"] = alpha
+                    entry["partition"] = "dirichlet"
+                entries.append((method, alpha, build_run_config(entry)))
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    try:
+        grouped: dict[str, list[RunResult]] = {}
+        for method, alpha, cfg in entries:  # in grid order, one run at a time
+            label = method if alpha is None else f"{method}@alpha={alpha:g}"
+            grouped.setdefault(label, []).append(run(cfg))
+
+        data_rows, summary_rows = [], []
+        for label, group in grouped.items():
+            acc = np.array([[r.accuracy for r in res.records] for res in group])
+            for session in range(acc.shape[1]):
+                data_rows.append([
+                    label, session,
+                    repr(float(acc[:, session].mean())),
+                    repr(float(acc[:, session].std())),
                 ])
-            os.makedirs(out, exist_ok=True)
-            _atomic_write(os.path.join(out, "comparison.csv"),
-                          _csv_text(COMPARE_CSV_HEADER, data_rows))
-            _atomic_write(os.path.join(out, "summary.csv"),
-                          _csv_text(SUMMARY_CSV_HEADER, summary_rows))
-        except Exception as exc:
-            click.echo(f"compare failed: {exc}", err=True)
-            sys.exit(1)
-        for row in summary_rows:
-            click.echo(", ".join(str(v) for v in row))
+            sums = [summarize(res.records) for res in group]
+            summary_rows.append([
+                label,
+                repr(float(np.mean([s["average_accuracy"] for s in sums]))),
+                repr(float(np.mean([s["final_accuracy"] for s in sums]))),
+            ])
+        os.makedirs(out, exist_ok=True)
+        _atomic_write(os.path.join(out, "comparison.csv"),
+                      _csv_text(COMPARE_CSV_HEADER, data_rows))
+        _atomic_write(os.path.join(out, "summary.csv"),
+                      _csv_text(SUMMARY_CSV_HEADER, summary_rows))
+    except Exception as exc:
+        print(f"compare failed: {exc}", file=sys.stderr)
+        sys.exit(1)
+    for row in summary_rows:
+        print(", ".join(str(v) for v in row))
 
-    return main
 
+def main(argv=None, prog_name=None) -> None:
+    """Decentralized class-incremental learning experiments."""
+    import argparse
 
-def __getattr__(name: str):
-    # PEP 562: `main` is built on its first read and kept as a module global.
-    if name != "main":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    global main
-    main = _build_main()
-    return main
+    parser = argparse.ArgumentParser(prog=prog_name, description=main.__doc__)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    sub = commands.add_parser("run", help=_cmd_run.__doc__, description=_cmd_run.__doc__,
+                              allow_abbrev=False)
+    sub.set_defaults(command=_cmd_run)
+    sub.add_argument("config_path")
+    sub.add_argument("--seed", type=int, help="Override the run seed.")
+    sub.add_argument("--method", choices=METHODS, help="Override the method.")
+    sub.add_argument("--out", help="Output directory (default from config, else 'results').")
+    sub.add_argument("--set", dest="overrides", action="append", default=[],
+                     metavar="KEY=VALUE", help="Override any config key (repeatable).")
+    sub = commands.add_parser("compare", help=_cmd_compare.__doc__,
+                              description=_cmd_compare.__doc__, allow_abbrev=False)
+    sub.set_defaults(command=_cmd_compare)
+    sub.add_argument("config_path")
+    sub.add_argument("--out")
+    args = parser.parse_args(argv)
+    args.command(args)
 
 
 if __name__ == "__main__":
-    __getattr__("main")()
+    main(prog_name="python -m dcil.cli")

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from cli_call import invoke
 from oracles import loss_value
 
 from dcil.data import partition_dirichlet
@@ -383,10 +384,6 @@ def test_criterion_9_noniid_robustness(bench):
 
 
 def test_criterion_10_determinism(tmp_path):
-    from click.testing import CliRunner
-
-    from dcil.cli import main as cli_main
-
     doc = {
         "sites": 3, "sessions": 2, "rounds": 1, "hidden_dims": [8], "classes": 8,
         "per_class": 30, "dim": 4, "base_classes": 4, "base_epochs": 3,
@@ -394,11 +391,10 @@ def test_criterion_10_determinism(tmp_path):
     }
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
-    runner = CliRunner()
     outputs = []
     for name in ("a", "b"):
         out = str(tmp_path / name)
-        result = runner.invoke(cli_main, ["run", str(cfg), "--out", out])
+        result = invoke(["run", str(cfg), "--out", out])
         assert result.exit_code == 0, result.output
         outputs.append(
             tuple(

@@ -8,7 +8,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from cli_call import invoke
 
 import dcil.nncore
 from dcil.cli import (
@@ -20,7 +20,6 @@ from dcil.cli import (
     SUMMARY_CSV_HEADER,
     build_run_config,
     load_config,
-    main,
 )
 from dcil.local_learner import LocalLossConfig
 from dcil.nncore import ConfigError
@@ -41,11 +40,6 @@ FAST = {
     "dad_epochs": 5,
     "dad_lr": 0.5,
 }
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -81,12 +75,12 @@ def test_load_config_rejects_a_repeated_key(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
-def test_repeated_config_key_exits_2_before_training(runner, tmp_path, monkeypatch, command):
+def test_repeated_config_key_exits_2_before_training(tmp_path, monkeypatch, command):
     monkeypatch.setattr("dcil.cli.run", lambda cfg: pytest.fail("training started"))
     doc = {**FAST, "alpha": 0.1, "methods": ["dcid", "dcil_fedavg"], "seeds": [0]}
     path = write_twice(tmp_path, doc, "alpha", 10)
     out = tmp_path / "out"
-    result = runner.invoke(main, [command, path, "--out", str(out)])
+    result = invoke([command, path, "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert result.stdout == ""
     assert result.stderr == f"config error: {path}: key 'alpha' appears more than once\n"
@@ -185,14 +179,82 @@ def test_build_run_config_rejects_unknown_key():
 
 
 # ---------------------------------------------------------------------------
+# Exit codes
+# ---------------------------------------------------------------------------
+
+# `dcil` arguments, with {cfg}, {missing}, {dir}, {file} and {out} filled
+# in per test, the exit code, and how stdout starts and the whole stderr
+# where dcil writes them (None: the argument parser's text, not checked).
+EXIT_CODES = [
+    ([], 2, "", None),
+    (["bogus"], 2, "", None),
+    (["run"], 2, "", None),
+    (["compare"], 2, "", None),
+    (["run", "{missing}"], 2, "", None),
+    (["compare", "{missing}"], 2, "", None),
+    (["run", "{dir}"], 2, "", None),
+    (["run", "{cfg}", "--method", "bogus"], 2, "", None),
+    (["run", "{cfg}", "--seed", "abc"], 2, "", None),
+    (["run", "{cfg}", "--out", "{file}"], 2, "", None),
+    (["compare", "{cfg}", "--out", "{file}"], 2, "", None),
+    (["run", "{cfg}", "--set", "warp=9"], 2, "", "config error: unknown override key 'warp'\n"),
+    (["run", "{cfg}", "--out", "{out}", "--set", "base_lr=1e300"], 1, "",
+     "run failed: SGD diverged in epoch 1, batch 2: overflow encountered in dot\n"),
+    # repeated --set values apply in order
+    (["run", "{cfg}", "--out", "{out}", "--set", "method=dcid", "--set", "method=dcil_fedavg"],
+     0, "dcil_fedavg, ", ""),
+    (["--help"], 0, None, ""),
+    (["run", "--help"], 0, None, ""),
+    (["compare", "--help"], 0, None, ""),
+    # `python -m dcil.cli`, in a new interpreter
+    (["-m", "dcil.cli", "--help"], 0, None, ""),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout, stderr", EXIT_CODES,
+    ids=[" ".join(argv) or "no-args" for argv, *_ in EXIT_CODES],
+)
+def test_exit_code(tmp_path, argv, code, stdout, stderr):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    paths = {
+        "cfg": write_config(tmp_path, {**FAST, "methods": ["dcid", "dcil_fedavg"], "seeds": [0]}),
+        "missing": str(tmp_path / "missing.json"),
+        "dir": str(tmp_path),
+        "file": str(taken),
+        "out": str(tmp_path / "out"),
+    }
+    argv = [a.format(**paths) for a in argv]
+    if argv[:1] == ["-m"]:
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dcil.nncore.__file__))}
+        res = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                             timeout=120)
+        result = (res.returncode, res.stdout, res.stderr)
+    else:
+        result = invoke(argv)
+    assert result[0] == code, result
+    if stdout is None:
+        assert result[1]
+    elif stdout:
+        assert result[1].startswith(stdout)
+    else:
+        assert result[1] == ""
+    if stderr is not None:
+        assert result[2] == stderr
+    if code:
+        assert not os.path.exists(paths["out"])  # every failure comes before any output
+
+
+# ---------------------------------------------------------------------------
 # run command
 # ---------------------------------------------------------------------------
 
 
-def test_run_writes_json_and_csv(runner, tmp_path):
+def test_run_writes_json_and_csv(tmp_path):
     cfg = write_config(tmp_path, FAST)
     out = str(tmp_path / "results")
-    result = runner.invoke(main, ["run", cfg, "--out", out, "--seed", "3"])
+    result = invoke(["run", cfg, "--out", out, "--seed", "3"])
     assert result.exit_code == 0, result.output
     doc = json.loads(open(os.path.join(out, "dcid_seed3.json")).read())
     assert doc["config"]["seed"] == 3
@@ -207,12 +269,12 @@ def test_run_writes_json_and_csv(runner, tmp_path):
     assert fields[0] == "dcid" and len(fields) == 4
 
 
-def test_run_json_lists_each_records_comm_keys_in_ledger_order(runner, tmp_path):
+def test_run_json_lists_each_records_comm_keys_in_ledger_order(tmp_path):
     # json.loads keeps the file's key order, so this reads the written order;
     # 12 classes put "10" and "11" among the per-class keys
     cfg = write_config(tmp_path, {**FAST, "classes": 12})
     out = str(tmp_path / "results")
-    assert runner.invoke(main, ["run", cfg, "--out", out]).exit_code == 0
+    assert invoke(["run", cfg, "--out", out]).exit_code == 0
     doc = json.loads(open(os.path.join(out, "dcid_seed0.json")).read())
     assert len(doc["records"]) == 3
     assert COMM_KEYS == ("params_up", "params_down", "shared_samples", "logit_scalars")
@@ -223,38 +285,38 @@ def test_run_json_lists_each_records_comm_keys_in_ledger_order(runner, tmp_path)
     assert doc["records"][-1]["seen_classes"] == list(range(12))  # so "9" before "10"
 
 
-def test_run_failed_write_exits_1_and_leaves_no_temp_file(runner, tmp_path, monkeypatch):
+def test_run_failed_write_exits_1_and_leaves_no_temp_file(tmp_path, monkeypatch):
     def failing(src, dst):
         raise OSError("disk full")
 
     cfg = write_config(tmp_path, FAST)
     out = tmp_path / "results"
     monkeypatch.setattr(os, "replace", failing)
-    result = runner.invoke(main, ["run", cfg, "--out", str(out)])
+    result = invoke(["run", cfg, "--out", str(out)])
     assert result.exit_code == 1
     assert list(out.iterdir()) == []
 
 
-def test_run_outputs_get_the_modes_of_plain_files(runner, tmp_path):
+def test_run_outputs_get_the_modes_of_plain_files(tmp_path):
     umask = os.umask(0o027)
     try:
         cfg = write_config(tmp_path, FAST)
         out = tmp_path / "results"
-        assert runner.invoke(main, ["run", cfg, "--out", str(out)]).exit_code == 0
+        assert invoke(["run", cfg, "--out", str(out)]).exit_code == 0
     finally:
         os.umask(umask)
     assert sorted(p.name for p in out.iterdir()) == ["dcid_seed0.csv", "dcid_seed0.json"]
     assert {p.stat().st_mode & 0o777 for p in out.iterdir()} == {0o640}
 
 
-def test_run_missing_config_exits_2(runner):
-    result = runner.invoke(main, ["run", "/nonexistent.json"])
+def test_run_missing_config_exits_2():
+    result = invoke(["run", "/nonexistent.json"])
     assert result.exit_code == 2
 
 
-def test_run_invalid_config_value_exits_2(runner, tmp_path):
+def test_run_invalid_config_value_exits_2(tmp_path):
     cfg = write_config(tmp_path, {**FAST, "method": "warp"})
-    result = runner.invoke(main, ["run", cfg])
+    result = invoke(["run", cfg])
     assert result.exit_code == 2
     assert "config error" in result.output
 
@@ -298,11 +360,11 @@ def test_run_invalid_config_value_exits_2(runner, tmp_path):
     ],
 )
 def test_run_bad_config_value_exits_2_before_training(
-    runner, tmp_path, monkeypatch, override, message
+    tmp_path, monkeypatch, override, message
 ):
     monkeypatch.setattr("dcil.cli.run", lambda cfg: pytest.fail("training started"))
     cfg = write_config(tmp_path, FAST)
-    result = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "r"), "--set", override])
+    result = invoke(["run", cfg, "--out", str(tmp_path / "r"), "--set", override])
     assert result.exit_code == 2, result.output
     assert "config error" in result.output
     if message.endswith("\n"):  # a whole stderr line, pinned exactly
@@ -311,30 +373,30 @@ def test_run_bad_config_value_exits_2_before_training(
         assert message in result.output
 
 
-def test_run_config_not_utf8_exits_2_before_training(runner, tmp_path, monkeypatch):
+def test_run_config_not_utf8_exits_2_before_training(tmp_path, monkeypatch):
     monkeypatch.setattr("dcil.cli.run", lambda cfg: pytest.fail("training started"))
     path = tmp_path / "bad.json"
     path.write_bytes(b"\xff\xfe\x00{")
-    result = runner.invoke(main, ["run", str(path)])
+    result = invoke(["run", str(path)])
     assert result.exit_code == 2, result.output
     assert "config error" in result.output
 
 
-def test_run_config_out_naming_a_file_exits_2_before_training(runner, tmp_path, monkeypatch):
+def test_run_config_out_naming_a_file_exits_2_before_training(tmp_path, monkeypatch):
     monkeypatch.setattr("dcil.cli.run", lambda cfg: pytest.fail("training started"))
     taken = tmp_path / "taken"
     taken.write_text("")
     for out in (str(taken), str(taken / "sub")):
         cfg = write_config(tmp_path, {**FAST, "out": out})
-        result = runner.invoke(main, ["run", cfg])
+        result = invoke(["run", cfg])
         assert result.exit_code == 2, result.output
         assert "bad value for 'out'" in result.output
 
 
-def test_run_json_local_config_holds_only_settable_keys(runner, tmp_path):
+def test_run_json_local_config_holds_only_settable_keys(tmp_path):
     cfg = write_config(tmp_path, FAST)
     out = str(tmp_path / "r")
-    result = runner.invoke(main, ["run", cfg, "--out", out, "--method", "dcil_fedprox"])
+    result = invoke(["run", cfg, "--out", out, "--method", "dcil_fedprox"])
     assert result.exit_code == 0, result.output
     doc = json.loads(open(os.path.join(out, "dcil_fedprox_seed0.json")).read())
     assert set(doc["config"]) == {name for name, _ in _RUN_KEYS.values()} | {"local"}
@@ -348,9 +410,9 @@ def test_run_json_local_config_holds_only_settable_keys(runner, tmp_path):
         {"partition": "iid", "per_class": 60, "sites": 60},  # 48 training examples per class
     ],
 )
-def test_run_unpartitionable_sites_exit_2(runner, tmp_path, overrides):
+def test_run_unpartitionable_sites_exit_2(tmp_path, overrides):
     cfg = write_config(tmp_path, {**FAST, **overrides})
-    result = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "r")])
+    result = invoke(["run", cfg, "--out", str(tmp_path / "r")])
     assert result.exit_code == 2
     assert "config error" in result.output
 
@@ -361,13 +423,13 @@ def test_run_unpartitionable_sites_exit_2(runner, tmp_path, overrides):
      ('methods=["dcid","dcil_fedavg"]', "use --method")],
 )
 def test_run_set_of_a_grid_key_exits_2_before_training(
-    runner, tmp_path, monkeypatch, override, counterpart
+    tmp_path, monkeypatch, override, counterpart
 ):
     # `run` read none of them, so `--set seeds=[3]` ran seed 0 and exited 0
     monkeypatch.setattr("dcil.cli.run", lambda cfg: pytest.fail("training started"))
     cfg = write_config(tmp_path, FAST)
     out = tmp_path / "r"
-    result = runner.invoke(main, ["run", cfg, "--out", str(out), "--set", override])
+    result = invoke(["run", cfg, "--out", str(out), "--set", override])
     key = override.split("=")[0]
     assert (result.exit_code, result.output) == (
         2, f"config error: run takes no {key!r} list; {counterpart}\n"
@@ -375,38 +437,36 @@ def test_run_set_of_a_grid_key_exits_2_before_training(
     assert not out.exists()
 
 
-def test_run_keeps_grid_keys_of_the_config_file_and_set_out(runner, tmp_path):
+def test_run_keeps_grid_keys_of_the_config_file_and_set_out(tmp_path):
     # one file serves `run` and `compare`
     cfg = write_config(
         tmp_path, {**FAST, "methods": ["dcid", "dcil_fedavg"], "seeds": [3], "alphas": [5.0]}
     )
     out = tmp_path / "r"
-    result = runner.invoke(main, ["run", cfg, "--set", f"out={out}"])
+    result = invoke(["run", cfg, "--set", f"out={out}"])
     assert result.exit_code == 0, result.output
     assert sorted(p.name for p in out.iterdir()) == ["dcid_seed0.csv", "dcid_seed0.json"]
 
 
-def test_run_unknown_override_key_exits_2(runner, tmp_path):
+def test_run_unknown_override_key_exits_2(tmp_path):
     cfg = write_config(tmp_path, FAST)
-    result = runner.invoke(main, ["run", cfg, "--set", "warp=9"])
+    result = invoke(["run", cfg, "--set", "warp=9"])
     assert result.exit_code == 2
 
 
-def test_run_override_precedence_cli_over_file(runner, tmp_path):
+def test_run_override_precedence_cli_over_file(tmp_path):
     cfg = write_config(tmp_path, {**FAST, "seed": 5, "method": "dcil_fedavg"})
     out = str(tmp_path / "r")
-    result = runner.invoke(
-        main, ["run", cfg, "--out", out, "--set", "seed=8", "--method", "dcid"]
-    )
+    result = invoke(["run", cfg, "--out", out, "--set", "seed=8", "--method", "dcid"])
     assert result.exit_code == 0, result.output
     assert os.path.exists(os.path.join(out, "dcid_seed8.json"))
 
 
-def test_run_rerun_is_bit_identical(runner, tmp_path):
+def test_run_rerun_is_bit_identical(tmp_path):
     cfg = write_config(tmp_path, FAST)
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert runner.invoke(main, ["run", cfg, "--out", out_a]).exit_code == 0
-    assert runner.invoke(main, ["run", cfg, "--out", out_b]).exit_code == 0
+    assert invoke(["run", cfg, "--out", out_a]).exit_code == 0
+    assert invoke(["run", cfg, "--out", out_b]).exit_code == 0
     for name in ("dcid_seed0.json", "dcid_seed0.csv"):
         assert open(os.path.join(out_a, name)).read() == open(os.path.join(out_b, name)).read()
 
@@ -452,12 +512,12 @@ def test_run_divergence_prints_what_per_step_checks_printed(tmp_path, override):
 # ---------------------------------------------------------------------------
 
 
-def test_compare_grid_outputs(runner, tmp_path):
+def test_compare_grid_outputs(tmp_path):
     cfg = write_config(
         tmp_path, {**FAST, "methods": ["dcid", "dcil_fedavg"], "seeds": [0, 1]}
     )
     out = str(tmp_path / "cmp")
-    result = runner.invoke(main, ["compare", cfg, "--out", out])
+    result = invoke(["compare", cfg, "--out", out])
     assert result.exit_code == 0, result.output
     comp = open(os.path.join(out, "comparison.csv")).read().splitlines()
     assert comp[0] == ",".join(COMPARE_CSV_HEADER)
@@ -467,13 +527,13 @@ def test_compare_grid_outputs(runner, tmp_path):
     assert {row.split(",")[0] for row in summary[1:]} == {"dcid", "dcil_fedavg"}
 
 
-def test_compare_alpha_sweep_labels(runner, tmp_path):
+def test_compare_alpha_sweep_labels(tmp_path):
     cfg = write_config(
         tmp_path,
         {**FAST, "methods": ["dcid", "dcil_fedavg"], "seeds": [0], "alphas": [0.5, 10]},
     )
     out = str(tmp_path / "cmp")
-    result = runner.invoke(main, ["compare", cfg, "--out", out])
+    result = invoke(["compare", cfg, "--out", out])
     assert result.exit_code == 0, result.output
     summary = open(os.path.join(out, "summary.csv")).read().splitlines()
     labels = {row.split(",")[0] for row in summary[1:]}
@@ -482,11 +542,11 @@ def test_compare_alpha_sweep_labels(runner, tmp_path):
     }
 
 
-def test_compare_requires_two_methods_and_seeds(runner, tmp_path):
+def test_compare_requires_two_methods_and_seeds(tmp_path):
     cfg = write_config(tmp_path, {**FAST, "methods": ["dcid"], "seeds": [0]})
-    assert runner.invoke(main, ["compare", cfg]).exit_code == 2
+    assert invoke(["compare", cfg]).exit_code == 2
     cfg = write_config(tmp_path, {**FAST, "methods": ["dcid", "dcil_fedavg"]}, "c2.json")
-    assert runner.invoke(main, ["compare", cfg]).exit_code == 2
+    assert invoke(["compare", cfg]).exit_code == 2
 
 
 @pytest.mark.parametrize(
@@ -507,19 +567,19 @@ def test_compare_requires_two_methods_and_seeds(runner, tmp_path):
         {"seeds": [0], "out": 5},
     ],
 )
-def test_compare_invalid_grid_value_exits_2(runner, tmp_path, monkeypatch, grid):
+def test_compare_invalid_grid_value_exits_2(tmp_path, monkeypatch, grid):
     monkeypatch.setattr("dcil.cli.run", lambda cfg: pytest.fail("training started"))
     cfg = write_config(tmp_path, {**FAST, "methods": ["dcid", "dcil_fedavg"], **grid})
-    result = runner.invoke(main, ["compare", cfg, "--out", str(tmp_path / "cmp")])
+    result = invoke(["compare", cfg, "--out", str(tmp_path / "cmp")])
     assert result.exit_code == 2, result.output
     assert "config error" in result.output
 
 
-def test_compare_mean_and_std_arithmetic(runner, tmp_path):
+def test_compare_mean_and_std_arithmetic(tmp_path):
     cfg_doc = {**FAST, "methods": ["dcid", "dcil_fedavg"], "seeds": [0, 1]}
     cfg = write_config(tmp_path, cfg_doc)
     out = str(tmp_path / "cmp")
-    assert runner.invoke(main, ["compare", cfg, "--out", out]).exit_code == 0
+    assert invoke(["compare", cfg, "--out", out]).exit_code == 0
     # independently rerun the two dcid seeds and check the reported mean
     from dcil.orchestrator import run
     accs = []

@@ -1,18 +1,18 @@
-"""How the CLI module loads: configs build without click, the click group is
-built on first use, and the commands call the `run` that `dcil.cli` holds
-when they are invoked."""
+"""How the CLI module loads: configs build without an argument parser, `main`
+imports argparse only when called, a command loads no package but NumPy
+beyond the standard library, and the commands call the `run` that
+`dcil.cli` holds when they are invoked."""
 
 import json
 import os
+import re
 import tomllib
 from importlib.metadata import EntryPoint
 
-import click
 import pytest
-from click.testing import CliRunner
+from cli_call import invoke
 from fresh import fresh_python
 
-import dcil.cli
 import dcil.orchestrator
 from dcil.cli import build_run_config, main
 
@@ -25,51 +25,83 @@ TINY = {
     "anchors_per_class": 2, "shared_per_class": 4,
 }
 
-# Builds a config from a file, prints whether that loaded click, then reads
-# `main` and prints what it got.
-CONFIG_THEN_MAIN = """
+# Prints the packages outside the standard library that the code after it
+# loads from files (Cython registers modules of no file), and whether
+# argparse is loaded.
+LOADED = """
 import sys
+before = set(sys.modules)
+
+def loaded():
+    new = {name.split(".")[0] for name, module in sys.modules.items()
+           if name not in before and getattr(module, "__file__", None)}
+    print(",".join(sorted(new - set(sys.stdlib_module_names))), "argparse" in sys.modules)
+"""
+
+# Builds a config from a file, imports `main`, then answers `run --help`
+# through it, printing what each step loaded.
+CONFIG_THEN_MAIN = LOADED + """
+import contextlib, io
 from dcil.cli import build_run_config, load_config
 
-build_run_config(load_config({path!r}))
-print("click" in sys.modules)
-
+build_run_config(load_config(%r))
+loaded()
 from dcil.cli import main
-import click
-
-print(isinstance(main, click.Group), ",".join(sorted(main.commands)))
+loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        main(["run", "--help"])
+    except SystemExit as exc:
+        code = exc.code
+loaded()
+print(code)
 """
 
 
-def test_configs_build_without_click_and_main_loads_it(tmp_path):
+def test_configs_build_without_argparse_and_main_loads_it(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**TINY, "methods": ["dcid", "dcil_fedavg"], "seeds": [0]}))
-    assert fresh_python(CONFIG_THEN_MAIN.format(path=str(path))).split() == [
-        "False", "True", "compare,run",
+    assert fresh_python(CONFIG_THEN_MAIN % str(path)).splitlines() == [
+        "dcil,numpy False", "dcil,numpy False", "dcil,numpy True", "0",
     ]
 
 
-def test_main_is_built_once_and_kept():
-    assert isinstance(main, click.Group)
-    assert dcil.cli.main is main
-    assert "main" in vars(dcil.cli)  # later reads skip the module `__getattr__`
-    with pytest.raises(AttributeError, match="has no attribute 'cmd_run'"):
-        dcil.cli.cmd_run
+def test_compare_loads_no_package_but_numpy(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**TINY, "methods": ["dcid", "dcil_fedavg"], "seeds": [0]}))
+    out = tmp_path / "out"
+    code = LOADED + f"""
+from dcil.cli import main
+main(["compare", {str(path)!r}, "--out", {str(out)!r}])
+loaded()
+"""
+    lines = fresh_python(code).splitlines()
+    assert [line.split(", ")[0] for line in lines[:-1]] == ["dcid", "dcil_fedavg"]
+    assert lines[-1] == "dcil,numpy True"
+    assert sorted(os.listdir(out)) == ["comparison.csv", "summary.csv"]
 
 
-# What the installed `dcil` script does first, in a process that has not read `main`.
+# What the installed `dcil` script does, in a fresh interpreter.
 ENTRY_POINT = """
+import sys
 from importlib.metadata import EntryPoint
 
-group = EntryPoint(name="dcil", value="dcil.cli:main", group="console_scripts").load()
-print(type(group).__name__, ",".join(sorted(group.commands)))
+main = EntryPoint(name="dcil", value="dcil.cli:main", group="console_scripts").load()
+sys.argv = ["dcil", "--help"]
+try:
+    main()
+except SystemExit as exc:
+    print(exc.code)
 """
 
 
-def test_console_script_entry_point_loads_the_group():
+def test_console_script_entry_point_answers_help():
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
         assert tomllib.load(fh)["project"]["scripts"] == {"dcil": "dcil.cli:main"}
-    assert fresh_python(ENTRY_POINT).split() == ["Group", "compare,run"]
+    lines = fresh_python(ENTRY_POINT).splitlines()
+    assert lines[0] == "usage: dcil [-h] COMMAND ..."
+    assert [m[1] for m in map(re.compile(r"    (\w+) ").match, lines) if m] == ["run", "compare"]
+    assert lines[-1] == "0"
     entry = EntryPoint(name="dcil", value="dcil.cli:main", group="console_scripts")
     assert entry.load() is main
 
@@ -89,7 +121,6 @@ def test_console_script_entry_point_loads_the_group():
 def test_commands_call_the_run_patched_in_after_main_was_built(
     tmp_path, monkeypatch, args, doc, expected
 ):
-    assert dcil.cli.main is main  # built when this module imported it
     called = []
 
     def recording_run(cfg):
@@ -100,7 +131,7 @@ def test_commands_call_the_run_patched_in_after_main_was_built(
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     out = str(tmp_path / "out")
-    result = CliRunner().invoke(main, [args[0], str(path), "--out", out, *args[1:]])
+    result = invoke([args[0], str(path), "--out", out, *args[1:]])
     assert result.exit_code == 0, result.output
     assert called == [
         build_run_config({**doc, "method": method, "seed": seed}) for method, seed in expected

@@ -87,25 +87,15 @@ def test_every_private_def_is_read_by_the_package():
     assert unread_private_defs(sources) == []
 
 
-def is_command(decorator) -> bool:
-    """`@main.command(...)`: click reads the function, no source does."""
-    return (
-        isinstance(decorator, ast.Call)
-        and isinstance(decorator.func, ast.Attribute)
-        and decorator.func.attr == "command"
-    )
-
-
 def unread_public_defs(sources: list[str], readers: list[str], entry_points=()) -> list[str]:
     """Public top-level functions, classes and constants of `sources` that
-    neither they nor `readers` read; click commands and `entry_points` are read."""
+    neither they nor `readers` read; `entry_points` are read, a decorator is no read."""
     trees = [ast.parse(source) for source in sources]
     defined = []
     for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if not any(is_command(d) for d in node.decorator_list):
-                    defined.append(node.name)
+                defined.append(node.name)
             elif isinstance(node, ast.Assign):
                 defined += [t.id for t in node.targets if isinstance(t, ast.Name)]
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
@@ -121,8 +111,8 @@ def test_unread_public_defs_finds_leftovers():
         "from m import ConfigError\nraise ConfigError(LIMIT)\n",
     ]
     readers = ["import m\nm.helper()\nm.ParameterError = None\n"]  # a store is no read
-    assert unread_public_defs(sources, readers, ["main"]) == ["ParameterError"]
-    assert unread_public_defs(sources, readers) == ["ParameterError", "main"]
+    assert unread_public_defs(sources, readers, ["main"]) == ["ParameterError", "cmd_run"]
+    assert unread_public_defs(sources, readers) == ["ParameterError", "main", "cmd_run"]
 
 
 def test_every_public_name_is_read_by_the_package_or_the_benchmark():
