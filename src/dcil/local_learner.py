@@ -74,33 +74,28 @@ def check_finite(cfg) -> None:
 def select_anchors_herding(params: ParamVector, class_examples: np.ndarray, k_max: int):
     """Greedy herding: pick examples whose running feature mean tracks the class mean.
 
-    At step k the chosen example minimizes
-    || mu - (phi(x) + sum of selected features) / k ||, ties broken by lowest
-    example index.  Returns the ordered indices of the selected examples.
+    At step k the chosen example is the lowest-index one among the unchosen
+    examples at the smallest distance || mu - (phi(x) + sum of selected
+    features) / k ||.  Returns the ordered indices of the selected examples.
     """
     if len(class_examples) == 0:
         raise InputError("class_examples must be non-empty")
     if k_max < 1:
         raise ConfigError(f"k_max must be >= 1, got {k_max}")
     feats, _ = forward_batch(params, class_examples)
+    if not np.isfinite(feats).all():
+        raise InputError("class_examples have non-finite features")
     mu = feats.mean(axis=0)
-    n = len(feats)
     chosen: list[int] = []
     running = np.zeros_like(mu)
-    available = np.ones(n, dtype=bool)
-    for k in range(1, min(k_max, n) + 1):
+    for k in range(1, min(k_max, len(feats)) + 1):
         diff = mu - (feats + running) / k
-        # both norms as `np.linalg.norm` computes them, without its Python wrapper
-        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
-        dist[~available] = np.inf
-        # The row-norm reduces in another order than the scalar norm of one
-        # row and can differ from it by a few ulps, enough to flip a near-tie.
-        # The scalar norm decides among the candidates within 1e-9 of the
-        # minimum; argmin takes the lowest index on a tie.
-        near = np.flatnonzero(dist <= dist.min() * (1.0 + 1e-9))
-        i = int(near[np.argmin([np.sqrt(np.dot(diff[j], diff[j])) for j in near])])
+        # each row's (1 x d)(d x 1) product runs the BLAS dot of
+        # `np.dot(diff[j], diff[j])`, so each distance is that scalar norm
+        dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]).ravel())
+        dist[chosen] = np.inf
+        i = int(np.argmin(dist))
         chosen.append(i)
-        available[i] = False
         running = running + feats[i]
     return chosen
 

@@ -1,13 +1,17 @@
 """Per-site training: herding selection, anchor/regularizer losses, updates."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+from fresh import fresh_python
+from hypothesis import given, settings, strategies as st
 from oracles import anchor_loss, fedmax_regularizer, fedprox_term
 
 from dcil.local_learner import LocalLossConfig, local_update, select_anchors_herding
 from dcil.nncore import (
+    ACTIVATIONS,
     ConfigError,
     InputError,
     NetSpec,
@@ -35,20 +39,86 @@ def no_anchors(input_dim):
 
 
 def herding_oracle(feats, k_max):
-    """Brute-force greedy: at each step try every remaining example."""
+    """Brute-force greedy: at each step try every remaining example in index
+    order, by the scalar norm, and keep the first one strictly closer."""
     mu = feats.mean(axis=0)
     chosen, total = [], np.zeros(feats.shape[1])
     remaining = list(range(len(feats)))
     for k in range(1, min(k_max, len(feats)) + 1):
         best, best_d = None, None
         for i in remaining:
-            d = np.linalg.norm(mu - (feats[i] + total) / k)
-            if best_d is None or d < best_d - 1e-15:
+            v = mu - (feats[i] + total) / k
+            d = np.sqrt(np.dot(v, v))
+            if best_d is None or d < best_d:
                 best, best_d = i, d
         chosen.append(best)
         remaining.remove(best)
         total = total + feats[best]
     return chosen
+
+
+@st.composite
+def herding_cases(draw):
+    """(params, examples, k_max): relu and tanh nets of widths 4, 32 and 128,
+    with duplicate rows, dead units (constant features; when every unit is
+    dead, every distance ties exactly), input scales from 1e-3 to 30 and
+    k_max up to 4 past the row count.
+
+    Some cases pass cyclic shifts of one row through an identity layer.  Their
+    distances tie in exact arithmetic but not in floating point, where a
+    row-wise sum of squares and the scalar norm round in other orders and can
+    disagree on the nearest one."""
+    activation = draw(st.sampled_from(ACTIVATIONS))
+    width = draw(st.sampled_from([4, 32, 128]))
+    shifted = draw(st.booleans())
+    depth = 1 if shifted else draw(st.integers(1, 2))
+    input_dim = width if shifted else draw(st.integers(1, 6))
+    n_distinct = draw(st.integers(1, 24))
+    n_dupes = draw(st.integers(0, 16))
+    dead = 0 if shifted else draw(st.sampled_from([0, 1, width // 2, width]))
+    scale = 10.0 ** draw(st.floats(-3.0, math.log10(30.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = init_params(NetSpec(input_dim, (width,) * depth, 3, activation), rng)
+    w, b = params.layers()[-2]
+    if shifted:
+        w[...], b[...] = np.eye(width), 0.0
+        row = rng.normal(size=width)
+        base = np.stack([np.roll(row, s) for s in rng.permutation(width)[:n_distinct]])
+    else:
+        w[:, :dead] = 0.0
+        b[:dead] = -1.0
+        base = rng.normal(size=(n_distinct, input_dim))
+    base = base * scale
+    examples = rng.permutation(np.concatenate([base, base[rng.integers(0, len(base), n_dupes)]]))
+    k_max = draw(st.integers(1, len(examples) + 4))
+    return params, examples, k_max
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(herding_cases())
+def test_herding_is_the_lowest_index_at_the_smallest_scalar_norm(case):
+    params, examples, k_max = case
+    feats, _ = forward_batch(params, examples)
+    assert select_anchors_herding(params, examples, k_max) == herding_oracle(feats, k_max)
+
+
+def test_herding_rule_on_the_haswell_kernel():
+    # The batched distance equals the oracle's scalar norm because both run
+    # the same BLAS dot; check that on the second pinned kernel too.
+    from numpy._core._multiarray_umath import __cpu_features__  # numpy's runtime CPU probe
+
+    missing = [f for f in ("AVX2", "FMA3") if not __cpu_features__.get(f)]
+    if missing:
+        pytest.skip(f"the CPU lacks {'/'.join(missing)}, which the Haswell kernel needs")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {tests!r})\n"
+        "from test_golden import running_kernel\n"
+        "from test_local_learner import test_herding_is_the_lowest_index_at_the_smallest_scalar_norm as prop\n"
+        "prop()\n"
+        "print(running_kernel())\n"
+    )
+    assert fresh_python(code, {"OPENBLAS_CORETYPE": "Haswell"}).split() == ["Haswell"]
 
 
 def test_herding_matches_bruteforce_oracle():
@@ -110,6 +180,15 @@ def test_herding_rejects_bad_inputs():
         select_anchors_herding(params, np.empty((0, 3)), 3)
     with pytest.raises(ConfigError):
         select_anchors_herding(params, np.ones((3, 3)), 0)
+    # the distances of non-finite features are NaN, which argmin would take
+    # as the minimum; an inf input also makes numpy warn of an invalid dot
+    for bad in (np.nan, np.inf):
+        examples = np.random.default_rng(5).normal(size=(6, 3))
+        examples[2] = bad
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(forward_batch(params, examples)[0]).all()
+            with pytest.raises(InputError, match="non-finite features"):
+                select_anchors_herding(params, examples, 3)
 
 
 # ---------------------------------------------------------------------------
