@@ -5,10 +5,14 @@ are --set key=value pairs with precedence CLI > file > defaults.  All output
 files are written atomically (temp file + rename); CSV schemas are stable.
 
 The config half (`load_config`, `build_run_config`, the key tables and
-parsers) imports no argument parser; the benchmark and the tests build
-their configs through it.  `main` imports argparse when it is called, and
-dispatches to `_cmd_run` or `_cmd_compare`, which read `run` from this
-module at each call, so a patched `dcil.cli.run` is the one they call.
+parsers) imports only `.config` and the standard library: no argument
+parser, no NumPy and no trainer.  The benchmark and the tests build their
+configs through it.  `main` imports argparse when it is called, and
+dispatches to `_cmd_run` or `_cmd_compare`.  A command loads NumPy and the
+trainers only once its config has been checked, so `--help`, a usage error
+and a config error exit before NumPy loads.  The commands read `run` and
+`summarize` from `dcil.orchestrator` at each call, so a patched
+`dcil.orchestrator.run` is the one they call.
 Exit codes: 0 success (and --help), 1 runtime failure, 2 usage or config
 error, found before any training starts.
 """
@@ -24,11 +28,7 @@ import sys
 import tempfile
 from itertools import product
 
-import numpy as np
-
-from .local_learner import LocalLossConfig
-from .nncore import ConfigError
-from .orchestrator import COMM_KEYS, METHODS, RunConfig, RunResult, run, summarize
+from .config import COMM_KEYS, METHODS, ConfigError, LocalLossConfig, RunConfig
 
 RUN_CSV_HEADER = ["session", "accuracy", *COMM_KEYS]
 COMPARE_CSV_HEADER = ["method", "session", "mean_acc", "std_acc"]
@@ -195,22 +195,20 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _result_doc(cfg: RunConfig, result: RunResult) -> dict:
+def _result_doc(cfg: RunConfig, records, summary: dict) -> dict:
     return {
         "config": dataclasses.asdict(cfg),
-        "records": [dataclasses.asdict(r) for r in result.records],
-        "summary": summarize(result.records),
+        "records": [dataclasses.asdict(r) for r in records],
+        "summary": summary,
     }
 
 
-def _run_csv_rows(result: RunResult):
-    return [
-        [r.session, repr(r.accuracy), *(r.comm[k] for k in COMM_KEYS)] for r in result.records
-    ]
+def _run_csv_rows(records):
+    return [[r.session, repr(r.accuracy), *(r.comm[k] for k in COMM_KEYS)] for r in records]
 
 
-def _params_transferred(result: RunResult) -> int:
-    return sum(r.comm["params_up"] + r.comm["params_down"] for r in result.records)
+def _params_transferred(records) -> int:
+    return sum(r.comm["params_up"] + r.comm["params_down"] for r in records)
 
 
 def _cmd_run(args) -> None:
@@ -231,25 +229,27 @@ def _cmd_run(args) -> None:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         sys.exit(2)
+    from . import orchestrator  # NumPy and the trainers, once the config is checked
+
     try:
-        result = run(cfg)
+        records = orchestrator.run(cfg).records
+        s = orchestrator.summarize(records)
         os.makedirs(out, exist_ok=True)
         stem = f"{cfg.method}_seed{cfg.seed}"
         _atomic_write(
             os.path.join(out, stem + ".json"),
-            json.dumps(_result_doc(cfg, result), indent=2) + "\n",
+            json.dumps(_result_doc(cfg, records, s), indent=2) + "\n",
         )
         _atomic_write(
             os.path.join(out, stem + ".csv"),
-            _csv_text(RUN_CSV_HEADER, _run_csv_rows(result)),
+            _csv_text(RUN_CSV_HEADER, _run_csv_rows(records)),
         )
     except Exception as exc:  # runtime failure -> exit 1
         print(f"run failed: {exc}", file=sys.stderr)
         sys.exit(1)
-    s = summarize(result.records)
     print(
         f"{cfg.method}, {s['average_accuracy']:.4f}, {s['final_accuracy']:.4f}, "
-        f"{_params_transferred(result)}"
+        f"{_params_transferred(records)}"
     )
 
 
@@ -292,11 +292,16 @@ def _cmd_compare(args) -> None:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         sys.exit(2)
+    # NumPy and the trainers load only once every grid entry is checked
+    import numpy as np
+
+    from . import orchestrator
+
     try:
-        grouped: dict[str, list[RunResult]] = {}
+        grouped: dict[str, list] = {}
         for method, alpha, cfg in entries:  # in grid order, one run at a time
             label = method if alpha is None else f"{method}@alpha={alpha:g}"
-            grouped.setdefault(label, []).append(run(cfg))
+            grouped.setdefault(label, []).append(orchestrator.run(cfg))
 
         data_rows, summary_rows = [], []
         for label, group in grouped.items():
@@ -307,7 +312,7 @@ def _cmd_compare(args) -> None:
                     repr(float(acc[:, session].mean())),
                     repr(float(acc[:, session].std())),
                 ])
-            sums = [summarize(res.records) for res in group]
+            sums = [orchestrator.summarize(res.records) for res in group]
             summary_rows.append([
                 label,
                 repr(float(np.mean([s["average_accuracy"] for s in sums]))),

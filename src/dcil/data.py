@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import ConfigError
+from .config import ConfigError, check_split, check_synthetic, train_count
 
 SeedLike = int | list[int] | tuple[int, ...]
 
@@ -45,21 +45,6 @@ class SitePartition:
     shards: list[tuple[np.ndarray, np.ndarray]]
 
 
-def train_count(per_class: int) -> int:
-    """Training examples per class under the 80/20 train/test split."""
-    return int(round(0.8 * per_class))
-
-
-def check_synthetic(n_classes: int, per_class: int, dim: int, spread: float) -> None:
-    """Raise `ConfigError` unless every class gets a training and a test example."""
-    if n_classes < 2 or dim < 2 or not 0 < train_count(per_class) < per_class:
-        raise ConfigError(
-            f"degenerate dataset sizes: n_classes={n_classes}, per_class={per_class}, dim={dim}"
-        )
-    if spread < 0:
-        raise ConfigError(f"spread must be >= 0, got {spread}")
-
-
 def make_synthetic(
     n_classes: int, per_class: int, dim: int, spread: float, seed: SeedLike
 ) -> Dataset:
@@ -86,14 +71,6 @@ def make_synthetic(
         np.concatenate(te_y),
         n_classes,
     )
-
-
-def check_split(n_classes: int, n_base: int, n_sessions: int) -> None:
-    """Raise `ConfigError` unless the classes form `n_base` base + `n_sessions` equal sessions."""
-    if n_base < 1 or n_sessions < 1 or n_classes <= n_base or (n_classes - n_base) % n_sessions:
-        raise ConfigError(
-            f"cannot split {n_classes} classes into {n_base} base + {n_sessions} equal sessions"
-        )
 
 
 def split_sessions(dataset: Dataset, n_base: int, n_sessions: int, seed: SeedLike) -> SessionSplit:

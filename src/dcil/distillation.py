@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import ConfigError
 from .nncore import (
     CompositeLoss,
-    ConfigError,
     DistillTerm,
     InputError,
     ParamVector,

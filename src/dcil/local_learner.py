@@ -8,14 +8,11 @@ model's softened old-class outputs (the classic temperature-2 convention).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
-
 import numpy as np
 
+from .config import ConfigError, LocalLossConfig
 from .nncore import (
     CompositeLoss,
-    ConfigError,
     CrossEntropyTerm,
     DistillTerm,
     InputError,
@@ -29,46 +26,6 @@ from .nncore import (
     sgd_step,
     softmax_t,
 )
-
-ANCHOR_VARIANTS = ("replay_ce", "logit_kd")
-
-
-@dataclass(frozen=True)
-class LocalLossConfig:
-    anchor_variant: str = "logit_kd"
-    lam: float = 5.0
-    mu: float = 0.2
-    beta: float = 500.0
-    lr: float = 0.05
-    local_epochs: int = 11
-    batch_size: int = 32
-    anchor_temperature: float = 2.0
-
-    def __post_init__(self):
-        check_finite(self)
-        if self.anchor_variant not in ANCHOR_VARIANTS:
-            raise ConfigError(f"unknown anchor variant {self.anchor_variant!r}")
-        if self.lam < 0 or self.mu < 0 or self.beta < 0:
-            raise ConfigError("loss weights must be nonnegative")
-        if self.local_epochs < 1 or self.batch_size < 1:
-            raise ConfigError("local_epochs and batch_size must be >= 1")
-        if self.lr < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.lr}")
-        if self.anchor_temperature <= 0:
-            raise ConfigError(
-                f"anchor_temperature must be > 0, got {self.anchor_temperature}"
-            )
-
-
-def check_finite(cfg) -> None:
-    """Reject a NaN or infinite float field of a config dataclass, naming it.
-
-    The range checks alone let NaN through: every comparison with it is False.
-    """
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 def select_anchors_herding(params: ParamVector, class_examples: np.ndarray, k_max: int):

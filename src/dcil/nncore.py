@@ -20,51 +20,16 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
-EPS_LOG = 1e-12
+from .config import ConfigError, NetSpec
 
-ACTIVATIONS = ("relu", "tanh")
+EPS_LOG = 1e-12
 
 
 class InputError(ValueError):
     """Malformed input data (shape/range/finiteness)."""
-
-
-class ConfigError(ValueError):
-    """A bad hyperparameter or an inconsistent configuration."""
-
-
-@dataclass(frozen=True)
-class NetSpec:
-    """Architecture of one multilayer perceptron classifier."""
-
-    input_dim: int
-    hidden_dims: tuple[int, ...]
-    n_classes: int
-    activation: str = "relu"
-
-    def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if self.input_dim < 1:
-            raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ConfigError(f"hidden dims must be >= 1, got {self.hidden_dims}")
-        if self.n_classes < 1:
-            raise ConfigError(f"n_classes must be >= 1, got {self.n_classes}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
-
-    @cached_property
-    def layer_dims(self) -> tuple[int, ...]:
-        return (self.input_dim, *self.hidden_dims, self.n_classes)
-
-    @cached_property
-    def param_count(self) -> int:
-        dims = self.layer_dims
-        return sum((dims[i] + 1) * dims[i + 1] for i in range(len(dims) - 1))
 
 
 def _layer_views(flat: np.ndarray, dims) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

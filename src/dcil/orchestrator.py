@@ -11,11 +11,12 @@ far.  Every run is a pure function of its config and seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import data as data_mod
+from .config import COMM_KEYS, NetSpec, RunConfig
 from .distillation import (
     build_shared_dataset,
     compute_logits_table,
@@ -25,18 +26,11 @@ from .distillation import (
     ensemble_weights,
     fedavg_aggregate,
 )
-from .local_learner import (
-    LocalLossConfig,
-    check_finite,
-    local_update,
-    select_anchors_herding,
-)
+from .local_learner import local_update, select_anchors_herding
 from .nncore import (
     CompositeLoss,
-    ConfigError,
     CrossEntropyTerm,
     InputError,
-    NetSpec,
     ParamVector,
     backward,
     expand_head,
@@ -47,96 +41,10 @@ from .nncore import (
     sgd_step,
 )
 
-METHODS = ("dcid", "dcil_fedavg", "dcil_fedmax", "dcil_fedprox", "centralized")
-PARTITIONS = ("iid", "dirichlet")
-# A record's communication counters, in the order its `comm` dict lists them.
-COMM_KEYS = ("params_up", "params_down", "shared_samples", "logit_scalars")
-
 # Seed-stream tags; every generator is derived structurally from
 # (seed, tag, ...) so that independent stages never share a stream.
 _S_DATA, _S_SPLIT, _S_INIT, _S_BASE, _S_PART, _S_SHARED = 1, 2, 3, 4, 5, 6
 _S_SITE, _S_DCD, _S_DAD, _S_CENT = 7, 8, 9, 10
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Full description of one experiment run.
-
-    Defaults are the desk-scale synthetic benchmark: 20 classes in 16
-    dimensions, 10 base classes plus 5 sessions of 2, 5 sites, 3 rounds.
-    A config checks itself on construction, so a bad one raises
-    `ConfigError` before any training.
-    """
-
-    method: str = "dcid"
-    seed: int = 0
-    n_sites: int = 5
-    n_sessions: int = 5
-    rounds: int = 3
-    hidden_dims: tuple[int, ...] = (32, 32)
-    activation: str = "relu"
-    # synthetic dataset
-    n_classes: int = 20
-    per_class: int = 60
-    input_dim: int = 16
-    spread: float = 1.0
-    n_base: int = 10
-    # base-session training
-    base_epochs: int = 30
-    base_lr: float = 0.1
-    # local training
-    local: LocalLossConfig = field(default_factory=LocalLossConfig)
-    # distillation stages: mutual fine-tuning of the local models (gentle,
-    # to preserve local diversity) and refinement of the averaged model
-    # against the ensemble teacher (the main accuracy lever).
-    tau1: float = 5.0
-    tau2: float = 5.0
-    shared_per_class: int = 20
-    dcd_lr: float = 1e-4
-    dcd_epochs: int = 5
-    dad_lr: float = 1.0
-    dad_epochs: int = 300
-    # anchors
-    anchors_per_class: int = 20
-    # partitioning
-    partition: str = "dirichlet"
-    alpha: float = 0.1
-
-    def __post_init__(self):
-        check_finite(self)
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
-        if self.partition not in PARTITIONS:
-            raise ConfigError(f"unknown partition {self.partition!r}")
-        if self.n_sites < 1 or self.rounds < 1:
-            raise ConfigError("n_sites and rounds must both be >= 1")
-        data_mod.check_split(self.n_classes, self.n_base, self.n_sessions)
-        if self.shared_per_class < 0 or self.anchors_per_class < 0:
-            raise ConfigError("shared_per_class and anchors_per_class must be >= 0")
-        if self.tau1 <= 0 or self.tau2 <= 0:
-            raise ConfigError("distillation temperatures must be > 0")
-        if self.dcd_lr < 0 or self.dad_lr < 0:
-            raise ConfigError("distillation learning rates must be >= 0")
-        if self.dcd_epochs < 0 or self.dad_epochs < 0:
-            raise ConfigError("distillation epoch counts must be >= 0")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be > 0")
-        if not 0 <= self.seed < 2**63:  # an output file name holds the seed
-            raise ConfigError(f"seed must be in [0, 2**63 - 1], got {self.seed}")
-        if self.base_lr < 0 or self.base_epochs < 0:
-            raise ConfigError("base_lr and base_epochs must be >= 0")
-        data_mod.check_synthetic(self.n_classes, self.per_class, self.input_dim, self.spread)
-        if self.method != "centralized":
-            if self.partition == "dirichlet" and self.n_sites < 2:
-                raise ConfigError("dirichlet partitioning needs n_sites >= 2")
-            n_train = data_mod.train_count(self.per_class)
-            if self.partition == "iid" and self.n_sites > n_train:
-                raise ConfigError(
-                    f"iid partitioning deals each class's {n_train} training "
-                    f"examples to {self.n_sites} sites; n_sites must be <= {n_train}"
-                )
-        # LocalLossConfig checks itself on construction.
-        NetSpec(self.input_dim, self.hidden_dims, self.n_base, self.activation)
 
 
 @dataclass

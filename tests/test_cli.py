@@ -21,9 +21,7 @@ from dcil.cli import (
     build_run_config,
     load_config,
 )
-from dcil.local_learner import LocalLossConfig
-from dcil.nncore import ConfigError
-from dcil.orchestrator import COMM_KEYS, RunConfig
+from dcil.config import COMM_KEYS, ConfigError, LocalLossConfig, RunConfig
 
 # Small, fast run used throughout.
 FAST = {
@@ -76,7 +74,7 @@ def test_load_config_rejects_a_repeated_key(tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_repeated_config_key_exits_2_before_training(tmp_path, monkeypatch, command):
-    monkeypatch.setattr("dcil.cli.run", lambda cfg: pytest.fail("training started"))
+    monkeypatch.setattr("dcil.orchestrator.run", lambda cfg: pytest.fail("training started"))
     doc = {**FAST, "alpha": 0.1, "methods": ["dcid", "dcil_fedavg"], "seeds": [0]}
     path = write_twice(tmp_path, doc, "alpha", 10)
     out = tmp_path / "out"
@@ -362,7 +360,7 @@ def test_run_invalid_config_value_exits_2(tmp_path):
 def test_run_bad_config_value_exits_2_before_training(
     tmp_path, monkeypatch, override, message
 ):
-    monkeypatch.setattr("dcil.cli.run", lambda cfg: pytest.fail("training started"))
+    monkeypatch.setattr("dcil.orchestrator.run", lambda cfg: pytest.fail("training started"))
     cfg = write_config(tmp_path, FAST)
     result = invoke(["run", cfg, "--out", str(tmp_path / "r"), "--set", override])
     assert result.exit_code == 2, result.output
@@ -374,7 +372,7 @@ def test_run_bad_config_value_exits_2_before_training(
 
 
 def test_run_config_not_utf8_exits_2_before_training(tmp_path, monkeypatch):
-    monkeypatch.setattr("dcil.cli.run", lambda cfg: pytest.fail("training started"))
+    monkeypatch.setattr("dcil.orchestrator.run", lambda cfg: pytest.fail("training started"))
     path = tmp_path / "bad.json"
     path.write_bytes(b"\xff\xfe\x00{")
     result = invoke(["run", str(path)])
@@ -383,7 +381,7 @@ def test_run_config_not_utf8_exits_2_before_training(tmp_path, monkeypatch):
 
 
 def test_run_config_out_naming_a_file_exits_2_before_training(tmp_path, monkeypatch):
-    monkeypatch.setattr("dcil.cli.run", lambda cfg: pytest.fail("training started"))
+    monkeypatch.setattr("dcil.orchestrator.run", lambda cfg: pytest.fail("training started"))
     taken = tmp_path / "taken"
     taken.write_text("")
     for out in (str(taken), str(taken / "sub")):
@@ -426,7 +424,7 @@ def test_run_set_of_a_grid_key_exits_2_before_training(
     tmp_path, monkeypatch, override, counterpart
 ):
     # `run` read none of them, so `--set seeds=[3]` ran seed 0 and exited 0
-    monkeypatch.setattr("dcil.cli.run", lambda cfg: pytest.fail("training started"))
+    monkeypatch.setattr("dcil.orchestrator.run", lambda cfg: pytest.fail("training started"))
     cfg = write_config(tmp_path, FAST)
     out = tmp_path / "r"
     result = invoke(["run", cfg, "--out", str(out), "--set", override])
@@ -568,7 +566,7 @@ def test_compare_requires_two_methods_and_seeds(tmp_path):
     ],
 )
 def test_compare_invalid_grid_value_exits_2(tmp_path, monkeypatch, grid):
-    monkeypatch.setattr("dcil.cli.run", lambda cfg: pytest.fail("training started"))
+    monkeypatch.setattr("dcil.orchestrator.run", lambda cfg: pytest.fail("training started"))
     cfg = write_config(tmp_path, {**FAST, "methods": ["dcid", "dcil_fedavg"], **grid})
     result = invoke(["compare", cfg, "--out", str(tmp_path / "cmp")])
     assert result.exit_code == 2, result.output

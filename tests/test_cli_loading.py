@@ -1,7 +1,9 @@
-"""How the CLI module loads: configs build without an argument parser, `main`
-imports argparse only when called, a command loads no package but NumPy
-beyond the standard library, and the commands call the `run` that
-`dcil.cli` holds when they are invoked."""
+"""How the CLI module loads: configs build without an argument parser and
+with no package beyond the standard library and dcil, `--help`, a usage
+error and a config error load neither NumPy nor a trainer, `main` imports
+argparse only when called, a command loads no package but NumPy beyond the
+standard library, and the commands call the `run` that `dcil.orchestrator`
+holds when they are invoked."""
 
 import json
 import os
@@ -62,7 +64,54 @@ def test_configs_build_without_argparse_and_main_loads_it(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**TINY, "methods": ["dcid", "dcil_fedavg"], "seeds": [0]}))
     assert fresh_python(CONFIG_THEN_MAIN % str(path)).splitlines() == [
-        "dcil,numpy False", "dcil,numpy False", "dcil,numpy True", "0",
+        "dcil False", "dcil False", "dcil True", "0",
+    ]
+
+
+# NumPy and the modules that import it, none of which a config needs.
+TRAINERS = ("numpy", "dcil.nncore", "dcil.local_learner", "dcil.distillation",
+            "dcil.orchestrator")
+
+# Builds a config from a file, then calls `main` with each argv, printing
+# the exit code, the stderr and which of TRAINERS each step loaded.
+CONFIG_AND_EXITS = """
+import contextlib, io, sys
+from dcil.cli import build_run_config, load_config, main
+
+def trainers():
+    print(",".join(name for name in %r if name in sys.modules) or "none")
+
+build_run_config(load_config(%r))
+trainers()
+for argv in %r:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            main(argv, prog_name="dcil")
+        except SystemExit as exc:
+            code = exc.code
+    print(code, repr(err.getvalue().splitlines()[-1:]))
+    trainers()
+"""
+
+
+def test_configs_help_and_config_errors_load_no_numpy_and_no_trainer(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TINY))
+    cfg = str(path)
+    argvs = [
+        ["run", "--help"],
+        ["run", cfg, "--seed", "abc"],  # a usage error
+        ["run", cfg, "--set", "alpha=-1"],  # a config error
+    ]
+    assert fresh_python(CONFIG_AND_EXITS % (TRAINERS, cfg, argvs)).splitlines() == [
+        "none",
+        "0 []",
+        "none",
+        "2 [\"dcil run: error: argument --seed: invalid int value: 'abc'\"]",
+        "none",
+        "2 ['config error: alpha must be > 0']",
+        "none",
     ]
 
 
@@ -122,12 +171,13 @@ def test_commands_call_the_run_patched_in_after_main_was_built(
     tmp_path, monkeypatch, args, doc, expected
 ):
     called = []
+    run = dcil.orchestrator.run  # the patched function calls the original
 
     def recording_run(cfg):
         called.append(cfg)
-        return dcil.orchestrator.run(cfg)
+        return run(cfg)
 
-    monkeypatch.setattr("dcil.cli.run", recording_run)
+    monkeypatch.setattr("dcil.orchestrator.run", recording_run)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     out = str(tmp_path / "out")

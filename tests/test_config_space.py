@@ -17,9 +17,17 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from dcil.local_learner import ANCHOR_VARIANTS, LocalLossConfig
-from dcil.nncore import ACTIVATIONS, ConfigError, InputError
-from dcil.orchestrator import METHODS, PARTITIONS, RunConfig, run
+from dcil.config import (
+    ACTIVATIONS,
+    ANCHOR_VARIANTS,
+    METHODS,
+    PARTITIONS,
+    ConfigError,
+    LocalLossConfig,
+    RunConfig,
+)
+from dcil.nncore import InputError
+from dcil.orchestrator import run
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 sys.path.insert(0, BENCH)

@@ -7,6 +7,7 @@ import pytest
 from fresh import fresh_python
 from hypothesis import given, settings, strategies as st
 
+from dcil.config import ConfigError
 from dcil.data import (
     _largest_remainder,
     make_synthetic,
@@ -14,7 +15,6 @@ from dcil.data import (
     partition_iid,
     split_sessions,
 )
-from dcil.nncore import ConfigError
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +265,8 @@ def test_partitions_visit_unordered_gapped_labels_in_ascending_order(seed):
 # them loaded `numpy.ma`, which `np.unique(y)` imports on numpy 2.4.
 NO_MA_RUNS = """
 import sys
-from dcil.local_learner import LocalLossConfig
-from dcil.orchestrator import METHODS, PARTITIONS, RunConfig, run
+from dcil.config import METHODS, PARTITIONS, LocalLossConfig, RunConfig
+from dcil.orchestrator import run
 
 for method in METHODS:
     for partition in PARTITIONS:

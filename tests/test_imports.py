@@ -3,8 +3,9 @@ top-level function or class is read somewhere in the package, every
 public top-level function, class or constant is read by the package or by
 the benchmark, no module passes, takes or sets a `check` flag (`nncore.fit`
 traps divergence at every step in one pass, so nothing selects a scan), only
-`nncore` builds a `Workspace`, and the step arithmetic of `nncore` reaches
-NumPy through its cheapest entry points.
+`nncore` builds a `Workspace`, the step arithmetic of `nncore` reaches
+NumPy through its cheapest entry points, and `config` imports only the
+standard library.
 
 A deleted feature tends to leave its import behind (a class name in the
 module that built it, `dataclass` in a module that no longer declares one),
@@ -15,6 +16,7 @@ fail on any such leftover.
 
 import ast
 import os
+import sys
 import tomllib
 
 import pytest
@@ -281,3 +283,41 @@ def test_step_arithmetic_uses_the_cheapest_entry_points():
     defined = {top.name for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)}
     assert set(STEP_FUNCTIONS) <= defined
     assert costly_entry_points(source, STEP_FUNCTIONS) == []
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Modules `source` imports from outside the standard library, in import
+    order; a relative import (another module of the package) is outside."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.split(".")[0] not in sys.stdlib_module_names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if node.level or module.split(".")[0] not in sys.stdlib_module_names:
+                found.append(module)
+    return found
+
+
+def test_non_stdlib_imports_finds_leftovers():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, os.path\n"
+        "import numpy as np\n"
+        "from dataclasses import field\n"
+        "from .nncore import NetSpec\n"
+        "from . import data\n"
+        "from numpy.random import default_rng\n"
+        "def check():\n"
+        "    import scipy\n"
+    )
+    assert non_stdlib_imports(source) == ["numpy", ".nncore", ".", "numpy.random", "scipy"]
+
+
+def test_config_imports_only_the_standard_library():
+    # Building a config, `dcil --help` and every usage or config error load
+    # `config` and the config half of `cli` only, so none of them loads NumPy
+    # (`tests/test_cli_loading.py` checks that in a fresh interpreter).
+    with open(os.path.join(PACKAGE, "config.py")) as fh:
+        assert non_stdlib_imports(fh.read()) == []

@@ -9,9 +9,9 @@ from fresh import fresh_python
 from hypothesis import given, settings, strategies as st
 from oracles import anchor_loss, fedmax_regularizer, fedprox_term
 
+from dcil.config import ACTIVATIONS
 from dcil.local_learner import LocalLossConfig, local_update, select_anchors_herding
 from dcil.nncore import (
-    ACTIVATIONS,
     ConfigError,
     InputError,
     NetSpec,
