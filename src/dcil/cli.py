@@ -9,10 +9,11 @@ parsers) imports only `.config` and the standard library: no argument
 parser, no NumPy and no trainer.  The benchmark and the tests build their
 configs through it.  `main` imports argparse when it is called, and
 dispatches to `_cmd_run` or `_cmd_compare`.  A command loads NumPy and the
-trainers only once its config has been checked, so `--help`, a usage error
-and a config error exit before NumPy loads.  The commands read `run` and
-`summarize` from `dcil.orchestrator` at each call, so a patched
-`dcil.orchestrator.run` is the one they call.
+trainers only once its config has been checked, and `tempfile` only to
+write a file, so `--help`, a usage error and a config error exit before
+either loads.  The commands read `run` and `summarize` from
+`dcil.orchestrator` at each call, so a patched `dcil.orchestrator.run` is
+the one they call.
 Exit codes: 0 success (and --help), 1 runtime failure, 2 usage or config
 error, found before any training starts.
 """
@@ -25,7 +26,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from itertools import product
 
 from .config import COMM_KEYS, METHODS, ConfigError, LocalLossConfig, RunConfig
@@ -171,6 +171,7 @@ def build_run_config(doc: dict) -> RunConfig:
 
 def _atomic_write(path: str, text: str) -> None:
     """Write through a temp file of this call's own, removed if the write fails."""
+    import tempfile  # only the commands write files
     fd, tmp = tempfile.mkstemp(
         dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp"
     )

@@ -89,7 +89,8 @@ def local_update(
 
     The site's anchors, an `(x, y)` pair of herded rows like the shard, follow
     the shard in every epoch's data stream, as given, so each step sees the
-    composite loss.  `dcil_fedmax` adds the activation term and
+    composite loss.  `dcil_fedmax` adds the activation penalty over the rows
+    of the step's other terms (the shard rows alone when `lam` is 0), and
     `dcil_fedprox` the proximal pull toward `general`.  The distributed
     `general` model and `old_general` (previous session's model, possibly
     with a narrower head) are left untouched.  Returns the updated local
@@ -129,7 +130,7 @@ def local_update(
                 anc_p = teacher_probs.take(anc_sel, axis=0)
                 terms.append(DistillTerm(anc_x, anc_p, cfg.anchor_temperature, weight=cfg.lam))
         if method == "dcil_fedmax" and cfg.beta > 0:
-            terms.append(UniformActivationTerm(stream_x.take(batch, axis=0), cfg.beta))
+            terms.append(UniformActivationTerm(cfg.beta))
         if method == "dcil_fedprox" and cfg.mu > 0:
             terms.append(ProximalTerm(general, cfg.mu))
         if terms:

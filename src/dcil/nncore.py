@@ -5,7 +5,8 @@ averaged, diffed and shipped around as plain arrays.  The engine supports a
 small family of composable loss terms (classification, full-head
 distillation of softened distributions, a proximal pull toward a reference
 model, and an activation-uniformity regularizer) whose gradients are all
-computed in one backward pass per term.  `backward` returns the gradient
+computed in one backward pass per term; the regularizer rides on the passes
+of the terms whose rows it covers.  `backward` returns the gradient
 only; the tests evaluate a loss value with `tests/oracles.py::loss_value`.
 Every trainer hands its per-batch step to `fit`, the one seeded SGD loop,
 which owns the call's `Workspace`, traps divergence at the step where it
@@ -221,9 +222,12 @@ class ProximalTerm:
 
 @dataclass(frozen=True)
 class UniformActivationTerm:
-    """Mean KL(softmax(features) || uniform) over a batch (FedMAX-style)."""
+    """weight * mean KL(softmax(features) || uniform) over the loss's CE and KD rows.
 
-    x: np.ndarray
+    FedMAX's activation penalty: those terms' backprops carry its gradient, so
+    it runs no pass of its own, and a loss without such rows gets none.
+    """
+
     weight: float
 
 
@@ -272,8 +276,11 @@ def _backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features, grads):
             delta = delta.dot(layers[i][0].T)
 
 
-def _term_grad(params: ParamVector, layers, term: LossTerm, flat, grads) -> None:
-    """Write the gradient of one loss term into `flat`, whose layer views are `grads`."""
+def _term_grad(
+    params: ParamVector, layers, term: LossTerm, flat, grads, uniform: float
+) -> None:
+    """Write the gradient of one loss term into `flat`, whose layer views are `grads`,
+    with the activation penalty's at its features, `uniform` per row, if nonzero."""
     spec = params.spec
     if isinstance(term, ProximalTerm):
         if term.ref.spec is not spec and term.ref.spec != spec:
@@ -288,7 +295,6 @@ def _term_grad(params: ParamVector, layers, term: LossTerm, flat, grads) -> None
     hs, zs, logits = _forward_cache(layers, spec.activation, x)
     n = x.shape[0]
 
-    d_features = None
     if isinstance(term, CrossEntropyTerm):
         t = np.asarray(term.targets, dtype=np.float64)
         if t.shape != logits.shape:
@@ -304,17 +310,16 @@ def _term_grad(params: ParamVector, layers, term: LossTerm, flat, grads) -> None
         d_logits -= p
         # weight * (1/n), not weight / n: the golden records pin this rounding
         d_logits *= term.weight * (1.0 / n) / term.temperature
-    elif isinstance(term, UniformActivationTerm):
-        feats = hs[-1]
-        p = _softmax_t(feats, 1.0)
+    else:
+        raise InputError(f"unknown loss term {type(term).__name__}")
+    d_features = None
+    if uniform:
+        p = _softmax_t(hs[-1], 1.0)
         logp = np.maximum(p, EPS_LOG)
         np.log(logp, out=logp)
         d_features = logp - np.add.reduce(p * logp, axis=1, keepdims=True)
         d_features *= p
-        d_features *= term.weight / n
-        d_logits = np.zeros(logits.shape)
-    else:
-        raise InputError(f"unknown loss term {type(term).__name__}")
+        d_features *= uniform
     _backprop(spec, layers, hs, zs, d_logits, d_features, grads)
 
 
@@ -324,7 +329,8 @@ def backward(
     """Exact gradient of the total loss w.r.t. every parameter (not the loss value).
 
     The first term's gradient is written into `out.grad`, each later term's
-    into `out.scratch`, and those are added in term order.  Returns
+    into `out.scratch`, and those are added in term order; an
+    `UniformActivationTerm` joins the terms whose rows it covers.  Returns
     `out.grad`, which the next call on `out` overwrites; `out=None` uses a
     fresh workspace.  Nothing is scanned for non-finite values: `fit` traps
     the operation that makes one.
@@ -336,13 +342,17 @@ def backward(
         raise InputError("workspace spec does not match parameters")
     layers = params.layers()
     grad = out.grad.values
-    if not loss.terms:
+    terms = [t for t in loss.terms if not isinstance(t, UniformActivationTerm)]
+    beta = sum(t.weight for t in loss.terms if isinstance(t, UniformActivationTerm))
+    rows = sum(len(t.x) for t in terms if not isinstance(t, ProximalTerm)) if beta else 0
+    uniform = beta / rows if rows else 0.0
+    if not terms:
         grad.fill(0.0)
-    for i, term in enumerate(loss.terms):
+    for i, term in enumerate(terms):
         if i == 0:
-            _term_grad(params, layers, term, grad, out.grad.layers())
+            _term_grad(params, layers, term, grad, out.grad.layers(), uniform)
         else:
-            _term_grad(params, layers, term, out.scratch.values, out.scratch.layers())
+            _term_grad(params, layers, term, out.scratch.values, out.scratch.layers(), uniform)
             grad += out.scratch.values
     return out.grad
 

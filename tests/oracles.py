@@ -138,14 +138,27 @@ def distill_loss(
 
 
 def loss_value(params: ParamVector, loss: CompositeLoss) -> float:
-    """Total value of the loss whose gradient `nncore.backward` returns, summed in term order."""
+    """Total value of the loss whose gradient `nncore.backward` returns, summed in term order.
+
+    An `UniformActivationTerm` averages over the rows of the loss's
+    cross-entropy and distillation terms, and is 0 when there are none.
+    """
     total = 0.0
     for term in loss.terms:
         if isinstance(term, ProximalTerm):
             diff = params.values - term.ref.values
             total += 0.5 * term.mu * float(diff @ diff)
             continue
-        feats, logits = forward_batch(params, term.x)
+        if isinstance(term, UniformActivationTerm):
+            xs = [t.x for t in loss.terms if isinstance(t, (CrossEntropyTerm, DistillTerm))]
+            if xs:
+                feats, _ = forward_batch(params, np.concatenate(xs))
+                p = softmax_t(feats, 1.0)
+                logp = np.log(np.maximum(p, EPS_LOG))
+                k = feats.shape[1]
+                total += term.weight * float((p * logp).sum(axis=1).mean() + math.log(k))
+            continue
+        _, logits = forward_batch(params, term.x)
         n = logits.shape[0]
         if isinstance(term, CrossEntropyTerm):
             y = np.argmax(term.targets, axis=1)
@@ -159,11 +172,6 @@ def loss_value(params: ParamVector, loss: CompositeLoss) -> float:
                 np.where(p > 0, p * (np.log(np.maximum(p, EPS_LOG)) - np.log(qc)), 0.0).sum()
             )
             total += term.weight * val / n
-        elif isinstance(term, UniformActivationTerm):
-            p = softmax_t(feats, 1.0)
-            logp = np.log(np.maximum(p, EPS_LOG))
-            k = feats.shape[1]
-            total += term.weight * float((p * logp).sum(axis=1).mean() + math.log(k))
         else:
             raise InputError(f"unknown loss term {type(term).__name__}")
     return total
@@ -244,7 +252,7 @@ def plain_backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features, grads):
             delta = delta @ layers[i][0].T
 
 
-def plain_term_grad(params: ParamVector, layers, term, flat, grads) -> None:
+def plain_term_grad(params: ParamVector, layers, term, flat, grads, uniform) -> None:
     spec = params.spec
     if isinstance(term, ProximalTerm):
         if term.ref.spec != spec:
@@ -259,7 +267,6 @@ def plain_term_grad(params: ParamVector, layers, term, flat, grads) -> None:
     hs, zs, logits = plain_forward_cache(layers, spec.activation, x)
     n = x.shape[0]
 
-    d_features = None
     if isinstance(term, CrossEntropyTerm):
         t = np.asarray(term.targets, dtype=np.float64)
         if t.shape != logits.shape:
@@ -277,15 +284,15 @@ def plain_term_grad(params: ParamVector, layers, term, flat, grads) -> None:
             raise InputError("teacher table shape mismatch")
         q = plain_softmax_t(logits, term.temperature)
         d_logits = (q - p) * (term.weight * (1.0 / n) / term.temperature)
-    elif isinstance(term, UniformActivationTerm):
-        feats = hs[-1]
-        p = plain_softmax_t(feats, 1.0)
-        logp = np.log(np.maximum(p, EPS_LOG))
-        inner = (p * logp).sum(axis=1, keepdims=True)
-        d_features = p * (logp - inner) * (term.weight / n)
-        d_logits = np.zeros_like(logits)
     else:
         raise InputError(f"unknown loss term {type(term).__name__}")
+    d_features = None
+    if uniform:
+        # the activation penalty at this term's features, `uniform` per row
+        p = plain_softmax_t(hs[-1], 1.0)
+        logp = np.log(np.maximum(p, EPS_LOG))
+        inner = (p * logp).sum(axis=1, keepdims=True)
+        d_features = p * (logp - inner) * uniform
     plain_backprop(spec, layers, hs, zs, d_logits, d_features, grads)
 
 
@@ -299,14 +306,19 @@ def plain_backward(
         raise InputError("workspace spec does not match parameters")
     layers = params.layers()
     grad = out.grad.values
-    if not loss.terms:
+    terms = [t for t in loss.terms if not isinstance(t, UniformActivationTerm)]
+    rows = sum(len(t.x) for t in terms if not isinstance(t, ProximalTerm))
+    beta = sum(t.weight for t in loss.terms if isinstance(t, UniformActivationTerm))
+    uniform = beta / rows if beta and rows else 0.0
+    if not terms:
         grad.fill(0.0)
-    for i, term in enumerate(loss.terms):
+    for i, term in enumerate(terms):
         if i == 0:
-            plain_term_grad(params, layers, term, grad, out.grad.layers())
+            plain_term_grad(params, layers, term, grad, out.grad.layers(), uniform)
         else:
-            plain_term_grad(params, layers, term, out.scratch.values, out.scratch.layers())
-            grad += out.scratch.values
+            scratch = out.scratch
+            plain_term_grad(params, layers, term, scratch.values, scratch.layers(), uniform)
+            grad += scratch.values
     return out.grad
 
 
@@ -369,7 +381,7 @@ def plain_local_update(
                     )
                 )
         if method == "dcil_fedmax" and cfg.beta > 0:
-            terms.append(UniformActivationTerm(stream_x[batch], cfg.beta))
+            terms.append(UniformActivationTerm(cfg.beta))
         if method == "dcil_fedprox" and cfg.mu > 0:
             terms.append(ProximalTerm(general, cfg.mu))
         if terms:

@@ -117,7 +117,7 @@ def test_criterion_1_gradient_suite():
             # plain local loss
             CompositeLoss((ce,)),
             # activation-uniformity regularized loss
-            CompositeLoss((ce, UniformActivationTerm(x, 500.0))),
+            CompositeLoss((ce, UniformActivationTerm(500.0))),
             # proximal regularized loss
             CompositeLoss((ce, ProximalTerm(ref, 0.2))),
         ]

@@ -1,9 +1,9 @@
 """How the CLI module loads: configs build without an argument parser and
 with no package beyond the standard library and dcil, `--help`, a usage
-error and a config error load neither NumPy nor a trainer, `main` imports
-argparse only when called, a command loads no package but NumPy beyond the
-standard library, and the commands call the `run` that `dcil.orchestrator`
-holds when they are invoked."""
+error and a config error load neither NumPy, a trainer nor `tempfile`,
+`main` imports argparse only when called, a command loads no package but
+NumPy beyond the standard library, and the commands call the `run` that
+`dcil.orchestrator` holds when they are invoked."""
 
 import json
 import os
@@ -68,14 +68,17 @@ def test_configs_build_without_argparse_and_main_loads_it(tmp_path):
     ]
 
 
-# NumPy and the modules that import it, none of which a config needs.
+# NumPy and the modules that import it, none of which a config needs, and
+# `tempfile`, which only a command's file writes need.
 TRAINERS = ("numpy", "dcil.nncore", "dcil.local_learner", "dcil.distillation",
-            "dcil.orchestrator")
+            "dcil.orchestrator", "tempfile")
 
-# Builds a config from a file, then calls `main` with each argv, printing
-# the exit code, the stderr and which of TRAINERS each step loaded.
+# Drops `tempfile`, which `site` may have loaded already, builds a config
+# from a file, then calls `main` with each argv, printing the exit code, the
+# stderr and which of TRAINERS each step loaded.
 CONFIG_AND_EXITS = """
 import contextlib, io, sys
+sys.modules.pop("tempfile", None)
 from dcil.cli import build_run_config, load_config, main
 
 def trainers():
@@ -100,11 +103,14 @@ def test_configs_help_and_config_errors_load_no_numpy_and_no_trainer(tmp_path):
     path.write_text(json.dumps(TINY))
     cfg = str(path)
     argvs = [
+        ["--help"],
         ["run", "--help"],
         ["run", cfg, "--seed", "abc"],  # a usage error
         ["run", cfg, "--set", "alpha=-1"],  # a config error
     ]
     assert fresh_python(CONFIG_AND_EXITS % (TRAINERS, cfg, argvs)).splitlines() == [
+        "none",
+        "0 []",
         "none",
         "0 []",
         "none",

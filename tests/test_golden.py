@@ -5,11 +5,12 @@ is compared as text against the committed text below, so a change that
 shifts the numerics by one ulp fails here even when every acceptance margin
 still holds.  A record is a function of config, seed, numpy version and
 BLAS kernel.  `GOLDEN` was produced with numpy 2.4.6 on scipy-openblas
-0.3.31 (x86-64) running its `SkylakeX` kernel, and `HASWELL` on the same
-build forced to its `Haswell` kernel (`OPENBLAS_CORETYPE=Haswell`), which
-rounds some matrix products differently.  The kernel a process runs is
-what `scipy_openblas_get_corename64_` returns, called through `ctypes` on
-the `libscipy_openblas64_` library that numpy loaded (`running_kernel`).
+0.3.31 (x86-64) running its `SkylakeX` kernel.  The same build forced to
+its `Haswell` kernel (`OPENBLAS_CORETYPE=Haswell`) rounds some matrix
+products differently, yet gives the same text for every method, and that
+text is pinned for it too.  The kernel a process runs is what
+`scipy_openblas_get_corename64_` returns, called through `ctypes` on the
+`libscipy_openblas64_` library that numpy loaded (`running_kernel`).
 The in-process test compares against the running kernel's text and skips,
 naming the kernel, where none is pinned.  Another BLAS build may
 legitimately fail these tests.
@@ -77,8 +78,8 @@ GOLDEN = {
     ),
     "dcil_fedmax": (
         "0 0.6666666666666666 [0:0.4166666666666667,1:0.4166666666666667,2:0.8333333333333334,3:1.0] logit_scalars=0,params_down=0,params_up=0,shared_samples=0\n"
-        "1 0.3194444444444444 [0:0.75,1:0.0,2:0.0,3:0.5833333333333334,4:0.4166666666666667,5:0.16666666666666666] logit_scalars=0,params_down=1476,params_up=1476,shared_samples=0\n"
-        "2 0.16666666666666666 [0:0.8333333333333334,1:0.0,2:0.0,3:0.5,4:0.0,5:0.0,6:0.0,7:0.0] logit_scalars=0,params_down=1680,params_up=1680,shared_samples=0\n"
+        "1 0.3888888888888889 [0:0.5,1:0.0,2:0.8333333333333334,3:1.0,4:0.0,5:0.0] logit_scalars=0,params_down=1476,params_up=1476,shared_samples=0\n"
+        "2 0.1875 [0:0.25,1:0.0,2:0.25,3:1.0,4:0.0,5:0.0,6:0.0,7:0.0] logit_scalars=0,params_down=1680,params_up=1680,shared_samples=0\n"
     ),
     "dcil_fedprox": (
         "0 0.6666666666666666 [0:0.4166666666666667,1:0.4166666666666667,2:0.8333333333333334,3:1.0] logit_scalars=0,params_down=0,params_up=0,shared_samples=0\n"
@@ -93,18 +94,8 @@ GOLDEN = {
 }
 
 
-# `GOLDEN` under the `Haswell` kernel: only `dcil_fedmax` rounds differently.
-HASWELL = {
-    **GOLDEN,
-    "dcil_fedmax": (
-        "0 0.6666666666666666 [0:0.4166666666666667,1:0.4166666666666667,2:0.8333333333333334,3:1.0] logit_scalars=0,params_down=0,params_up=0,shared_samples=0\n"
-        "1 0.4166666666666667 [0:0.08333333333333333,1:0.25,2:0.5833333333333334,3:0.3333333333333333,4:0.5,5:0.75] logit_scalars=0,params_down=1476,params_up=1476,shared_samples=0\n"
-        "2 0.16666666666666666 [0:0.0,1:0.08333333333333333,2:0.25,3:0.16666666666666666,4:0.0,5:0.0,6:0.8333333333333334,7:0.0] logit_scalars=0,params_down=1680,params_up=1680,shared_samples=0\n"
-    ),
-}
-
 # The pinned text of each kernel.
-PINNED = {"SkylakeX": GOLDEN, "Haswell": HASWELL}
+PINNED = {"SkylakeX": GOLDEN, "Haswell": GOLDEN}
 
 
 def running_kernel() -> str:
@@ -147,4 +138,4 @@ def test_golden_records_on_the_haswell_kernel():
     code = f"import sys; sys.path.insert(0, {tests!r})\n{KERNEL_RECORDS}"
     kernel, records = json.loads(fresh_python(code, {"OPENBLAS_CORETYPE": "Haswell"}))
     assert kernel == "Haswell"
-    assert records == HASWELL
+    assert records == PINNED["Haswell"]

@@ -6,8 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import cross_entropy, forward, kl_div, loss_value, zeros_params
+from oracles import (
+    cross_entropy,
+    fedmax_regularizer,
+    forward,
+    kl_div,
+    loss_value,
+    plain_backward,
+    zeros_params,
+)
 
+from dcil import nncore
 from dcil.nncore import (
     CompositeLoss,
     ConfigError,
@@ -237,10 +246,67 @@ def test_grad_proximal():
 
 
 def test_grad_uniform_activation():
-    x = np.random.default_rng(5).normal(size=(6, 3))
+    # a zero-weight term lends the penalty its rows and adds no gradient of its own
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(6, 3))
+    zero_ce = CrossEntropyTerm(x, one_hot(rng.integers(0, 3, size=6), 3), weight=0.0)
+    zero_kd = DistillTerm(x, softmax_t(rng.normal(size=(6, 3)), 2.0), 2.0, weight=0.0)
     for hidden in HIDDEN_DEPTHS:
         params = small_net(hidden=hidden, activation="tanh")
-        assert_grad_close(params, CompositeLoss((UniformActivationTerm(x, 3.0),)))
+        for carrier in (zero_ce, zero_kd):
+            loss = CompositeLoss((carrier, UniformActivationTerm(3.0)))
+            assert_grad_close(params, loss)
+            feats, _ = forward_batch(params, x)
+            assert abs(loss_value(params, loss) - 3.0 * fedmax_regularizer(feats)) < 1e-12
+        # with no rows to cover, the penalty has no value and no gradient
+        alone = CompositeLoss((UniformActivationTerm(3.0),))
+        assert loss_value(params, alone) == 0.0
+        assert not backward(params, alone).values.any()
+        ref = small_net(seed=9, hidden=hidden, activation="tanh")
+        prox = CompositeLoss((ProximalTerm(ref, 0.7), UniformActivationTerm(3.0)))
+        assert backward(params, prox).values.tobytes() == backward(
+            params, CompositeLoss(prox.terms[:1])).values.tobytes()
+
+
+@pytest.mark.parametrize("b_rows", [1, 4])
+def test_grad_fedmax_step_covers_the_rows_of_both_groups(b_rows):
+    # a fedmax step's shape: CE on the shard rows A, anchor KD on rows B, and
+    # the penalty averaged over A and B together, whose features each term forwards
+    rng = np.random.default_rng([19, b_rows])
+    a, b = rng.normal(size=(5, 3)), rng.normal(size=(b_rows, 3))
+    teacher = np.zeros((b_rows, 4))
+    teacher[:, :3] = softmax_t(rng.normal(size=(b_rows, 3)), 2.0)
+    ce = CrossEntropyTerm(a, one_hot(rng.integers(0, 4, size=5), 4))
+    kd = DistillTerm(b, teacher, 2.0, weight=5.0)
+    for hidden in HIDDEN_DEPTHS:
+        params = small_net(hidden=hidden, n_classes=4, activation="tanh")
+        loss = CompositeLoss((ce, kd, UniformActivationTerm(20.0)))
+        assert_grad_close(params, loss)
+        feats, _ = forward_batch(params, np.concatenate([a, b]))
+        penalty = loss_value(params, loss) - loss_value(params, CompositeLoss((ce, kd)))
+        assert abs(penalty - 20.0 * fedmax_regularizer(feats)) < 1e-10
+
+
+def test_fedmax_backward_runs_one_forward_pass_per_row_bearing_term(monkeypatch):
+    passes = []
+    forward_cache = nncore._forward_cache
+
+    def counting(layers, kind, x):
+        passes.append(len(x))
+        return forward_cache(layers, kind, x)
+
+    monkeypatch.setattr(nncore, "_forward_cache", counting)
+    rng = np.random.default_rng(20)
+    params = small_net(n_classes=4)
+    ref = small_net(seed=21, n_classes=4)
+    ce = CrossEntropyTerm(rng.normal(size=(5, 3)), one_hot(rng.integers(0, 4, size=5), 4))
+    kd = DistillTerm(rng.normal(size=(2, 3)), softmax_t(rng.normal(size=(2, 4)), 2.0), 2.0)
+    uniform = UniformActivationTerm(10.0)
+    for terms, rows in [((ce, kd, uniform), [5, 2]), ((ce, uniform), [5]),
+                        ((kd, uniform), [2]), ((ce, uniform, ProximalTerm(ref, 0.2)), [5])]:
+        passes.clear()
+        backward(params, CompositeLoss(terms), out=Workspace(params.spec))
+        assert passes == rows, terms
 
 
 def test_grad_composite_sum_of_terms():
@@ -255,13 +321,15 @@ def test_grad_composite_sum_of_terms():
             CrossEntropyTerm(x, one_hot(y, 3)),
             DistillTerm(x, teacher, 5.0, weight=5.0),
             ProximalTerm(ref, 0.2),
-            UniformActivationTerm(x, 1.5),
+            UniformActivationTerm(1.5),
         ))
         assert_grad_close(params, loss)
-        # value is the sum of the individual term values
+        # value is the sum of the row-bearing and proximal term values, plus
+        # the penalty over the rows of the CE and KD terms
         total = loss_value(params, loss)
-        parts = sum(loss_value(params, CompositeLoss((t,))) for t in loss.terms)
-        assert abs(total - parts) < 1e-10
+        parts = sum(loss_value(params, CompositeLoss((t,))) for t in loss.terms[:3])
+        feats, _ = forward_batch(params, np.concatenate([x, x]))
+        assert abs(total - parts - 1.5 * fedmax_regularizer(feats)) < 1e-10
 
 
 def trainer_term_sets(params, ref, rng, rows=5):
@@ -288,7 +356,7 @@ def trainer_term_sets(params, ref, rng, rows=5):
     kd = DistillTerm(ax, teacher, 2.0, weight=5.0)
     pool = DistillTerm(x, pool_teacher, 5.0)
     prox = ProximalTerm(ref, 0.3)
-    uniform = UniformActivationTerm(np.concatenate([x, ax]), 2.0)
+    uniform = UniformActivationTerm(2.0)
     return [
         (ce,), (ce, replay), (ce, kd), (kd,), (replay,), (pool,),
         (ce, prox), (ce, kd, prox), (kd, prox), (ce, replay, prox),
@@ -298,6 +366,8 @@ def trainer_term_sets(params, ref, rng, rows=5):
 
 
 def test_backward_sums_term_gradients_in_order_and_leaves_inputs_alone():
+    # the activation penalty joins the backprop of each term it covers, so a
+    # loss with it matches the plain spelling instead of a sum of parts
     rng = np.random.default_rng(13)
     for hidden in HIDDEN_DEPTHS:
         params = small_net(hidden=hidden, n_classes=4, activation="tanh")
@@ -307,10 +377,13 @@ def test_backward_sums_term_gradients_in_order_and_leaves_inputs_alone():
                 a for t in terms for a in vars(t).values() if isinstance(a, np.ndarray)
             ]
             before = [a.copy() for a in arrays]
-            parts = [backward(params, CompositeLoss((t,))).values for t in terms]
-            expect = parts[0].copy()
-            for part in parts[1:]:
-                expect += part
+            if isinstance(terms[-1], UniformActivationTerm):
+                expect = plain_backward(params, CompositeLoss(terms)).values
+            else:
+                parts = [backward(params, CompositeLoss((t,))).values for t in terms]
+                expect = parts[0].copy()
+                for part in parts[1:]:
+                    expect += part
             grad = backward(params, CompositeLoss(terms))
             assert np.array_equal(grad.values, expect), (hidden, terms)
             for a, b in zip(arrays, before):
@@ -483,7 +556,9 @@ def test_backward_checks_its_inputs_and_scans_no_values():
     ws = Workspace(params.spec)
     x = np.ones((2, 3))
     nan_teacher = np.full((2, 3), np.nan)
-    nan_features = CompositeLoss((UniformActivationTerm(np.full((2, 3), np.nan), 1.0),))
+    nan_x = np.full((2, 3), np.nan)
+    nan_features = CompositeLoss((CrossEntropyTerm(nan_x, one_hot([0, 2], 3), weight=0.0),
+                                  UniformActivationTerm(1.0)))
     for out in (ws, None):
         grad = backward(params, CompositeLoss((DistillTerm(x, nan_teacher, 2.0),)), out=out)
         assert np.isnan(grad.values).any()

@@ -567,6 +567,14 @@ def test_degenerate_fedprox_mu0_and_fedmax_beta0_are_fedavg():
     assert all(records_equal(x, y) for x, y in zip(base.records, fmax.records))
 
 
+@pytest.mark.parametrize("seed", [0, 211])
+def test_default_fedmax_run_ends_above_chance(seed):
+    # at a default beta of 500 every run ended at chance, and seed 211 diverged
+    records = run(RunConfig(method="dcil_fedmax", seed=seed)).records
+    assert len(records) == 6
+    assert records[-1].accuracy > 1 / 20
+
+
 def test_zero_distillation_learning_rates_give_fedavg_accuracies():
     dcid = run(replace(SMALL, dcd_lr=0.0, dad_lr=0.0))
     base = run(replace(SMALL, method="dcil_fedavg"))
