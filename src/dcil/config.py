@@ -116,6 +116,23 @@ def check_split(n_classes: int, n_base: int, n_sessions: int) -> None:
         )
 
 
+def check_dirichlet(n_sites: int, alpha: float) -> None:
+    """Raise `ConfigError` unless Dirichlet(`alpha`) shares over `n_sites` sites deal every row.
+
+    NumPy's sampler adds `n_sites` gamma draws in order and divides each by
+    the sum.  At an `alpha` near the top of the float range a draw equals
+    `alpha`, so where `n_sites` copies of it, added in order, overflow,
+    every share is 0.
+    """
+    if not alpha > 0:
+        raise ConfigError("alpha must be > 0")
+    total = 0.0
+    for _ in range(n_sites):
+        total += alpha
+    if not math.isfinite(total):
+        raise ConfigError(f"alpha={alpha:g} overflows the sum of {n_sites} Dirichlet draws")
+
+
 METHODS = ("dcid", "dcil_fedavg", "dcil_fedmax", "dcil_fedprox", "centralized")
 PARTITIONS = ("iid", "dirichlet")
 # A record's communication counters, in the order its `comm` dict lists them.
@@ -183,8 +200,7 @@ class RunConfig:
             raise ConfigError("distillation learning rates must be >= 0")
         if self.dcd_epochs < 0 or self.dad_epochs < 0:
             raise ConfigError("distillation epoch counts must be >= 0")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be > 0")
+        check_dirichlet(self.n_sites, self.alpha)
         if not 0 <= self.seed < 2**63:  # an output file name holds the seed
             raise ConfigError(f"seed must be in [0, 2**63 - 1], got {self.seed}")
         if self.base_lr < 0 or self.base_epochs < 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, check_split, check_synthetic, train_count
+from .config import ConfigError, check_dirichlet, check_split, check_synthetic, train_count
 
 SeedLike = int | list[int] | tuple[int, ...]
 
@@ -143,11 +143,10 @@ def partition_dirichlet(
     """Per-class Dirichlet(alpha) allocation of examples over sites.
 
     Fractional shares become integer counts by largest-remainder rounding, so
-    shards are disjoint and exhaustive.  Small alpha concentrates each class
-    on few sites; empty shards are allowed.
+    shards are disjoint and exhaustive: shares that would miss a row raise.
+    Small alpha concentrates each class on few sites; empty shards are allowed.
     """
-    if alpha <= 0:
-        raise ConfigError(f"alpha must be > 0, got {alpha}")
+    check_dirichlet(n_sites, alpha)
     if n_sites < 2:
         raise ConfigError(f"n_sites must be >= 2 for dirichlet partitioning, got {n_sites}")
     rng = np.random.default_rng(seed)
@@ -156,6 +155,11 @@ def partition_dirichlet(
         idx = rng.permutation(np.flatnonzero(y == c))
         props = rng.dirichlet(np.full(n_sites, alpha))
         counts = _largest_remainder(props, len(idx))
+        if counts.sum() != len(idx):
+            raise ConfigError(
+                f"Dirichlet({alpha:g}) shares over {n_sites} sites deal "
+                f"{counts.sum()} of class {c}'s {len(idx)} rows"
+            )
         offset = 0
         for m in range(n_sites):
             buckets[m].append(idx[offset : offset + counts[m]])

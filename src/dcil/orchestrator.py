@@ -6,7 +6,9 @@ teacher, data-weighted parameter averaging, and a final distillation of the
 ensemble into the averaged general model.  The baselines run the same
 protocol over an empty shared pool, on which both distillation stages return
 their inputs; a centralized reference learner retrains on all data seen so
-far.  Every run is a pure function of its config and seed.
+far.  One generator, `_protocol`, yields every trainer call of every
+method's run, and `_drive` serves them in order.  Every run is a pure
+function of its config and seed.
 """
 
 from __future__ import annotations
@@ -143,10 +145,6 @@ def _train_fresh(cfg: RunConfig, x, y, n_classes, init_seed, seed) -> ParamVecto
     )
 
 
-def _train_base(cfg: RunConfig, x, y) -> ParamVector:
-    return _train_fresh(cfg, x, y, cfg.n_base, [cfg.seed, _S_INIT], [cfg.seed, _S_BASE])
-
-
 def _partition(cfg: RunConfig, x, y, session):
     seed = [cfg.seed, _S_PART, session]
     if cfg.partition == "iid":
@@ -181,17 +179,32 @@ def _herd(cfg, params, shard) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Run entry points
+# Run entry point
 # ---------------------------------------------------------------------------
 
 
-def _run_decentralized(cfg: RunConfig) -> RunResult:
-    """DCID, or a baseline: the same protocol over a shared pool of size 0."""
-    shared_per_class = cfg.shared_per_class if cfg.method == "dcid" else 0
-    train, test = _sessions(cfg)
-    general = _train_base(cfg, *train[0])
-    records = [_record(cfg, 0, general, test, _no_traffic())]
+def _protocol(cfg: RunConfig):
+    """Every method's run, as a generator of its trainer calls.
 
+    At each call it yields `(stage, session, round, site, fn, args, kwargs)`,
+    is sent `fn(*args, **kwargs)` back, and returns the session records.
+    Each `fn` is read from this module at its yield, so a wrapper set on the
+    module applies.  Every method trains the same base session.
+    """
+    train, test = _sessions(cfg)
+    general = yield "base", 0, None, None, _train_fresh, (
+        cfg, *train[0], cfg.n_base, [cfg.seed, _S_INIT], [cfg.seed, _S_BASE]), {}
+    records = [_record(cfg, 0, general, test, _no_traffic())]
+    if cfg.method == "centralized":
+        for t in range(1, cfg.n_sessions + 1):
+            x = np.concatenate([x for x, _ in train[: t + 1]])
+            y = np.concatenate([y for _, y in train[: t + 1]])
+            params = yield "centralized", t, None, None, _train_fresh, (
+                cfg, x, y, _head(cfg, t), [cfg.seed, _S_CENT, t], [cfg.seed, _S_CENT, t, 1]), {}
+            records.append(_record(cfg, t, params, test, _no_traffic()))
+        return records
+
+    shared_per_class = cfg.shared_per_class if cfg.method == "dcid" else 0
     # Base-class anchors: the base session is trained centrally, but each site
     # must enter session 1 with anchors for the classes already seen.  Deal
     # the base data to sites with the configured partitioner and herd with
@@ -227,13 +240,12 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
 
             # One generation of site models per round: DCD overwrites each
             # site's entry, and the list is dropped before DAD runs.
-            sites = [
-                local_update(
-                    shard, anchors[m], general, cfg.local, method=cfg.method,
-                    old_general=prev_general, seed=[cfg.seed, _S_SITE, m, t, r],
-                )
-                for m, shard in enumerate(shards)
-            ]
+            sites = []
+            for m, shard in enumerate(shards):
+                sites.append((yield "local", t, r, m, local_update, (
+                    shard, anchors[m], general, cfg.local,
+                ), {"method": cfg.method, "old_general": prev_general,
+                    "seed": [cfg.seed, _S_SITE, m, t, r]}))
 
             if r == cfg.rounds - 1:  # only the last round's anchors are kept
                 for m, (ax, ay) in enumerate(anchors):
@@ -242,40 +254,39 @@ def _run_decentralized(cfg: RunConfig) -> RunResult:
 
             dcd_teacher = teacher(sites)
             for m in range(cfg.n_sites):
-                sites[m] = dcd_finetune(
-                    sites[m], dcd_teacher, shared, cfg.tau1, cfg.dcd_lr,
-                    cfg.dcd_epochs, seed=[cfg.seed, _S_DCD, t, r, m],
-                )
+                sites[m] = yield "dcd", t, r, m, dcd_finetune, (
+                    sites[m], dcd_teacher, shared, cfg.tau1, cfg.dcd_lr, cfg.dcd_epochs,
+                ), {"seed": [cfg.seed, _S_DCD, t, r, m]}
 
             traffic["params_up"] += cfg.n_sites * p_count
             aggregated = fedavg_aggregate(sites, counts)
             dad_teacher = teacher(sites)
             del sites
-            general = dad_refine(
-                aggregated, dad_teacher, shared, cfg.tau2, cfg.dad_lr,
-                cfg.dad_epochs, seed=[cfg.seed, _S_DAD, t, r],
-            )
+            general = yield "dad", t, r, None, dad_refine, (
+                aggregated, dad_teacher, shared, cfg.tau2, cfg.dad_lr, cfg.dad_epochs,
+            ), {"seed": [cfg.seed, _S_DAD, t, r]}
 
         records.append(_record(cfg, t, general, test, traffic))
 
-    return RunResult(records)
+    return records
 
 
-def _run_centralized(cfg: RunConfig) -> RunResult:
-    """Upper-bound reference: full retraining on all data seen so far."""
-    train, test = _sessions(cfg)
-    records = [_record(cfg, 0, _train_base(cfg, *train[0]), test, _no_traffic())]
-    for t in range(1, cfg.n_sessions + 1):
-        x = np.concatenate([x for x, _ in train[: t + 1]])
-        y = np.concatenate([y for _, y in train[: t + 1]])
-        params = _train_fresh(
-            cfg, x, y, _head(cfg, t), [cfg.seed, _S_CENT, t], [cfg.seed, _S_CENT, t, 1]
-        )
-        records.append(_record(cfg, t, params, test, _no_traffic()))
-    return RunResult(records)
+def _drive(gen) -> list[MetricsRecord]:
+    """Serve `gen`'s trainer requests in order, and return what it returns.
+
+    No request's arguments or result stay bound past the `send` that hands
+    the result over, so a model is freed as soon as the protocol drops it.
+    """
+    result = None
+    while True:
+        try:
+            *_, fn, args, kwargs = gen.send(result)
+        except StopIteration as stop:
+            return stop.value
+        del result
+        result = fn(*args, **kwargs)
+        del args, kwargs
 
 
 def run(config: RunConfig) -> RunResult:
-    if config.method == "centralized":
-        return _run_centralized(config)
-    return _run_decentralized(config)
+    return RunResult(_drive(_protocol(config)))

@@ -415,6 +415,17 @@ def test_run_unpartitionable_sites_exit_2(tmp_path, overrides):
     assert "config error" in result.output
 
 
+def test_run_alpha_whose_dirichlet_draws_overflow_exits_2_before_training(tmp_path, monkeypatch):
+    # every share came out 0, and a session dealt one row per site and class
+    monkeypatch.setattr("dcil.orchestrator.run", lambda cfg: pytest.fail("training started"))
+    cfg = write_config(tmp_path, FAST)
+    out = tmp_path / "r"
+    result = invoke(["run", cfg, "--out", str(out), "--set", "alpha=1.7e308"])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("config error: alpha=1.7e+308")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "override, counterpart",
     [("seeds=[3]", "use --seed"), ("alphas=[5.0]", "use --set alpha="),

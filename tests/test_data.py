@@ -1,5 +1,6 @@
 """Dataset synthesis, session splitting and partitioning."""
 
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from fresh import fresh_python
 from hypothesis import given, settings, strategies as st
 
-from dcil.config import ConfigError
+from dcil.config import ConfigError, RunConfig, check_dirichlet
 from dcil.data import (
     _largest_remainder,
     make_synthetic,
@@ -189,6 +190,56 @@ def test_partition_dirichlet_rejects_bad_params():
         partition_dirichlet(x, y, 4, 0.0, 0)
     with pytest.raises(ConfigError):
         partition_dirichlet(x, y, 1, 1.0, 0)
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 0.1, 1e300])
+@pytest.mark.parametrize("n_sites", [2, 5])
+def test_partition_dirichlet_deals_every_row_at_extreme_alpha(alpha, n_sites):
+    x, y = labeled_blob(n_per_class=13, n_classes=3)
+    part = partition_dirichlet(x, y, n_sites, alpha, 0)
+    all_x = np.concatenate([sx for sx, _ in part.shards if len(sx)])
+    assert rows_multiset(all_x) == rows_multiset(x)
+
+
+@pytest.mark.parametrize("n_sites", [2, 5])
+def test_partition_dirichlet_rejects_an_alpha_whose_draws_overflow(n_sites):
+    # The sampler's gamma draws sum to about n_sites * alpha; past the float
+    # range every share is 0, and the rows were dealt one per site.
+    x, y = labeled_blob(n_per_class=13, n_classes=3)
+    with pytest.raises(ConfigError, match="alpha"):
+        partition_dirichlet(x, y, n_sites, 1.7e308, 0)
+    with pytest.raises(ConfigError, match="alpha"):
+        RunConfig(n_sites=n_sites, alpha=1.7e308)
+
+
+@pytest.mark.parametrize("n_sites", [2, 5, 11])
+def test_dirichlet_alpha_rule_is_exact_at_the_top_of_the_float_range(n_sites, monkeypatch):
+    # 13 alphas, 6 floats either side of max / n_sites: the rule accepts
+    # exactly those whose shares deal every row
+    below = above = [sys.float_info.max / n_sites]
+    for _ in range(6):
+        below = [float(np.nextafter(below[0], 0.0)), *below]
+        above = [*above, float(np.nextafter(above[-1], np.inf))]
+    alphas = below + above[1:]
+    accepted = []
+    for alpha in alphas:
+        try:
+            check_dirichlet(n_sites, alpha)
+            accepted.append(True)
+        except ConfigError:
+            accepted.append(False)
+    assert True in accepted and False in accepted
+    # past the rule, shares that miss rows still raise: all 0, they dealt
+    # one row per site
+    monkeypatch.setattr("dcil.data.check_dirichlet", lambda n_sites, alpha: None)
+    x, y = labeled_blob(n_per_class=13, n_classes=3)
+    for alpha, ok in zip(alphas, accepted):
+        if ok:
+            part = partition_dirichlet(x, y, n_sites, alpha, 0)
+            assert sum(len(sy) for _, sy in part.shards) == len(y)
+        else:
+            with pytest.raises(ConfigError, match=f"deal {n_sites} of class 0's 13 rows"):
+                partition_dirichlet(x, y, n_sites, alpha, 0)
 
 
 @settings(deadline=None, max_examples=20)

@@ -321,3 +321,52 @@ def test_config_imports_only_the_standard_library():
     # (`tests/test_cli_loading.py` checks that in a fresh interpreter).
     with open(os.path.join(PACKAGE, "config.py")) as fh:
         assert non_stdlib_imports(fh.read()) == []
+
+
+# The trainer calls of a run; `_protocol` yields each one to the driver.
+STAGE_FUNCTIONS = ("local_update", "dcd_finetune", "dad_refine", "_train_fresh")
+
+
+def stage_reads_outside_yields(source: str) -> list[tuple[str, int]]:
+    """(name, line) of each read of a stage function in `source` other than
+    as an element of a tuple that the top-level `_protocol` yields."""
+    tree = ast.parse(source)
+    yielded = set()
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name == "_protocol":
+            for node in ast.walk(top):
+                if isinstance(node, ast.Yield) and isinstance(node.value, ast.Tuple):
+                    yielded.update(id(e) for e in node.value.elts if isinstance(e, ast.Name))
+    found = []
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in STAGE_FUNCTIONS and id(node) not in yielded:
+            found.append((node.lineno, node.col_offset, name))
+    return [(name, line) for line, _, name in sorted(found)]
+
+
+def test_stage_reads_outside_yields_finds_direct_calls():
+    source = (
+        "from .distillation import dad_refine\n"
+        "def _protocol(cfg):\n"
+        "    p = yield 'local', 1, 0, 0, local_update, (cfg,), {}\n"
+        "    q = dcd_finetune(p)\n"
+        "    yield 'dad', 1, 0, None, dad_refine(q), (), {}\n"
+        "    def helper():\n"
+        "        return distillation._train_fresh(cfg)\n"
+        "def run(cfg):\n"
+        "    return dad_refine(cfg)\n"
+        "step = local_update\n"
+    )
+    assert stage_reads_outside_yields(source) == [
+        ("dcd_finetune", 4), ("dad_refine", 5), ("_train_fresh", 7),
+        ("dad_refine", 9), ("local_update", 10),
+    ]
+
+
+def test_every_trainer_call_goes_through_the_stage_driver():
+    # `_drive` serves each trainer call that `_protocol` yields; a direct call
+    # would run a stage that no driver sees (a second driver that interleaves
+    # runs, a stage event, a stage-tagged error).
+    with open(os.path.join(PACKAGE, "orchestrator.py")) as fh:
+        assert stage_reads_outside_yields(fh.read()) == []

@@ -22,6 +22,7 @@ from dcil.orchestrator import (
     _head,
     _herd,
     _partition,
+    _protocol,
     _sessions,
     _train_plain,
     evaluate,
@@ -322,6 +323,48 @@ def test_centralized_makes_no_stage_call_and_no_communication(monkeypatch):
     res = run(replace(SMALL, method="centralized"))
     assert calls == []
     assert all(sum(r.comm.values()) == 0 for r in res.records)
+
+
+# The orchestrator function each protocol stage asks the driver to call.
+STAGE_FUNCTION = {
+    "base": "_train_fresh", "centralized": "_train_fresh", "local": "local_update",
+    "dcd": "dcd_finetune", "dad": "dad_refine",
+}
+
+
+def drive_logging(gen, log):
+    """A driver of `_protocol` of its own: serves each request and logs its
+    (stage, session, round, site), checking that its function is the one the
+    orchestrator's namespace holds at that point."""
+    result = None
+    while True:
+        try:
+            stage, session, rnd, site, fn, args, kwargs = gen.send(result)
+        except StopIteration as stop:
+            return stop.value
+        assert fn is getattr(orchestrator, STAGE_FUNCTION[stage]), stage
+        log.append((stage, session, rnd, site))
+        result = fn(*args, **kwargs)
+
+
+@pytest.mark.parametrize("method", ["dcid", "dcil_fedavg", "centralized"])
+def test_protocol_yields_every_trainer_call_in_order(method):
+    cfg = replace(SMALL, method=method)
+    log = []
+    records = drive_logging(_protocol(cfg), log)
+    expect = [("base", 0, None, None)]
+    for t in range(1, cfg.n_sessions + 1):
+        if method == "centralized":
+            expect.append(("centralized", t, None, None))
+            continue
+        for r in range(cfg.rounds):
+            expect += [("local", t, r, m) for m in range(cfg.n_sites)]
+            expect += [("dcd", t, r, m) for m in range(cfg.n_sites)]
+            expect.append(("dad", t, r, None))
+    assert log == expect
+    expected = run(cfg).records
+    assert len(records) == len(expected) == cfg.n_sessions + 1
+    assert all(map(records_equal, records, expected))
 
 
 @pytest.mark.parametrize("method", ["dcid", "dcil_fedavg"])
