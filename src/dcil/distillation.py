@@ -99,12 +99,13 @@ def _distill(
     Steps use the mean per-sample gradient so the step size does not scale
     with the pool size; small pools then get the same per-sample pull as
     large ones, which is what makes accuracy saturate in the pool size.  The
-    teacher is checked and softened once, before `fit`; an empty pool or a
-    zero learning rate then returns a copy of the input parameters.
+    teacher's `(pool rows, head)` shape and the temperature are checked and
+    the teacher softened once, before `fit`, which then checks `lr`; an
+    empty pool or a zero learning rate returns a copy of the input parameters.
     """
     n = len(shared)
-    if len(teacher) != n:
-        raise InputError("teacher row count must match the shared pool")
+    if np.shape(teacher) != (n, params.spec.n_classes):
+        raise InputError("teacher table must have one row per pool sample over the full head")
     teacher_probs = softmax_t(teacher, tau)
 
     def step(out, sel, ws):

@@ -114,6 +114,13 @@ def local_update(
             old_general, ax, general.spec.n_classes, cfg.anchor_temperature
         )
 
+    # the method's penalty terms, the same at every step
+    extra: list = []
+    if method == "dcil_fedmax" and cfg.beta > 0:
+        extra.append(UniformActivationTerm(cfg.beta))
+    if method == "dcil_fedprox" and cfg.mu > 0:
+        extra.append(ProximalTerm(general, cfg.mu))
+
     def step(params, batch, ws):
         is_new = batch < n_new
         new_sel = batch[is_new]
@@ -129,10 +136,7 @@ def local_update(
             else:
                 anc_p = teacher_probs.take(anc_sel, axis=0)
                 terms.append(DistillTerm(anc_x, anc_p, cfg.anchor_temperature, weight=cfg.lam))
-        if method == "dcil_fedmax" and cfg.beta > 0:
-            terms.append(UniformActivationTerm(cfg.beta))
-        if method == "dcil_fedprox" and cfg.mu > 0:
-            terms.append(ProximalTerm(general, cfg.mu))
+        terms += extra
         if terms:
             grad = backward(params, CompositeLoss(tuple(terms)), out=ws)
             sgd_step(params, grad, cfg.lr)

@@ -8,9 +8,10 @@ model, and an activation-uniformity regularizer) whose gradients are all
 computed in one backward pass per term; the regularizer rides on the passes
 of the terms whose rows it covers.  `backward` returns the gradient
 only; the tests evaluate a loss value with `tests/oracles.py::loss_value`.
-Every trainer hands its per-batch step to `fit`, the one seeded SGD loop,
-which owns the call's `Workspace`, traps divergence at the step where it
-happens and scans the trained parameters once.
+Every trainer checks its inputs once and hands its per-batch step to `fit`,
+the one seeded SGD loop, which checks the learning rate, owns the call's
+`Workspace`, traps divergence at the step where it happens and scans the
+trained parameters once; the step itself only does arithmetic.
 A step calls `ndarray.dot` and the ufunc reductions directly and works in place
 on the arrays it owns: the bytes of `@`, `.sum`/`.max` and a fresh array per
 stage (`tests/test_step_bytes.py`), for less per-call overhead.
@@ -132,19 +133,21 @@ def forward_batch(params: ParamVector, x: np.ndarray) -> tuple[np.ndarray, np.nd
 def softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
     """Temperature-softened softmax with max-subtraction for stability.
 
-    Rejects non-finite logits (a teacher table, softened outside `fit`'s traps).
+    Checks the temperature, then rejects non-finite logits (a teacher table,
+    softened outside `fit`'s traps).  Each trainer softens its teacher here,
+    once per call, so no step checks a temperature.
     """
+    if tau <= 0:
+        raise ConfigError(f"temperature must be > 0, got {tau}")
     z = np.asarray(logits, dtype=np.float64)
-    if tau > 0 and not np.isfinite(z).all():  # a bad temperature is reported first
+    if not np.isfinite(z).all():
         raise InputError("non-finite logits")
     return _softmax_t(z, tau)
 
 
 def _softmax_t(z: np.ndarray, tau: float, out=None) -> np.ndarray:
     """`softmax_t` of float64 `z` into `out` (a new array by default, or `z`
-    itself when the caller owns it), without the finiteness scan."""
-    if tau <= 0:
-        raise ConfigError(f"temperature must be > 0, got {tau}")
+    itself when the caller owns it), without the temperature and finiteness checks."""
     z = np.true_divide(z, tau, out=out)
     z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
@@ -186,7 +189,8 @@ class CrossEntropyTerm:
     """Mean cross-entropy over a labeled batch.
 
     `targets` holds one row per example over the full head, the batch's rows
-    of `one_hot`, which checked the labels; `backward` checks only its shape.
+    of `one_hot`, which checked the labels and gave the shape; `backward`
+    checks nothing.
     Subtracting an exact 0.0/1.0 row from the softmax gives the bytes of
     subtracting 1.0 at the label alone.
     """
@@ -202,6 +206,8 @@ class DistillTerm:
 
     `teacher_probs` are already-softened distributions over the full head; a
     teacher that knows fewer classes is padded with zeros to the head width.
+    The trainer checks the table's shape and the temperature once, before
+    `fit`, where `softmax_t` softens it; `backward` checks nothing.
     No extra temperature-squared rescaling is applied to the gradient: the
     raw KL of the softened distributions is the loss.
     """
@@ -242,9 +248,11 @@ class CompositeLoss:
 class Workspace:
     """Gradient buffers reused by every `backward(..., out=ws)` call of one trainer.
 
-    `grad` is the `ParamVector` each call returns; the next call overwrites
-    its values.  `scratch` takes each later loss term's gradient before it is
-    added into `grad`.  Both are zeroed, because a `ParamVector` scans its values.
+    `fit` builds the one workspace of a call from the spec of the parameters
+    it trains, so no step checks that the two match.  `grad` is the
+    `ParamVector` each call returns; the next call overwrites its values.
+    `scratch` takes each later loss term's gradient before it is added into
+    `grad`.  Both are zeroed, because a `ParamVector` scans its values.
     """
 
     def __init__(self, spec: NetSpec):
@@ -283,35 +291,21 @@ def _term_grad(
     with the activation penalty's at its features, `uniform` per row, if nonzero."""
     spec = params.spec
     if isinstance(term, ProximalTerm):
-        if term.ref.spec is not spec and term.ref.spec != spec:
-            raise InputError("proximal reference has a different spec")
         np.subtract(params.values, term.ref.values, out=flat)
         flat *= term.mu
         return
 
-    x = np.asarray(term.x, dtype=np.float64)
-    if x.size == 0:
-        raise InputError("empty batch in loss term")
-    hs, zs, logits = _forward_cache(layers, spec.activation, x)
-    n = x.shape[0]
-
+    hs, zs, logits = _forward_cache(layers, spec.activation, term.x)
+    n = len(logits)
     if isinstance(term, CrossEntropyTerm):
-        t = np.asarray(term.targets, dtype=np.float64)
-        if t.shape != logits.shape:
-            raise InputError("target table shape mismatch")
         d_logits = np.exp(_log_softmax(logits), out=logits)
-        d_logits -= t
+        d_logits -= term.targets
         d_logits *= term.weight / n
-    elif isinstance(term, DistillTerm):
-        p = np.asarray(term.teacher_probs, dtype=np.float64)
-        if p.shape != logits.shape:
-            raise InputError("teacher table shape mismatch")
+    else:
         d_logits = _softmax_t(logits, term.temperature, out=logits)
-        d_logits -= p
+        d_logits -= term.teacher_probs
         # weight * (1/n), not weight / n: the golden records pin this rounding
         d_logits *= term.weight * (1.0 / n) / term.temperature
-    else:
-        raise InputError(f"unknown loss term {type(term).__name__}")
     d_features = None
     if uniform:
         p = _softmax_t(hs[-1], 1.0)
@@ -323,23 +317,17 @@ def _term_grad(
     _backprop(spec, layers, hs, zs, d_logits, d_features, grads)
 
 
-def backward(
-    params: ParamVector, loss: CompositeLoss, out: Workspace | None = None
-) -> ParamVector:
+def backward(params: ParamVector, loss: CompositeLoss, out: Workspace) -> ParamVector:
     """Exact gradient of the total loss w.r.t. every parameter (not the loss value).
 
     The first term's gradient is written into `out.grad`, each later term's
     into `out.scratch`, and those are added in term order; an
     `UniformActivationTerm` joins the terms whose rows it covers.  Returns
-    `out.grad`, which the next call on `out` overwrites; `out=None` uses a
-    fresh workspace.  Nothing is scanned for non-finite values: `fit` traps
-    the operation that makes one.
+    `out.grad`, which the next call on `out` overwrites.  Only arithmetic
+    runs here: the trainer checked every input once, before `fit`, and
+    builds each term from a nonempty batch; nothing is scanned for
+    non-finite values, because `fit` traps the operation that makes one.
     """
-    spec = params.spec
-    if out is None:
-        out = Workspace(spec)
-    elif out.spec is not spec and out.spec != spec:
-        raise InputError("workspace spec does not match parameters")
     layers = params.layers()
     grad = out.grad.values
     terms = [t for t in loss.terms if not isinstance(t, UniformActivationTerm)]
@@ -360,12 +348,10 @@ def backward(
 def sgd_step(params: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
     """Update `params` in place by `-lr * grad` and return it; callers train on a copy.
 
-    The result is not scanned: under `fit` an update that overflows raises.
+    Checks nothing: `fit` checked `lr` and built the workspace that holds
+    `grad` from the spec of `params`.  The result is not scanned: under
+    `fit` an update that overflows raises.
     """
-    if lr <= 0:
-        raise ConfigError(f"learning rate must be > 0, got {lr}")
-    if grad.spec is not params.spec and grad.spec != params.spec:
-        raise InputError("gradient spec does not match parameters")
     params.values -= lr * grad.values
     return params
 
@@ -379,8 +365,10 @@ def fit(
     from `np.random.default_rng(seed)` and hands each `batch_size` slice of
     it, the last one possibly shorter, to `step(out, sel, ws)`, which
     updates `out` in place through `backward(..., out=ws)` and `sgd_step`,
-    its last call.  `ws` is the one `Workspace` of the call.  A zero
-    learning rate or no rows returns a copy without calling `step`.
+    its last call.  `ws` is the one `Workspace` of the call.  A negative
+    learning rate raises `ConfigError` first, whatever the epochs and rows;
+    then a zero learning rate or no rows returns a copy without calling
+    `step`.
 
     Every step runs with overflow, invalid operations and division by zero
     raising, the only ways finite values turn non-finite: such a trap
@@ -389,6 +377,8 @@ def fit(
     the parameters, so they are scanned once, after the last step.  Any
     other error from `step` propagates unchanged.
     """
+    if lr < 0:
+        raise ConfigError(f"learning rate must be >= 0, got {lr}")
     if lr == 0 or n == 0:
         return params.copy()
     ws = Workspace(params.spec)

@@ -35,6 +35,7 @@ from dcil.nncore import (
     ProximalTerm,
     UniformActivationTerm,
     Workspace,
+    backward,
     fit,
     forward_batch,
     one_hot,
@@ -52,6 +53,11 @@ class ForwardResult:
 
 def zeros_params(spec: NetSpec) -> ParamVector:
     return ParamVector(np.zeros(spec.param_count), spec)
+
+
+def gradient(params: ParamVector, loss: CompositeLoss) -> ParamVector:
+    """`nncore.backward` into a fresh workspace, so no later call overwrites it."""
+    return backward(params, loss, out=Workspace(params.spec))
 
 
 def forward(params: ParamVector, x: np.ndarray) -> ForwardResult:

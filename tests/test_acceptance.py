@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from cli_call import invoke
-from oracles import loss_value
+from oracles import gradient, loss_value
 
 from dcil.data import partition_dirichlet
 from dcil.distillation import fedavg_aggregate
@@ -27,7 +27,6 @@ from dcil.nncore import (
     ParamVector,
     ProximalTerm,
     UniformActivationTerm,
-    backward,
     forward_batch,
     init_params,
     one_hot,
@@ -122,7 +121,7 @@ def test_criterion_1_gradient_suite():
             CompositeLoss((ce, ProximalTerm(ref, 0.2))),
         ]
         for loss in losses:
-            grad = backward(params, loss)
+            grad = gradient(params, loss)
             fd = np.zeros_like(grad.values)
             h = 1e-5
             for i in range(len(fd)):

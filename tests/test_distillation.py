@@ -260,13 +260,32 @@ def test_dad_moves_student_toward_teacher():
 
 
 def test_distill_teacher_row_count_checked():
+    # a short, narrow or wide teacher raises one error before `fit`, whether
+    # or not a step would read it: at lr 0, at 0 epochs and at lr > 0
     student = net()
     pool = shared_pool(n=5)
-    teacher = np.zeros((4, 4))
-    with pytest.raises(InputError):
-        dcd_finetune(student, teacher, pool, 5.0, lr=1e-4, epochs=5, seed=0)
-    with pytest.raises(InputError):
-        dad_refine(student, teacher, pool, 5.0, lr=1.0, epochs=5, seed=0)
+    message = "^teacher table must have one row per pool sample over the full head$"
+    for rows, teacher in ((pool, np.zeros((4, 4))), (pool, np.zeros((5, 3))),
+                          (pool, np.zeros((5, 5))), (pool[:0], np.zeros((0, 5)))):
+        for stage in (dcd_finetune, dad_refine):
+            for lr, epochs in ((0.0, 5), (0.1, 0), (1e-4, 5), (1.0, 5)):
+                with pytest.raises(InputError, match=message):
+                    stage(student, teacher, rows, 5.0, lr=lr, epochs=epochs, seed=0)
+
+
+def test_distill_rejects_a_negative_lr_whatever_the_epochs_and_pool(monkeypatch):
+    # `fit` checks `lr` ahead of its shortcut for no epochs or no rows
+    steps = []
+    monkeypatch.setattr("dcil.distillation.backward", lambda *a, **k: steps.append(a))
+    params = net()
+    pool = shared_pool(n=5)
+    teacher = compute_logits_table(net(seed=1), pool)
+    for stage in (dcd_finetune, dad_refine):
+        for rows, table, epochs in ((pool, teacher, 0), (pool[:0], teacher[:0], 1),
+                                    (pool, teacher, 1)):
+            with pytest.raises(ConfigError, match="^learning rate must be >= 0, got -0.1$"):
+                stage(params, table, rows, 5.0, lr=-0.1, epochs=epochs, seed=0)
+    assert steps == []
 
 
 def test_distill_raises_on_a_logit_that_overflows_alone():

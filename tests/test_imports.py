@@ -285,6 +285,51 @@ def test_step_arithmetic_uses_the_cheapest_entry_points():
     assert costly_entry_points(source, STEP_FUNCTIONS) == []
 
 
+def step_checks(source: str, functions) -> list[tuple[str, str, int]]:
+    """(function, spelling, line) of each `raise` statement and `np.asarray(`
+    call in the top-level `functions` of `source`."""
+    found = []
+    for top in ast.parse(source).body:
+        if not isinstance(top, ast.FunctionDef) or top.name not in functions:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise):
+                found.append((node.lineno, top.name, "raise"))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "asarray" and getattr(node.func.value, "id", None) == "np"):
+                found.append((node.lineno, top.name, "np.asarray"))
+    return [(name, spelling, line) for line, name, spelling in sorted(found)]
+
+
+def test_step_checks_finds_leftovers():
+    source = (
+        "def backward(params, loss, out=None):\n"
+        "    x = np.asarray(loss.x, dtype=np.float64)\n"
+        "    if x.size == 0:\n"
+        "        raise InputError('empty batch in loss term')\n"
+        "def softmax_t(logits, tau):\n"
+        "    if tau <= 0:\n"
+        "        raise ConfigError('temperature')\n"
+        "    return np.asarray(logits)\n"
+    )
+    assert step_checks(source, ("backward",)) == [
+        ("backward", "np.asarray", 2), ("backward", "raise", 4),
+    ]
+
+
+def test_training_step_only_does_arithmetic():
+    # each trainer checks its inputs once per call, before `fit`, which checks
+    # the learning rate and builds the workspace: a check in a function that
+    # every step runs would repeat on each step and, behind `fit`'s zero-lr
+    # and no-row shortcut, depend on the learning rate
+    with open(os.path.join(PACKAGE, "nncore.py")) as fh:
+        source = fh.read()
+    step = ("backward", "sgd_step", *STEP_FUNCTIONS)
+    defined = {top.name for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)}
+    assert set(step) <= defined
+    assert step_checks(source, step) == []
+
+
 def non_stdlib_imports(source: str) -> list[str]:
     """Modules `source` imports from outside the standard library, in import
     order; a relative import (another module of the package) is outside."""

@@ -1,7 +1,6 @@
 """Network engine tests: forward oracles, closed-form losses, gradient checks."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from oracles import (
     cross_entropy,
     fedmax_regularizer,
     forward,
+    gradient,
     kl_div,
     loss_value,
     plain_backward,
@@ -17,6 +17,7 @@ from oracles import (
 )
 
 from dcil import nncore
+from dcil.distillation import dad_refine, dcd_finetune
 from dcil.nncore import (
     CompositeLoss,
     ConfigError,
@@ -193,7 +194,7 @@ def fd_gradient(params, loss, h=1e-5):
 
 
 def assert_grad_close(params, loss, tol=1e-4):
-    grad = backward(params, loss)
+    grad = gradient(params, loss)
     fd = fd_gradient(params, loss)
     denom = max(1.0, np.abs(fd).max())
     assert np.abs(grad.values - fd).max() / denom < tol
@@ -240,7 +241,7 @@ def test_grad_proximal():
         params = small_net(hidden=hidden)
         ref = small_net(seed=9, hidden=hidden)
         loss = CompositeLoss((ProximalTerm(ref, 0.7),))
-        grad = backward(params, loss)
+        grad = gradient(params, loss)
         assert np.allclose(grad.values, 0.7 * (params.values - ref.values), atol=1e-12)
         assert_grad_close(params, loss)
 
@@ -261,10 +262,10 @@ def test_grad_uniform_activation():
         # with no rows to cover, the penalty has no value and no gradient
         alone = CompositeLoss((UniformActivationTerm(3.0),))
         assert loss_value(params, alone) == 0.0
-        assert not backward(params, alone).values.any()
+        assert not gradient(params, alone).values.any()
         ref = small_net(seed=9, hidden=hidden, activation="tanh")
         prox = CompositeLoss((ProximalTerm(ref, 0.7), UniformActivationTerm(3.0)))
-        assert backward(params, prox).values.tobytes() == backward(
+        assert gradient(params, prox).values.tobytes() == gradient(
             params, CompositeLoss(prox.terms[:1])).values.tobytes()
 
 
@@ -380,11 +381,11 @@ def test_backward_sums_term_gradients_in_order_and_leaves_inputs_alone():
             if isinstance(terms[-1], UniformActivationTerm):
                 expect = plain_backward(params, CompositeLoss(terms)).values
             else:
-                parts = [backward(params, CompositeLoss((t,))).values for t in terms]
+                parts = [gradient(params, CompositeLoss((t,))).values for t in terms]
                 expect = parts[0].copy()
                 for part in parts[1:]:
                     expect += part
-            grad = backward(params, CompositeLoss(terms))
+            grad = gradient(params, CompositeLoss(terms))
             assert np.array_equal(grad.values, expect), (hidden, terms)
             for a, b in zip(arrays, before):
                 assert a.tobytes() == b.tobytes()
@@ -401,7 +402,7 @@ def test_backward_into_workspace_gives_same_bytes_and_leaves_inputs_alone():
                 a for t in terms for a in vars(t).values() if isinstance(a, np.ndarray)
             ]
             before = [a.copy() for a in arrays]
-            expect = backward(params, CompositeLoss(terms)).values.tobytes()
+            expect = gradient(params, CompositeLoss(terms)).values.tobytes()
             grad = backward(params, CompositeLoss(terms), out=ws)
             assert grad is ws.grad
             assert grad.values.tobytes() == expect, (hidden, terms)
@@ -430,21 +431,6 @@ def test_backward_into_workspace_rejects_nan_teacher():
         fit(params, 0.1, 5, 5, 1, 0, step)
 
 
-def test_backward_rejects_workspace_of_another_spec():
-    params = small_net(n_classes=4)
-    loss = CompositeLoss((CrossEntropyTerm(np.ones((2, 3)), one_hot([0, 3], 4)),))
-    for spec in (replace(params.spec, n_classes=5), NetSpec(3, (5,), 4)):
-        with pytest.raises(InputError):
-            backward(params, loss, out=Workspace(spec))
-
-
-def test_backward_rejects_empty_batch():
-    params = small_net()
-    empty = CrossEntropyTerm(np.empty((0, 3)), one_hot(np.empty(0, int), 3))
-    with pytest.raises(InputError):
-        backward(params, CompositeLoss((empty,)))
-
-
 def test_one_hot_gives_exact_rows():
     rows = one_hot(np.array([2, 0, 2, 1], dtype=np.uint8), 4)
     assert rows.dtype == np.float64
@@ -470,28 +456,6 @@ def test_one_hot_rejects_labels_that_are_not_a_1d_integer_array(labels):
         one_hot(labels, 3)
 
 
-@pytest.mark.parametrize("in_fit", [True, False])
-def test_backward_rejects_targets_of_the_wrong_shape(in_fit):
-    # a single label, a short label list or a narrower head would otherwise
-    # broadcast, raise a raw IndexError or train on the wrong columns; under
-    # `fit` the error reaches the caller unchanged
-    params = small_net()
-    x = np.random.default_rng(18).normal(size=(5, 3))
-
-    def train(loss):
-        if in_fit:
-            fit(params, 0.1, 1, 1, 1, 0, lambda out, sel, ws: backward(out, loss, out=ws))
-        else:
-            backward(params, loss, out=Workspace(params.spec))
-
-    for targets in (one_hot([2], 3), one_hot([0, 1, 2], 3), one_hot([0, 1, 1, 0, 1], 2),
-                    one_hot([0, 1, 2, 0, 1, 2], 3), one_hot([0, 1, 2, 0, 1], 3)[:, :, None]):
-        with pytest.raises(InputError, match="^target table shape mismatch$"):
-            train(CompositeLoss((CrossEntropyTerm(x, targets),)))
-    with pytest.raises(InputError, match="^target table shape mismatch$"):
-        train(CompositeLoss((CrossEntropyTerm(x, 1.0),)))
-
-
 # ---------------------------------------------------------------------------
 # SGD / head expansion
 # ---------------------------------------------------------------------------
@@ -504,7 +468,7 @@ def test_sgd_step_moves_downhill():
     y = rng.integers(0, 3, size=20)
     loss = CompositeLoss((CrossEntropyTerm(x, one_hot(y, 3)),))
     before = loss_value(params, loss)
-    grad = backward(params, loss)
+    grad = gradient(params, loss)
     after = loss_value(sgd_step(params, grad, 0.1), loss)
     assert after < before
 
@@ -543,12 +507,6 @@ def test_sgd_step_rejects_overflow_to_inf():
         assert np.isinf(sgd_step(params, big, 1.0).values).all()
 
 
-def test_sgd_rejects_nonpositive_lr():
-    params = small_net()
-    with pytest.raises(ConfigError):
-        sgd_step(params, zeros_params(params.spec), 0.0)
-
-
 def test_backward_checks_its_inputs_and_scans_no_values():
     # non-finite values pass through `backward`; `fit` traps the operation
     # that makes one and scans the parameters its steps leave
@@ -559,42 +517,33 @@ def test_backward_checks_its_inputs_and_scans_no_values():
     nan_x = np.full((2, 3), np.nan)
     nan_features = CompositeLoss((CrossEntropyTerm(nan_x, one_hot([0, 2], 3), weight=0.0),
                                   UniformActivationTerm(1.0)))
-    for out in (ws, None):
-        grad = backward(params, CompositeLoss((DistillTerm(x, nan_teacher, 2.0),)), out=out)
-        assert np.isnan(grad.values).any()
-        assert np.isnan(backward(params, nan_features, out=out).values).any()
-    # every input and config check still runs; labels are checked by `one_hot`
+    grad = backward(params, CompositeLoss((DistillTerm(x, nan_teacher, 2.0),)), out=ws)
+    assert np.isnan(grad.values).any()
+    assert np.isnan(backward(params, nan_features, out=ws).values).any()
+    # the inputs are checked once per trainer call, before `fit`: labels by `one_hot`
     with pytest.raises(InputError, match="label out of range"):
         one_hot([0, 3], 3)
-    short_targets = CompositeLoss((CrossEntropyTerm(x, one_hot([0], 3)),))
-    with pytest.raises(InputError, match="target table shape"):
-        backward(small_net(), short_targets, out=ws)
-    short_teacher = CompositeLoss((DistillTerm(x, nan_teacher[:1], 2.0),))
-    with pytest.raises(InputError, match="teacher table shape"):
-        backward(small_net(), short_teacher, out=ws)
-    with pytest.raises(InputError, match="workspace spec"):
-        backward(small_net(n_classes=4), short_teacher, out=ws)
-    with pytest.raises(ConfigError):
-        sgd_step(small_net(), zeros_params(params.spec), 0.0)
-    with pytest.raises(InputError, match="spec"):
-        sgd_step(small_net(), zeros_params(NetSpec(3, (), 3)), 0.1)
 
 
-def test_temperature_is_checked_before_any_finiteness_scan():
+def test_temperature_is_checked_before_any_finiteness_scan(monkeypatch):
     nan_logits = np.full((2, 3), np.nan)
     with pytest.raises(ConfigError, match="temperature"):
         softmax_t(nan_logits, 0.0)  # `softmax_t` always scans, after the temperature
     with pytest.raises(InputError, match="^non-finite logits$"):
         softmax_t(nan_logits, 1.0)
+    # a trainer softens its teacher once, before `fit`: a bad temperature
+    # raises there, ahead of any step, whatever the lr, epochs and pool
+    steps = []
+    monkeypatch.setattr("dcil.distillation.backward", lambda *a, **k: steps.append(a))
     params = small_net()
-    nan_x = np.full((2, 3), np.nan)  # non-finite logits, seen by no scan
-    teacher = np.full((2, 3), 1.0 / 3)
-    for tau in (0.0, -1.0):
-        loss = CompositeLoss((DistillTerm(nan_x, teacher, tau),))
-        with pytest.raises(ConfigError, match="temperature"):
-            backward(params, loss, out=Workspace(params.spec))
-        with pytest.raises(ConfigError, match="temperature"):  # not the end scan of `fit`
-            fit(params, 0.1, 2, 2, 1, 0, lambda out, sel, ws: backward(out, loss, out=ws))
+    nan_pool = np.full((2, 3), np.nan)  # non-finite logits, seen by no scan
+    for stage in (dcd_finetune, dad_refine):
+        for tau in (0.0, -1.0):
+            for rows, lr, epochs in ((nan_pool, 0.1, 1), (nan_pool, 0.0, 1),
+                                     (nan_pool, 0.1, 0), (nan_pool[:0], 0.1, 1)):
+                with pytest.raises(ConfigError, match="^temperature must be > 0"):
+                    stage(params, nan_logits[: len(rows)], rows, tau, lr, epochs, 0)
+    assert steps == []
 
 
 # `fit` trains in one pass: a trap names the step it stopped at, a NaN that

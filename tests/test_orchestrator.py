@@ -447,8 +447,8 @@ def test_every_trainer_step_is_one_backward_and_one_sgd_step(monkeypatch):
 
 
 def test_every_trainer_call_reuses_one_workspace(monkeypatch):
-    # A trainer that called `backward` without `out=` would still be correct,
-    # only slower: guard the reused workspace of every stage call.
+    # `backward` writes into the workspace it is given, and `fit` builds one
+    # per trainer call: guard the reused workspace of every stage call.
     events = []
 
     def stage(name, fn):
