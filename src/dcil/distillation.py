@@ -100,8 +100,8 @@ def _distill(
     with the pool size; small pools then get the same per-sample pull as
     large ones, which is what makes accuracy saturate in the pool size.  The
     teacher's `(pool rows, head)` shape and the temperature are checked and
-    the teacher softened once, before `fit`, which then checks `lr`; an
-    empty pool or a zero learning rate returns a copy of the input parameters.
+    the teacher softened once, before `fit`, which checks `lr` and the pool's
+    width; an empty pool or a zero learning rate returns a copy of the input.
     """
     n = len(shared)
     if np.shape(teacher) != (n, params.spec.n_classes):
@@ -114,7 +114,7 @@ def _distill(
         sgd_step(out, grad, lr)
 
     batch = n if n <= DISTILL_FULL_BATCH_LIMIT else DISTILL_BATCH
-    return fit(params, lr, n, batch, epochs, seed, step)
+    return fit(params, lr, shared, batch, epochs, seed, step)
 
 
 def dcd_finetune(
@@ -143,16 +143,13 @@ def dad_refine(
     return _distill(init_general, teacher, shared, tau2, lr, epochs, seed)
 
 
-def fedavg_aggregate(param_list: list[ParamVector], sample_counts) -> ParamVector:
-    """Elementwise weighted mean of local parameters with weights N_m / N."""
+def fedavg_aggregate(param_list: list[ParamVector], weights: np.ndarray) -> ParamVector:
+    """Elementwise weighted mean of local parameters; a run passes N_m / N, the teacher's."""
     if not param_list:
         raise InputError("no parameters to aggregate")
     spec = param_list[0].spec
     if any(p.spec != spec for p in param_list):
         raise InputError("cannot aggregate parameters with different specs")
-    weights = ensemble_weights(sample_counts)
-    if len(weights) != len(param_list):
-        raise InputError("one sample count per model is required")
     if all(np.array_equal(p.values, param_list[0].values) for p in param_list[1:]):
         # identical inputs average to themselves; skip the weighted sum so
         # the result is bit-exact rather than within rounding error

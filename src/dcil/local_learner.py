@@ -81,7 +81,6 @@ def local_update(
     general: ParamVector,
     cfg: LocalLossConfig,
     *,
-    method: str,
     old_general: ParamVector | None,
     seed,
 ) -> ParamVector:
@@ -89,21 +88,20 @@ def local_update(
 
     The site's anchors, an `(x, y)` pair of herded rows like the shard, follow
     the shard in every epoch's data stream, as given, so each step sees the
-    composite loss.  `dcil_fedmax` adds the activation penalty over the rows
-    of the step's other terms (the shard rows alone when `lam` is 0), and
-    `dcil_fedprox` the proximal pull toward `general`.  The distributed
-    `general` model and `old_general` (previous session's model, possibly
-    with a narrower head) are left untouched.  Returns the updated local
-    parameters; an empty shard or a zero learning rate returns a copy of
-    `general`.
+    composite loss; a site with an empty shard trains on no row, its anchors
+    included.  Each penalty whose weight in `cfg` is positive joins every
+    step: the activation penalty (`beta`) over the rows of the step's other
+    terms (the shard rows alone when `lam` is 0), and the proximal pull
+    toward `general` (`mu`).  The distributed `general` model and
+    `old_general` (previous session's model, possibly with a narrower head)
+    are left untouched.  Returns the updated local parameters; no rows or a
+    zero learning rate returns a copy of `general`.
     """
     shard_x, shard_y = shard
-    if len(shard_x) == 0:
-        return general.copy()
-    stream_x = np.concatenate([shard_x, anchors[0]])
-    stream_y = np.concatenate([shard_y, anchors[1]])
-    targets = one_hot(stream_y, general.spec.n_classes)
     n_new = len(shard_x)
+    stream_x = np.concatenate([shard_x, anchors[0]]) if n_new else shard_x
+    stream_y = np.concatenate([shard_y, anchors[1]]) if n_new else shard_y
+    targets = one_hot(stream_y, general.spec.n_classes)
     ax, at = stream_x[n_new:], targets[n_new:]
 
     teacher_probs = None
@@ -114,11 +112,11 @@ def local_update(
             old_general, ax, general.spec.n_classes, cfg.anchor_temperature
         )
 
-    # the method's penalty terms, the same at every step
+    # the penalty terms, the same at every step
     extra: list = []
-    if method == "dcil_fedmax" and cfg.beta > 0:
+    if cfg.beta > 0:
         extra.append(UniformActivationTerm(cfg.beta))
-    if method == "dcil_fedprox" and cfg.mu > 0:
+    if cfg.mu > 0:
         extra.append(ProximalTerm(general, cfg.mu))
 
     def step(params, batch, ws):
@@ -141,4 +139,4 @@ def local_update(
             grad = backward(params, CompositeLoss(tuple(terms)), out=ws)
             sgd_step(params, grad, cfg.lr)
 
-    return fit(general, cfg.lr, len(stream_x), cfg.batch_size, cfg.local_epochs, seed, step)
+    return fit(general, cfg.lr, stream_x, cfg.batch_size, cfg.local_epochs, seed, step)

@@ -8,10 +8,10 @@ model, and an activation-uniformity regularizer) whose gradients are all
 computed in one backward pass per term; the regularizer rides on the passes
 of the terms whose rows it covers.  `backward` returns the gradient
 only; the tests evaluate a loss value with `tests/oracles.py::loss_value`.
-Every trainer checks its inputs once and hands its per-batch step to `fit`,
-the one seeded SGD loop, which checks the learning rate, owns the call's
-`Workspace`, traps divergence at the step where it happens and scans the
-trained parameters once; the step itself only does arithmetic.
+Every trainer checks its inputs once and hands its rows and per-batch step
+to `fit`, the one seeded SGD loop, which checks the learning rate and the
+rows' width, owns the call's `Workspace`, traps divergence at the step where
+it happens and scans the trained parameters once; the step only does arithmetic.
 A step calls `ndarray.dot` and the ufunc reductions directly and works in place
 on the arrays it owns: the bytes of `@`, `.sum`/`.max` and a fresh array per
 stage (`tests/test_step_bytes.py`), for less per-call overhead.
@@ -119,13 +119,17 @@ def _forward_cache(layers, kind: str, x: np.ndarray):
     return hs, zs, logits
 
 
+def _check_rows(spec: NetSpec, x) -> None:
+    """Raise `InputError`, naming the shape, unless `x` is `(n, input_dim)` rows."""
+    shape = np.shape(x)
+    if len(shape) != 2 or shape[1] != spec.input_dim:
+        raise InputError(f"expected batch of {spec.input_dim}-dim inputs, got shape {shape}")
+
+
 def forward_batch(params: ParamVector, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(features, logits) for a (n, input_dim) batch."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.spec.input_dim:
-        raise InputError(
-            f"expected batch of {params.spec.input_dim}-dim inputs, got shape {x.shape}"
-        )
+    _check_rows(params.spec, x)
     hs, _, logits = _forward_cache(params.layers(), params.spec.activation, x)
     return hs[-1], logits
 
@@ -357,18 +361,19 @@ def sgd_step(params: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
 
 
 def fit(
-    params: ParamVector, lr: float, n: int, batch_size: int, epochs: int, seed, step: Callable
+    params: ParamVector, lr: float, x, batch_size: int, epochs: int, seed, step: Callable
 ) -> ParamVector:
-    """Seeded minibatch SGD over `n` rows, in one pass that stops where it diverges.
+    """Seeded minibatch SGD over the rows `x`, in one pass that stops where it diverges.
 
-    Trains a copy of `params`: each epoch draws one permutation of range(n)
-    from `np.random.default_rng(seed)` and hands each `batch_size` slice of
-    it, the last one possibly shorter, to `step(out, sel, ws)`, which
-    updates `out` in place through `backward(..., out=ws)` and `sgd_step`,
-    its last call.  `ws` is the one `Workspace` of the call.  A negative
-    learning rate raises `ConfigError` first, whatever the epochs and rows;
-    then a zero learning rate or no rows returns a copy without calling
-    `step`.
+    Trains a copy of `params`: each epoch draws one permutation of
+    range(len(x)) from `np.random.default_rng(seed)` and hands each
+    `batch_size` slice of it, the last one possibly shorter, to
+    `step(out, sel, ws)`, which gathers its rows, updates `out` in place
+    through `backward(..., out=ws)` and `sgd_step`, its last call.  `ws` is
+    the one `Workspace` of the call.  A negative learning rate raises
+    `ConfigError` first, then rows that are not `(n, input_dim)` raise
+    `forward_batch`'s `InputError`, whatever the epochs and rows; then a
+    zero learning rate or no rows returns a copy without calling `step`.
 
     Every step runs with overflow, invalid operations and division by zero
     raising, the only ways finite values turn non-finite: such a trap
@@ -379,6 +384,8 @@ def fit(
     """
     if lr < 0:
         raise ConfigError(f"learning rate must be >= 0, got {lr}")
+    _check_rows(params.spec, x)
+    n = len(x)
     if lr == 0 or n == 0:
         return params.copy()
     ws = Workspace(params.spec)

@@ -13,7 +13,7 @@ function of its config and seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,23 +93,6 @@ def summarize(records: list[MetricsRecord]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _train_plain(params, x, y, epochs, lr, batch_size, seed):
-    """Plain minibatch-SGD cross-entropy training; a zero lr returns a copy.
-
-    The labels are encoded, and so checked, once for the call, before any step.
-    """
-    targets = one_hot(y, params.spec.n_classes)
-
-    def step(out, sel, ws):
-        loss = CompositeLoss(
-            (CrossEntropyTerm(x.take(sel, axis=0), targets.take(sel, axis=0)),)
-        )
-        grad = backward(out, loss, out=ws)
-        sgd_step(out, grad, lr)
-
-    return fit(params, lr, len(x), batch_size, epochs, seed, step)
-
-
 def _sessions(cfg: RunConfig):
     """Each session's `(x, y)` training data ([0] = base) and the test set.
 
@@ -136,13 +119,19 @@ def _head(cfg: RunConfig, t: int) -> int:
     return cfg.n_base + t * ((cfg.n_classes - cfg.n_base) // cfg.n_sessions)
 
 
-def _train_fresh(cfg: RunConfig, x, y, n_classes, init_seed, seed) -> ParamVector:
-    """A freshly initialized `n_classes`-way model trained on labelled `(x, y)`."""
-    spec = NetSpec(cfg.input_dim, cfg.hidden_dims, n_classes, cfg.activation)
+def _train_fresh(spec: NetSpec, x, y, epochs, lr, batch_size, init_seed, seed) -> ParamVector:
+    """A model of `spec` initialized from `init_seed` and trained by plain
+    minibatch-SGD cross-entropy on labelled `(x, y)`, whose labels are
+    encoded, and so checked, once for the call; a zero lr trains nothing."""
     params = init_params(spec, np.random.default_rng(init_seed))
-    return _train_plain(
-        params, x, y, cfg.base_epochs, cfg.base_lr, cfg.local.batch_size, seed
-    )
+    targets = one_hot(y, spec.n_classes)
+
+    def step(out, sel, ws):
+        term = CrossEntropyTerm(x.take(sel, axis=0), targets.take(sel, axis=0))
+        grad = backward(out, CompositeLoss((term,)), out=ws)
+        sgd_step(out, grad, lr)
+
+    return fit(params, lr, x, batch_size, epochs, seed, step)
 
 
 def _partition(cfg: RunConfig, x, y, session):
@@ -189,22 +178,30 @@ def _protocol(cfg: RunConfig):
     At each call it yields `(stage, session, round, site, fn, args, kwargs)`,
     is sent `fn(*args, **kwargs)` back, and returns the session records.
     Each `fn` is read from this module at its yield, so a wrapper set on the
-    module applies.  Every method trains the same base session.
+    module applies.  A request carries only what its stage reads, not the
+    config or the method: the method sets the pool size and penalty weights
+    here, so runs that do the same work send equal requests.
     """
     train, test = _sessions(cfg)
+    spec = NetSpec(cfg.input_dim, cfg.hidden_dims, cfg.n_base, cfg.activation)
+    fresh = (cfg.base_epochs, cfg.base_lr, cfg.local.batch_size)  # base and centralized
     general = yield "base", 0, None, None, _train_fresh, (
-        cfg, *train[0], cfg.n_base, [cfg.seed, _S_INIT], [cfg.seed, _S_BASE]), {}
+        spec, *train[0], *fresh, [cfg.seed, _S_INIT], [cfg.seed, _S_BASE]), {}
     records = [_record(cfg, 0, general, test, _no_traffic())]
     if cfg.method == "centralized":
         for t in range(1, cfg.n_sessions + 1):
             x = np.concatenate([x for x, _ in train[: t + 1]])
             y = np.concatenate([y for _, y in train[: t + 1]])
             params = yield "centralized", t, None, None, _train_fresh, (
-                cfg, x, y, _head(cfg, t), [cfg.seed, _S_CENT, t], [cfg.seed, _S_CENT, t, 1]), {}
+                replace(spec, n_classes=_head(cfg, t)), x, y, *fresh,
+                [cfg.seed, _S_CENT, t], [cfg.seed, _S_CENT, t, 1]), {}
             records.append(_record(cfg, t, params, test, _no_traffic()))
         return records
 
+    # Each baseline is FedAvg plus at most its own local penalty.
     shared_per_class = cfg.shared_per_class if cfg.method == "dcid" else 0
+    local = replace(cfg.local, beta=cfg.local.beta if cfg.method == "dcil_fedmax" else 0.0,
+                    mu=cfg.local.mu if cfg.method == "dcil_fedprox" else 0.0)
     # Base-class anchors: the base session is trained centrally, but each site
     # must enter session 1 with anchors for the classes already seen.  Deal
     # the base data to sites with the configured partitioner and herd with
@@ -220,13 +217,12 @@ def _protocol(cfg: RunConfig):
         traffic = _no_traffic()
 
         shards = _partition(cfg, *train[t], t).shards
-        counts = [len(sx) for sx, _ in shards]
         shared = build_shared_dataset(
             shards, shared_per_class, new_classes,
             [cfg.seed, _S_SHARED, t],
         )
         traffic["shared_samples"] += len(shared)
-        weights = ensemble_weights(counts)
+        weights = ensemble_weights([len(sx) for sx, _ in shards])  # FedAvg's and the teacher's
 
         def teacher(models):
             """DCD's and DAD's teacher: the data-weighted ensemble of the
@@ -243,9 +239,8 @@ def _protocol(cfg: RunConfig):
             sites = []
             for m, shard in enumerate(shards):
                 sites.append((yield "local", t, r, m, local_update, (
-                    shard, anchors[m], general, cfg.local,
-                ), {"method": cfg.method, "old_general": prev_general,
-                    "seed": [cfg.seed, _S_SITE, m, t, r]}))
+                    shard, anchors[m], general, local,
+                ), {"old_general": prev_general, "seed": [cfg.seed, _S_SITE, m, t, r]}))
 
             if r == cfg.rounds - 1:  # only the last round's anchors are kept
                 for m, (ax, ay) in enumerate(anchors):
@@ -259,7 +254,7 @@ def _protocol(cfg: RunConfig):
                 ), {"seed": [cfg.seed, _S_DCD, t, r, m]}
 
             traffic["params_up"] += cfg.n_sites * p_count
-            aggregated = fedavg_aggregate(sites, counts)
+            aggregated = fedavg_aggregate(sites, weights)
             dad_teacher = teacher(sites)
             del sites
             general = yield "dad", t, r, None, dad_refine, (

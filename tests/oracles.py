@@ -338,7 +338,8 @@ def plain_sgd_step(params: ParamVector, grad: ParamVector, lr: float) -> ParamVe
 
 
 def plain_train_plain(params, x, y, epochs, lr, batch_size, seed):
-    """`orchestrator._train_plain` on the plain step."""
+    """The training of `orchestrator._train_fresh`, from the initialized
+    `params`, on the plain step."""
     targets = one_hot(y, params.spec.n_classes)
 
     def step(out, sel, ws):
@@ -346,11 +347,11 @@ def plain_train_plain(params, x, y, epochs, lr, batch_size, seed):
         grad = plain_backward(out, loss, out=ws)
         plain_sgd_step(out, grad, lr)
 
-    return fit(params, lr, len(x), batch_size, epochs, seed, step)
+    return fit(params, lr, x, batch_size, epochs, seed, step)
 
 
 def plain_local_update(
-    shard, anchors, general: ParamVector, cfg: LocalLossConfig, *, method, old_general, seed
+    shard, anchors, general: ParamVector, cfg: LocalLossConfig, *, old_general, seed
 ) -> ParamVector:
     """`local_learner.local_update` on the plain step."""
     shard_x, shard_y = shard
@@ -386,15 +387,15 @@ def plain_local_update(
                         weight=cfg.lam,
                     )
                 )
-        if method == "dcil_fedmax" and cfg.beta > 0:
+        if cfg.beta > 0:
             terms.append(UniformActivationTerm(cfg.beta))
-        if method == "dcil_fedprox" and cfg.mu > 0:
+        if cfg.mu > 0:
             terms.append(ProximalTerm(general, cfg.mu))
         if terms:
             grad = plain_backward(params, CompositeLoss(tuple(terms)), out=ws)
             plain_sgd_step(params, grad, cfg.lr)
 
-    return fit(general, cfg.lr, len(stream_x), cfg.batch_size, cfg.local_epochs, seed, step)
+    return fit(general, cfg.lr, stream_x, cfg.batch_size, cfg.local_epochs, seed, step)
 
 
 def plain_distill(params, teacher, shared, tau, lr, epochs, seed) -> ParamVector:
@@ -413,4 +414,4 @@ def plain_distill(params, teacher, shared, tau, lr, epochs, seed) -> ParamVector
         plain_sgd_step(out, grad, lr)
 
     batch = n if n <= DISTILL_FULL_BATCH_LIMIT else DISTILL_BATCH
-    return fit(params, lr, n, batch, epochs, seed, step)
+    return fit(params, lr, shared, batch, epochs, seed, step)

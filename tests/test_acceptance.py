@@ -17,7 +17,7 @@ from cli_call import invoke
 from oracles import gradient, loss_value
 
 from dcil.data import partition_dirichlet
-from dcil.distillation import fedavg_aggregate
+from dcil.distillation import ensemble_weights, fedavg_aggregate
 from dcil.local_learner import LocalLossConfig, select_anchors_herding
 from dcil.nncore import (
     CompositeLoss,
@@ -186,17 +186,18 @@ def test_criterion_3_aggregation_identities():
     spec = NetSpec(4, (6,), 5, "relu")
     models = [init_params(spec, np.random.default_rng(s)) for s in range(4)]
     counts = [3, 9, 1, 7]
+    weights = ensemble_weights(counts)
 
-    same = fedavg_aggregate([models[0].copy() for _ in range(4)], counts)
+    same = fedavg_aggregate([models[0].copy() for _ in range(4)], weights)
     idempotent = np.array_equal(same.values, models[0].values)
 
-    out = fedavg_aggregate(models, counts)
+    out = fedavg_aggregate(models, weights)
     expect = sum((c / 20.0) * m.values for c, m in zip(counts, models))
     oracle_err = float(np.abs(out.values - expect).max())
 
     shift = np.random.default_rng(99).normal(size=spec.param_count)
     mapped = fedavg_aggregate(
-        [ParamVector(1.5 * m.values + shift, spec) for m in models], counts
+        [ParamVector(1.5 * m.values + shift, spec) for m in models], weights
     )
     affine_err = float(np.abs(mapped.values - (1.5 * out.values + shift)).max())
 

@@ -318,14 +318,14 @@ def test_dad_refine_raises_on_a_nan_row_in_the_shared_pool():
 
 def test_fedavg_idempotent_on_identical_models():
     p = net()
-    out = fedavg_aggregate([p.copy(), p.copy(), p.copy()], [5, 1, 3])
+    out = fedavg_aggregate([p.copy(), p.copy(), p.copy()], ensemble_weights([5, 1, 3]))
     assert np.array_equal(out.values, p.values)
 
 
 def test_fedavg_weighted_mean_oracle():
     models = [net(seed=s) for s in range(3)]
     counts = [10, 20, 70]
-    out = fedavg_aggregate(models, counts)
+    out = fedavg_aggregate(models, ensemble_weights(counts))
     expect = sum((c / 100.0) * m.values for c, m in zip(counts, models))
     assert np.abs(out.values - expect).max() < 1e-12
 
@@ -333,27 +333,27 @@ def test_fedavg_weighted_mean_oracle():
 def test_fedavg_is_the_ensemble_sum_of_the_parameter_vectors():
     # FedAvg weighs and sums through the teacher's rule and loop, bit for bit
     models = [net(seed=s) for s in range(4)]
-    counts = [10, 0, 23, 7]  # a site with no data gets weight 0
-    out = fedavg_aggregate(models, counts)
-    expect = ensemble_logits([m.values for m in models], ensemble_weights(counts))
+    weights = ensemble_weights([10, 0, 23, 7])  # a site with no data gets weight 0
+    out = fedavg_aggregate(models, weights)
+    expect = ensemble_logits([m.values for m in models], weights)
     assert out.values.tobytes() == expect.tobytes()
 
 
 def test_fedavg_affine_equivariance():
     # aggregating affinely-shifted parameter vectors shifts the aggregate
     models = [net(seed=s) for s in range(3)]
-    counts = [1, 2, 3]
+    weights = ensemble_weights([1, 2, 3])
     shift = np.random.default_rng(9).normal(size=models[0].spec.param_count)
-    base = fedavg_aggregate(models, counts)
+    base = fedavg_aggregate(models, weights)
     shifted = fedavg_aggregate(
-        [ParamVector(2.0 * m.values + shift, m.spec) for m in models], counts
+        [ParamVector(2.0 * m.values + shift, m.spec) for m in models], weights
     )
     assert np.abs(shifted.values - (2.0 * base.values + shift)).max() < 1e-10
 
 
 def test_fedavg_zero_count_site_is_ignored():
     a, b = net(seed=0), net(seed=1)
-    out = fedavg_aggregate([a, b], [0, 7])
+    out = fedavg_aggregate([a, b], ensemble_weights([0, 7]))
     assert np.array_equal(out.values, b.values)
 
 
@@ -361,10 +361,6 @@ def test_fedavg_error_cases():
     a = net(seed=0)
     b = init_params(NetSpec(3, (5,), 5), np.random.default_rng(0))
     with pytest.raises(InputError):
-        fedavg_aggregate([], [1])
+        fedavg_aggregate([], [1.0])
     with pytest.raises(InputError):
-        fedavg_aggregate([a, b], [1, 1])
-    with pytest.raises(InputError):
-        fedavg_aggregate([a, a], [1, -1])
-    with pytest.raises(ConfigError):
-        fedavg_aggregate([a, a], [0, 0])
+        fedavg_aggregate([a, b], [0.5, 0.5])

@@ -4,8 +4,9 @@ public top-level function, class or constant is read by the package or by
 the benchmark, no module passes, takes or sets a `check` flag (`nncore.fit`
 traps divergence at every step in one pass, so nothing selects a scan), only
 `nncore` builds a `Workspace`, the step arithmetic of `nncore` reaches
-NumPy through its cheapest entry points, and `config` imports only the
-standard library.
+NumPy through its cheapest entry points, `config` imports only the
+standard library, no trainer module names a method, and no stage request
+of the orchestrator carries the run's config.
 
 A deleted feature tends to leave its import behind (a class name in the
 module that built it, `dataclass` in a module that no longer declares one),
@@ -20,6 +21,8 @@ import sys
 import tomllib
 
 import pytest
+
+from dcil.config import METHODS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "dcil")
@@ -415,3 +418,76 @@ def test_every_trainer_call_goes_through_the_stage_driver():
     # runs, a stage event, a stage-tagged error).
     with open(os.path.join(PACKAGE, "orchestrator.py")) as fh:
         assert stage_reads_outside_yields(fh.read()) == []
+
+
+# The modules below the orchestrator: none of them may tell one method from another.
+TRAINER_MODULES = ("nncore.py", "local_learner.py", "distillation.py", "data.py")
+
+
+def method_names(source: str) -> list[tuple[str, int]]:
+    """(name, line) of each string constant in `source` that names a method."""
+    found = [
+        (node.lineno, node.col_offset, node.value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and node.value in METHODS
+    ]
+    return [(name, line) for line, _, name in sorted(found)]
+
+
+def test_method_names_finds_leftovers():
+    source = (
+        "def local_update(cfg, method):\n"
+        "    if method == 'dcil_fedmax' and cfg.beta > 0:\n"
+        "        pass\n"
+        "    mode = 'dcil_fedprox_v2' if cfg.mu else \"centralized\"\n"
+    )
+    assert method_names(source) == [("dcil_fedmax", 2), ("centralized", 4)]
+
+
+@pytest.mark.parametrize("module", TRAINER_MODULES)
+def test_no_trainer_module_names_a_method(module):
+    # the orchestrator turns the method into the stage inputs (the shared
+    # pool's size, the local penalty weights), so a trainer trains on what it
+    # is given and equal work sends equal requests
+    with open(os.path.join(PACKAGE, module)) as fh:
+        assert method_names(fh.read()) == []
+
+
+def config_passed_to_a_stage(source: str) -> list[int]:
+    """Lines where a yield of the top-level `_protocol` passes `cfg` itself,
+    as an argument (starred or not) or a keyword value of the stage call."""
+    found = []
+    for top in ast.parse(source).body:
+        if not (isinstance(top, ast.FunctionDef) and top.name == "_protocol"):
+            continue
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Yield) and isinstance(node.value, ast.Tuple)):
+                continue
+            for part in node.value.elts:
+                passed = part.elts if isinstance(part, (ast.Tuple, ast.List)) else (
+                    part.values if isinstance(part, ast.Dict) else ())
+                for arg in passed:
+                    arg = arg.value if isinstance(arg, ast.Starred) else arg
+                    if isinstance(arg, ast.Name) and arg.id == "cfg":
+                        found.append(arg.lineno)
+    return found
+
+
+def test_config_passed_to_a_stage_finds_leftovers():
+    source = (
+        "def _protocol(cfg):\n"
+        "    p = yield 'base', 0, None, None, train, (cfg, x), {}\n"
+        "    p = yield 'local', 1, 0, 0, local_update, (p, cfg.local, _head(cfg, 1)), {\n"
+        "        'cfg': cfg}\n"
+        "    yield 'dad', 1, 0, None, dad_refine, (*cfg,), {'tau': cfg.tau2}\n"
+        "def run(cfg):\n"
+        "    yield 'base', 0, None, None, train, (cfg,), {}\n"
+    )
+    assert config_passed_to_a_stage(source) == [2, 4, 5]
+
+
+def test_no_stage_request_carries_the_config():
+    # a request carries only what its stage reads, so that two runs doing
+    # the same work send equal requests
+    with open(os.path.join(PACKAGE, "orchestrator.py")) as fh:
+        assert config_passed_to_a_stage(fh.read()) == []

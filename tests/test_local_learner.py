@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -284,10 +285,11 @@ def site_with_data(seed=0, n=24, n_classes=4, input_dim=3):
     return (x, y), (np.concatenate([rows[0], rows[1]]), np.repeat([0, 1], 3))
 
 
-def update(shard, anchors, general, cfg, *, method="dcid", old_general=None, seed=(0, 7, 0)):
-    return local_update(
-        shard, anchors, general, cfg, method=method, old_general=old_general, seed=seed
-    )
+def update(shard, anchors, general, cfg, *, mu=0.0, beta=0.0, old_general=None, seed=(0, 7, 0)):
+    """`local_update` with the penalty weights given here, 0 by default, as a
+    run passes them to every method but the one whose penalty it is."""
+    cfg = replace(cfg, mu=mu, beta=beta)
+    return local_update(shard, anchors, general, cfg, old_general=old_general, seed=seed)
 
 
 def test_local_update_deterministic():
@@ -399,32 +401,34 @@ def test_local_update_general_left_untouched():
 def test_local_update_fedprox_pulls_toward_general():
     shard, anchors = site_with_data()
     general = net()
-    loose = update(
-        shard, anchors, general, LocalLossConfig(mu=0.0, local_epochs=3, lam=0.0),
-        method="dcil_fedprox", old_general=general,
-    )
-    tight = update(
-        shard, anchors, general, LocalLossConfig(mu=5.0, local_epochs=3, lam=0.0),
-        method="dcil_fedprox", old_general=general,
-    )
+    cfg = LocalLossConfig(local_epochs=3, lam=0.0)
+    loose = update(shard, anchors, general, cfg, mu=0.0, old_general=general)
+    tight = update(shard, anchors, general, cfg, mu=5.0, old_general=general)
     d_loose = np.linalg.norm(loose.values - general.values)
     d_tight = np.linalg.norm(tight.values - general.values)
     assert d_tight < d_loose
 
 
-def test_local_update_zero_weight_variant_matches_plain_bitwise():
-    # mu=0 fedprox and beta=0 fedmax must take the exact same SGD path as
-    # the plain method: zero-weight terms are skipped, not scaled by 0
+def test_local_update_zero_weight_variant_matches_plain_bitwise(monkeypatch):
+    # a zero penalty weight takes the exact same SGD path as no penalty:
+    # zero-weight terms are skipped, not scaled by 0; a positive one joins
+    # every step
     shard, anchors = site_with_data()
     general = net()
-    base = update(shard, anchors, general, LocalLossConfig(local_epochs=2),
-                  method="dcil_fedavg", old_general=general)
-    prox = update(shard, anchors, general, LocalLossConfig(mu=0.0, local_epochs=2),
-                  method="dcil_fedprox", old_general=general)
-    fmax = update(shard, anchors, general, LocalLossConfig(beta=0.0, local_epochs=2),
-                  method="dcil_fedmax", old_general=general)
-    assert np.array_equal(base.values, prox.values)
-    assert np.array_equal(base.values, fmax.values)
+    cfg = LocalLossConfig(local_epochs=2)
+    penalties = []
+
+    def spy(params, loss, out=None):
+        penalties.append({type(t).__name__ for t in loss.terms} & {"ProximalTerm",
+                                                                   "UniformActivationTerm"})
+        return backward(params, loss, out=out)
+
+    monkeypatch.setattr("dcil.local_learner.backward", spy)
+    for weights, expect in (({}, set()), ({"mu": 0.2}, {"ProximalTerm"}),
+                            ({"beta": 50.0}, {"UniformActivationTerm"})):
+        penalties.clear()
+        update(shard, anchors, general, cfg, old_general=general, **weights)
+        assert penalties and all(p == expect for p in penalties), weights
 
 
 def test_local_update_lambda_controls_anchor_retention():

@@ -46,6 +46,11 @@ def small_net(seed=0, input_dim=3, hidden=(4,), n_classes=3, activation="relu"):
     return init_params(spec, np.random.default_rng(seed))
 
 
+def rows(n, input_dim=3):
+    """`n` input rows for `fit` to walk, as wide as a `small_net`'s input."""
+    return np.zeros((n, input_dim))
+
+
 # ---------------------------------------------------------------------------
 # Forward pass
 # ---------------------------------------------------------------------------
@@ -428,7 +433,7 @@ def test_backward_into_workspace_rejects_nan_teacher():
         sgd_step(out, backward(out, loss, out=ws), 0.1)
 
     with pytest.raises(InputError, match="^SGD produced non-finite parameters$"):
-        fit(params, 0.1, 5, 5, 1, 0, step)
+        fit(params, 0.1, x, 5, 1, 0, step)
 
 
 def test_one_hot_gives_exact_rows():
@@ -501,7 +506,7 @@ def test_sgd_step_rejects_overflow_to_inf():
     with pytest.raises(
         InputError, match="^SGD diverged in epoch 1, batch 3: overflow encountered in subtract$"
     ):
-        fit(params, 1.0, 4, 1, 1, 0, step)
+        fit(params, 1.0, rows(4), 1, 1, 0, step)
     assert len(steps) == 3
     with np.errstate(over="ignore"):  # outside `fit` the update overflows to inf
         assert np.isinf(sgd_step(params, big, 1.0).values).all()
@@ -564,7 +569,7 @@ def test_fit_names_the_step_whose_trap_stopped_it():
     with pytest.raises(
         InputError, match="^SGD diverged in epoch 2, batch 2: overflow encountered in square$"
     ) as info:
-        fit(params, 0.1, 5, 2, 3, 0, step)
+        fit(params, 0.1, rows(5), 2, 3, 0, step)
     assert isinstance(info.value.__cause__, FloatingPointError)
     assert modes == ["raise"] * 5
     assert np.geterr() == caller
@@ -580,7 +585,7 @@ def test_fit_scans_the_parameters_once_after_the_last_step():
             out.values[0] = np.nan  # spreads no further, and raises no trap
 
     with pytest.raises(InputError, match="^SGD produced non-finite parameters$"):
-        fit(small_net(), 0.1, 5, 2, 3, 0, step)
+        fit(small_net(), 0.1, rows(5), 2, 3, 0, step)
     assert len(calls) == 3 * 3  # three epochs of three slices
 
 
@@ -593,7 +598,7 @@ def test_fit_passes_any_other_error_through_once_and_unchanged():
         raise error
 
     with pytest.raises(ValueError) as info:
-        fit(small_net(), 0.1, 5, 2, 3, 0, step)
+        fit(small_net(), 0.1, rows(5), 2, 3, 0, step)
     assert info.value is error
     assert len(calls) == 1
 
@@ -605,7 +610,7 @@ def test_fit_without_lr_or_rows_returns_a_copy_and_takes_no_step():
         raise AssertionError("fit took a step")
 
     for lr, n in ((0.0, 5), (0.1, 0)):
-        out = fit(params, lr, n, 2, 3, 0, step)
+        out = fit(params, lr, rows(n), 2, 3, 0, step)
         assert out is not params and out.values is not params.values
         assert out.values.tobytes() == params.values.tobytes()
 
@@ -618,7 +623,7 @@ def test_fit_builds_one_workspace(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr("dcil.nncore.Workspace", counting)
-    fit(small_net(), 0.1, 5, 2, 2, 0, lambda out, sel, ws: seen.append(ws))
+    fit(small_net(), 0.1, rows(5), 2, 2, 0, lambda out, sel, ws: seen.append(ws))
     assert len(built) == 1
     assert len(seen) == 2 * 3  # two epochs of three slices
     assert all(ws is built[0] for ws in seen)
@@ -633,7 +638,7 @@ def test_fit_walks_one_seeded_permutation_per_epoch_in_slices():
 
     for seed in (0, [5, 9, 1, 2]):
         seen = []
-        fit(small_net(), 0.1, 10, 4, 3, seed, lambda out, sel, ws: seen.append(sel))
+        fit(small_net(), 0.1, rows(10), 4, 3, seed, lambda out, sel, ws: seen.append(sel))
         expect = list(minibatches(np.random.default_rng(seed), 10, 4, 3))
         assert [len(sel) for sel in seen] == [4, 4, 2] * 3
         assert [sel.tolist() for sel in seen] == [sel.tolist() for sel in expect]

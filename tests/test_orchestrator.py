@@ -2,6 +2,8 @@
 
 import gc
 import importlib
+import pickle
+import re
 import weakref
 from collections import Counter
 from dataclasses import fields, replace
@@ -11,9 +13,11 @@ import pytest
 from oracles import zeros_params
 
 from dcil import orchestrator
+from dcil.config import METHODS
 from dcil.data import make_synthetic, split_sessions, train_count
+from dcil.distillation import dad_refine, dcd_finetune
 from dcil.local_learner import LocalLossConfig, local_update, select_anchors_herding
-from dcil.nncore import ConfigError, InputError, NetSpec, init_params
+from dcil.nncore import ConfigError, InputError, NetSpec, ParamVector, forward_batch, init_params
 from dcil.orchestrator import (
     _S_DATA,
     _S_SPLIT,
@@ -24,7 +28,7 @@ from dcil.orchestrator import (
     _partition,
     _protocol,
     _sessions,
-    _train_plain,
+    _train_fresh,
     evaluate,
     run,
     summarize,
@@ -128,12 +132,11 @@ def test_config_validation_rejects_unpartitionable_sites(method):
 def test_zero_learning_rate_plain_training_returns_input(monkeypatch):
     calls = []
     monkeypatch.setattr("dcil.orchestrator.backward", lambda *a: calls.append(a))
-    params = init_params(NetSpec(4, (8,), 3), np.random.default_rng(0))
+    spec = NetSpec(4, (8,), 3)
     rng = np.random.default_rng(1)
     x, y = rng.normal(size=(20, 4)), rng.integers(0, 3, size=20)
-    out = _train_plain(params, x, y, epochs=3, lr=0.0, batch_size=8, seed=1)
-    assert np.array_equal(out.values, params.values)
-    assert out.values is not params.values
+    out = _train_fresh(spec, x, y, epochs=3, lr=0.0, batch_size=8, init_seed=0, seed=1)
+    assert np.array_equal(out.values, init_params(spec, np.random.default_rng(0)).values)
     assert calls == []
 
 
@@ -145,16 +148,44 @@ def test_negative_label_raises_before_any_step(monkeypatch):
 
     monkeypatch.setattr("dcil.orchestrator.fit", no_step)
     monkeypatch.setattr("dcil.local_learner.fit", no_step)
-    params = init_params(NetSpec(4, (8,), 3), np.random.default_rng(0))
+    spec = NetSpec(4, (8,), 3)
+    params = init_params(spec, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     x, y = rng.normal(size=(20, 4)), rng.integers(0, 3, size=20)
     y[7] = -1
     with pytest.raises(InputError, match="label out of range"):
-        _train_plain(params, x, y, epochs=1, lr=0.1, batch_size=8, seed=1)
+        _train_fresh(spec, x, y, epochs=1, lr=0.1, batch_size=8, init_seed=0, seed=1)
     cfg = LocalLossConfig(anchor_variant="replay_ce", local_epochs=1)
     with pytest.raises(InputError, match="label out of range"):
-        local_update((x, y), (x[:0], y[:0]), params, cfg, method="dcid", old_general=None,
-                     seed=2)
+        local_update((x, y), (x[:0], y[:0]), params, cfg, old_general=None, seed=2)
+
+
+def test_every_trainer_checks_the_width_of_its_rows_whatever_the_lr():
+    # rows of the wrong width raise `forward_batch`'s error before `fit`'s
+    # zero-lr / no-row shortcut, so no learning rate, epoch count or empty
+    # pool lets them through (`LocalLossConfig` allows no 0 local epochs)
+    spec = NetSpec(3, (5,), 4)
+    params = init_params(spec, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    wide, y = rng.normal(size=(5, 4)), rng.integers(0, 4, size=5)
+
+    def train(x, lr, epochs):
+        return _train_fresh(spec, x, y[: len(x)], epochs, lr, 8, 0, 1)
+
+    def local(x, lr, epochs):
+        cfg = LocalLossConfig(lr=lr, local_epochs=max(epochs, 1))
+        return local_update((x, y[: len(x)]), (x[:0], y[:0]), params, cfg,
+                            old_general=None, seed=2)
+
+    def distill(stage):
+        return lambda x, lr, epochs: stage(params, np.zeros((len(x), 4)), x, 2.0, lr, epochs, 3)
+
+    for trainer in (train, local, distill(dcd_finetune), distill(dad_refine)):
+        for x, lr, epochs in ((wide, 0.0, 1), (wide, 0.1, 0), (wide[:0], 0.1, 1), (wide, 0.1, 1)):
+            with pytest.raises(InputError) as info:
+                forward_batch(params, x)
+            with pytest.raises(InputError, match=f"^{re.escape(str(info.value))}$"):
+                trainer(x, lr, epochs)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +398,75 @@ def test_protocol_yields_every_trainer_call_in_order(method):
     assert all(map(records_equal, records, expected))
 
 
+def same(a, b) -> bool:
+    """Two requests, or parts of one, compared by value: an array by
+    `np.array_equal`, a `ParamVector` by its spec and values, a container
+    element by element, anything else (a config, a function) by `==`."""
+    if isinstance(a, ParamVector):
+        return isinstance(b, ParamVector) and a.spec == b.spec and np.array_equal(a.values, b.values)
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    return type(a) is type(b) and a == b
+
+
+def requests(cfg, until=None) -> list:
+    """The requests `_protocol(cfg)` yields, each served in turn, up to the
+    first of stage `until`, which is kept and not served."""
+    gen, sent, result = _protocol(cfg), [], None
+    while True:
+        try:
+            request = gen.send(result)
+        except StopIteration:
+            return sent
+        sent.append(request)
+        if request[0] == until:
+            return sent
+        *_, fn, args, kwargs = request
+        result = fn(*args, **kwargs)
+
+
+def test_every_method_and_alpha_sends_one_base_request():
+    base = [next(_protocol(replace(SMALL, method=method, alpha=alpha)))
+            for method in METHODS for alpha in (0.1, 10.0)]
+    assert base[0][0] == "base"
+    assert all(same(request, base[0]) for request in base[1:])
+
+
+def test_dcid_and_fedavg_send_equal_requests_up_to_the_first_dcd():
+    dcid = requests(SMALL, until="dcd")
+    fedavg = requests(replace(SMALL, method="dcil_fedavg"), until="dcd")
+    assert [r[0] for r in dcid] == ["base", *["local"] * SMALL.n_sites, "dcd"]
+    assert len(dcid) == len(fedavg) and all(map(same, dcid[:-1], fedavg[:-1]))
+    assert not same(dcid[-1], fedavg[-1])  # only dcid distills over a shared pool
+
+
+def test_runs_that_do_fedavgs_work_send_fedavgs_requests():
+    fedavg = requests(replace(SMALL, method="dcil_fedavg"))
+    assert len(fedavg) == 1 + SMALL.n_sessions * SMALL.rounds * (2 * SMALL.n_sites + 1)
+    for cfg in (
+        replace(SMALL, method="dcil_fedmax", local=replace(SMALL.local, beta=0.0)),
+        replace(SMALL, method="dcil_fedprox", local=replace(SMALL.local, mu=0.0)),
+        replace(SMALL, shared_per_class=0),
+    ):
+        got = requests(cfg)
+        assert len(got) == len(fedavg) and all(map(same, got, fedavg)), cfg.method
+
+
+def test_each_method_ignores_the_penalty_weight_it_does_not_use():
+    def records(method, beta, mu):
+        local = replace(SMALL.local, beta=beta, mu=mu)
+        return pickle.dumps(run(replace(SMALL, method=method, local=local)).records)
+
+    for method in ("dcid", "dcil_fedavg"):
+        assert records(method, 50.0, 0.2) == records(method, 500.0, 5.0), method
+    assert records("dcil_fedmax", 50.0, 0.2) == records("dcil_fedmax", 50.0, 5.0)
+    assert records("dcil_fedprox", 50.0, 0.2) == records("dcil_fedprox", 500.0, 0.2)
+
+
 @pytest.mark.parametrize("method", ["dcid", "dcil_fedavg"])
 def test_a_round_holds_one_generation_of_site_models(monkeypatch, method):
     # The spies keep only weak references: holding a model would keep it alive.
@@ -475,7 +575,7 @@ def test_every_trainer_call_reuses_one_workspace(monkeypatch):
 
     orch = importlib.import_module("dcil.orchestrator")
     dist = importlib.import_module("dcil.distillation")
-    for namespace, name in ((orch, "_train_plain"), (orch, "local_update"), (dist, "_distill")):
+    for namespace, name in ((orch, "_train_fresh"), (orch, "local_update"), (dist, "_distill")):
         monkeypatch.setattr(namespace, name, stage(name, getattr(namespace, name)))
     nncore = importlib.import_module("dcil.nncore")
     monkeypatch.setattr(nncore, "Workspace", workspace(nncore.Workspace))
@@ -483,10 +583,10 @@ def test_every_trainer_call_reuses_one_workspace(monkeypatch):
         namespace = importlib.import_module(f"dcil.{module}")
         monkeypatch.setattr(namespace, "backward", backward(namespace.backward))
     trainers = {
-        "dcid": {"_train_plain", "local_update", "_distill"},
+        "dcid": {"_train_fresh", "local_update", "_distill"},
         # the baselines' shared pool is empty, so `_distill` takes no step
-        "dcil_fedprox": {"_train_plain", "local_update"},
-        "centralized": {"_train_plain"},
+        "dcil_fedprox": {"_train_fresh", "local_update"},
+        "centralized": {"_train_fresh"},
     }
     for method, stepping in trainers.items():
         events.clear()

@@ -31,7 +31,7 @@ from dcil.nncore import (
     init_params,
     softmax_t,
 )
-from dcil.orchestrator import _train_plain
+from dcil.orchestrator import _train_fresh
 
 BATCHES = (1, 2, 31, 40, 300)
 WIDTHS = (1, 4, 32, 130)
@@ -108,11 +108,11 @@ def test_train_plain_pass_gives_the_plain_bytes_and_writes_no_input():
     rng = np.random.default_rng(6)
     params = net(8, (16,), "relu", 7)
     x, y = shard(rng, 43, 8, (0, N_CLASSES))  # batches of 8, the last one 3 rows
-    before = snapshot(x, y, params.values)
-    got = _train_plain(params, x, y, 1, 0.1, 8, [0, 1])
+    before = snapshot(x, y)
+    got = _train_fresh(params.spec, x, y, 1, 0.1, 8, 7, [0, 1])
     want = plain_train_plain(params, x, y, 1, 0.1, 8, [0, 1])
     assert got.values.tobytes() == want.values.tobytes()
-    assert snapshot(x, y, params.values) == before
+    assert snapshot(x, y) == before
 
 
 @pytest.mark.parametrize(
@@ -121,15 +121,18 @@ def test_train_plain_pass_gives_the_plain_bytes_and_writes_no_input():
      ("dcil_fedprox", "logit_kd")],
 )
 def test_local_update_pass_gives_the_plain_bytes_and_writes_no_input(method, variant):
+    # the penalty weights a run of `method` passes: only its own stays positive
     rng = np.random.default_rng(8)
     old = net(8, (16,), "tanh", 9, n_classes=3)
     general = net(8, (16,), "tanh", 10, n_classes=5)
     shard_x, shard_y = shard(rng, 30, 8, (3, 5))
     anchors = (rng.normal(size=(12, 8)), np.repeat([0, 1, 2], 4))  # 42 rows: batches 32 and 10
-    cfg = LocalLossConfig(anchor_variant=variant, local_epochs=1, lr=0.05)
+    cfg = LocalLossConfig(anchor_variant=variant, local_epochs=1, lr=0.05,
+                          mu=0.2 if method == "dcil_fedprox" else 0.0,
+                          beta=50.0 if method == "dcil_fedmax" else 0.0)
     inputs = [shard_x, shard_y, general.values, old.values, *anchors]
     before = snapshot(*inputs)
-    kwargs = dict(method=method, old_general=old, seed=[3, 4])
+    kwargs = dict(old_general=old, seed=[3, 4])
     got = local_update((shard_x, shard_y), anchors, general, cfg, **kwargs)
     want = plain_local_update((shard_x, shard_y), anchors, general, cfg, **kwargs)
     assert got.values.tobytes() == want.values.tobytes()
