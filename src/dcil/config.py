@@ -71,7 +71,7 @@ class LocalLossConfig:
     anchor_variant: str = "logit_kd"
     lam: float = 5.0
     mu: float = 0.2
-    beta: float = 50.0
+    beta: float = 1000.0
     lr: float = 0.05
     local_epochs: int = 11
     batch_size: int = 32

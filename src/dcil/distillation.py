@@ -150,8 +150,9 @@ def fedavg_aggregate(param_list: list[ParamVector], weights: np.ndarray) -> Para
     spec = param_list[0].spec
     if any(p.spec != spec for p in param_list):
         raise InputError("cannot aggregate parameters with different specs")
+    mean = ensemble_logits([p.values for p in param_list], weights)
     if all(np.array_equal(p.values, param_list[0].values) for p in param_list[1:]):
-        # identical inputs average to themselves; skip the weighted sum so
-        # the result is bit-exact rather than within rounding error
+        # identical inputs average to themselves; return them so the result
+        # is bit-exact rather than within rounding error
         return param_list[0].copy()
-    return ParamVector(ensemble_logits([p.values for p in param_list], weights), spec)
+    return ParamVector(mean, spec)

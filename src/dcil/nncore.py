@@ -27,8 +27,6 @@ import numpy as np
 
 from .config import ConfigError, NetSpec
 
-EPS_LOG = 1e-12
-
 
 class InputError(ValueError):
     """Malformed input data (shape/range/finiteness)."""
@@ -232,10 +230,12 @@ class ProximalTerm:
 
 @dataclass(frozen=True)
 class UniformActivationTerm:
-    """weight * mean KL(softmax(features) || uniform) over the loss's CE and KD rows.
+    """(weight / d) * mean KL(uniform || softmax(features)) over the loss's CE and KD rows.
 
-    FedMAX's activation penalty: those terms' backprops carry its gradient, so
-    it runs no pass of its own, and a loss without such rows gets none.
+    FedMAX's activation penalty in its reference form, d being the feature
+    width: its gradient at a row's features a is (softmax(a) - 1/d) / d, 0
+    where a row's features are all equal.  Those terms' backprops carry it,
+    so it runs no pass of its own, and a loss without such rows gets none.
     """
 
     weight: float
@@ -312,12 +312,10 @@ def _term_grad(
         d_logits *= term.weight * (1.0 / n) / term.temperature
     d_features = None
     if uniform:
-        p = _softmax_t(hs[-1], 1.0)
-        logp = np.maximum(p, EPS_LOG)
-        np.log(logp, out=logp)
-        d_features = logp - np.add.reduce(p * logp, axis=1, keepdims=True)
-        d_features *= p
-        d_features *= uniform
+        d_features = _softmax_t(hs[-1], 1.0)
+        d = d_features.shape[1]
+        d_features -= 1.0 / d
+        d_features *= uniform / d
     _backprop(spec, layers, hs, zs, d_logits, d_features, grads)
 
 

@@ -24,7 +24,6 @@ import numpy as np
 from dcil.distillation import DISTILL_BATCH, DISTILL_FULL_BATCH_LIMIT
 from dcil.local_learner import LocalLossConfig, _kd_teacher_probs
 from dcil.nncore import (
-    EPS_LOG,
     CompositeLoss,
     ConfigError,
     CrossEntropyTerm,
@@ -43,6 +42,8 @@ from dcil.nncore import (
 )
 
 log = logging.getLogger(__name__)
+
+EPS_LOG = 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,11 +117,13 @@ def anchor_loss(
 
 
 def fedmax_regularizer(features_batch: np.ndarray) -> float:
-    """Mean KL between softmaxed activations and the uniform distribution."""
+    """Mean KL between the uniform distribution and softmaxed activations,
+    over the feature width d: FedMAX's KL(U || softmax(a)) under an elementwise mean."""
     f = np.asarray(features_batch, dtype=np.float64)
     p = softmax_t(f, 1.0)
-    u = np.full(f.shape[1], 1.0 / f.shape[1])
-    return float(np.mean([kl_div(p[i], u) for i in range(len(p))]))
+    d = f.shape[1]
+    u = np.full(d, 1.0 / d)
+    return float(np.mean([kl_div(u, p[i]) for i in range(len(p))])) / d
 
 
 def fedprox_term(params: ParamVector, global_params: ParamVector, mu: float) -> float:
@@ -159,10 +162,10 @@ def loss_value(params: ParamVector, loss: CompositeLoss) -> float:
             xs = [t.x for t in loss.terms if isinstance(t, (CrossEntropyTerm, DistillTerm))]
             if xs:
                 feats, _ = forward_batch(params, np.concatenate(xs))
-                p = softmax_t(feats, 1.0)
-                logp = np.log(np.maximum(p, EPS_LOG))
-                k = feats.shape[1]
-                total += term.weight * float((p * logp).sum(axis=1).mean() + math.log(k))
+                # KL(U || p) = -log d - mean_j log p_j for each row, over d
+                d = feats.shape[1]
+                kl = -math.log(d) - plain_log_softmax(feats).mean(axis=1)
+                total += term.weight * float(kl.mean()) / d
             continue
         _, logits = forward_batch(params, term.x)
         n = logits.shape[0]
@@ -295,10 +298,8 @@ def plain_term_grad(params: ParamVector, layers, term, flat, grads, uniform) -> 
     d_features = None
     if uniform:
         # the activation penalty at this term's features, `uniform` per row
-        p = plain_softmax_t(hs[-1], 1.0)
-        logp = np.log(np.maximum(p, EPS_LOG))
-        inner = (p * logp).sum(axis=1, keepdims=True)
-        d_features = p * (logp - inner) * uniform
+        d = hs[-1].shape[1]
+        d_features = (plain_softmax_t(hs[-1], 1.0) - 1.0 / d) * (uniform / d)
     plain_backprop(spec, layers, hs, zs, d_logits, d_features, grads)
 
 

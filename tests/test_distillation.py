@@ -357,6 +357,13 @@ def test_fedavg_zero_count_site_is_ignored():
     assert np.array_equal(out.values, b.values)
 
 
+def test_fedavg_checks_one_weight_per_model_before_its_identical_models_shortcut():
+    a, b = net(seed=0), net(seed=1)
+    for models in ([a, a.copy()], [a, b]):
+        with pytest.raises(InputError, match="2 tables but 1 weights"):
+            fedavg_aggregate(models, [1.0])
+
+
 def test_fedavg_error_cases():
     a = net(seed=0)
     b = init_params(NetSpec(3, (5,), 5), np.random.default_rng(0))

@@ -7,10 +7,11 @@ still holds.  A record is a function of config, seed, numpy version and
 BLAS kernel.  `GOLDEN` was produced with numpy 2.4.6 on scipy-openblas
 0.3.31 (x86-64) running its `SkylakeX` kernel.  The same build forced to
 its `Haswell` kernel (`OPENBLAS_CORETYPE=Haswell`) rounds some matrix
-products differently, yet gives the same text for every method, and that
-text is pinned for it too.  The kernel a process runs is what
-`scipy_openblas_get_corename64_` returns, called through `ctypes` on the
-`libscipy_openblas64_` library that numpy loaded (`running_kernel`).
+products differently, yet gives the same text for every method but
+`dcil_fedmax`, and its text is pinned for it too (`HASWELL`).  The kernel
+a process runs is what `scipy_openblas_get_corename64_` returns, called
+through `ctypes` on the `libscipy_openblas64_` library that numpy loaded
+(`running_kernel`).
 The in-process test compares against the running kernel's text and skips,
 naming the kernel, where none is pinned.  Another BLAS build may
 legitimately fail these tests.
@@ -78,8 +79,8 @@ GOLDEN = {
     ),
     "dcil_fedmax": (
         "0 0.6666666666666666 [0:0.4166666666666667,1:0.4166666666666667,2:0.8333333333333334,3:1.0] logit_scalars=0,params_down=0,params_up=0,shared_samples=0\n"
-        "1 0.3888888888888889 [0:0.5,1:0.0,2:0.8333333333333334,3:1.0,4:0.0,5:0.0] logit_scalars=0,params_down=1476,params_up=1476,shared_samples=0\n"
-        "2 0.1875 [0:0.25,1:0.0,2:0.25,3:1.0,4:0.0,5:0.0,6:0.0,7:0.0] logit_scalars=0,params_down=1680,params_up=1680,shared_samples=0\n"
+        "1 0.3472222222222222 [0:0.5,1:0.0,2:0.5833333333333334,3:1.0,4:0.0,5:0.0] logit_scalars=0,params_down=1476,params_up=1476,shared_samples=0\n"
+        "2 0.1875 [0:0.3333333333333333,1:0.0,2:0.16666666666666666,3:1.0,4:0.0,5:0.0,6:0.0,7:0.0] logit_scalars=0,params_down=1680,params_up=1680,shared_samples=0\n"
     ),
     "dcil_fedprox": (
         "0 0.6666666666666666 [0:0.4166666666666667,1:0.4166666666666667,2:0.8333333333333334,3:1.0] logit_scalars=0,params_down=0,params_up=0,shared_samples=0\n"
@@ -94,8 +95,20 @@ GOLDEN = {
 }
 
 
+# Haswell's rounding differences grow, over the training of session 1, to
+# 0.0099 in the largest parameter of the `dcil_fedmax` model, and one class-2
+# test row of session 1 changes its prediction.
+HASWELL = {
+    **GOLDEN,
+    "dcil_fedmax": (
+        "0 0.6666666666666666 [0:0.4166666666666667,1:0.4166666666666667,2:0.8333333333333334,3:1.0] logit_scalars=0,params_down=0,params_up=0,shared_samples=0\n"
+        "1 0.3611111111111111 [0:0.5,1:0.0,2:0.6666666666666666,3:1.0,4:0.0,5:0.0] logit_scalars=0,params_down=1476,params_up=1476,shared_samples=0\n"
+        "2 0.1875 [0:0.3333333333333333,1:0.0,2:0.16666666666666666,3:1.0,4:0.0,5:0.0,6:0.0,7:0.0] logit_scalars=0,params_down=1680,params_up=1680,shared_samples=0\n"
+    ),
+}
+
 # The pinned text of each kernel.
-PINNED = {"SkylakeX": GOLDEN, "Haswell": GOLDEN}
+PINNED = {"SkylakeX": GOLDEN, "Haswell": HASWELL}
 
 
 def running_kernel() -> str:

@@ -234,9 +234,9 @@ def test_anchor_loss_logit_kd_requires_old_model():
 
 
 def test_fedmax_regularizer_closed_form():
-    # softmax([ln 2, 0]) = (2/3, 1/3); KL to uniform over 2 entries
+    # softmax([ln 2, 0]) = (2/3, 1/3); KL from uniform over 2 entries, over d = 2
     f = np.array([[math.log(2.0), 0.0]])
-    expect = (2 / 3) * math.log((2 / 3) / 0.5) + (1 / 3) * math.log((1 / 3) / 0.5)
+    expect = (0.5 * math.log(0.5 / (2 / 3)) + 0.5 * math.log(0.5 / (1 / 3))) / 2
     assert abs(fedmax_regularizer(f) - expect) < 1e-12
     assert abs(fedmax_regularizer(np.zeros((5, 7)))) < 1e-12
 

@@ -293,6 +293,26 @@ def test_grad_fedmax_step_covers_the_rows_of_both_groups(b_rows):
         assert abs(penalty - 20.0 * fedmax_regularizer(feats)) < 1e-10
 
 
+@pytest.mark.parametrize("width", [3, 5, 7])
+def test_equal_features_are_the_penalty_fixed_point(width):
+    # softmax of d equal features is 1/d exactly, so the penalty's gradient,
+    # (softmax(a) - 1/d) / d, is 0 and the step is the one without it
+    rng = np.random.default_rng([23, width])
+    x = rng.normal(size=(5, 3))
+    ce = CrossEntropyTerm(x[:3], one_hot(rng.integers(0, 4, size=3), 4))
+    kd = DistillTerm(x[3:], softmax_t(rng.normal(size=(2, 4)), 2.0), 2.0, weight=5.0)
+    for hidden in ((width,), (4, width)):
+        for activation in ("relu", "tanh"):
+            params = small_net(hidden=hidden, n_classes=4, activation=activation)
+            w, b = params.layers()[-2]
+            w[:] = 0.0
+            b[:] = 0.3
+            for terms in ((ce,), (kd,), (ce, kd)):
+                penalized = gradient(params, CompositeLoss((*terms, UniformActivationTerm(500.0))))
+                plain = gradient(params, CompositeLoss(terms))
+                assert np.array_equal(penalized.values, plain.values), (hidden, activation, terms)
+
+
 def test_fedmax_backward_runs_one_forward_pass_per_row_bearing_term(monkeypatch):
     passes = []
     forward_cache = nncore._forward_cache
