@@ -34,26 +34,26 @@ def select_anchors_herding(params: ParamVector, class_examples: np.ndarray, k_ma
     At step k the chosen example is the lowest-index one among the unchosen
     examples at the smallest distance || mu - (phi(x) + sum of selected
     features) / k ||.  Returns the ordered indices of the selected examples.
+    Overflow and invalid operations raise, as in `fit`: every distance is finite.
     """
     if len(class_examples) == 0:
         raise InputError("class_examples must be non-empty")
     if k_max < 1:
         raise ConfigError(f"k_max must be >= 1, got {k_max}")
-    feats, _ = forward_batch(params, class_examples)
-    if not np.isfinite(feats).all():
-        raise InputError("class_examples have non-finite features")
-    mu = feats.mean(axis=0)
     chosen: list[int] = []
-    running = np.zeros_like(mu)
-    for k in range(1, min(k_max, len(feats)) + 1):
-        diff = mu - (feats + running) / k
-        # each row's (1 x d)(d x 1) product runs the BLAS dot of
-        # `np.dot(diff[j], diff[j])`, so each distance is that scalar norm
-        dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]).ravel())
-        dist[chosen] = np.inf
-        i = int(np.argmin(dist))
-        chosen.append(i)
-        running = running + feats[i]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        feats, _ = forward_batch(params, class_examples)
+        mu = feats.mean(axis=0)
+        running = np.zeros_like(mu)
+        for k in range(1, min(k_max, len(feats)) + 1):
+            diff = mu - (feats + running) / k
+            # each row's (1 x d)(d x 1) product runs the BLAS dot of
+            # `np.dot(diff[j], diff[j])`, so each distance is that scalar norm
+            dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]).ravel())
+            dist[chosen] = np.inf
+            i = int(np.argmin(dist))
+            chosen.append(i)
+            running = running + feats[i]
     return chosen
 
 
@@ -80,7 +80,6 @@ def local_update(
     anchors: tuple[np.ndarray, np.ndarray],
     general: ParamVector,
     cfg: LocalLossConfig,
-    *,
     old_general: ParamVector | None,
     seed,
 ) -> ParamVector:

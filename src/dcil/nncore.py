@@ -10,7 +10,7 @@ of the terms whose rows it covers.  `backward` returns the gradient
 only; the tests evaluate a loss value with `tests/oracles.py::loss_value`.
 Every trainer checks its inputs once and hands its rows and per-batch step
 to `fit`, the one seeded SGD loop, which checks the learning rate and the
-rows' width, owns the call's `Workspace`, traps divergence at the step where
+rows, owns the call's `Workspace`, traps divergence at the step where
 it happens and scans the trained parameters once; the step only does arithmetic.
 A step calls `ndarray.dot` and the ufunc reductions directly and works in place
 on the arrays it owns: the bytes of `@`, `.sum`/`.max` and a fresh array per
@@ -118,10 +118,12 @@ def _forward_cache(layers, kind: str, x: np.ndarray):
 
 
 def _check_rows(spec: NetSpec, x) -> None:
-    """Raise `InputError`, naming the shape, unless `x` is `(n, input_dim)` rows."""
+    """Raise `InputError` unless `x` is `(n, input_dim)` rows of finite values."""
     shape = np.shape(x)
     if len(shape) != 2 or shape[1] != spec.input_dim:
         raise InputError(f"expected batch of {spec.input_dim}-dim inputs, got shape {shape}")
+    if not np.isfinite(x).all():
+        raise InputError("input rows contain non-finite values")
 
 
 def forward_batch(params: ParamVector, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -369,16 +371,16 @@ def fit(
     `step(out, sel, ws)`, which gathers its rows, updates `out` in place
     through `backward(..., out=ws)` and `sgd_step`, its last call.  `ws` is
     the one `Workspace` of the call.  A negative learning rate raises
-    `ConfigError` first, then rows that are not `(n, input_dim)` raise
-    `forward_batch`'s `InputError`, whatever the epochs and rows; then a
-    zero learning rate or no rows returns a copy without calling `step`.
+    `ConfigError` first, then rows that are not finite `(n, input_dim)` rows
+    raise `forward_batch`'s `InputError`, whatever the epochs and rows; then
+    a zero learning rate or no rows returns a copy without calling `step`.
 
     Every step runs with overflow, invalid operations and division by zero
     raising, the only ways finite values turn non-finite: such a trap
     becomes an `InputError` that names the epoch and batch (from 1) and
-    numpy's message.  A non-finite input raises no trap but spreads into
-    the parameters, so they are scanned once, after the last step.  Any
-    other error from `step` propagates unchanged.
+    numpy's message.  A non-finite value that a step reads from elsewhere
+    raises no trap but spreads into the parameters, so they are scanned
+    once, after the last step.  Any other error from `step` propagates unchanged.
     """
     if lr < 0:
         raise ConfigError(f"learning rate must be >= 0, got {lr}")

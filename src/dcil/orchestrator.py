@@ -6,7 +6,7 @@ teacher, data-weighted parameter averaging, and a final distillation of the
 ensemble into the averaged general model.  The baselines run the same
 protocol over an empty shared pool, on which both distillation stages return
 their inputs; a centralized reference learner retrains on all data seen so
-far.  One generator, `_protocol`, yields every trainer call of every
+far.  One generator, `_protocol`, yields every stage call of every
 method's run, and `_drive` serves them in order.  Every run is a pure
 function of its config and seed.
 """
@@ -141,24 +141,18 @@ def _partition(cfg: RunConfig, x, y, session):
     return data_mod.partition_dirichlet(x, y, cfg.n_sites, cfg.alpha, seed)
 
 
-def _no_traffic() -> dict[str, int]:
-    """A session's communication counters, zeroed, in the order records list them."""
-    return dict.fromkeys(COMM_KEYS, 0)
-
-
-def _record(cfg, session, params, test, traffic) -> MetricsRecord:
-    seen = tuple(range(_head(cfg, session)))
+def _record(session, params, test, traffic, n_seen) -> MetricsRecord:
+    """Session `session`'s record: `params` scored on the first `n_seen` classes' test rows."""
     x, y = test
-    n = int(np.searchsorted(y, len(seen)))
+    n = int(np.searchsorted(y, n_seen))
     acc, per_class = evaluate(params, x[:n], y[:n])
-    return MetricsRecord(session, acc, per_class, seen, traffic)
+    return MetricsRecord(session, acc, per_class, tuple(range(n_seen)), traffic)
 
 
-def _herd(cfg, params, shard) -> tuple[np.ndarray, np.ndarray]:
-    """The `(x, y)` shard rows herding keeps for each class the shard holds,
+def _herd(params, shard, k) -> tuple[np.ndarray, np.ndarray]:
+    """The `(x, y)` shard rows herding keeps, `k` per class the shard holds,
     in class order, each class's rows in selection order."""
     x, y = shard
-    k = cfg.anchors_per_class
     kept = [np.empty(0, dtype=np.int64)]
     for c in data_mod.classes(y) if k else ():
         rows = np.flatnonzero(y == c)
@@ -167,16 +161,22 @@ def _herd(cfg, params, shard) -> tuple[np.ndarray, np.ndarray]:
     return x[kept], y[kept]
 
 
+def _teacher(models, shared, weights) -> np.ndarray:
+    """DCD's and DAD's teacher: the weighted ensemble of the models' logits tables over the pool."""
+    return ensemble_logits([compute_logits_table(p, shared) for p in models], weights)
+
+
 # ---------------------------------------------------------------------------
 # Run entry point
 # ---------------------------------------------------------------------------
 
 
 def _protocol(cfg: RunConfig):
-    """Every method's run, as a generator of its trainer calls.
+    """Every method's run, as a generator of its stage calls.
 
-    At each call it yields `(stage, session, round, site, fn, args, kwargs)`,
-    is sent `fn(*args, **kwargs)` back, and returns the session records.
+    At each stage (`base`, `centralized`, `local`, `herding`, `teacher`,
+    `dcd`, `fedavg`, `dad`, `evaluate`) it yields `(stage, session, round,
+    site, fn, args)`, is sent `fn(*args)` back, and returns the records.
     Each `fn` is read from this module at its yield, so a wrapper set on the
     module applies.  A request carries only what its stage reads, not the
     config or the method: the method sets the pool size and penalty weights
@@ -186,101 +186,100 @@ def _protocol(cfg: RunConfig):
     spec = NetSpec(cfg.input_dim, cfg.hidden_dims, cfg.n_base, cfg.activation)
     fresh = (cfg.base_epochs, cfg.base_lr, cfg.local.batch_size)  # base and centralized
     general = yield "base", 0, None, None, _train_fresh, (
-        spec, *train[0], *fresh, [cfg.seed, _S_INIT], [cfg.seed, _S_BASE]), {}
-    records = [_record(cfg, 0, general, test, _no_traffic())]
+        spec, *train[0], *fresh, [cfg.seed, _S_INIT], [cfg.seed, _S_BASE])
+    records = [(yield "evaluate", 0, None, None, _record, (
+        0, general, test, dict.fromkeys(COMM_KEYS, 0), _head(cfg, 0)))]
     if cfg.method == "centralized":
         for t in range(1, cfg.n_sessions + 1):
             x = np.concatenate([x for x, _ in train[: t + 1]])
             y = np.concatenate([y for _, y in train[: t + 1]])
             params = yield "centralized", t, None, None, _train_fresh, (
                 replace(spec, n_classes=_head(cfg, t)), x, y, *fresh,
-                [cfg.seed, _S_CENT, t], [cfg.seed, _S_CENT, t, 1]), {}
-            records.append(_record(cfg, t, params, test, _no_traffic()))
+                [cfg.seed, _S_CENT, t], [cfg.seed, _S_CENT, t, 1])
+            records.append((yield "evaluate", t, None, None, _record, (
+                t, params, test, dict.fromkeys(COMM_KEYS, 0), _head(cfg, t))))
         return records
 
     # Each baseline is FedAvg plus at most its own local penalty.
     shared_per_class = cfg.shared_per_class if cfg.method == "dcid" else 0
     local = replace(cfg.local, beta=cfg.local.beta if cfg.method == "dcil_fedmax" else 0.0,
                     mu=cfg.local.mu if cfg.method == "dcil_fedprox" else 0.0)
+    k = cfg.anchors_per_class
     # Base-class anchors: the base session is trained centrally, but each site
     # must enter session 1 with anchors for the classes already seen.  Deal
     # the base data to sites with the configured partitioner and herd with
     # the base model.  anchors[m] is site m's `(x, y)` pair of herded shard
     # rows, in class order: each session appends its own, higher, classes.
-    anchors = [_herd(cfg, general, shard) for shard in _partition(cfg, *train[0], 0).shards]
+    anchors = []
+    for m, shard in enumerate(_partition(cfg, *train[0], 0).shards):
+        anchors.append((yield "herding", 0, None, m, _herd, (general, shard, k)))
 
     for t in range(1, cfg.n_sessions + 1):
-        prev_general = general
+        old_general = general
         new_classes = range(_head(cfg, t - 1), _head(cfg, t))
         general = expand_head(general, len(new_classes))
-        p_count = general.spec.param_count
-        traffic = _no_traffic()
+        traffic = dict.fromkeys(COMM_KEYS, 0)
 
         shards = _partition(cfg, *train[t], t).shards
         shared = build_shared_dataset(
-            shards, shared_per_class, new_classes,
-            [cfg.seed, _S_SHARED, t],
-        )
+            shards, shared_per_class, new_classes, [cfg.seed, _S_SHARED, t])
         traffic["shared_samples"] += len(shared)
         weights = ensemble_weights([len(sx) for sx, _ in shards])  # FedAvg's and the teacher's
 
-        def teacher(models):
-            """DCD's and DAD's teacher: the data-weighted ensemble of the
-            models' logits tables over the shared pool, one sent per site."""
-            tables = [compute_logits_table(p, shared) for p in models]
-            traffic["logit_scalars"] += sum(table.size for table in tables)
-            return ensemble_logits(tables, weights)
-
         for r in range(cfg.rounds):
-            traffic["params_down"] += cfg.n_sites * p_count
+            traffic["params_down"] += cfg.n_sites * general.spec.param_count
 
             # One generation of site models per round: DCD overwrites each
             # site's entry, and the list is dropped before DAD runs.
             sites = []
             for m, shard in enumerate(shards):
                 sites.append((yield "local", t, r, m, local_update, (
-                    shard, anchors[m], general, local,
-                ), {"old_general": prev_general, "seed": [cfg.seed, _S_SITE, m, t, r]}))
+                    shard, anchors[m], general, local, old_general, [cfg.seed, _S_SITE, m, t, r])))
 
             if r == cfg.rounds - 1:  # only the last round's anchors are kept
                 for m, (ax, ay) in enumerate(anchors):
-                    hx, hy = _herd(cfg, sites[m], shards[m])
+                    hx, hy = yield "herding", t, r, m, _herd, (sites[m], shards[m], k)
                     anchors[m] = (np.concatenate([ax, hx]), np.concatenate([ay, hy]))
 
-            dcd_teacher = teacher(sites)
+            dcd_teacher = yield "teacher", t, r, None, _teacher, (sites, shared, weights)
+            traffic["logit_scalars"] += cfg.n_sites * dcd_teacher.size
             for m in range(cfg.n_sites):
                 sites[m] = yield "dcd", t, r, m, dcd_finetune, (
                     sites[m], dcd_teacher, shared, cfg.tau1, cfg.dcd_lr, cfg.dcd_epochs,
-                ), {"seed": [cfg.seed, _S_DCD, t, r, m]}
+                    [cfg.seed, _S_DCD, t, r, m])
 
-            traffic["params_up"] += cfg.n_sites * p_count
-            aggregated = fedavg_aggregate(sites, weights)
-            dad_teacher = teacher(sites)
+            traffic["params_up"] += cfg.n_sites * general.spec.param_count
+            aggregated = yield "fedavg", t, r, None, fedavg_aggregate, (sites, weights)
+            dad_teacher = yield "teacher", t, r, None, _teacher, (sites, shared, weights)
+            traffic["logit_scalars"] += cfg.n_sites * dad_teacher.size
             del sites
             general = yield "dad", t, r, None, dad_refine, (
                 aggregated, dad_teacher, shared, cfg.tau2, cfg.dad_lr, cfg.dad_epochs,
-            ), {"seed": [cfg.seed, _S_DAD, t, r]}
+                [cfg.seed, _S_DAD, t, r])
 
-        records.append(_record(cfg, t, general, test, traffic))
+        records.append((yield "evaluate", t, None, None, _record, (
+            t, general, test, traffic, _head(cfg, t))))
 
     return records
 
 
 def _drive(gen) -> list[MetricsRecord]:
-    """Serve `gen`'s trainer requests in order, and return what it returns.
+    """Serve `gen`'s stage requests in order, as `fn(*args)`, and return what it returns.
 
-    No request's arguments or result stay bound past the `send` that hands
-    the result over, so a model is freed as soon as the protocol drops it.
+    The whole run raises on overflow, invalid operations and division by zero,
+    as each `fit` step does.  No request's arguments or result stay bound past
+    the `send` that hands the result over, so a model is freed once dropped.
     """
     result = None
-    while True:
-        try:
-            *_, fn, args, kwargs = gen.send(result)
-        except StopIteration as stop:
-            return stop.value
-        del result
-        result = fn(*args, **kwargs)
-        del args, kwargs
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        while True:
+            try:
+                *_, fn, args = gen.send(result)
+            except StopIteration as stop:
+                return stop.value
+            del result
+            result = fn(*args)
+            del args
 
 
 def run(config: RunConfig) -> RunResult:

@@ -481,10 +481,14 @@ def test_run_rerun_is_bit_identical(tmp_path):
 
 
 # A 6-class dcid run that diverges in each training stage, and what
-# `python -m dcil.cli run` prints for it: one line naming the step whose
-# trap (`nncore.fit` runs every step under numpy's floating-point traps)
-# stopped the stage, and no numpy `RuntimeWarning`; local_lr=1e5 stays
-# finite and runs to the end.
+# `python -m dcil.cli run` prints for it with each case's `--set` overrides:
+# one line naming the step whose trap (`nncore.fit` runs every step under
+# numpy's floating-point traps) stopped the stage, and no numpy
+# `RuntimeWarning`; local_lr=1e5 stays finite and runs to the end.  The whole
+# run is under the same traps, so a forward pass outside `fit` that overflows
+# (evaluating the model that one huge DAD step or one huge base step left)
+# stops the run with numpy's message.  It used to warn, then fail on the
+# overflowed logits or, in the `dcil_fedavg` case, score them and exit 0.
 DIVERGING = {
     "method": "dcid", "classes": 6, "base_classes": 2, "sessions": 2,
     "sites": 3, "rounds": 1, "dim": 8, "per_class": 30,
@@ -494,26 +498,30 @@ DIVERGING = {
 }
 DOT_OVERFLOW = "run failed: SGD diverged in epoch {}, batch {}: overflow encountered in dot\n"
 DIVERGENCE_OUTPUT = {
-    "base_lr=1e300": (1, "", DOT_OVERFLOW.format(1, 2)),
-    "local_lr=1e300": (1, "", DOT_OVERFLOW.format(2, 1)),
-    "dcd_lr=1e300": (1, "", DOT_OVERFLOW.format(2, 1)),
-    "dad_lr=1e300": (1, "", DOT_OVERFLOW.format(2, 1)),
-    "local_lr=1e5": (0, "dcid, 0.3750, 0.1667, 2748\n", ""),
+    ("base_lr=1e300",): (1, "", DOT_OVERFLOW.format(1, 2)),
+    ("local_lr=1e300",): (1, "", DOT_OVERFLOW.format(2, 1)),
+    ("dcd_lr=1e300",): (1, "", DOT_OVERFLOW.format(2, 1)),
+    ("dad_lr=1e300",): (1, "", DOT_OVERFLOW.format(2, 1)),
+    ("local_lr=1e5",): (0, "dcid, 0.3750, 0.1667, 2748\n", ""),
+    ("dad_epochs=1", "dad_lr=1e300"): (1, "", "run failed: overflow encountered in dot\n"),
+    ("method=dcil_fedavg", "base_epochs=1", "batch_size=64", "base_lr=1e300",
+     "anchor_variant=replay_ce", "local_lr=0"): (
+        1, "", "run failed: overflow encountered in dot\n"),
 }
 
 
-@pytest.mark.parametrize("override", sorted(DIVERGENCE_OUTPUT))
-def test_run_divergence_prints_what_per_step_checks_printed(tmp_path, override):
+@pytest.mark.parametrize("overrides", sorted(DIVERGENCE_OUTPUT), ids=" ".join)
+def test_run_divergence_prints_what_per_step_checks_printed(tmp_path, overrides):
     # A fresh interpreter, because pytest turns warnings into errors and
     # Python prints each warning once per process: a warning must show here.
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONWARNINGS", "PYTHONDEVMODE")}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(dcil.nncore.__file__)))
     res = subprocess.run(
         [sys.executable, "-m", "dcil.cli", "run", write_config(tmp_path, DIVERGING),
-         "--out", str(tmp_path / "out"), "--set", override],
+         "--out", str(tmp_path / "out"), *(arg for o in overrides for arg in ("--set", o))],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    assert (res.returncode, res.stdout, res.stderr) == DIVERGENCE_OUTPUT[override]
+    assert (res.returncode, res.stdout, res.stderr) == DIVERGENCE_OUTPUT[overrides]
 
 
 # ---------------------------------------------------------------------------

@@ -301,14 +301,15 @@ def test_distill_raises_on_a_logit_that_overflows_alone():
 
 
 def test_dad_refine_raises_on_a_nan_row_in_the_shared_pool():
-    # a NaN input raises no trap; it spreads into the parameters, which
-    # `fit` scans after the last step
+    # a NaN input would raise no trap and spread into the parameters: `fit`
+    # rejects the row before any step, whatever the learning rate and epochs
     student = net()
     pool = shared_pool()
     teacher = compute_logits_table(net(seed=1), pool)
     pool[5] = np.nan
-    with pytest.raises(InputError, match="^SGD produced non-finite parameters$"):
-        dad_refine(student, teacher, pool, 5.0, lr=0.5, epochs=3, seed=0)
+    for lr, epochs in ((0.5, 3), (0.0, 3), (0.5, 0)):
+        with pytest.raises(InputError, match="^input rows contain non-finite values$"):
+            dad_refine(student, teacher, pool, 5.0, lr=lr, epochs=epochs, seed=0)
 
 
 # ---------------------------------------------------------------------------

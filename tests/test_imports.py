@@ -5,8 +5,8 @@ the benchmark, no module passes, takes or sets a `check` flag (`nncore.fit`
 traps divergence at every step in one pass, so nothing selects a scan), only
 `nncore` builds a `Workspace`, the step arithmetic of `nncore` reaches
 NumPy through its cheapest entry points, `config` imports only the
-standard library, no trainer module names a method, and no stage request
-of the orchestrator carries the run's config.
+standard library, no trainer module names a method, and every stage
+request of the orchestrator is one six-tuple that carries no config.
 
 A deleted feature tends to leave its import behind (a class name in the
 module that built it, `dataclass` in a module that no longer declares one),
@@ -371,8 +371,11 @@ def test_config_imports_only_the_standard_library():
         assert non_stdlib_imports(fh.read()) == []
 
 
-# The trainer calls of a run; `_protocol` yields each one to the driver.
-STAGE_FUNCTIONS = ("local_update", "dcd_finetune", "dad_refine", "_train_fresh")
+# The stage calls of a run; `_protocol` yields each one to the driver.
+STAGE_FUNCTIONS = (
+    "_train_fresh", "local_update", "_herd", "_teacher", "dcd_finetune", "fedavg_aggregate",
+    "dad_refine", "_record",
+)
 
 
 def stage_reads_outside_yields(source: str) -> list[tuple[str, int]]:
@@ -397,27 +400,67 @@ def test_stage_reads_outside_yields_finds_direct_calls():
     source = (
         "from .distillation import dad_refine\n"
         "def _protocol(cfg):\n"
-        "    p = yield 'local', 1, 0, 0, local_update, (cfg,), {}\n"
+        "    p = yield 'local', 1, 0, 0, local_update, (cfg,)\n"
         "    q = dcd_finetune(p)\n"
-        "    yield 'dad', 1, 0, None, dad_refine(q), (), {}\n"
+        "    yield 'dad', 1, 0, None, dad_refine(q), ()\n"
         "    def helper():\n"
         "        return distillation._train_fresh(cfg)\n"
+        "    anchors = [_herd(p, shard, 2) for shard in shards]\n"
+        "    g = yield 'fedavg', 1, 0, None, fedavg_aggregate, ([p], w)\n"
+        "    yield 'evaluate', 1, None, None, _record, (1, _teacher([g], pool, w))\n"
         "def run(cfg):\n"
         "    return dad_refine(cfg)\n"
         "step = local_update\n"
     )
     assert stage_reads_outside_yields(source) == [
-        ("dcd_finetune", 4), ("dad_refine", 5), ("_train_fresh", 7),
-        ("dad_refine", 9), ("local_update", 10),
+        ("dcd_finetune", 4), ("dad_refine", 5), ("_train_fresh", 7), ("_herd", 8),
+        ("_teacher", 10), ("dad_refine", 12), ("local_update", 13),
     ]
 
 
 def test_every_trainer_call_goes_through_the_stage_driver():
-    # `_drive` serves each trainer call that `_protocol` yields; a direct call
+    # `_drive` serves each stage call that `_protocol` yields; a direct call
     # would run a stage that no driver sees (a second driver that interleaves
     # runs, a stage event, a stage-tagged error).
     with open(os.path.join(PACKAGE, "orchestrator.py")) as fh:
         assert stage_reads_outside_yields(fh.read()) == []
+
+
+def malformed_requests(source: str) -> list[int]:
+    """Lines of the top-level `_protocol`'s yields that are not a six-element
+    tuple `(stage, session, round, site, fn, args)`, or that carry a dict."""
+    found = []
+    for top in ast.parse(source).body:
+        if not (isinstance(top, ast.FunctionDef) and top.name == "_protocol"):
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Yield):
+                continue
+            parts = node.value.elts if isinstance(node.value, ast.Tuple) else ()
+            if len(parts) != 6 or any(isinstance(part, ast.Dict) for part in parts):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_malformed_requests_finds_leftovers():
+    source = (
+        "def _protocol(cfg):\n"
+        "    p = yield 'base', 0, None, None, train, (x, y)\n"
+        "    p = yield 'local', 1, 0, 0, local_update, (p,), {'seed': 3}\n"
+        "    yield 'dad', 1, 0, None, dad_refine, {'params': p}\n"
+        "    yield request\n"
+        "    yield 'evaluate', 1, None, _record, (p,)\n"
+        "def _drive(gen):\n"
+        "    yield gen\n"
+    )
+    assert malformed_requests(source) == [3, 4, 5, 6]
+
+
+def test_every_stage_request_is_one_six_tuple():
+    # `_drive` calls `fn(*args)`: a request has no keyword slot, so every
+    # stage takes its arguments in one order that a driver can compare
+    with open(os.path.join(PACKAGE, "orchestrator.py")) as fh:
+        assert malformed_requests(fh.read()) == []
 
 
 # The modules below the orchestrator: none of them may tell one method from another.
@@ -455,7 +498,7 @@ def test_no_trainer_module_names_a_method(module):
 
 def config_passed_to_a_stage(source: str) -> list[int]:
     """Lines where a yield of the top-level `_protocol` passes `cfg` itself,
-    as an argument (starred or not) or a keyword value of the stage call."""
+    starred or not, as an argument of the stage call."""
     found = []
     for top in ast.parse(source).body:
         if not (isinstance(top, ast.FunctionDef) and top.name == "_protocol"):
@@ -464,8 +507,7 @@ def config_passed_to_a_stage(source: str) -> list[int]:
             if not (isinstance(node, ast.Yield) and isinstance(node.value, ast.Tuple)):
                 continue
             for part in node.value.elts:
-                passed = part.elts if isinstance(part, (ast.Tuple, ast.List)) else (
-                    part.values if isinstance(part, ast.Dict) else ())
+                passed = part.elts if isinstance(part, (ast.Tuple, ast.List)) else ()
                 for arg in passed:
                     arg = arg.value if isinstance(arg, ast.Starred) else arg
                     if isinstance(arg, ast.Name) and arg.id == "cfg":
@@ -476,14 +518,15 @@ def config_passed_to_a_stage(source: str) -> list[int]:
 def test_config_passed_to_a_stage_finds_leftovers():
     source = (
         "def _protocol(cfg):\n"
-        "    p = yield 'base', 0, None, None, train, (cfg, x), {}\n"
-        "    p = yield 'local', 1, 0, 0, local_update, (p, cfg.local, _head(cfg, 1)), {\n"
-        "        'cfg': cfg}\n"
-        "    yield 'dad', 1, 0, None, dad_refine, (*cfg,), {'tau': cfg.tau2}\n"
+        "    p = yield 'base', 0, None, None, train, (cfg, x)\n"
+        "    p = yield 'local', 1, 0, 0, local_update, (p, cfg.local, _head(cfg, 1))\n"
+        "    yield 'evaluate', 1, None, None, _record, [\n"
+        "        p, cfg]\n"
+        "    yield 'dad', 1, 0, None, dad_refine, (*cfg,)\n"
         "def run(cfg):\n"
-        "    yield 'base', 0, None, None, train, (cfg,), {}\n"
+        "    yield 'base', 0, None, None, train, (cfg,)\n"
     )
-    assert config_passed_to_a_stage(source) == [2, 4, 5]
+    assert config_passed_to_a_stage(source) == [2, 5, 6]
 
 
 def test_no_stage_request_carries_the_config():

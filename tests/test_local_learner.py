@@ -181,15 +181,25 @@ def test_herding_rejects_bad_inputs():
         select_anchors_herding(params, np.empty((0, 3)), 3)
     with pytest.raises(ConfigError):
         select_anchors_herding(params, np.ones((3, 3)), 0)
-    # the distances of non-finite features are NaN, which argmin would take
-    # as the minimum; an inf input also makes numpy warn of an invalid dot
+    # the distances of non-finite features would be NaN, which argmin would
+    # take as the minimum: `forward_batch` rejects a non-finite row first
     for bad in (np.nan, np.inf):
         examples = np.random.default_rng(5).normal(size=(6, 3))
         examples[2] = bad
-        with np.errstate(invalid="ignore"):
-            assert not np.isfinite(forward_batch(params, examples)[0]).all()
-            with pytest.raises(InputError, match="non-finite features"):
-                select_anchors_herding(params, examples, 3)
+        for call in (lambda: forward_batch(params, examples),
+                     lambda: select_anchors_herding(params, examples, 3)):
+            with pytest.raises(InputError, match="^input rows contain non-finite values$"):
+                call()
+    # finite features whose squared distances all overflow to inf would let
+    # argmin pick a chosen row again ([0, 0, 0]); the overflow raises instead
+    huge = init_params(NetSpec(3, (4,), 2), np.random.default_rng(0))
+    w, b = huge.layers()[0]
+    w *= 1e200
+    b *= 1e200
+    examples = np.random.default_rng(5).normal(size=(5, 3))
+    assert np.isfinite(forward_batch(huge, examples)[0]).all()
+    with pytest.raises(FloatingPointError, match="overflow"):
+        select_anchors_herding(huge, examples, 3)
 
 
 # ---------------------------------------------------------------------------

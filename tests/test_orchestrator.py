@@ -161,13 +161,16 @@ def test_negative_label_raises_before_any_step(monkeypatch):
 
 
 def test_every_trainer_checks_the_width_of_its_rows_whatever_the_lr():
-    # rows of the wrong width raise `forward_batch`'s error before `fit`'s
-    # zero-lr / no-row shortcut, so no learning rate, epoch count or empty
-    # pool lets them through (`LocalLossConfig` allows no 0 local epochs)
+    # rows of the wrong width, or with a NaN, raise `forward_batch`'s error
+    # before `fit`'s zero-lr / no-row shortcut, so no learning rate, epoch
+    # count or empty pool lets them through (`LocalLossConfig` allows no 0
+    # local epochs)
     spec = NetSpec(3, (5,), 4)
     params = init_params(spec, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     wide, y = rng.normal(size=(5, 4)), rng.integers(0, 4, size=5)
+    nan = wide[:, :3].copy()
+    nan[2, 1] = np.nan
 
     def train(x, lr, epochs):
         return _train_fresh(spec, x, y[: len(x)], epochs, lr, 8, 0, 1)
@@ -181,7 +184,8 @@ def test_every_trainer_checks_the_width_of_its_rows_whatever_the_lr():
         return lambda x, lr, epochs: stage(params, np.zeros((len(x), 4)), x, 2.0, lr, epochs, 3)
 
     for trainer in (train, local, distill(dcd_finetune), distill(dad_refine)):
-        for x, lr, epochs in ((wide, 0.0, 1), (wide, 0.1, 0), (wide[:0], 0.1, 1), (wide, 0.1, 1)):
+        for x, lr, epochs in ((wide, 0.0, 1), (wide, 0.1, 0), (wide[:0], 0.1, 1), (wide, 0.1, 1),
+                              (nan, 0.0, 1), (nan, 0.1, 0), (nan, 0.1, 1)):
             with pytest.raises(InputError) as info:
                 forward_batch(params, x)
             with pytest.raises(InputError, match=f"^{re.escape(str(info.value))}$"):
@@ -260,7 +264,7 @@ def test_record_scores_the_seen_class_prefix_of_the_test_set(monkeypatch):
     for t in range(SMALL.n_sessions + 1):
         spec = NetSpec(SMALL.input_dim, SMALL.hidden_dims, _head(SMALL, t))
         traffic = {"params_up": 0, "params_down": 0, "shared_samples": 0, "logit_scalars": 0}
-        orchestrator._record(SMALL, t, zeros_params(spec), test, traffic)
+        orchestrator._record(t, zeros_params(spec), test, traffic, _head(SMALL, t))
         x, y = scored[-1]
         classes = range(_head(SMALL, t))
         assert np.array_equal(x, np.concatenate([pool[h] for h in classes]))
@@ -359,7 +363,8 @@ def test_centralized_makes_no_stage_call_and_no_communication(monkeypatch):
 # The orchestrator function each protocol stage asks the driver to call.
 STAGE_FUNCTION = {
     "base": "_train_fresh", "centralized": "_train_fresh", "local": "local_update",
-    "dcd": "dcd_finetune", "dad": "dad_refine",
+    "herding": "_herd", "teacher": "_teacher", "dcd": "dcd_finetune",
+    "fedavg": "fedavg_aggregate", "dad": "dad_refine", "evaluate": "_record",
 }
 
 
@@ -370,12 +375,12 @@ def drive_logging(gen, log):
     result = None
     while True:
         try:
-            stage, session, rnd, site, fn, args, kwargs = gen.send(result)
+            stage, session, rnd, site, fn, args = gen.send(result)
         except StopIteration as stop:
             return stop.value
         assert fn is getattr(orchestrator, STAGE_FUNCTION[stage]), stage
         log.append((stage, session, rnd, site))
-        result = fn(*args, **kwargs)
+        result = fn(*args)
 
 
 @pytest.mark.parametrize("method", ["dcid", "dcil_fedavg", "centralized"])
@@ -383,15 +388,22 @@ def test_protocol_yields_every_trainer_call_in_order(method):
     cfg = replace(SMALL, method=method)
     log = []
     records = drive_logging(_protocol(cfg), log)
-    expect = [("base", 0, None, None)]
+    sites = range(cfg.n_sites)
+    expect = [("base", 0, None, None), ("evaluate", 0, None, None)]
+    if method != "centralized":
+        expect += [("herding", 0, None, m) for m in sites]  # the base-class anchors
     for t in range(1, cfg.n_sessions + 1):
         if method == "centralized":
-            expect.append(("centralized", t, None, None))
+            expect += [("centralized", t, None, None), ("evaluate", t, None, None)]
             continue
         for r in range(cfg.rounds):
-            expect += [("local", t, r, m) for m in range(cfg.n_sites)]
-            expect += [("dcd", t, r, m) for m in range(cfg.n_sites)]
-            expect.append(("dad", t, r, None))
+            expect += [("local", t, r, m) for m in sites]
+            if r == cfg.rounds - 1:
+                expect += [("herding", t, r, m) for m in sites]
+            expect.append(("teacher", t, r, None))
+            expect += [("dcd", t, r, m) for m in sites]
+            expect += [("fedavg", t, r, None), ("teacher", t, r, None), ("dad", t, r, None)]
+        expect.append(("evaluate", t, None, None))
     assert log == expect
     expected = run(cfg).records
     assert len(records) == len(expected) == cfg.n_sessions + 1
@@ -425,8 +437,8 @@ def requests(cfg, until=None) -> list:
         sent.append(request)
         if request[0] == until:
             return sent
-        *_, fn, args, kwargs = request
-        result = fn(*args, **kwargs)
+        *_, fn, args = request
+        result = fn(*args)
 
 
 def test_every_method_and_alpha_sends_one_base_request():
@@ -436,17 +448,23 @@ def test_every_method_and_alpha_sends_one_base_request():
     assert all(same(request, base[0]) for request in base[1:])
 
 
-def test_dcid_and_fedavg_send_equal_requests_up_to_the_first_dcd():
-    dcid = requests(SMALL, until="dcd")
-    fedavg = requests(replace(SMALL, method="dcil_fedavg"), until="dcd")
-    assert [r[0] for r in dcid] == ["base", *["local"] * SMALL.n_sites, "dcd"]
+def test_dcid_and_fedavg_send_equal_requests_up_to_the_first_teacher():
+    dcid = requests(SMALL, until="teacher")
+    fedavg = requests(replace(SMALL, method="dcil_fedavg"), until="teacher")
+    sites = SMALL.n_sites
+    assert [r[0] for r in dcid] == ["base", "evaluate", *["herding"] * sites, *["local"] * sites,
+                                    "teacher"]
     assert len(dcid) == len(fedavg) and all(map(same, dcid[:-1], fedavg[:-1]))
-    assert not same(dcid[-1], fedavg[-1])  # only dcid distills over a shared pool
+    assert not same(dcid[-1], fedavg[-1])  # only dcid's teacher has a shared pool
 
 
 def test_runs_that_do_fedavgs_work_send_fedavgs_requests():
     fedavg = requests(replace(SMALL, method="dcil_fedavg"))
-    assert len(fedavg) == 1 + SMALL.n_sessions * SMALL.rounds * (2 * SMALL.n_sites + 1)
+    # base, evaluate and herding, then per session its rounds' local, teacher,
+    # DCD, FedAvg, teacher and DAD requests, its herding and its evaluate
+    sites, rounds = SMALL.n_sites, SMALL.rounds
+    per_session = rounds * (2 * sites + 4) + sites + 1
+    assert len(fedavg) == 2 + sites + SMALL.n_sessions * per_session
     for cfg in (
         replace(SMALL, method="dcil_fedmax", local=replace(SMALL.local, beta=0.0)),
         replace(SMALL, method="dcil_fedprox", local=replace(SMALL.local, mu=0.0)),
@@ -660,7 +678,8 @@ def test_herd_gives_the_class_dict_stacked_in_class_order(cfg):
         x, y = shards[0]
         shards.append((x[y != classes[0]], y[y != classes[0]]))  # one class short
         for shard in shards:
-            got, want = _herd(cfg, params, shard), dict_oracle(params, shard, classes)
+            got = _herd(params, shard, cfg.anchors_per_class)
+            want = dict_oracle(params, shard, classes)
             for g, w in zip(got, want):
                 assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
             if cfg.anchors_per_class == 0:
