@@ -2,11 +2,12 @@
 
 Everything here operates on flat parameter vectors so that models can be
 averaged, diffed and shipped around as plain arrays.  The engine supports a
-small family of composable loss terms (classification, full-head
-distillation of softened distributions, a proximal pull toward a reference
-model, and an activation-uniformity regularizer) whose gradients are all
-computed in one backward pass per term; the regularizer rides on the passes
-of the terms whose rows it covers.  `backward` returns the gradient
+small family of composable loss terms (full-head distillation toward
+soft-target rows, with classification as its case at temperature 1 on
+one-hot rows, a proximal pull toward a reference model, and an
+activation-uniformity regularizer) whose gradients are all computed in one
+backward pass per term; the regularizer rides on the passes of the terms
+whose rows it covers.  `backward` returns the gradient
 only; the tests evaluate a loss value with `tests/oracles.py::loss_value`.
 Every trainer checks its inputs once and hands its rows and per-batch step
 to `fit`, the one seeded SGD loop, which checks the learning rate and the
@@ -159,13 +160,6 @@ def _softmax_t(z: np.ndarray, tau: float, out=None) -> np.ndarray:
     return z
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis, written into `z`, which the caller owns."""
-    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
-    z -= np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
-    return z
-
-
 # ---------------------------------------------------------------------------
 # Composite losses
 # ---------------------------------------------------------------------------
@@ -189,37 +183,30 @@ def one_hot(y, n_classes: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CrossEntropyTerm:
-    """Mean cross-entropy over a labeled batch.
-
-    `targets` holds one row per example over the full head, the batch's rows
-    of `one_hot`, which checked the labels and gave the shape; `backward`
-    checks nothing.
-    Subtracting an exact 0.0/1.0 row from the softmax gives the bytes of
-    subtracting 1.0 at the label alone.
-    """
-
-    x: np.ndarray
-    targets: np.ndarray
-    weight: float = 1.0
-
-
-@dataclass(frozen=True)
 class DistillTerm:
-    """Mean KL(teacher || softmax(student_logits / temperature)) over a batch.
+    """Mean KL(targets || softmax(student_logits / temperature)) over a batch.
 
-    `teacher_probs` are already-softened distributions over the full head; a
-    teacher that knows fewer classes is padded with zeros to the head width.
-    The trainer checks the table's shape and the temperature once, before
-    `fit`, where `softmax_t` softens it; `backward` checks nothing.
+    `targets` are soft-target rows over the full head: an already-softened
+    teacher table, where a teacher that knows fewer classes is padded with
+    zeros to the head width, or the batch's rows of `one_hot`.  The trainer
+    checks the table's shape and the temperature once, before `fit`, where
+    `softmax_t` softens it; `backward` checks nothing.
     No extra temperature-squared rescaling is applied to the gradient: the
     raw KL of the softened distributions is the loss.
     """
 
     x: np.ndarray
-    teacher_probs: np.ndarray
+    targets: np.ndarray
     temperature: float
     weight: float = 1.0
+
+
+@dataclass(frozen=True)
+class CrossEntropyTerm(DistillTerm):
+    """Mean cross-entropy over a labeled batch: the distillation term at
+    temperature 1 toward one-hot `targets`, whose entropy is 0."""
+
+    temperature: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -243,7 +230,7 @@ class UniformActivationTerm:
     weight: float
 
 
-LossTerm = CrossEntropyTerm | DistillTerm | ProximalTerm | UniformActivationTerm
+LossTerm = DistillTerm | ProximalTerm | UniformActivationTerm
 
 
 @dataclass(frozen=True)
@@ -302,16 +289,10 @@ def _term_grad(
         return
 
     hs, zs, logits = _forward_cache(layers, spec.activation, term.x)
-    n = len(logits)
-    if isinstance(term, CrossEntropyTerm):
-        d_logits = np.exp(_log_softmax(logits), out=logits)
-        d_logits -= term.targets
-        d_logits *= term.weight / n
-    else:
-        d_logits = _softmax_t(logits, term.temperature, out=logits)
-        d_logits -= term.teacher_probs
-        # weight * (1/n), not weight / n: the golden records pin this rounding
-        d_logits *= term.weight * (1.0 / n) / term.temperature
+    d_logits = _softmax_t(logits, term.temperature, out=logits)
+    d_logits -= term.targets
+    # weight * (1/n), not weight / n: the golden records pin this rounding
+    d_logits *= term.weight * (1.0 / len(logits)) / term.temperature
     d_features = None
     if uniform:
         d_features = _softmax_t(hs[-1], 1.0)

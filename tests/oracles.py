@@ -5,12 +5,12 @@ apart from the batched code paths in `dcil`, so the tests compare two
 independent computations.
 
 The `plain_*` oracles are the engine's training step in its plain NumPy
-spelling: `@` products, `.sum`/`.max` reductions, an out-of-place softmax,
-fancy-index batch gathers, and a cross-entropy gradient that subtracts 1.0 at
-each label, read back from its one-hot target row.  `nncore` and the step
-closures reach the same operations through cheaper entry points (`ndarray.dot`,
-`np.add.reduce`, in-place ufuncs, `take`), in the same order, subtract whole
-target rows (`x - 0.0 == x`), and must give the same bytes.
+spelling: `@` products, `.sum`/`.max` reductions, an out-of-place softmax and
+fancy-index batch gathers, with one softened-target gradient for
+cross-entropy and distillation alike.  `nncore` and the step closures reach
+the same operations through cheaper entry points (`ndarray.dot`,
+`np.add.reduce`, in-place ufuncs, `take`), in the same order, and must give
+the same bytes.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def loss_value(params: ParamVector, loss: CompositeLoss) -> float:
             total += 0.5 * term.mu * float(diff @ diff)
             continue
         if isinstance(term, UniformActivationTerm):
-            xs = [t.x for t in loss.terms if isinstance(t, (CrossEntropyTerm, DistillTerm))]
+            xs = [t.x for t in loss.terms if isinstance(t, DistillTerm)]
             if xs:
                 feats, _ = forward_batch(params, np.concatenate(xs))
                 # KL(U || p) = -log d - mean_j log p_j for each row, over d
@@ -174,7 +174,7 @@ def loss_value(params: ParamVector, loss: CompositeLoss) -> float:
             logp = plain_log_softmax(logits)
             total += term.weight * float(-logp[np.arange(n), y].mean())
         elif isinstance(term, DistillTerm):
-            p = np.asarray(term.teacher_probs, dtype=np.float64)
+            p = np.asarray(term.targets, dtype=np.float64)
             q = softmax_t(logits, term.temperature)
             qc = np.maximum(q, EPS_LOG)
             val = float(
@@ -276,21 +276,11 @@ def plain_term_grad(params: ParamVector, layers, term, flat, grads, uniform) -> 
     hs, zs, logits = plain_forward_cache(layers, spec.activation, x)
     n = x.shape[0]
 
-    if isinstance(term, CrossEntropyTerm):
-        t = np.asarray(term.targets, dtype=np.float64)
-        if t.shape != logits.shape:
-            raise InputError("target table shape mismatch")
-        # the labels the one-hot rows encode, subtracted at their index alone
-        y = np.argmax(t, axis=1)
-        if not np.array_equal(t, np.eye(spec.n_classes)[y]):
-            raise InputError("targets are not one-hot rows")
-        d_logits = np.exp(plain_log_softmax(logits))
-        d_logits[np.arange(n), y] -= 1.0
-        d_logits *= term.weight / n
-    elif isinstance(term, DistillTerm):
-        p = np.asarray(term.teacher_probs, dtype=np.float64)
+    # cross-entropy is the distillation term at temperature 1 toward one-hot rows
+    if isinstance(term, DistillTerm):
+        p = np.asarray(term.targets, dtype=np.float64)
         if p.shape != logits.shape:
-            raise InputError("teacher table shape mismatch")
+            raise InputError("target table shape mismatch")
         q = plain_softmax_t(logits, term.temperature)
         d_logits = (q - p) * (term.weight * (1.0 / n) / term.temperature)
     else:

@@ -4,8 +4,8 @@ public top-level function, class or constant is read by the package or by
 the benchmark, no module passes, takes or sets a `check` flag (`nncore.fit`
 traps divergence at every step in one pass, so nothing selects a scan), only
 `nncore` builds a `Workspace`, the step arithmetic of `nncore` reaches
-NumPy through its cheapest entry points, `config` imports only the
-standard library, no trainer module names a method, and every stage
+NumPy through its cheapest entry points and takes no log, `config` imports
+only the standard library, no trainer module names a method, and every stage
 request of the orchestrator is one six-tuple that carries no config.
 
 A deleted feature tends to leave its import behind (a class name in the
@@ -215,7 +215,35 @@ def test_only_nncore_builds_a_workspace(module):
 
 
 # The functions that every training step runs, once or more per loss term.
-STEP_FUNCTIONS = ("_forward_cache", "_backprop", "_term_grad", "_softmax_t", "_log_softmax")
+STEP_FUNCTIONS = ("_forward_cache", "_backprop", "_act_grad", "_term_grad", "_softmax_t")
+
+
+def called_functions(source: str, roots) -> set[str]:
+    """The top-level functions of `source` that `roots` call by name, directly
+    or through one another, with the roots themselves."""
+    bodies = {top.name: top for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)}
+    found, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in bodies and name not in found:
+            found.add(name)
+            todo += [n.func.id for n in ast.walk(bodies[name])
+                     if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+    return found
+
+
+def test_called_functions_follows_calls_through_helpers():
+    source = (
+        "def step(x):\n"
+        "    return _a(x) + len(x)\n"
+        "def _a(x):\n"
+        "    return _b(x) * obj.method(x)\n"
+        "def _b(x):\n"
+        "    return _a(x)\n"
+        "def unused(x):\n"
+        "    return x\n"
+    )
+    assert called_functions(source, ("step",)) == {"step", "_a", "_b"}
 
 
 def is_arange_call(node) -> bool:
@@ -225,9 +253,9 @@ def is_arange_call(node) -> bool:
 
 
 def costly_entry_points(source: str, functions) -> list[tuple[str, str, int]]:
-    """(function, spelling, line) of each `@`, `np.matmul`, `np.dot`, `zeros_like`,
-    `.sum(`/`.max(`/`.any(` call and `np.arange`-indexed subscript in the
-    top-level `functions` of `source`."""
+    """(function, spelling, line) of each `@`, `np.matmul`, `np.dot`, `np.log`,
+    `zeros_like`, `.sum(`/`.max(`/`.any(` call and `np.arange`-indexed subscript
+    in the top-level `functions` of `source`."""
     found = []
     for top in ast.parse(source).body:
         if not isinstance(top, ast.FunctionDef) or top.name not in functions:
@@ -239,8 +267,8 @@ def costly_entry_points(source: str, functions) -> list[tuple[str, str, int]]:
                 func = node.func
                 if func.attr in ("matmul", "sum", "max", "any", "zeros_like"):
                     found.append((node.lineno, node.col_offset, top.name, func.attr))
-                elif func.attr == "dot" and getattr(func.value, "id", None) == "np":
-                    found.append((node.lineno, node.col_offset, top.name, "np.dot"))
+                elif func.attr in ("dot", "log") and getattr(func.value, "id", None) == "np":
+                    found.append((node.lineno, node.col_offset, top.name, "np." + func.attr))
             elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "zeros_like":
                 found.append((node.lineno, node.col_offset, top.name, "zeros_like"))
             elif isinstance(node, ast.Subscript):
@@ -261,6 +289,7 @@ def test_costly_entry_points_finds_leftovers():
         "    z[np.arange(n), y] -= 1.0\n"
         "    z[arange(n)] = z[y] - t[:, 0]\n"
         "    g = np.dot(h.T, z) + np.zeros_like(z) + zeros_like(w)\n"
+        "    z -= np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))\n"
         "    return h.dot(w), np.zeros(z.shape), np.add.reduce(z), np.maximum.reduce(z)\n"
         "def other(h, w):\n"
         "    return (h @ w).sum()\n"
@@ -270,6 +299,7 @@ def test_costly_entry_points_finds_leftovers():
         ("_step", "sum", 5), ("_step", "max", 5), ("_step", "any", 6),
         ("_step", "any", 6), ("_step", "arange index", 8), ("_step", "arange index", 9),
         ("_step", "np.dot", 10), ("_step", "zeros_like", 10), ("_step", "zeros_like", 10),
+        ("_step", "np.log", 11),
     ]
 
 
@@ -279,8 +309,9 @@ def test_step_arithmetic_uses_the_cheapest_entry_points():
     # `np.zeros_like`, and `np.add.reduce` and `np.maximum.reduce` skip the
     # Python wrappers behind `.sum` and `.max`;
     # labels are checked and encoded once per call by `one_hot`, not scanned
-    # with `.any()` and fancy-indexed per term.  `tests/test_step_bytes.py`
-    # holds the step to the bytes of the plain spelling.
+    # with `.any()` and fancy-indexed per term; cross-entropy takes the
+    # softened-target path at temperature 1, so no step takes a log.
+    # `tests/test_step_bytes.py` holds the step to the bytes of the plain spelling.
     with open(os.path.join(PACKAGE, "nncore.py")) as fh:
         source = fh.read()
     defined = {top.name for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)}
@@ -328,8 +359,8 @@ def test_training_step_only_does_arithmetic():
     with open(os.path.join(PACKAGE, "nncore.py")) as fh:
         source = fh.read()
     step = ("backward", "sgd_step", *STEP_FUNCTIONS)
-    defined = {top.name for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)}
-    assert set(step) <= defined
+    # `STEP_FUNCTIONS` names every function the step calls, so both guards scan them all
+    assert called_functions(source, ("backward", "sgd_step")) == set(step)
     assert step_checks(source, step) == []
 
 

@@ -24,6 +24,8 @@ from dcil.distillation import DISTILL_FULL_BATCH_LIMIT, _distill
 from dcil.local_learner import LocalLossConfig, local_update
 from dcil.nncore import (
     CompositeLoss,
+    CrossEntropyTerm,
+    DistillTerm,
     NetSpec,
     Workspace,
     backward,
@@ -81,6 +83,10 @@ def test_step_gives_the_plain_bytes_and_writes_no_input(width, depth, activation
             plain_backward(params, loss, out=plain_ws)
             assert backward(params, loss, out=ws).values.tobytes() == expect, (rows, terms)
             assert plain_ws.grad.values.tobytes() == expect
+            # cross-entropy is the distillation term at temperature 1 toward its one-hot rows
+            twin = [DistillTerm(t.x, t.targets, 1.0, weight=t.weight)
+                    if isinstance(t, CrossEntropyTerm) else t for t in terms]
+            assert backward(params, CompositeLoss(twin), out=ws).values.tobytes() == expect
             assert snapshot(*inputs) == before, (rows, terms)
 
 
