@@ -206,7 +206,7 @@ class CrossEntropyTerm(DistillTerm):
     """Mean cross-entropy over a labeled batch: the distillation term at
     temperature 1 toward one-hot `targets`, whose entropy is 0."""
 
-    temperature: float = 1.0
+    temperature: float = field(default=1.0, init=False)
 
 
 @dataclass(frozen=True)
@@ -291,7 +291,7 @@ def _term_grad(
     hs, zs, logits = _forward_cache(layers, spec.activation, term.x)
     d_logits = _softmax_t(logits, term.temperature, out=logits)
     d_logits -= term.targets
-    # weight * (1/n), not weight / n: the golden records pin this rounding
+    # weight * (1/n), not weight / n: tests/test_step_bytes.py pins this rounding
     d_logits *= term.weight * (1.0 / len(logits)) / term.temperature
     d_features = None
     if uniform:

@@ -219,6 +219,14 @@ def test_grad_cross_entropy():
         assert_grad_close(params, CompositeLoss((CrossEntropyTerm(x, one_hot(y, 3)),)))
 
 
+def test_cross_entropy_takes_its_weight_third_and_no_temperature():
+    x, rows = np.zeros((1, 3)), one_hot([0], 3)
+    ce = CrossEntropyTerm(x, rows, 5.0)
+    assert (ce.temperature, ce.weight) == (1.0, 5.0)
+    with pytest.raises(TypeError):
+        CrossEntropyTerm(x, rows, temperature=2.0)
+
+
 def test_grad_distill_full_head():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5, 3))
