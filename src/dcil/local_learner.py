@@ -1,9 +1,10 @@
 """Per-site incremental training: composite local losses, herding anchors.
 
 Each site trains its copy of the general model on its private shard plus a
-small anchor set of old-class examples.  The anchor loss comes in two
-flavors: plain replay cross-entropy, or distillation of the previous general
-model's softened old-class outputs (the classic temperature-2 convention).
+small anchor set of old-class examples.  The anchor loss is one distillation
+term in two flavors: toward the anchors' one-hot labels at temperature 1
+(replay cross-entropy), or toward the previous general model's softened
+old-class outputs (the classic temperature-2 convention).
 """
 
 from __future__ import annotations
@@ -100,16 +101,18 @@ def local_update(
     n_new = len(shard_x)
     stream_x = np.concatenate([shard_x, anchors[0]]) if n_new else shard_x
     stream_y = np.concatenate([shard_y, anchors[1]]) if n_new else shard_y
+    # one soft-target row per stream row, so each step gathers both terms'
+    # rows from the same two arrays: one-hot, or the teacher's for KD anchors
     targets = one_hot(stream_y, general.spec.n_classes)
-    ax, at = stream_x[n_new:], targets[n_new:]
-
-    teacher_probs = None
-    if len(ax) and cfg.lam > 0 and cfg.anchor_variant == "logit_kd":
-        if old_general is None:
-            raise InputError("logit_kd anchors need the previous general model")
-        teacher_probs = _kd_teacher_probs(
-            old_general, ax, general.spec.n_classes, cfg.anchor_temperature
-        )
+    anchor_tau = 1.0
+    if cfg.anchor_variant == "logit_kd":
+        anchor_tau = cfg.anchor_temperature
+        if len(stream_x) > n_new and cfg.lam > 0:
+            if old_general is None:
+                raise InputError("logit_kd anchors need the previous general model")
+            targets[n_new:] = _kd_teacher_probs(
+                old_general, stream_x[n_new:], general.spec.n_classes, anchor_tau
+            )
 
     # the penalty terms, the same at every step
     extra: list = []
@@ -120,19 +123,14 @@ def local_update(
 
     def step(params, batch, ws):
         is_new = batch < n_new
-        new_sel = batch[is_new]
-        anc_sel = batch[~is_new] - n_new
+        new_sel, anc_sel = batch[is_new], batch[~is_new]
         terms: list = []
         if len(new_sel):
             new_x, new_t = stream_x.take(new_sel, axis=0), targets.take(new_sel, axis=0)
             terms.append(CrossEntropyTerm(new_x, new_t))
         if len(anc_sel) and cfg.lam > 0:
-            anc_x = ax.take(anc_sel, axis=0)
-            if cfg.anchor_variant == "replay_ce":
-                terms.append(CrossEntropyTerm(anc_x, at.take(anc_sel, axis=0), weight=cfg.lam))
-            else:
-                anc_p = teacher_probs.take(anc_sel, axis=0)
-                terms.append(DistillTerm(anc_x, anc_p, cfg.anchor_temperature, weight=cfg.lam))
+            anc_x, anc_t = stream_x.take(anc_sel, axis=0), targets.take(anc_sel, axis=0)
+            terms.append(DistillTerm(anc_x, anc_t, anchor_tau, weight=cfg.lam))
         terms += extra
         if terms:
             grad = backward(params, CompositeLoss(tuple(terms)), out=ws)

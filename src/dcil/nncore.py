@@ -62,6 +62,12 @@ class ParamVector:
         if not np.isfinite(self.values).all():
             raise InputError("parameter vector contains non-finite entries")
 
+    def __reduce__(self):
+        # pickle and deepcopy would keep the cached views as copies detached
+        # from the clone's `values`; rebuilding through the constructor
+        # checks the values and builds views of the clone's own array
+        return ParamVector, (self.values, self.spec)
+
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.spec)
 

@@ -4,9 +4,10 @@ public top-level function, class or constant is read by the package or by
 the benchmark, no module passes, takes or sets a `check` flag (`nncore.fit`
 traps divergence at every step in one pass, so nothing selects a scan), only
 `nncore` builds a `Workspace`, the step arithmetic of `nncore` reaches
-NumPy through its cheapest entry points and takes no log, `config` imports
-only the standard library, no trainer module names a method, and every stage
-request of the orchestrator is one six-tuple that carries no config.
+NumPy through its cheapest entry points and takes no log, no step of
+`local_update` reads the anchor variant, `config` imports only the standard
+library, no trainer module names a method, and every stage request of the
+orchestrator is one six-tuple that carries no config.
 
 A deleted feature tends to leave its import behind (a class name in the
 module that built it, `dataclass` in a module that no longer declares one),
@@ -362,6 +363,47 @@ def test_training_step_only_does_arithmetic():
     # `STEP_FUNCTIONS` names every function the step calls, so both guards scan them all
     assert called_functions(source, ("backward", "sgd_step")) == set(step)
     assert step_checks(source, step) == []
+
+
+def nested_reads(source: str, outer: str, attr: str) -> list[tuple[str, int]]:
+    """(function, line) of each read of `.attr` inside a function nested in
+    the top-level function `outer` of `source`."""
+    found = []
+    for top in ast.parse(source).body:
+        if not (isinstance(top, ast.FunctionDef) and top.name == outer):
+            continue
+        for inner in ast.walk(top):
+            if inner is top or not isinstance(inner, (ast.FunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(inner):
+                if (isinstance(node, ast.Attribute) and node.attr == attr
+                        and isinstance(node.ctx, ast.Load)):
+                    found.append((node.lineno, getattr(inner, "name", "<lambda>")))
+    return [(name, line) for line, name in sorted(set(found))]
+
+
+def test_nested_reads_finds_a_read_in_the_step():
+    source = (
+        "def local_update(shard, cfg):\n"
+        "    tau = 1.0 if cfg.anchor_variant == 'replay_ce' else cfg.anchor_temperature\n"
+        "    def step(params, batch, ws):\n"
+        "        if cfg.anchor_variant == 'replay_ce':\n"
+        "            pass\n"
+        "    key = lambda t: t.anchor_variant\n"
+        "def other(cfg):\n"
+        "    def step(params, batch, ws):\n"
+        "        return cfg.anchor_variant\n"
+    )
+    assert nested_reads(source, "local_update", "anchor_variant") == [
+        ("step", 4), ("<lambda>", 6),
+    ]
+
+
+def test_local_update_decides_the_anchor_variant_once_per_call():
+    # the variant picks the anchors' target rows and temperature before
+    # `fit`; a step that read it would decide it again on every batch
+    with open(os.path.join(PACKAGE, "local_learner.py")) as fh:
+        assert nested_reads(fh.read(), "local_update", "anchor_variant") == []
 
 
 def non_stdlib_imports(source: str) -> list[str]:

@@ -1,6 +1,8 @@
 """Network engine tests: forward oracles, closed-form losses, gradient checks."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -697,6 +699,24 @@ def test_layer_views_follow_reassigned_values():
     assert not np.shares_memory(new_w, old_w)
     assert np.array_equal(new_w, old_w + 1.0)
     assert params.layers() is params.layers()  # built once per values array
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))], ids=["deepcopy", "pickle"]
+)
+def test_cloned_params_view_their_own_values(clone):
+    params = small_net()
+    params.layers()
+    twin = clone(params)
+    w, _ = twin.layers()[0]
+    assert np.shares_memory(w, twin.values)
+    assert not np.shares_memory(w, params.values)
+    # a clone computes with its own weights: zeroed, it gives zero logits
+    twin.values[:] = 0.0
+    _, logits = forward_batch(twin, np.ones((2, 3)))
+    assert np.array_equal(logits, np.zeros((2, 3)))
+    _, logits = forward_batch(params, np.ones((2, 3)))
+    assert np.any(logits != 0.0)
 
 
 def test_param_vector_validates_length_and_finiteness():
