@@ -6,9 +6,10 @@ small family of composable loss terms (full-head distillation toward
 soft-target rows, with classification as its case at temperature 1 on
 one-hot rows, a proximal pull toward a reference model, and an
 activation-uniformity regularizer) whose gradients are all computed in one
-backward pass per term; the regularizer rides on the passes of the terms
-whose rows it covers.  `backward` returns the gradient
-only; the tests evaluate a loss value with `tests/oracles.py::loss_value`.
+forward pass and one backward pass per step: the soft-target terms' rows share
+the pass, the regularizer rides on it, and the proximal pull is added after.
+`backward` returns the gradient only; the tests evaluate a loss value with
+`tests/oracles.py::loss_value`.
 Every trainer checks its inputs once and hands its rows and per-batch step
 to `fit`, the one seeded SGD loop, which checks the learning rate and the
 rows, owns the call's `Workspace`, traps divergence at the step where
@@ -229,8 +230,9 @@ class UniformActivationTerm:
 
     FedMAX's activation penalty in its reference form, d being the feature
     width: its gradient at a row's features a is (softmax(a) - 1/d) / d, 0
-    where a row's features are all equal.  Those terms' backprops carry it,
-    so it runs no pass of its own, and a loss without such rows gets none.
+    where a row's features are all equal.  The one backprop of those rows
+    carries it, so it runs no pass of its own, and a loss without such rows
+    gets none.
     """
 
     weight: float
@@ -245,19 +247,17 @@ class CompositeLoss:
 
 
 class Workspace:
-    """Gradient buffers reused by every `backward(..., out=ws)` call of one trainer.
+    """The gradient buffer reused by every `backward(..., out=ws)` call of one trainer.
 
     `fit` builds the one workspace of a call from the spec of the parameters
     it trains, so no step checks that the two match.  `grad` is the
-    `ParamVector` each call returns; the next call overwrites its values.
-    `scratch` takes each later loss term's gradient before it is added into
-    `grad`.  Both are zeroed, because a `ParamVector` scans its values.
+    `ParamVector` each call returns, zeroed at first because a `ParamVector`
+    scans its values; the step's one backprop overwrites it.
     """
 
     def __init__(self, spec: NetSpec):
         self.spec = spec
         self.grad = ParamVector(np.zeros(spec.param_count), spec)
-        self.scratch = ParamVector(np.zeros(spec.param_count), spec)
 
 
 def _backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features, grads):
@@ -283,56 +283,48 @@ def _backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features, grads):
             delta = delta.dot(layers[i][0].T)
 
 
-def _term_grad(
-    params: ParamVector, layers, term: LossTerm, flat, grads, uniform: float
-) -> None:
-    """Write the gradient of one loss term into `flat`, whose layer views are `grads`,
-    with the activation penalty's at its features, `uniform` per row, if nonzero."""
-    spec = params.spec
-    if isinstance(term, ProximalTerm):
-        np.subtract(params.values, term.ref.values, out=flat)
-        flat *= term.mu
-        return
-
-    hs, zs, logits = _forward_cache(layers, spec.activation, term.x)
-    d_logits = _softmax_t(logits, term.temperature, out=logits)
-    d_logits -= term.targets
-    # weight * (1/n), not weight / n: tests/test_step_bytes.py pins this rounding
-    d_logits *= term.weight * (1.0 / len(logits)) / term.temperature
-    d_features = None
-    if uniform:
-        d_features = _softmax_t(hs[-1], 1.0)
-        d = d_features.shape[1]
-        d_features -= 1.0 / d
-        d_features *= uniform / d
-    _backprop(spec, layers, hs, zs, d_logits, d_features, grads)
-
-
 def backward(params: ParamVector, loss: CompositeLoss, out: Workspace) -> ParamVector:
     """Exact gradient of the total loss w.r.t. every parameter (not the loss value).
 
-    The first term's gradient is written into `out.grad`, each later term's
-    into `out.scratch`, and those are added in term order; an
-    `UniformActivationTerm` joins the terms whose rows it covers.  Returns
-    `out.grad`, which the next call on `out` overwrites.  Only arithmetic
-    runs here: the trainer checked every input once, before `fit`, and
-    builds each term from a nonempty batch; nothing is scanned for
-    non-finite values, because `fit` traps the operation that makes one.
+    The rows of the loss's soft-target terms go through one forward pass,
+    concatenated in term order (a single term's rows as they are).  Each
+    term's slice of the logits becomes softmax(z / τ) minus its target rows,
+    times `weight * (1/n) / τ`; an `UniformActivationTerm` adds its gradient
+    at the features of all those rows, and one backprop writes `out.grad`.
+    Each `ProximalTerm` then adds `mu * (params - ref)`, in term order.
+    Returns `out.grad`, which the next call on `out` overwrites.  Only
+    arithmetic runs here: the trainer checked every input once, before
+    `fit`, and builds each term from a nonempty batch; nothing is scanned
+    for non-finite values, because `fit` traps the operation that makes one.
     """
+    spec = params.spec
     layers = params.layers()
     grad = out.grad.values
-    terms = [t for t in loss.terms if not isinstance(t, UniformActivationTerm)]
-    beta = sum(t.weight for t in loss.terms if isinstance(t, UniformActivationTerm))
-    rows = sum(len(t.x) for t in terms if not isinstance(t, ProximalTerm)) if beta else 0
-    uniform = beta / rows if rows else 0.0
-    if not terms:
+    rowed = [t for t in loss.terms if isinstance(t, DistillTerm)]
+    if rowed:
+        x = rowed[0].x if len(rowed) == 1 else np.concatenate([t.x for t in rowed])
+        hs, zs, logits = _forward_cache(layers, spec.activation, x)
+        start = 0
+        for term in rowed:
+            z = logits[start : start + len(term.x)]
+            _softmax_t(z, term.temperature, out=z)
+            z -= term.targets
+            # weight * (1/n), not weight / n: tests/test_step_bytes.py pins this rounding
+            z *= term.weight * (1.0 / len(z)) / term.temperature
+            start += len(z)
+        d_features = None
+        beta = sum(t.weight for t in loss.terms if isinstance(t, UniformActivationTerm))
+        if beta:
+            d_features = _softmax_t(hs[-1], 1.0)
+            d = d_features.shape[1]
+            d_features -= 1.0 / d
+            d_features *= beta / len(x) / d
+        _backprop(spec, layers, hs, zs, logits, d_features, out.grad.layers())
+    else:
         grad.fill(0.0)
-    for i, term in enumerate(terms):
-        if i == 0:
-            _term_grad(params, layers, term, grad, out.grad.layers(), uniform)
-        else:
-            _term_grad(params, layers, term, out.scratch.values, out.scratch.layers(), uniform)
-            grad += out.scratch.values
+    for term in loss.terms:
+        if isinstance(term, ProximalTerm):
+            grad += term.mu * (params.values - term.ref.values)
     return out.grad
 
 

@@ -5,10 +5,11 @@ apart from the batched code paths in `dcil`, so the tests compare two
 independent computations.
 
 The `plain_*` oracles are the engine's training step in its plain NumPy
-spelling: `@` products, `.sum`/`.max` reductions, an out-of-place softmax and
-fancy-index batch gathers, with one softened-target gradient for
-cross-entropy and distillation alike.  `nncore` and the step closures reach
-the same operations through cheaper entry points (`ndarray.dot`,
+spelling: `@` products, `.sum`/`.max` reductions, an out-of-place softmax
+per term slice and fancy-index batch gathers, with one softened-target
+gradient for cross-entropy and distillation alike, and one forward pass and
+one backprop over all of a loss's soft-target rows.  `nncore` and the step
+closures reach the same operations through cheaper entry points (`ndarray.dot`,
 `np.add.reduce`, in-place ufuncs, `take`), in the same order, and must give
 the same bytes.
 """
@@ -261,41 +262,14 @@ def plain_backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features, grads):
             delta = delta @ layers[i][0].T
 
 
-def plain_term_grad(params: ParamVector, layers, term, flat, grads, uniform) -> None:
-    spec = params.spec
-    if isinstance(term, ProximalTerm):
-        if term.ref.spec != spec:
-            raise InputError("proximal reference has a different spec")
-        np.subtract(params.values, term.ref.values, out=flat)
-        flat *= term.mu
-        return
-
-    x = np.asarray(term.x, dtype=np.float64)
-    if x.size == 0:
-        raise InputError("empty batch in loss term")
-    hs, zs, logits = plain_forward_cache(layers, spec.activation, x)
-    n = x.shape[0]
-
-    # cross-entropy is the distillation term at temperature 1 toward one-hot rows
-    if isinstance(term, DistillTerm):
-        p = np.asarray(term.targets, dtype=np.float64)
-        if p.shape != logits.shape:
-            raise InputError("target table shape mismatch")
-        q = plain_softmax_t(logits, term.temperature)
-        d_logits = (q - p) * (term.weight * (1.0 / n) / term.temperature)
-    else:
-        raise InputError(f"unknown loss term {type(term).__name__}")
-    d_features = None
-    if uniform:
-        # the activation penalty at this term's features, `uniform` per row
-        d = hs[-1].shape[1]
-        d_features = (plain_softmax_t(hs[-1], 1.0) - 1.0 / d) * (uniform / d)
-    plain_backprop(spec, layers, hs, zs, d_logits, d_features, grads)
-
-
 def plain_backward(
     params: ParamVector, loss: CompositeLoss, out: Workspace | None = None
 ) -> ParamVector:
+    """The one-pass rule: the rows of the loss's soft-target terms, concatenated
+    in term order, go through one forward pass; each term's slice of the logits
+    gives (softmax(z / τ) - targets) * (weight * (1/n) / τ); the activation
+    penalty joins at the features of all those rows; one backprop writes the
+    gradient, and each proximal pull is added after it, in term order."""
     spec = params.spec
     if out is None:
         out = Workspace(spec)
@@ -303,19 +277,38 @@ def plain_backward(
         raise InputError("workspace spec does not match parameters")
     layers = params.layers()
     grad = out.grad.values
-    terms = [t for t in loss.terms if not isinstance(t, UniformActivationTerm)]
-    rows = sum(len(t.x) for t in terms if not isinstance(t, ProximalTerm))
-    beta = sum(t.weight for t in loss.terms if isinstance(t, UniformActivationTerm))
-    uniform = beta / rows if beta and rows else 0.0
-    if not terms:
+    # cross-entropy is the distillation term at temperature 1 toward one-hot rows
+    rowed = [t for t in loss.terms if isinstance(t, DistillTerm)]
+    if rowed:
+        x = np.concatenate([np.asarray(t.x, dtype=np.float64) for t in rowed])
+        hs, zs, logits = plain_forward_cache(layers, spec.activation, x)
+        slices, start = [], 0
+        for t in rowed:
+            n = len(t.x)
+            if n == 0:
+                raise InputError("empty batch in loss term")
+            z = logits[start : start + n]
+            p = np.asarray(t.targets, dtype=np.float64)
+            if p.shape != z.shape:
+                raise InputError("target table shape mismatch")
+            q = plain_softmax_t(z, t.temperature)
+            slices.append((q - p) * (t.weight * (1.0 / n) / t.temperature))
+            start += n
+        d_logits = np.concatenate(slices)
+        beta = sum(t.weight for t in loss.terms if isinstance(t, UniformActivationTerm))
+        d_features = None
+        if beta:
+            # the activation penalty at every row's features, beta / rows per row
+            d = hs[-1].shape[1]
+            d_features = (plain_softmax_t(hs[-1], 1.0) - 1.0 / d) * (beta / len(x) / d)
+        plain_backprop(spec, layers, hs, zs, d_logits, d_features, out.grad.layers())
+    else:
         grad.fill(0.0)
-    for i, term in enumerate(terms):
-        if i == 0:
-            plain_term_grad(params, layers, term, grad, out.grad.layers(), uniform)
-        else:
-            scratch = out.scratch
-            plain_term_grad(params, layers, term, scratch.values, scratch.layers(), uniform)
-            grad += scratch.values
+    for t in loss.terms:
+        if isinstance(t, ProximalTerm):
+            if t.ref.spec != spec:
+                raise InputError("proximal reference has a different spec")
+            grad += t.mu * (params.values - t.ref.values)
     return out.grad
 
 

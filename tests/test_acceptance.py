@@ -88,6 +88,17 @@ def avg_acc(bench, *key):
     return float(np.mean([np.mean(bench[(*key, s)][0]) for s in SEEDS]))
 
 
+def paired(bench, key, other):
+    """`key`'s per-seed lead over `other` in average accuracy (points), with
+    its mean, standard error and win count: how far each gate's margin
+    stands from seed noise."""
+    diffs = np.array([100 * (np.mean(bench[(*key, s)][0]) - np.mean(bench[(*other, s)][0]))
+                      for s in SEEDS])
+    sem = diffs.std(ddof=1) / np.sqrt(len(diffs))
+    return (f"per seed [{', '.join(f'{d:+.2f}' for d in diffs)}], mean {diffs.mean():+.2f} "
+            f"± {sem:.2f} (standard error), ahead on {(diffs > 0).sum()} of {len(diffs)}")
+
+
 # ---------------------------------------------------------------------------
 # Criterion 1: analytic gradients match finite differences
 # ---------------------------------------------------------------------------
@@ -330,7 +341,8 @@ def test_criterion_7_method_ordering(bench):
         7,
         ok,
         f"centralized {cent:.4f} > dcid {dcid:.4f} > fedavg {fedavg:.4f}, "
-        f"margin {margin:.2f} points",
+        f"margin {margin:.2f} points; dcid - fedavg "
+        + paired(bench, ("dcid",), ("fedavg",)),
     )
 
 
@@ -362,19 +374,17 @@ def test_criterion_8_shared_pool_saturation(bench):
 
 
 def test_criterion_9_noniid_robustness(bench):
-    margins = {}
+    margins, spreads = {}, {}
     for a in ALPHAS:
-        if a == 0.1:
-            d, f = avg_acc(bench, "dcid"), avg_acc(bench, "fedavg")
-        else:
-            d = avg_acc(bench, "dcid-alpha", a)
-            f = avg_acc(bench, "fedavg-alpha", a)
-        margins[a] = 100 * (d - f)
+        dk, fk = (("dcid",), ("fedavg",)) if a == 0.1 else (("dcid-alpha", a), ("fedavg-alpha", a))
+        margins[a] = 100 * (avg_acc(bench, *dk) - avg_acc(bench, *fk))
+        spreads[a] = paired(bench, dk, fk)
     ok = all(m > 0 for m in margins.values())
     report(
         9,
         ok,
-        "margins " + ", ".join(f"alpha={a:g}: {m:+.2f}" for a, m in margins.items()),
+        "margins " + ", ".join(f"alpha={a:g}: {m:+.2f}" for a, m in margins.items())
+        + "; dcid - fedavg " + "; ".join(f"alpha={a:g}: {p}" for a, p in spreads.items()),
     )
 
 

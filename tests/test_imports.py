@@ -215,8 +215,8 @@ def test_only_nncore_builds_a_workspace(module):
         assert workspace_builds(fh.read()) == []
 
 
-# The functions that every training step runs, once or more per loss term.
-STEP_FUNCTIONS = ("_forward_cache", "_backprop", "_act_grad", "_term_grad", "_softmax_t")
+# The functions that every training step runs, once per step or per soft-target term.
+STEP_FUNCTIONS = ("_forward_cache", "_backprop", "_act_grad", "_softmax_t")
 
 
 def called_functions(source: str, roots) -> set[str]:

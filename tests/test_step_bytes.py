@@ -4,7 +4,9 @@
 cheapest NumPy entry point (`ndarray.dot`, `np.add.reduce`, in-place ufuncs,
 `take`); `oracles.plain_*` spells the same arithmetic with `@`, `.sum`/`.max`,
 an out-of-place softmax and fancy-index gathers.  Every result here must
-match byte for byte, and no input may be written.
+match byte for byte, and no input may be written.  A loss with one
+soft-target term also gives the bytes of the term-by-term sum, since its
+rows need no concatenation.
 """
 
 import numpy as np
@@ -18,7 +20,7 @@ from oracles import (
     plain_softmax_t,
     plain_train_plain,
 )
-from test_nncore import trainer_term_sets
+from test_nncore import sum_in_order, trainer_term_sets
 
 from dcil.distillation import DISTILL_FULL_BATCH_LIMIT, _distill
 from dcil.local_learner import LocalLossConfig, local_update
@@ -27,6 +29,7 @@ from dcil.nncore import (
     CrossEntropyTerm,
     DistillTerm,
     NetSpec,
+    UniformActivationTerm,
     Workspace,
     backward,
     forward_batch,
@@ -87,6 +90,12 @@ def test_step_gives_the_plain_bytes_and_writes_no_input(width, depth, activation
             twin = [DistillTerm(t.x, t.targets, 1.0, weight=t.weight)
                     if isinstance(t, CrossEntropyTerm) else t for t in terms]
             assert backward(params, CompositeLoss(twin), out=ws).values.tobytes() == expect
+            if (sum(isinstance(t, DistillTerm) for t in terms) == 1
+                    and not isinstance(terms[-1], UniformActivationTerm)):
+                # one soft-target term keeps the bytes of one pass per term:
+                # each term's own gradient, added in term order
+                parts = [plain_backward(params, CompositeLoss((t,))).values for t in terms]
+                assert sum_in_order(parts).tobytes() == expect, (rows, terms)
             assert snapshot(*inputs) == before, (rows, terms)
 
 
