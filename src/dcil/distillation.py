@@ -108,10 +108,10 @@ def _distill(
         raise InputError("teacher table must have one row per pool sample over the full head")
     teacher_probs = softmax_t(teacher, tau)
 
-    def step(out, sel, ws):
+    def step(params, sel, grad):
         term = DistillTerm(shared.take(sel, axis=0), teacher_probs.take(sel, axis=0), tau)
-        grad = backward(out, CompositeLoss((term,)), out=ws)
-        sgd_step(out, grad, lr)
+        backward(params, CompositeLoss((term,)), out=grad)
+        sgd_step(params, grad, lr)
 
     batch = n if n <= DISTILL_FULL_BATCH_LIMIT else DISTILL_BATCH
     return fit(params, lr, shared, batch, epochs, seed, step)

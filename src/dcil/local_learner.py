@@ -121,7 +121,7 @@ def local_update(
     if cfg.mu > 0:
         extra.append(ProximalTerm(general, cfg.mu))
 
-    def step(params, batch, ws):
+    def step(params, batch, grad):
         is_new = batch < n_new
         new_sel, anc_sel = batch[is_new], batch[~is_new]
         terms: list = []
@@ -133,7 +133,7 @@ def local_update(
             terms.append(DistillTerm(anc_x, anc_t, anchor_tau, weight=cfg.lam))
         terms += extra
         if terms:
-            grad = backward(params, CompositeLoss(tuple(terms)), out=ws)
+            backward(params, CompositeLoss(tuple(terms)), out=grad)
             sgd_step(params, grad, cfg.lr)
 
     return fit(general, cfg.lr, stream_x, cfg.batch_size, cfg.local_epochs, seed, step)

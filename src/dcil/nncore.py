@@ -10,9 +10,11 @@ forward pass and one backward pass per step: the soft-target terms' rows share
 the pass, the regularizer rides on it, and the proximal pull is added after.
 `backward` returns the gradient only; the tests evaluate a loss value with
 `tests/oracles.py::loss_value`.
+Every parameter-shaped array is a `ParamVector`, written through its
+per-layer views: a model, its gradient, a fresh init, a widened head.
 Every trainer checks its inputs once and hands its rows and per-batch step
 to `fit`, the one seeded SGD loop, which checks the learning rate and the
-rows, owns the call's `Workspace`, traps divergence at the step where
+rows, builds the call's one gradient vector, traps divergence at the step where
 it happens and scans the trained parameters once; the step only does arithmetic.
 A step calls `ndarray.dot` and the ufunc reductions directly and works in place
 on the arrays it owns: the bytes of `@`, `.sum`/`.max` and a fresh array per
@@ -81,21 +83,18 @@ class ParamVector:
         return views
 
 
-def pack_layers(layers, spec: NetSpec) -> ParamVector:
-    flat = np.concatenate([np.concatenate([w.ravel(), b.ravel()]) for w, b in layers])
-    return ParamVector(flat, spec)
-
-
 def init_params(spec: NetSpec, rng: np.random.Generator) -> ParamVector:
-    """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer."""
-    dims = spec.layer_dims
-    layers = []
-    for i in range(len(dims) - 1):
-        bound = 1.0 / math.sqrt(dims[i])
-        w = rng.uniform(-bound, bound, size=(dims[i], dims[i + 1]))
-        b = rng.uniform(-bound, bound, size=dims[i + 1])
-        layers.append((w, b))
-    return pack_layers(layers, spec)
+    """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer.
+
+    Draws each layer's `W`, then its `b`, layer by layer, into the views of
+    a zero vector.
+    """
+    params = ParamVector(np.zeros(spec.param_count), spec)
+    for w, b in params.layers():
+        bound = 1.0 / math.sqrt(len(w))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+        b[...] = rng.uniform(-bound, bound, size=b.shape)
+    return params
 
 
 def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
@@ -246,20 +245,6 @@ class CompositeLoss:
     terms: tuple[LossTerm, ...] = ()
 
 
-class Workspace:
-    """The gradient buffer reused by every `backward(..., out=ws)` call of one trainer.
-
-    `fit` builds the one workspace of a call from the spec of the parameters
-    it trains, so no step checks that the two match.  `grad` is the
-    `ParamVector` each call returns, zeroed at first because a `ParamVector`
-    scans its values; the step's one backprop overwrites it.
-    """
-
-    def __init__(self, spec: NetSpec):
-        self.spec = spec
-        self.grad = ParamVector(np.zeros(spec.param_count), spec)
-
-
 def _backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features, grads):
     """Write the gradient of a scalar loss, given dL/dlogits and dL/dfeatures, into `grads`.
 
@@ -283,23 +268,25 @@ def _backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features, grads):
             delta = delta.dot(layers[i][0].T)
 
 
-def backward(params: ParamVector, loss: CompositeLoss, out: Workspace) -> ParamVector:
-    """Exact gradient of the total loss w.r.t. every parameter (not the loss value).
+def backward(params: ParamVector, loss: CompositeLoss, out: ParamVector) -> ParamVector:
+    """Write the exact gradient of the total loss w.r.t. every parameter (not
+    the loss value) into `out`, and return `out`.
 
+    `out` is the gradient vector `fit` hands each step, of the spec of
+    `params`; every call overwrites all of it through `out.layers()`.
     The rows of the loss's soft-target terms go through one forward pass,
     concatenated in term order (a single term's rows as they are).  Each
     term's slice of the logits becomes softmax(z / τ) minus its target rows,
     times `weight * (1/n) / τ`; an `UniformActivationTerm` adds its gradient
-    at the features of all those rows, and one backprop writes `out.grad`.
+    at the features of all those rows, and one backprop writes `out`.
     Each `ProximalTerm` then adds `mu * (params - ref)`, in term order.
-    Returns `out.grad`, which the next call on `out` overwrites.  Only
-    arithmetic runs here: the trainer checked every input once, before
+    Only arithmetic runs here: the trainer checked every input once, before
     `fit`, and builds each term from a nonempty batch; nothing is scanned
     for non-finite values, because `fit` traps the operation that makes one.
     """
     spec = params.spec
     layers = params.layers()
-    grad = out.grad.values
+    grad = out.values
     rowed = [t for t in loss.terms if isinstance(t, DistillTerm)]
     if rowed:
         x = rowed[0].x if len(rowed) == 1 else np.concatenate([t.x for t in rowed])
@@ -319,21 +306,21 @@ def backward(params: ParamVector, loss: CompositeLoss, out: Workspace) -> ParamV
             d = d_features.shape[1]
             d_features -= 1.0 / d
             d_features *= beta / len(x) / d
-        _backprop(spec, layers, hs, zs, logits, d_features, out.grad.layers())
+        _backprop(spec, layers, hs, zs, logits, d_features, out.layers())
     else:
         grad.fill(0.0)
     for term in loss.terms:
         if isinstance(term, ProximalTerm):
             grad += term.mu * (params.values - term.ref.values)
-    return out.grad
+    return out
 
 
 def sgd_step(params: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
     """Update `params` in place by `-lr * grad` and return it; callers train on a copy.
 
-    Checks nothing: `fit` checked `lr` and built the workspace that holds
-    `grad` from the spec of `params`.  The result is not scanned: under
-    `fit` an update that overflows raises.
+    Checks nothing: `fit` checked `lr` and built `grad` from the spec of
+    `params`.  The result is not scanned: under `fit` an update that
+    overflows raises.
     """
     params.values -= lr * grad.values
     return params
@@ -347,9 +334,11 @@ def fit(
     Trains a copy of `params`: each epoch draws one permutation of
     range(len(x)) from `np.random.default_rng(seed)` and hands each
     `batch_size` slice of it, the last one possibly shorter, to
-    `step(out, sel, ws)`, which gathers its rows, updates `out` in place
-    through `backward(..., out=ws)` and `sgd_step`, its last call.  `ws` is
-    the one `Workspace` of the call.  A negative learning rate raises
+    `step(params, sel, grad)`, which gathers its rows, writes `grad` through
+    `backward(..., out=grad)` and updates `params` in place through
+    `sgd_step`, its last call.  `params` is the copy being trained and
+    `grad` the call's one gradient vector, a zero `ParamVector` of the same
+    spec, built once after the shortcut below.  A negative learning rate raises
     `ConfigError` first, then rows that are not finite `(n, input_dim)` rows
     raise `forward_batch`'s `InputError`, whatever the epochs and rows; then
     a zero learning rate or no rows returns a copy without calling `step`.
@@ -367,7 +356,7 @@ def fit(
     n = len(x)
     if lr == 0 or n == 0:
         return params.copy()
-    ws = Workspace(params.spec)
+    grad = ParamVector(np.zeros(params.spec.param_count), params.spec)
     out = params.copy()
     rng = np.random.default_rng(seed)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -375,7 +364,7 @@ def fit(
             order = rng.permutation(n)
             for batch, start in enumerate(range(0, n, batch_size), 1):
                 try:
-                    step(out, order[start : start + batch_size], ws)
+                    step(out, order[start : start + batch_size], grad)
                 except FloatingPointError as err:
                     raise InputError(
                         f"SGD diverged in epoch {epoch}, batch {batch}: {err}"
@@ -394,9 +383,9 @@ def expand_head(params: ParamVector, n_new: int) -> ParamVector:
     """
     if n_new < 1:
         raise ConfigError(f"n_new must be >= 1, got {n_new}")
-    layers = params.layers()
-    w_out, b_out = layers[-1]
-    w_new = np.concatenate([w_out, np.zeros((w_out.shape[0], n_new))], axis=1)
-    b_new = np.concatenate([b_out, np.zeros(n_new)])
     new_spec = replace(params.spec, n_classes=params.spec.n_classes + n_new)
-    return pack_layers([*layers[:-1], (w_new, b_new)], new_spec)
+    wide = ParamVector(np.zeros(new_spec.param_count), new_spec)
+    for (w, b), (w_wide, b_wide) in zip(params.layers(), wide.layers()):
+        w_wide[:, : w.shape[1]] = w
+        b_wide[: len(b)] = b
+    return wide

@@ -126,10 +126,10 @@ def _train_fresh(spec: NetSpec, x, y, epochs, lr, batch_size, init_seed, seed) -
     params = init_params(spec, np.random.default_rng(init_seed))
     targets = one_hot(y, spec.n_classes)
 
-    def step(out, sel, ws):
+    def step(params, sel, grad):
         term = CrossEntropyTerm(x.take(sel, axis=0), targets.take(sel, axis=0))
-        grad = backward(out, CompositeLoss((term,)), out=ws)
-        sgd_step(out, grad, lr)
+        backward(params, CompositeLoss((term,)), out=grad)
+        sgd_step(params, grad, lr)
 
     return fit(params, lr, x, batch_size, epochs, seed, step)
 
@@ -267,18 +267,26 @@ def _drive(gen) -> list[MetricsRecord]:
     """Serve `gen`'s stage requests in order, as `fn(*args)`, and return what it returns.
 
     The whole run raises on overflow, invalid operations and division by zero,
-    as each `fit` step does.  No request's arguments or result stay bound past
-    the `send` that hands the result over, so a model is freed once dropped.
+    as each `fit` step does: a trap outside `fit` becomes an `InputError`
+    naming the stage, its session and, where the request has them, its round
+    and site, then numpy's message.  No request's arguments or result stay
+    bound past the `send` that hands the result over, so a model is freed
+    once dropped.
     """
     result = None
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         while True:
             try:
-                *_, fn, args = gen.send(result)
+                stage, t, r, m, fn, args = gen.send(result)
             except StopIteration as stop:
                 return stop.value
             del result
-            result = fn(*args)
+            try:
+                result = fn(*args)
+            except FloatingPointError as err:
+                where = "".join(f", {key} {v}" for key, v in (("round", r), ("site", m))
+                                if v is not None)
+                raise InputError(f"{stage} diverged in session {t}{where}: {err}") from err
             del args
 
 

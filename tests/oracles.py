@@ -11,14 +11,16 @@ gradient for cross-entropy and distillation alike, and one forward pass and
 one backprop over all of a loss's soft-target rows.  `nncore` and the step
 closures reach the same operations through cheaper entry points (`ndarray.dot`,
 `np.add.reduce`, in-place ufuncs, `take`), in the same order, and must give
-the same bytes.
+the same bytes.  `plain_init_params` and `plain_expand_head` build a model
+from separate per-layer arrays, concatenated; `nncore` writes the same values
+into a zero vector's layer views, and must give the same bytes.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from dcil.nncore import (
     ParamVector,
     ProximalTerm,
     UniformActivationTerm,
-    Workspace,
     backward,
     fit,
     forward_batch,
@@ -58,8 +59,36 @@ def zeros_params(spec: NetSpec) -> ParamVector:
 
 
 def gradient(params: ParamVector, loss: CompositeLoss) -> ParamVector:
-    """`nncore.backward` into a fresh workspace, so no later call overwrites it."""
-    return backward(params, loss, out=Workspace(params.spec))
+    """`nncore.backward` into a fresh gradient vector, so no later call overwrites it."""
+    return backward(params, loss, out=zeros_params(params.spec))
+
+
+def plain_pack_layers(layers, spec: NetSpec) -> ParamVector:
+    """Concatenate per-layer `(W, b)` arrays into one flat vector, W before b."""
+    flat = np.concatenate([np.concatenate([w.ravel(), b.ravel()]) for w, b in layers])
+    return ParamVector(flat, spec)
+
+
+def plain_init_params(spec: NetSpec, rng: np.random.Generator) -> ParamVector:
+    """`nncore.init_params` as separate per-layer arrays, concatenated."""
+    dims = spec.layer_dims
+    layers = []
+    for i in range(len(dims) - 1):
+        bound = 1.0 / math.sqrt(dims[i])
+        w = rng.uniform(-bound, bound, size=(dims[i], dims[i + 1]))
+        b = rng.uniform(-bound, bound, size=dims[i + 1])
+        layers.append((w, b))
+    return plain_pack_layers(layers, spec)
+
+
+def plain_expand_head(params: ParamVector, n_new: int) -> ParamVector:
+    """`nncore.expand_head` as the old output layer and zero columns, concatenated."""
+    layers = params.layers()
+    w_out, b_out = layers[-1]
+    w_new = np.concatenate([w_out, np.zeros((w_out.shape[0], n_new))], axis=1)
+    b_new = np.concatenate([b_out, np.zeros(n_new)])
+    spec = replace(params.spec, n_classes=params.spec.n_classes + n_new)
+    return plain_pack_layers([*layers[:-1], (w_new, b_new)], spec)
 
 
 def forward(params: ParamVector, x: np.ndarray) -> ForwardResult:
@@ -263,20 +292,21 @@ def plain_backprop(spec: NetSpec, layers, hs, zs, d_logits, d_features, grads):
 
 
 def plain_backward(
-    params: ParamVector, loss: CompositeLoss, out: Workspace | None = None
+    params: ParamVector, loss: CompositeLoss, out: ParamVector | None = None
 ) -> ParamVector:
     """The one-pass rule: the rows of the loss's soft-target terms, concatenated
     in term order, go through one forward pass; each term's slice of the logits
     gives (softmax(z / τ) - targets) * (weight * (1/n) / τ); the activation
     penalty joins at the features of all those rows; one backprop writes the
-    gradient, and each proximal pull is added after it, in term order."""
+    gradient into `out` (a fresh zero vector by default), and each proximal
+    pull is added after it, in term order."""
     spec = params.spec
     if out is None:
-        out = Workspace(spec)
+        out = zeros_params(spec)
     elif out.spec != spec:
-        raise InputError("workspace spec does not match parameters")
+        raise InputError("gradient spec does not match parameters")
     layers = params.layers()
-    grad = out.grad.values
+    grad = out.values
     # cross-entropy is the distillation term at temperature 1 toward one-hot rows
     rowed = [t for t in loss.terms if isinstance(t, DistillTerm)]
     if rowed:
@@ -301,7 +331,7 @@ def plain_backward(
             # the activation penalty at every row's features, beta / rows per row
             d = hs[-1].shape[1]
             d_features = (plain_softmax_t(hs[-1], 1.0) - 1.0 / d) * (beta / len(x) / d)
-        plain_backprop(spec, layers, hs, zs, d_logits, d_features, out.grad.layers())
+        plain_backprop(spec, layers, hs, zs, d_logits, d_features, out.layers())
     else:
         grad.fill(0.0)
     for t in loss.terms:
@@ -309,7 +339,7 @@ def plain_backward(
             if t.ref.spec != spec:
                 raise InputError("proximal reference has a different spec")
             grad += t.mu * (params.values - t.ref.values)
-    return out.grad
+    return out
 
 
 def plain_sgd_step(params: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
@@ -326,10 +356,10 @@ def plain_train_plain(params, x, y, epochs, lr, batch_size, seed):
     `params`, on the plain step."""
     targets = one_hot(y, params.spec.n_classes)
 
-    def step(out, sel, ws):
+    def step(params, sel, grad):
         loss = CompositeLoss((CrossEntropyTerm(x[sel], targets[sel]),))
-        grad = plain_backward(out, loss, out=ws)
-        plain_sgd_step(out, grad, lr)
+        plain_backward(params, loss, out=grad)
+        plain_sgd_step(params, grad, lr)
 
     return fit(params, lr, x, batch_size, epochs, seed, step)
 
@@ -354,7 +384,7 @@ def plain_local_update(
         pad = np.zeros((len(ax), general.spec.n_classes - old_general.spec.n_classes))
         teacher_probs = np.concatenate([probs, pad], axis=1)
 
-    def step(params, batch, ws):
+    def step(params, batch, grad):
         is_new = batch < n_new
         new_sel = batch[is_new]
         anc_sel = batch[~is_new] - n_new
@@ -376,7 +406,7 @@ def plain_local_update(
         if cfg.mu > 0:
             terms.append(ProximalTerm(general, cfg.mu))
         if terms:
-            grad = plain_backward(params, CompositeLoss(tuple(terms)), out=ws)
+            plain_backward(params, CompositeLoss(tuple(terms)), out=grad)
             plain_sgd_step(params, grad, cfg.lr)
 
     return fit(general, cfg.lr, stream_x, cfg.batch_size, cfg.local_epochs, seed, step)
@@ -387,15 +417,15 @@ def plain_distill(params, teacher, shared, tau, lr, epochs, seed) -> ParamVector
     n = len(shared)
     teacher_probs = None
 
-    def step(out, sel, ws):
+    def step(params, sel, grad):
         nonlocal teacher_probs
         if teacher_probs is None:
             if len(teacher) != n:
                 raise InputError("teacher row count must match the shared pool")
             teacher_probs = plain_softmax_t(teacher, tau)
         term = DistillTerm(shared[sel], teacher_probs[sel], tau)
-        grad = plain_backward(out, CompositeLoss((term,)), out=ws)
-        plain_sgd_step(out, grad, lr)
+        plain_backward(params, CompositeLoss((term,)), out=grad)
+        plain_sgd_step(params, grad, lr)
 
     batch = n if n <= DISTILL_FULL_BATCH_LIMIT else DISTILL_BATCH
     return fit(params, lr, shared, batch, epochs, seed, step)

@@ -487,8 +487,9 @@ def test_run_rerun_is_bit_identical(tmp_path):
 # `RuntimeWarning`; local_lr=1e5 stays finite and runs to the end.  The whole
 # run is under the same traps, so a forward pass outside `fit` that overflows
 # (evaluating the model that one huge DAD step or one huge base step left)
-# stops the run with numpy's message.  It used to warn, then fail on the
-# overflowed logits or, in the `dcil_fedavg` case, score them and exit 0.
+# stops the run with a line naming the stage and session, then numpy's
+# message.  It used to warn, then fail on the overflowed logits or, in the
+# `dcil_fedavg` case, score them and exit 0.
 DIVERGING = {
     "method": "dcid", "classes": 6, "base_classes": 2, "sessions": 2,
     "sites": 3, "rounds": 1, "dim": 8, "per_class": 30,
@@ -503,10 +504,11 @@ DIVERGENCE_OUTPUT = {
     ("dcd_lr=1e300",): (1, "", DOT_OVERFLOW.format(2, 1)),
     ("dad_lr=1e300",): (1, "", DOT_OVERFLOW.format(2, 1)),
     ("local_lr=1e5",): (0, "dcid, 0.3750, 0.1667, 2748\n", ""),
-    ("dad_epochs=1", "dad_lr=1e300"): (1, "", "run failed: overflow encountered in dot\n"),
+    ("dad_epochs=1", "dad_lr=1e300"): (
+        1, "", "run failed: evaluate diverged in session 1: overflow encountered in dot\n"),
     ("method=dcil_fedavg", "base_epochs=1", "batch_size=64", "base_lr=1e300",
      "anchor_variant=replay_ce", "local_lr=0"): (
-        1, "", "run failed: overflow encountered in dot\n"),
+        1, "", "run failed: evaluate diverged in session 0: overflow encountered in dot\n"),
 }
 
 

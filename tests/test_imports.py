@@ -2,9 +2,9 @@
 top-level function or class is read somewhere in the package, every
 public top-level function, class or constant is read by the package or by
 the benchmark, no module passes, takes or sets a `check` flag (`nncore.fit`
-traps divergence at every step in one pass, so nothing selects a scan), only
-`nncore` builds a `Workspace`, the step arithmetic of `nncore` reaches
-NumPy through its cheapest entry points and takes no log, no step of
+traps divergence at every step in one pass, so nothing selects a scan),
+the step arithmetic of `nncore` reaches NumPy through its cheapest entry
+points and takes no log, no step of
 `local_update` reads the anchor variant, `config` imports only the standard
 library, no trainer module names a method, and every stage request of the
 orchestrator is one six-tuple that carries no config.
@@ -190,29 +190,6 @@ def test_no_module_threads_a_check_flag(module):
     # flag would let a call skip a scan that nothing else makes.
     with open(os.path.join(PACKAGE, module)) as fh:
         assert check_plumbing(fh.read()) == []
-
-
-def workspace_builds(source: str) -> list[int]:
-    """Lines of calls that construct a `Workspace`."""
-    return [
-        call.lineno
-        for call in ast.walk(ast.parse(source))
-        if isinstance(call, ast.Call)
-        and "Workspace" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
-    ]
-
-
-def test_workspace_builds_finds_both_spellings():
-    source = "ws = Workspace(spec)\nws = nncore.Workspace(spec)\nworkspace = ws\n"
-    assert workspace_builds(source) == [1, 2]
-
-
-@pytest.mark.parametrize("module", [m for m in MODULES if m != "nncore.py"])
-def test_only_nncore_builds_a_workspace(module):
-    # `fit` builds the one workspace of each training call; a trainer that
-    # built its own would bypass the loop every stage shares.
-    with open(os.path.join(PACKAGE, module)) as fh:
-        assert workspace_builds(fh.read()) == []
 
 
 # The functions that every training step runs, once per step or per soft-target term.

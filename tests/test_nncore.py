@@ -15,6 +15,8 @@ from oracles import (
     kl_div,
     loss_value,
     plain_backward,
+    plain_expand_head,
+    plain_init_params,
     zeros_params,
 )
 
@@ -30,14 +32,12 @@ from dcil.nncore import (
     ParamVector,
     ProximalTerm,
     UniformActivationTerm,
-    Workspace,
     backward,
     expand_head,
     fit,
     forward_batch,
     init_params,
     one_hot,
-    pack_layers,
     sgd_step,
     softmax_t,
 )
@@ -65,7 +65,7 @@ def test_forward_matches_manual_matrix_oracle():
     b1 = np.array([0.0, -0.5])
     w2 = np.array([[2.0, 0.0], [1.0, -1.0]])
     b2 = np.array([0.1, 0.2])
-    params = pack_layers([(w1, b1), (w2, b2)], spec)
+    params = ParamVector(np.concatenate([w1.ravel(), b1, w2.ravel(), b2]), spec)
     x = np.array([1.0, 2.0])
     h = np.maximum(x @ w1 + b1, 0.0)
     expect = h @ w2 + b2
@@ -344,7 +344,7 @@ def test_backward_runs_one_forward_pass_per_call(monkeypatch):
                         ((ce, uniform, prox), [5]), ((ce, kd), [7]), ((kd, ce, prox), [7]),
                         ((prox, ce, kd, prox), [7]), ((prox,), []), ((uniform,), [])]:
         passes.clear()
-        backward(params, CompositeLoss(terms), out=Workspace(params.spec))
+        backward(params, CompositeLoss(terms), out=zeros_params(params.spec))
         assert passes == rows, terms
 
 
@@ -444,20 +444,19 @@ def test_backward_into_workspace_gives_same_bytes_and_leaves_inputs_alone():
     for hidden in HIDDEN_DEPTHS:
         params = small_net(hidden=hidden, n_classes=4, activation="tanh")
         ref = small_net(seed=16, hidden=hidden, n_classes=4, activation="tanh")
-        ws = Workspace(params.spec)  # one workspace for every term set, as a trainer uses it
+        out = zeros_params(params.spec)  # one vector for every term set, as `fit` hands it
         for terms in trainer_term_sets(params, ref, rng):
             arrays = [params.values, ref.values] + [
                 a for t in terms for a in vars(t).values() if isinstance(a, np.ndarray)
             ]
             before = [a.copy() for a in arrays]
             expect = gradient(params, CompositeLoss(terms)).values.tobytes()
-            grad = backward(params, CompositeLoss(terms), out=ws)
-            assert grad is ws.grad
-            assert grad.values.tobytes() == expect, (hidden, terms)
+            assert backward(params, CompositeLoss(terms), out=out) is out
+            assert out.values.tobytes() == expect, (hidden, terms)
             for a, b in zip(arrays, before):
                 assert a.tobytes() == b.tobytes()
-        # an empty loss clears what the last call left in the workspace
-        assert not backward(params, CompositeLoss(()), out=ws).values.any()
+        # an empty loss clears what the last call left in the vector
+        assert not backward(params, CompositeLoss(()), out=out).values.any()
 
 
 def test_backward_into_workspace_rejects_nan_teacher():
@@ -470,10 +469,10 @@ def test_backward_into_workspace_rejects_nan_teacher():
     teacher[2, 1] = np.nan
     y = rng.integers(0, 4, size=5)
     loss = CompositeLoss((CrossEntropyTerm(x, one_hot(y, 4)), DistillTerm(x, teacher, 5.0)))
-    assert np.isnan(backward(params, loss, out=Workspace(params.spec)).values).any()
+    assert np.isnan(backward(params, loss, out=zeros_params(params.spec)).values).any()
 
-    def step(out, sel, ws):
-        sgd_step(out, backward(out, loss, out=ws), 0.1)
+    def step(params, sel, grad):
+        sgd_step(params, backward(params, loss, out=grad), 0.1)
 
     with pytest.raises(InputError, match="^SGD produced non-finite parameters$"):
         fit(params, 0.1, x, 5, 1, 0, step)
@@ -542,7 +541,7 @@ def test_sgd_step_rejects_overflow_to_inf():
     big = ParamVector(np.full(params.spec.param_count, -1e308), params.spec)
     steps = []
 
-    def step(out, sel, ws):
+    def step(out, sel, grad):
         steps.append(sel)
         sgd_step(out, big if len(steps) == 3 else zero, 1.0)
 
@@ -559,15 +558,15 @@ def test_backward_checks_its_inputs_and_scans_no_values():
     # non-finite values pass through `backward`; `fit` traps the operation
     # that makes one and scans the parameters its steps leave
     params = small_net()
-    ws = Workspace(params.spec)
+    out = zeros_params(params.spec)
     x = np.ones((2, 3))
     nan_teacher = np.full((2, 3), np.nan)
     nan_x = np.full((2, 3), np.nan)
     nan_features = CompositeLoss((CrossEntropyTerm(nan_x, one_hot([0, 2], 3), weight=0.0),
                                   UniformActivationTerm(1.0)))
-    grad = backward(params, CompositeLoss((DistillTerm(x, nan_teacher, 2.0),)), out=ws)
+    grad = backward(params, CompositeLoss((DistillTerm(x, nan_teacher, 2.0),)), out=out)
     assert np.isnan(grad.values).any()
-    assert np.isnan(backward(params, nan_features, out=ws).values).any()
+    assert np.isnan(backward(params, nan_features, out=out).values).any()
     # the inputs are checked once per trainer call, before `fit`: labels by `one_hot`
     with pytest.raises(InputError, match="label out of range"):
         one_hot([0, 3], 3)
@@ -602,7 +601,7 @@ def test_fit_names_the_step_whose_trap_stopped_it():
     before = params.values.tobytes()
     modes = []
 
-    def step(out, sel, ws):
+    def step(out, sel, grad):
         modes.append(np.geterr()["over"])
         out.values[0] += 1.0
         if len(modes) == 5:  # epoch 2, batch 2 of three slices per epoch
@@ -622,7 +621,7 @@ def test_fit_names_the_step_whose_trap_stopped_it():
 def test_fit_scans_the_parameters_once_after_the_last_step():
     calls = []
 
-    def step(out, sel, ws):
+    def step(out, sel, grad):
         calls.append(sel)
         if len(calls) == 1:
             out.values[0] = np.nan  # spreads no further, and raises no trap
@@ -636,7 +635,7 @@ def test_fit_passes_any_other_error_through_once_and_unchanged():
     calls = []
     error = ValueError("not a trap")
 
-    def step(out, sel, ws):
+    def step(out, sel, grad):
         calls.append(sel)
         raise error
 
@@ -649,7 +648,7 @@ def test_fit_passes_any_other_error_through_once_and_unchanged():
 def test_fit_without_lr_or_rows_returns_a_copy_and_takes_no_step():
     params = small_net()
 
-    def step(out, sel, ws):
+    def step(out, sel, grad):
         raise AssertionError("fit took a step")
 
     for lr, n in ((0.0, 5), (0.1, 0)):
@@ -658,18 +657,26 @@ def test_fit_without_lr_or_rows_returns_a_copy_and_takes_no_step():
         assert out.values.tobytes() == params.values.tobytes()
 
 
-def test_fit_builds_one_workspace(monkeypatch):
-    built, seen = [], []
+def test_fit_builds_one_workspace():
+    # each call hands every step one gradient vector of the trained spec,
+    # zero before the first step, and the next call builds a fresh one
+    params = small_net()
+    calls = []
+    for _ in range(2):
+        seen = []
 
-    def counting(spec):
-        built.append(Workspace(spec))
-        return built[-1]
+        def step(out, sel, grad):
+            if not seen:
+                assert out is not params and grad.spec == params.spec
+                assert grad.values.tobytes() == bytes(8 * params.spec.param_count)
+            seen.append(grad)
+            grad.values[:] = 1.0  # what the step leaves is the next step's to overwrite
 
-    monkeypatch.setattr("dcil.nncore.Workspace", counting)
-    fit(small_net(), 0.1, rows(5), 2, 2, 0, lambda out, sel, ws: seen.append(ws))
-    assert len(built) == 1
-    assert len(seen) == 2 * 3  # two epochs of three slices
-    assert all(ws is built[0] for ws in seen)
+        fit(params, 0.1, rows(5), 2, 2, 0, step)
+        assert len(seen) == 2 * 3  # two epochs of three slices
+        assert all(grad is seen[0] for grad in seen)
+        calls.append(seen[0])
+    assert calls[0] is not calls[1]
 
 
 def test_fit_walks_one_seeded_permutation_per_epoch_in_slices():
@@ -681,7 +688,7 @@ def test_fit_walks_one_seeded_permutation_per_epoch_in_slices():
 
     for seed in (0, [5, 9, 1, 2]):
         seen = []
-        fit(small_net(), 0.1, rows(10), 4, 3, seed, lambda out, sel, ws: seen.append(sel))
+        fit(small_net(), 0.1, rows(10), 4, 3, seed, lambda out, sel, grad: seen.append(sel))
         expect = list(minibatches(np.random.default_rng(seed), 10, 4, 3))
         assert [len(sel) for sel in seen] == [4, 4, 2] * 3
         assert [sel.tolist() for sel in seen] == [sel.tolist() for sel in expect]
@@ -696,6 +703,29 @@ def test_expand_head_preserves_old_logits_bitwise():
     _, wide_logits = forward_batch(wide, x)
     assert np.array_equal(wide_logits[:, :4], logits)
     assert np.all(wide_logits[:, 4:] == 0.0)
+
+
+@pytest.mark.parametrize("width", (4, 32, 128))
+@pytest.mark.parametrize("depth", HIDDEN_DEPTHS)
+def test_init_and_expand_head_give_the_bytes_of_concatenated_layers(depth, width):
+    # both write through a zero vector's layer views; the oracles concatenate
+    # separate per-layer arrays, as the parent did
+    hidden = tuple(width if i == 0 else h for i, h in enumerate(depth))
+    spec = NetSpec(width, hidden, 4, "tanh")
+    for seed in range(3):
+        params = init_params(spec, np.random.default_rng(seed))
+        want = plain_init_params(spec, np.random.default_rng(seed))
+        assert params.spec == want.spec and params.values.tobytes() == want.values.tobytes()
+        before = params.values.tobytes()
+        for n_new in (1, 2, 7):
+            want = plain_expand_head(params, n_new)
+            # a buffer of the wide size, freed with nonzero values in it, so
+            # a wide vector that skipped its zero fill would likely show them
+            np.full(want.spec.param_count, 7.0)
+            wide = expand_head(params, n_new)
+            assert wide.spec == want.spec and wide.values.tobytes() == want.values.tobytes()
+            assert not np.shares_memory(wide.values, params.values)
+        assert params.values.tobytes() == before
 
 
 def test_expand_head_rejects_zero():

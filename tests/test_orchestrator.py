@@ -565,8 +565,9 @@ def test_every_trainer_step_is_one_backward_and_one_sgd_step(monkeypatch):
 
 
 def test_every_trainer_call_reuses_one_workspace(monkeypatch):
-    # `backward` writes into the workspace it is given, and `fit` builds one
-    # per trainer call: guard the reused workspace of every stage call.
+    # `fit` builds one gradient vector per trainer call and hands it to every
+    # step, and `backward` writes into the vector it is given and returns it:
+    # guard the reused vector of every stage call, and a fresh one per call.
     events = []
 
     def stage(name, fn):
@@ -576,18 +577,21 @@ def test_every_trainer_call_reuses_one_workspace(monkeypatch):
 
         return wrapper
 
-    def workspace(cls):
-        def build(spec):
-            ws = cls(spec)
-            events.append(("workspace", ws))
-            return ws
+    def fitting(fn):
+        def wrapper(params, lr, x, batch_size, epochs, seed, step):
+            def spy(params, sel, grad):
+                events.append(("handed", grad))
+                step(params, sel, grad)
 
-        return build
+            return fn(params, lr, x, batch_size, epochs, seed, spy)
+
+        return wrapper
 
     def backward(fn):
-        def wrapper(params, loss, out=None):
-            events.append(("backward", out))
-            return fn(params, loss, out=out)
+        def wrapper(params, loss, out):
+            events.append(("written", out))
+            assert fn(params, loss, out=out) is out
+            return out
 
         return wrapper
 
@@ -595,10 +599,9 @@ def test_every_trainer_call_reuses_one_workspace(monkeypatch):
     dist = importlib.import_module("dcil.distillation")
     for namespace, name in ((orch, "_train_fresh"), (orch, "local_update"), (dist, "_distill")):
         monkeypatch.setattr(namespace, name, stage(name, getattr(namespace, name)))
-    nncore = importlib.import_module("dcil.nncore")
-    monkeypatch.setattr(nncore, "Workspace", workspace(nncore.Workspace))
     for module in ("orchestrator", "local_learner", "distillation"):
         namespace = importlib.import_module(f"dcil.{module}")
+        monkeypatch.setattr(namespace, "fit", fitting(namespace.fit))
         monkeypatch.setattr(namespace, "backward", backward(namespace.backward))
     trainers = {
         "dcid": {"_train_fresh", "local_update", "_distill"},
@@ -614,13 +617,33 @@ def test_every_trainer_call_reuses_one_workspace(monkeypatch):
             if kind == "stage":
                 calls.append((value, [], []))
             else:
-                calls[-1][1 if kind == "workspace" else 2].append(value)
-        assert {name for name, _, used in calls if used} == stepping, method
-        for name, built, used in calls:
-            # a call that takes no step (empty shard or pool) may return before building one
-            assert len(built) <= 1, (method, name, len(built))
-            if used:
-                assert built and all(out is built[0] for out in used), (method, name)
+                calls[-1][1 if kind == "handed" else 2].append(value)
+        assert {name for name, _, written in calls if written} == stepping, method
+        firsts = []
+        for name, handed, written in calls:
+            if handed:
+                # every step of one call gets the same vector, and `backward` writes it
+                assert all(grad is handed[0] for grad in handed + written), (method, name)
+                firsts.append(handed[0])
+        assert len({id(grad) for grad in firsts}) == len(firsts), method
+
+
+@pytest.mark.parametrize("name, message", [
+    ("_herd", "herding diverged in session 0, site 0: "),
+    ("local_update", "local diverged in session 1, round 0, site 0: "),
+    ("_teacher", "teacher diverged in session 1, round 0: "),
+])
+def test_a_trap_outside_fit_names_its_stage_and_place(monkeypatch, name, message):
+    # `_drive` reads each stage's function from the module at its request and
+    # turns a trap outside `fit` into an `InputError` naming the request
+    def trap(*args):
+        raise FloatingPointError("overflow encountered in dot")
+
+    monkeypatch.setattr(orchestrator, name, trap)
+    with pytest.raises(InputError) as info:
+        run(SMALL)
+    assert str(info.value) == message + "overflow encountered in dot"
+    assert isinstance(info.value.__cause__, FloatingPointError)
 
 
 def test_herding_runs_once_per_session_site_and_held_class(monkeypatch):

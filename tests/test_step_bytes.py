@@ -19,6 +19,7 @@ from oracles import (
     plain_local_update,
     plain_softmax_t,
     plain_train_plain,
+    zeros_params,
 )
 from test_nncore import sum_in_order, trainer_term_sets
 
@@ -30,7 +31,6 @@ from dcil.nncore import (
     DistillTerm,
     NetSpec,
     UniformActivationTerm,
-    Workspace,
     backward,
     forward_batch,
     init_params,
@@ -62,7 +62,7 @@ def test_step_gives_the_plain_bytes_and_writes_no_input(width, depth, activation
     rng = np.random.default_rng([width, len(depth), activation == "relu"])
     params = net(width, depth, activation, 1)
     ref = net(width, depth, activation, 2)
-    ws, plain_ws = Workspace(params.spec), Workspace(params.spec)  # reused, as `fit` does
+    grad, plain_grad = zeros_params(params.spec), zeros_params(params.spec)  # reused, as in `fit`
     for rows in BATCHES:
         x = rng.normal(size=(rows, width)) * 3.0
         before = snapshot(x, params.values)
@@ -83,13 +83,14 @@ def test_step_gives_the_plain_bytes_and_writes_no_input(width, depth, activation
             loss = CompositeLoss(terms)
             expect = plain_backward(params, loss).values.tobytes()
             assert gradient(params, loss).values.tobytes() == expect, (rows, terms)
-            plain_backward(params, loss, out=plain_ws)
-            assert backward(params, loss, out=ws).values.tobytes() == expect, (rows, terms)
-            assert plain_ws.grad.values.tobytes() == expect
+            assert plain_backward(params, loss, out=plain_grad) is plain_grad
+            assert backward(params, loss, out=grad) is grad
+            assert grad.values.tobytes() == expect, (rows, terms)
+            assert plain_grad.values.tobytes() == expect
             # cross-entropy is the distillation term at temperature 1 toward its one-hot rows
             twin = [DistillTerm(t.x, t.targets, 1.0, weight=t.weight)
                     if isinstance(t, CrossEntropyTerm) else t for t in terms]
-            assert backward(params, CompositeLoss(twin), out=ws).values.tobytes() == expect
+            assert backward(params, CompositeLoss(twin), out=grad).values.tobytes() == expect
             if (sum(isinstance(t, DistillTerm) for t in terms) == 1
                     and not isinstance(terms[-1], UniformActivationTerm)):
                 # one soft-target term keeps the bytes of one pass per term:
